@@ -8,6 +8,7 @@ closed form against a brute-force minimization oracle.
 
 from .channels import (
     MeasurementPartition,
+    PartitionChannel,
     QuantumChannel,
     ResourceDestroyingMap,
     certify_rdm,

@@ -1,9 +1,19 @@
 """CPTP maps, their adjoints, and the built-in resource-destroying maps.
 
-Channels are stored in Kraus form; the d^2 x d^2 superoperator (column-major
-vectorization, S = sum_i conj(K_i) (x) K_i) is derived on demand and is the
-canonical representation for map equality and idempotency checks, since
-Kraus decompositions are not unique.  Channels are immutable once built.
+Two representations share the `QuantumChannel` interface.  Twirls and raw
+Kraus input are Kraus sums, rho -> sum_i K_i rho K_i^dag.  The four
+partition families (dephasing, Lueders, modified coarse-graining, complete
+mixing) are `PartitionChannel`s: the trace-preserving conditional
+expectation onto the block algebra of a partition, where each block either
+keeps its diagonal block or traces it out, so applying one is a mask plus
+block averaging, O(d^2), with no Kraus operators.
+
+The d^2 x d^2 superoperator (column-major vectorization, column (a, b) is
+vec E(|a><b|), S = sum_i conj(K_i) (x) K_i) is the canonical representation
+for map equality, since Kraus decompositions are not unique.  Both it and a
+partition map's Kraus list are views built on first read; certification and
+`apply` need neither for a partition map.  Channels are immutable once
+built.
 """
 
 from __future__ import annotations
@@ -42,11 +52,12 @@ def unvec(v: np.ndarray) -> np.ndarray:
 
 
 def kraus_to_superop(kraus: Sequence[np.ndarray]) -> np.ndarray:
-    d = kraus[0].shape[0]
-    S = np.zeros((d * d, d * d), dtype=complex)
-    for K in kraus:
-        S += np.kron(K.conj(), K)
-    return S
+    """S = sum_i conj(K_i) (x) K_i, as one matrix product over the stacked
+    operators: S[(p, q), (r, s)] = sum_i conj(K_i)[p, r] K_i[q, s]."""
+    K = np.asarray(kraus, dtype=complex)
+    n, d, _ = K.shape
+    S = K.conj().reshape(n, d * d).T @ K.reshape(n, d * d)
+    return S.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
 
 
 class QuantumChannel:
@@ -54,7 +65,9 @@ class QuantumChannel:
 
     Complete positivity holds by construction.  Trace preservation is not
     enforced here (adjoints of non-unital channels break it); the
-    constructors and `certify_rdm` check it where required.
+    constructors and `certify_rdm` check it where required.  Other
+    representations subclass this one and override `kraus`, `superop`,
+    `_act` and the two residuals; everything else is written against those.
     """
 
     def __init__(self, kraus: Iterable[np.ndarray]):
@@ -85,81 +98,231 @@ class QuantumChannel:
     def superop(self) -> np.ndarray:
         """d^2 x d^2 column-stacking superoperator (cached)."""
         if self._superop is None:
-            S = kraus_to_superop(self._kraus)
+            S = kraus_to_superop(self.kraus)
             S.setflags(write=False)
             self._superop = S
         return self._superop
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        """sum_i K_i rho K_i^dag."""
+        """E(rho) for one d x d matrix or a (..., d, d) stack of them."""
         A = np.asarray(rho, dtype=complex)
-        if A.shape != (self._dim, self._dim):
+        if A.ndim < 2 or A.shape[-2:] != (self.dim, self.dim):
             raise DimensionMismatch(
-                f"state has shape {A.shape}, channel acts on {self._dim}x{self._dim}"
+                f"state has shape {A.shape}, channel acts on {self.dim}x{self.dim}"
             )
+        return self._act(A)
+
+    def _act(self, A: np.ndarray) -> np.ndarray:
+        """sum_i K_i A K_i^dag."""
         out = np.zeros_like(A)
-        for K in self._kraus:
+        for K in self.kraus:
             out += K @ A @ linalg.dagger(K)
         return out
 
     def adjoint(self) -> "QuantumChannel":
         """The map with Kraus {K_i^dag}; unital iff self is trace preserving,
         trace preserving iff self is unital."""
-        return QuantumChannel([linalg.dagger(K) for K in self._kraus])
+        return QuantumChannel([linalg.dagger(K) for K in self.kraus])
 
     def compose(self, other: "QuantumChannel") -> "QuantumChannel":
         """self after other: (self . other)(rho) = self(other(rho))."""
-        if other.dim != self._dim:
+        if other.dim != self.dim:
             raise DimensionMismatch(
-                f"cannot compose dimension {self._dim} with {other.dim}"
+                f"cannot compose dimension {self.dim} with {other.dim}"
             )
-        return QuantumChannel([A @ B for A in self._kraus for B in other.kraus])
+        return QuantumChannel([A @ B for A in self.kraus for B in other.kraus])
 
     def trace_preserving_residual(self) -> float:
-        acc = np.zeros((self._dim, self._dim), dtype=complex)
-        for K in self._kraus:
+        """||sum_i K_i^dag K_i - I||_F."""
+        acc = np.zeros((self.dim, self.dim), dtype=complex)
+        for K in self.kraus:
             acc += linalg.dagger(K) @ K
-        return linalg.frobenius(acc - np.eye(self._dim))
+        return linalg.frobenius(acc - np.eye(self.dim))
+
+    def _idempotency_residual(self) -> float:
+        """||S^2 - S||_F on the superoperator, which is not kept: a certified
+        map holds its channel, and few readers of a map need S."""
+        S = kraus_to_superop(self.kraus)
+        return float(np.linalg.norm(S @ S - S))
 
     def unitality_residual(self) -> float:
-        return linalg.frobenius(self.apply(np.eye(self._dim, dtype=complex)) - np.eye(self._dim))
+        return linalg.frobenius(self.apply(np.eye(self.dim, dtype=complex)) - np.eye(self.dim))
+
+
+#: complex entries of matrix units pushed through a partition map at once
+#: while certifying it (256 KiB)
+UNIT_CHUNK = 2**14
+
+
+class PartitionChannel(QuantumChannel):
+    """The trace-preserving conditional expectation onto the block algebra of
+    a partition of the computational basis.
+
+    Block j either keeps its diagonal block, X -> L_j X L_j, or, when
+    traced[j] is true, traces it out and re-mixes, X -> Tr(X L_j) L_j / n_j.
+    Dephasing keeps singleton blocks, Lueders keeps every block, the
+    modified coarse-graining traces every block and complete mixing traces
+    the single block.  `apply` is a mask plus block averaging, O(d^2) per
+    matrix.  `kraus` (projectors for kept blocks, |k><l| / sqrt(n_j) for
+    traced ones) and `superop` are built on first read.
+    """
+
+    def __init__(self, partition: MeasurementPartition, traced: Sequence[bool]):
+        traced = tuple(bool(t) for t in traced)
+        if len(traced) != len(partition.blocks):
+            raise ValidationError(
+                f"{len(partition.blocks)} blocks but {len(traced)} block actions"
+            )
+        d = partition.dim
+        diag = [i for block, t in zip(partition.blocks, traced) if t for i in block]
+        keep = np.zeros((d, d))
+        avg = np.zeros((len(diag), len(diag)))
+        at = 0
+        for block, t in zip(partition.blocks, traced):
+            n = len(block)
+            if t:
+                # the squared Kraus weight, so that superop equals the
+                # Kraus-sum superoperator entry for entry
+                avg[at:at + n, at:at + n] = (1.0 / np.sqrt(n)) ** 2
+                at += n
+            else:
+                keep[np.ix_(block, block)] = 1.0
+        keep.setflags(write=False)
+        avg.setflags(write=False)
+        self.partition = partition
+        self.traced = traced
+        self._dim = d
+        self._keep = keep
+        self._diag = np.array(diag, dtype=int)
+        self._avg = avg
+        self._kraus = None
+        self._superop = None
+        self._residuals = None
+
+    @property
+    def kraus(self) -> tuple:
+        if self._kraus is None:
+            d = self._dim
+            ops = []
+            for block, t in zip(self.partition.blocks, self.traced):
+                n = len(block)
+                if t:
+                    K = np.zeros((n * n, d, d), dtype=complex)
+                    K[np.arange(n * n), np.repeat(block, n), np.tile(block, n)] = 1.0 / np.sqrt(n)
+                else:
+                    K = np.zeros((1, d, d), dtype=complex)
+                    K[0, block, block] = 1.0
+                ops.append(K)
+            K = np.concatenate(ops)
+            K.setflags(write=False)
+            self._kraus = tuple(K)
+        return self._kraus
+
+    @property
+    def superop(self) -> np.ndarray:
+        if self._superop is None:
+            S = np.diag(vec(self._keep).astype(complex))
+            ii = self._diag * (self._dim + 1)
+            S[np.ix_(ii, ii)] += self._avg
+            S.setflags(write=False)
+            self._superop = S
+        return self._superop
+
+    def _act(self, A: np.ndarray) -> np.ndarray:
+        out = A * self._keep
+        if self._diag.size:
+            i = self._diag
+            out[..., i, i] = A[..., i, i] @ self._avg
+        return out
+
+    def _unit_residuals(self) -> tuple:
+        """(trace preservation, idempotency) from E applied to the d^2 matrix
+        units e_ab, UNIT_CHUNK entries at a time.  C_ab = E(e_ab) is column
+        (a, b) of the superoperator S, so sum ||E(C_ab) - C_ab||_F^2 is
+        ||S^2 - S||_F^2, and [Tr C_ab] - I is the transpose of
+        sum_i K_i^dag K_i - I; neither S nor a Kraus operator is formed."""
+        if self._residuals is None:
+            d = self._dim
+            traces = np.empty(d * d, dtype=complex)
+            idem = 0.0
+            step = max(1, UNIT_CHUNK // (d * d))
+            for start in range(0, d * d, step):
+                u = np.arange(start, min(start + step, d * d))
+                units = np.zeros((u.size, d, d), dtype=complex)
+                units[np.arange(u.size), u // d, u % d] = 1.0
+                C = self._act(units)
+                traces[u] = np.trace(C, axis1=1, axis2=2)
+                D = self._act(C) - C
+                idem += float(np.vdot(D, D).real)
+            tp = linalg.frobenius(traces.reshape(d, d) - np.eye(d))
+            self._residuals = (tp, float(np.sqrt(idem)))
+        return self._residuals
+
+    def trace_preserving_residual(self) -> float:
+        return self._unit_residuals()[0]
+
+    def _idempotency_residual(self) -> float:
+        return self._unit_residuals()[1]
 
 
 class ResourceDestroyingMap(QuantumChannel):
     """A certified idempotent, unital, trace-preserving channel.
 
-    Built through `certify_rdm` or the named constructors; carries the
-    measured certification residuals and, when available, the wire-format
-    descriptor it was built from.
+    Built through `certify_rdm` or the named constructors; wraps the
+    certified channel (or a Kraus list) and keeps its representation, and
+    carries the measured certification residuals and, when available, the
+    wire-format descriptor it was built from.
     """
 
-    def __init__(self, kraus, idempotency_residual: float, unitality_residual: float,
+    def __init__(self, channel, idempotency_residual: float, unitality_residual: float,
                  descriptor: dict | None = None):
-        super().__init__(kraus)
+        if not isinstance(channel, QuantumChannel):
+            channel = QuantumChannel(channel)
+        self.channel = channel
+        self._dim = channel.dim
         self.idempotency_residual = idempotency_residual
         self.unitality_residual_ = unitality_residual
         self.descriptor = descriptor
 
+    @property
+    def kraus(self) -> tuple:
+        return self.channel.kraus
+
+    @property
+    def superop(self) -> np.ndarray:
+        return self.channel.superop
+
+    def _act(self, A: np.ndarray) -> np.ndarray:
+        return self.channel._act(A)
+
+    def trace_preserving_residual(self) -> float:
+        return self.channel.trace_preserving_residual()
+
+    def _idempotency_residual(self) -> float:
+        return self.channel._idempotency_residual()
+
 
 def certify_rdm(channel: QuantumChannel, descriptor: dict | None = None) -> ResourceDestroyingMap:
-    """Certify idempotency and unitality of a channel.
+    """Certify trace preservation, idempotency and unitality of a channel.
 
-    Idempotency is checked on the superoperator, ||S^2 - S||_F <= 1e-9 (the
-    looser tolerance absorbs round-off from squaring); unitality as
-    ||E(I) - I||_F <= 1e-10.  Raises NotIdempotent or NotUnital with the
-    measured residual.
+    Trace preservation is checked as ||sum_i K_i^dag K_i - I||_F <= 1e-10;
+    idempotency on the superoperator, ||S^2 - S||_F <= 1e-9 (the looser
+    tolerance absorbs round-off from squaring); unitality as
+    ||E(I) - I||_F <= 1e-10.  A Kraus-sum channel squares S; a partition
+    map measures the same residuals on E applied to the matrix units,
+    without forming S.  Raises ValidationError, NotIdempotent or NotUnital
+    with the measured residual.
     """
     tp = channel.trace_preserving_residual()
     if tp > TRACE_PRESERVING_TOL:
         raise ValidationError(f"trace-preservation residual {tp:.3e} exceeds {TRACE_PRESERVING_TOL:.0e}")
-    S = channel.superop
-    idem = float(np.linalg.norm(S @ S - S))
+    idem = channel._idempotency_residual()
     if idem > IDEMPOTENCY_TOL:
         raise NotIdempotent(f"||S^2 - S|| = {idem:.3e} exceeds {IDEMPOTENCY_TOL:.0e}")
     unital = channel.unitality_residual()
     if unital > UNITALITY_TOL:
         raise NotUnital(f"||E(I) - I|| = {unital:.3e} exceeds {UNITALITY_TOL:.0e}")
-    return ResourceDestroyingMap(channel.kraus, idem, unital, descriptor)
+    return ResourceDestroyingMap(channel, idem, unital, descriptor)
 
 
 @dataclass(frozen=True)
@@ -211,6 +374,14 @@ class MeasurementPartition:
         return out
 
 
+def _partition_map(kind: str, partition: MeasurementPartition,
+                   traced: bool) -> ResourceDestroyingMap:
+    desc = {"type": kind, "dim": partition.dim,
+            "partition": [list(b) for b in partition.blocks]}
+    channel = PartitionChannel(partition, [traced] * len(partition.blocks))
+    return certify_rdm(channel, desc)
+
+
 def dephasing_map(partition: MeasurementPartition) -> ResourceDestroyingMap:
     """Fine-grained projective measurement: rho -> sum_i P_i rho P_i.
 
@@ -221,45 +392,30 @@ def dephasing_map(partition: MeasurementPartition) -> ResourceDestroyingMap:
         raise NotFineGrained(
             f"dephasing needs singleton blocks, got degeneracies {partition.degeneracies}"
         )
-    desc = {"type": "dephasing", "dim": partition.dim,
-            "partition": [list(b) for b in partition.blocks]}
-    return certify_rdm(QuantumChannel(partition.projectors()), desc)
+    return _partition_map("dephasing", partition, traced=False)
 
 
 def lueders_map(partition: MeasurementPartition) -> ResourceDestroyingMap:
     """Coarse-grained projective (Lueders) measurement: rho -> sum_j L_j rho L_j."""
-    desc = {"type": "lueders", "dim": partition.dim,
-            "partition": [list(b) for b in partition.blocks]}
-    return certify_rdm(QuantumChannel(partition.projectors()), desc)
+    return _partition_map("lueders", partition, traced=False)
 
 
 def modified_coarse_map(partition: MeasurementPartition) -> ResourceDestroyingMap:
     """Coarse measurement with maximally mixed block updates:
     rho -> sum_j Tr(rho L_j) L_j / n_j.
 
-    Kraus form {|e_k><e_l| / sqrt(n_j) : k, l in I_j}, which realizes the same
-    action and keeps the map CP-certified like every other channel here.
+    Its Kraus view is {|e_k><e_l| / sqrt(n_j) : k, l in I_j}.
     """
-    kraus = []
-    for block in partition.blocks:
-        n = len(block)
-        for k in block:
-            for l in block:
-                K = np.zeros((partition.dim, partition.dim), dtype=complex)
-                K[k, l] = 1.0 / np.sqrt(n)
-                kraus.append(K)
-    desc = {"type": "modified", "dim": partition.dim,
-            "partition": [list(b) for b in partition.blocks]}
-    return certify_rdm(QuantumChannel(kraus), desc)
+    return _partition_map("modified", partition, traced=True)
 
 
-def _match_up_to_phase(target: np.ndarray, candidates: Sequence[np.ndarray], tol: float) -> bool:
-    for U in candidates:
-        overlap = complex(np.trace(linalg.dagger(U) @ target))
-        if abs(overlap) < 1e-12:
-            continue
-        phase = overlap / abs(overlap)
-        if linalg.frobenius(target - phase * U) <= tol:
+def _match_up_to_phase(target: np.ndarray, candidates: np.ndarray, tol: float) -> bool:
+    """Whether target equals one of the (n, d, d) candidates up to a phase."""
+    # every overlap Tr(U^dag target) = vdot(U, target) in one product
+    overlaps = np.conj(candidates.reshape(len(candidates), -1) @ np.conj(target.reshape(-1)))
+    for i in np.flatnonzero(np.abs(overlaps) >= 1e-12):
+        phase = overlaps[i] / abs(overlaps[i])
+        if linalg.frobenius(target - phase * candidates[i]) <= tol:
             return True
     return False
 
@@ -281,11 +437,12 @@ def twirling_map(unitaries: Sequence[np.ndarray]) -> ResourceDestroyingMap:
         res = linalg.frobenius(linalg.dagger(U) @ U - np.eye(d))
         if res > UNITARY_TOL:
             raise NotUnitary(f"||U^dag U - I|| = {res:.3e} exceeds {UNITARY_TOL:.0e}")
+    group = np.stack(ops)
     for U in ops:
         for V in ops:
-            if not _match_up_to_phase(U @ V, ops, GROUP_CLOSURE_TOL):
+            if not _match_up_to_phase(U @ V, group, GROUP_CLOSURE_TOL):
                 raise NotAGroup("set is not closed under products")
-        if not _match_up_to_phase(linalg.dagger(U), ops, GROUP_CLOSURE_TOL):
+        if not _match_up_to_phase(linalg.dagger(U), group, GROUP_CLOSURE_TOL):
             raise NotAGroup("set is not closed under inverses")
     n = len(ops)
     desc = {"type": "twirl", "dim": d,
@@ -294,16 +451,11 @@ def twirling_map(unitaries: Sequence[np.ndarray]) -> ResourceDestroyingMap:
 
 
 def mixing_map(d: int) -> ResourceDestroyingMap:
-    """Complete mixing: rho -> Tr(rho) I/d.  Kraus {|i><j| / sqrt(d)}."""
+    """Complete mixing: rho -> Tr(rho) I/d.  Kraus view {|i><j| / sqrt(d)}."""
     if d < 2:
         raise ValidationError(f"mixing map needs dimension >= 2, got {d}")
-    kraus = []
-    for i in range(d):
-        for j in range(d):
-            K = np.zeros((d, d), dtype=complex)
-            K[i, j] = 1.0 / np.sqrt(d)
-            kraus.append(K)
-    return certify_rdm(QuantumChannel(kraus), {"type": "mixing", "dim": d})
+    channel = PartitionChannel(MeasurementPartition.single_block(d), [True])
+    return certify_rdm(channel, {"type": "mixing", "dim": d})
 
 
 def cyclic_twirl(d: int) -> ResourceDestroyingMap:
@@ -312,6 +464,14 @@ def cyclic_twirl(d: int) -> ResourceDestroyingMap:
     for i in range(d):
         C[(i + 1) % d, i] = 1.0
     return twirling_map([np.linalg.matrix_power(C, k) for k in range(d)])
+
+
+def _check_declared_dim(d: int, ops) -> None:
+    for M in ops:
+        if M.shape != (d, d):
+            raise DimensionMismatch(
+                f"map declares dim {d} but holds a {M.shape[0]}x{M.shape[1]} operator"
+            )
 
 
 def map_from_json(obj: dict) -> ResourceDestroyingMap:
@@ -336,13 +496,16 @@ def map_from_json(obj: dict) -> ResourceDestroyingMap:
     if kind == "twirl":
         if "unitaries" not in obj:
             raise ValidationError("map type 'twirl' needs unitaries")
-        return twirling_map([linalg.matrix_from_json(u) for u in obj["unitaries"]])
+        unitaries = [linalg.matrix_from_json(u) for u in obj["unitaries"]]
+        _check_declared_dim(d, unitaries)
+        return twirling_map(unitaries)
     if kind == "mixing":
         return mixing_map(d)
     if kind == "kraus":
         if "operators" not in obj:
             raise ValidationError("map type 'kraus' needs operators")
         ops = [linalg.matrix_from_json(k) for k in obj["operators"]]
+        _check_declared_dim(d, ops)
         desc = {"type": "kraus", "dim": d,
                 "operators": [linalg.matrix_to_json(K) for K in ops]}
         return certify_rdm(QuantumChannel(ops), desc)

@@ -27,7 +27,8 @@ from .errors import CertificationError, ValidationError
 
 
 def fmt_float(x: float) -> str:
-    x = float(x)
+    # + 0.0 turns -0.0 into 0.0, so the sign of a zero never reaches the output
+    x = float(x) + 0.0
     if math.isinf(x) or math.isnan(x):
         return "inf"
     return f"{x:.11e}"
@@ -44,7 +45,7 @@ def _json_scalar(v) -> str:
         x = float(v)
         if math.isinf(x) or math.isnan(x):
             return '"inf"'
-        return f"{x:.11e}"
+        return fmt_float(x)
     if isinstance(v, str):
         return json.dumps(v)
     raise TypeError(f"cannot serialize {type(v).__name__}")

@@ -73,23 +73,29 @@ def _clipped_spectrum(M: np.ndarray) -> Eigensystem:
     return Eigensystem(np.maximum(values, 0.0), vectors)
 
 
+def roundoff_level(values: np.ndarray) -> np.ndarray:
+    """eigh's round-off level d * eps * lambda_max for ascending eigenvalues
+    along the last axis, with a trailing axis so that it broadcasts against
+    them.  A computed eigenvalue at or below it is indistinguishable from 0."""
+    return values.shape[-1] * np.finfo(float).eps * np.maximum(values[..., -1:], 0.0)
+
+
 def matrix_power(M: np.ndarray, p: float) -> np.ndarray:
     """Spectral power M^p of a PSD matrix.
 
-    For p > 0 this is the ordinary fractional power with clipped round-off
-    negatives.  For p <= 0 the power is taken on the support only
-    (eigenvalues at or below the relative cutoff map to 0), i.e. a
-    pseudo-power M^p restricted to range(M).
+    For p > 0 this is the ordinary fractional power, with eigenvalues at or
+    below eigh's round-off level taken as 0: a round-off eigenvalue of 1e-17
+    would otherwise become about 1e-5 at p = 0.3.  For p <= 0 the power is
+    taken on the support only (eigenvalues at or below the relative cutoff
+    map to 0), i.e. a pseudo-power M^p restricted to range(M).
     """
     values, vectors = _clipped_spectrum(M)
-    out = np.zeros_like(values)
     if p > 0:
-        pos = values > 0.0
-        out[pos] = values[pos] ** p
+        pos = values > roundoff_level(values)
     else:
-        cut = SUPPORT_CUTOFF * max(float(values[-1]), 0.0)
-        pos = values > cut
-        out[pos] = values[pos] ** p
+        pos = values > SUPPORT_CUTOFF * max(float(values[-1]), 0.0)
+    out = np.zeros_like(values)
+    out[pos] = values[pos] ** p
     return (vectors * out) @ dagger(vectors)
 
 

@@ -179,8 +179,9 @@ def _free_state_objective(problems):
     stacked eigh per call, with the entropy assembled from eigenvector
     weights instead of full matrix powers; masks select the a < 1, a = 1 and
     a > 1 branches and the +inf support barrier.  Mirrors
-    tsallis_relative_entropy's support conventions exactly; a unit test pins
-    the two together to 1e-12.  Every problem must have the same dimension.
+    tsallis_relative_entropy's support conventions and matrix_power's
+    round-off rule exactly; a unit test pins the two together to 1e-12.
+    Every problem must have the same dimension.
     """
     d = problems[0][1].dim
     if any(rdm.dim != d for _, rdm, _ in problems):
@@ -222,7 +223,7 @@ def _free_state_objective(problems):
         qm = (V.conj() * (M[rows] @ V)).sum(axis=1).real
         ar = a[rows]
         leak = np.where(pos, 0.0, qa).sum(axis=1)
-        keep = np.where(ar[:, None] < 1.0, w > 0.0, pos)
+        keep = np.where(ar[:, None] < 1.0, w > linalg.roundoff_level(w), pos)
         ws = np.where(keep, w, 1.0)
         r1 = one[rows]
         ln = np.where(pos, qm * np.log(ws), 0.0).sum(axis=1)
@@ -235,17 +236,21 @@ def _free_state_objective(problems):
     return objective
 
 
-def minimize_batch(problems, configs) -> list[OracleResult]:
+def minimize_batch(problems, configs, closed=None) -> list[OracleResult]:
     """Direct numerical minimization of the distance to the free set for
     several problems (rho, rdm, a) of one dimension, each with its own
     OracleConfig, solved together.
 
     Every restart of every problem is a row of one lockstep simplex; result i
     equals minimize_over_free_states(*problems[i], configs[i]) bit for bit.
+    closed holds each problem's closed-form value when the caller has it
+    already; otherwise the gaps are taken against closed_form_measure.
     """
     problems = [(rho, rdm, validate_order(a)) for rho, rdm, a in problems]
     if len(configs) != len(problems):
         raise ValidationError(f"{len(problems)} problems but {len(configs)} configs")
+    if closed is not None and len(closed) != len(problems):
+        raise ValidationError(f"{len(problems)} problems but {len(closed)} closed forms")
     n = 2 * problems[0][1].dim ** 2
     objective = _free_state_objective(problems)
     owner = np.repeat(np.arange(len(problems)), [c.restarts for c in configs])
@@ -273,10 +278,10 @@ def minimize_batch(problems, configs) -> list[OracleResult]:
         best_f = finals[win]
         sigma = parameterize_free_state(x[mine[win]], rdm)
         value = tsallis_relative_entropy(rho, sigma, a)
-        closed = closed_form_measure(rho, rdm, a).value
+        reference = closed_form_measure(rho, rdm, a).value if closed is None else closed[i]
         agreeing = int(np.count_nonzero(finals <= best_f + AGREEMENT_WINDOW))
         results.append(OracleResult(value=value, sigma_min=sigma,
-                                    gap_to_closed_form=value - closed,
+                                    gap_to_closed_form=value - reference,
                                     restarts_agreeing=agreeing))
     return results
 

@@ -192,7 +192,8 @@ def suite_theorem1(dims, a_grid, trials: int, seed: int,
         fast = minimize_batch(
             [(rho, rdm, a) for _, rdm, rho, a, _ in problems],
             [OracleConfig(restarts=1, max_iterations=FAST_MAX_ITER[d], tol=FAST_TOL,
-                          seed=oseed) for *_, oseed in problems])
+                          seed=oseed) for *_, oseed in problems],
+            closed=[rep.value for rep in reports])
         for (name, rdm, rho, a, oseed), rep, res in zip(problems, reports, fast):
             escalated = False
             if abs(res.gap_to_closed_form) > ESCALATE_ABOVE:

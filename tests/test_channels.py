@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from rdmap import linalg
 from rdmap.channels import (
     MeasurementPartition,
+    PartitionChannel,
     QuantumChannel,
     certify_rdm,
     cyclic_twirl,
@@ -23,6 +26,7 @@ from rdmap.errors import (
     NotUnitary,
     ValidationError,
 )
+from rdmap.verify import random_partition
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.diag([1.0, -1.0]).astype(complex)
@@ -205,6 +209,53 @@ def test_analytic_functions_stay_in_fixed_set():
                 assert linalg.frobenius(rdm.apply(f) - f) <= 1e-8, name
 
 
+# ----------------------------------------------------------- partition maps
+
+def test_partition_maps_match_kraus_sum_reference():
+    """Mask-and-average apply, the superoperator view and the certification
+    residuals equal those of the same map certified as a Kraus sum."""
+    rng = np.random.default_rng(5)
+    for d in range(2, 9):
+        for trial in range(3):
+            part = random_partition(d, rng)
+            mixed = PartitionChannel(part, rng.integers(0, 2, len(part.blocks)))
+            coarse = random_partition(d, rng, coarse=True)
+            for rdm in (certify_rdm(mixed),
+                        dephasing_map(MeasurementPartition.singletons(d)),
+                        lueders_map(coarse), modified_coarse_map(coarse), mixing_map(d)):
+                ref = certify_rdm(QuantumChannel(rdm.kraus))
+                stack = np.stack([[linalg.random_hermitian(d, seed=100 * d + 10 * trial + 3 * i + j)
+                                   for j in range(3)] for i in range(2)])
+                want = np.array([[ref.apply(X) for X in row] for row in stack])
+                assert np.abs(rdm.apply(stack) - want).max() <= 1e-12
+                assert float(np.linalg.norm(rdm.superop - ref.superop)) <= 1e-12
+                assert abs(rdm.idempotency_residual - ref.idempotency_residual) <= 1e-12
+                assert abs(rdm.unitality_residual_ - ref.unitality_residual_) <= 1e-12
+                assert abs(rdm.trace_preserving_residual()
+                           - ref.trace_preserving_residual()) <= 1e-12
+
+
+def test_partition_map_certifies_and_applies_without_superoperator():
+    # a d^2 x d^2 complex array at d = 32 is 16 MiB
+    d = 32
+    for build in (lambda: mixing_map(d),
+                  lambda: modified_coarse_map(MeasurementPartition(d, [range(16), range(16, d)]))):
+        tracemalloc.start()
+        try:
+            rdm = build()
+            rdm.apply(np.eye(d) / d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * d**4 / 8
+        assert rdm.channel._superop is None and rdm.channel._kraus is None
+
+
+def test_partition_channel_needs_one_action_per_block():
+    with pytest.raises(ValidationError):
+        PartitionChannel(MeasurementPartition(3, [[0, 1], [2]]), [True])
+
+
 # ----------------------------------------------------------------- adjoints
 
 def test_adjoint_of_unitary_conjugation():
@@ -292,6 +343,14 @@ def test_map_json_twirl_and_kraus():
                         "operators": [linalg.matrix_to_json(K) for K in proj]})
     assert superop_distance(kr, tw) <= 1e-10
     assert map_to_json(kr)["type"] == "kraus"
+
+
+def test_map_json_declared_dim_must_match_operators():
+    ops = [linalg.matrix_to_json(np.eye(2)), linalg.matrix_to_json(Z)]
+    with pytest.raises(DimensionMismatch):
+        map_from_json({"type": "kraus", "dim": 3, "operators": ops})
+    with pytest.raises(DimensionMismatch):
+        map_from_json({"type": "twirl", "dim": 3, "unitaries": ops})
 
 
 def test_map_json_malformed():

@@ -39,6 +39,7 @@ def test_fmt_float_contract():
     assert fmt_float(math.sqrt(2) - 1) == "4.14213562373e-01"
     assert fmt_float(math.inf) == "inf"
     assert fmt_float(0.0) == "0.00000000000e+00"
+    assert fmt_float(-0.0) == "0.00000000000e+00"
 
 
 def test_measure_json(files, capsys):
@@ -93,6 +94,26 @@ def test_measure_uncertified_map_exits_3(files, capsys):
     assert main(["measure", "--state", files["plus"], "--map", files["depol"],
                  "--a", "1"]) == 3
     assert capsys.readouterr().err.startswith("error: NotIdempotent:")
+
+
+def test_measure_map_dim_mismatch_exits_2(files, capsys):
+    bad = files["tmp"] / "bad_dim.json"
+    bad.write_text(json.dumps({"type": "kraus", "dim": 3, "operators": [
+        {"re": [[1, 0], [0, 0]], "im": [[0, 0], [0, 0]]},
+        {"re": [[0, 0], [0, 1]], "im": [[0, 0], [0, 0]]}]}))
+    assert main(["measure", "--state", files["plus"], "--map", str(bad), "--a", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error: DimensionMismatch:")
+
+
+def test_measure_zero_prints_without_sign(files, capsys):
+    ket0 = files["tmp"] / "ket0.json"
+    ket0.write_text(json.dumps({"re": [[1, 0], [0, 0]], "im": [[0, 0], [0, 0]]}))
+    for fmt in ("json", "csv"):
+        assert main(["measure", "--state", str(ket0), "--map", files["deph"],
+                     "--a", "0.5", "--output", fmt]) == 0
+        out = capsys.readouterr().out
+        assert "-0.0" not in out
+        assert "0.00000000000e+00" in out
 
 
 def test_measure_missing_file_exits_2(files, capsys):

@@ -38,6 +38,12 @@ def test_matrix_power_clips_roundoff_negatives():
     assert np.allclose(out, np.diag([1.0, 0.0]), atol=1e-12)
 
 
+def test_matrix_power_drops_roundoff_eigenvalues():
+    # eigh resolves eigenvalues only to about d * eps * lambda_max
+    out = linalg.matrix_power(np.diag([1.0, 1e-17]), 0.3)
+    assert np.allclose(out, np.diag([1.0, 0.0]), atol=1e-12)
+
+
 def test_matrix_power_rejects_genuine_negatives():
     with pytest.raises(NotPSD):
         linalg.matrix_power([[0.5, 0.6], [0.6, 0.5]], 0.5)

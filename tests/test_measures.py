@@ -189,6 +189,36 @@ def test_mixing_map_measures_purity():
         assert value == pytest.approx(math.log(d) - von_neumann_entropy(rho), abs=1e-10)
 
 
+def test_closed_form_exact_on_pure_states():
+    """rho^a = rho on a pure state, so dephasing gives
+    (sum_i p_i^{1/a} - 1)/(a - 1) with p the diagonal of rho, and mixing
+    (d^{1 - 1/a} - 1)/(a - 1); round-off eigenvalues of rho must not survive
+    the power."""
+    d = 4
+    rho = linalg.random_density_matrix(d, 1, seed=3)
+    p = np.diag(rho).real
+    for a in (0.3, 0.5, 2.0):
+        deph = closed_form_measure(rho, dephasing_map(MeasurementPartition.singletons(d)), a)
+        assert deph.value == pytest.approx((np.sum(p ** (1 / a)) - 1) / (a - 1), abs=1e-12)
+        mix = closed_form_measure(rho, mixing_map(d), a)
+        assert mix.value == pytest.approx((d ** (1 - 1 / a) - 1) / (a - 1), abs=1e-12)
+
+
+def test_partition_maps_at_d64():
+    d = 64
+    coarse = MeasurementPartition(d, np.split(np.random.default_rng(64).permutation(d), [32, 48]))
+    maps = (dephasing_map(MeasurementPartition.singletons(d)), lueders_map(coarse),
+            modified_coarse_map(coarse), mixing_map(d))
+    for rank in (d, 1):
+        rho = linalg.random_density_matrix(d, rank, seed=rank)
+        for rdm in maps:
+            for a in (0.5, 2.0):
+                rep = closed_form_measure(rho, rdm, a)
+                assert rep.fixed_point_residual <= 1e-8
+                direct = tsallis_relative_entropy(rho, rep.sigma_star, a)
+                assert rep.value == pytest.approx(direct, abs=1e-9)
+
+
 def test_closed_form_rejects_bad_inputs():
     with pytest.raises(ValidationError):
         closed_form_measure(np.diag([1.0, 1.0]), qubit_dephasing(), 1.0)
