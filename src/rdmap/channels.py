@@ -149,11 +149,6 @@ class QuantumChannel:
         return linalg.frobenius(self.apply(np.eye(self.dim, dtype=complex)) - np.eye(self.dim))
 
 
-#: complex entries of matrix units pushed through a partition map at once
-#: while certifying it (256 KiB)
-UNIT_CHUNK = 2**14
-
-
 class PartitionChannel(QuantumChannel):
     """The trace-preserving conditional expectation onto the block algebra of
     a partition of the computational basis.
@@ -164,7 +159,7 @@ class PartitionChannel(QuantumChannel):
     modified coarse-graining traces every block and complete mixing traces
     the single block.  `apply` is a mask plus block averaging, O(d^2) per
     matrix.  `kraus` (projectors for kept blocks, |k><l| / sqrt(n_j) for
-    traced ones) and `superop` are built on first read.
+    traced ones) is built on first read, and `superop` from it.
     """
 
     def __init__(self, partition: MeasurementPartition, traced: Sequence[bool]):
@@ -181,9 +176,7 @@ class PartitionChannel(QuantumChannel):
         for block, t in zip(partition.blocks, traced):
             n = len(block)
             if t:
-                # the squared Kraus weight, so that superop equals the
-                # Kraus-sum superoperator entry for entry
-                avg[at:at + n, at:at + n] = (1.0 / np.sqrt(n)) ** 2
+                avg[at:at + n, at:at + n] = 1.0 / n
                 at += n
             else:
                 keep[np.ix_(block, block)] = 1.0
@@ -218,16 +211,6 @@ class PartitionChannel(QuantumChannel):
             self._kraus = tuple(K)
         return self._kraus
 
-    @property
-    def superop(self) -> np.ndarray:
-        if self._superop is None:
-            S = np.diag(vec(self._keep).astype(complex))
-            ii = self._diag * (self._dim + 1)
-            S[np.ix_(ii, ii)] += self._avg
-            S.setflags(write=False)
-            self._superop = S
-        return self._superop
-
     def _act(self, A: np.ndarray) -> np.ndarray:
         out = A * self._keep
         if self._diag.size:
@@ -237,15 +220,16 @@ class PartitionChannel(QuantumChannel):
 
     def _unit_residuals(self) -> tuple:
         """(trace preservation, idempotency) from E applied to the d^2 matrix
-        units e_ab, UNIT_CHUNK entries at a time.  C_ab = E(e_ab) is column
-        (a, b) of the superoperator S, so sum ||E(C_ab) - C_ab||_F^2 is
-        ||S^2 - S||_F^2, and [Tr C_ab] - I is the transpose of
-        sum_i K_i^dag K_i - I; neither S nor a Kraus operator is formed."""
+        units e_ab in chunks.  C_ab = E(e_ab) is column (a, b) of the
+        superoperator S, so sum ||E(C_ab) - C_ab||_F^2 is ||S^2 - S||_F^2,
+        and [Tr C_ab] - I is the transpose of sum_i K_i^dag K_i - I; neither
+        S nor a Kraus operator is formed."""
         if self._residuals is None:
             d = self._dim
             traces = np.empty(d * d, dtype=complex)
             idem = 0.0
-            step = max(1, UNIT_CHUNK // (d * d))
+            # at most 2^14 complex entries (256 KiB) of matrix units at once
+            step = max(1, 2**14 // (d * d))
             for start in range(0, d * d, step):
                 u = np.arange(start, min(start + step, d * d))
                 units = np.zeros((u.size, d, d), dtype=complex)

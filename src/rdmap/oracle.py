@@ -236,20 +236,20 @@ def _free_state_objective(problems):
     return objective
 
 
-def minimize_batch(problems, configs, closed=None) -> list[OracleResult]:
+def minimize_batch(problems, configs, closed) -> list[OracleResult]:
     """Direct numerical minimization of the distance to the free set for
     several problems (rho, rdm, a) of one dimension, each with its own
     OracleConfig, solved together.
 
     Every restart of every problem is a row of one lockstep simplex; result i
     equals minimize_over_free_states(*problems[i], configs[i]) bit for bit.
-    closed holds each problem's closed-form value when the caller has it
-    already; otherwise the gaps are taken against closed_form_measure.
+    closed holds each problem's closed-form value, which the gaps are taken
+    against.
     """
     problems = [(rho, rdm, validate_order(a)) for rho, rdm, a in problems]
     if len(configs) != len(problems):
         raise ValidationError(f"{len(problems)} problems but {len(configs)} configs")
-    if closed is not None and len(closed) != len(problems):
+    if len(closed) != len(problems):
         raise ValidationError(f"{len(problems)} problems but {len(closed)} closed forms")
     n = 2 * problems[0][1].dim ** 2
     objective = _free_state_objective(problems)
@@ -278,10 +278,9 @@ def minimize_batch(problems, configs, closed=None) -> list[OracleResult]:
         best_f = finals[win]
         sigma = parameterize_free_state(x[mine[win]], rdm)
         value = tsallis_relative_entropy(rho, sigma, a)
-        reference = closed_form_measure(rho, rdm, a).value if closed is None else closed[i]
         agreeing = int(np.count_nonzero(finals <= best_f + AGREEMENT_WINDOW))
         results.append(OracleResult(value=value, sigma_min=sigma,
-                                    gap_to_closed_form=value - reference,
+                                    gap_to_closed_form=value - closed[i],
                                     restarts_agreeing=agreeing))
     return results
 
@@ -298,4 +297,6 @@ def minimize_over_free_states(rho: np.ndarray, rdm: ResourceDestroyingMap,
     closed form.  restarts_agreeing counts restarts whose best value
     landed within 1e-6 of the winner, making flaky convergence visible.
     """
-    return minimize_batch([(rho, rdm, a)], [OracleConfig() if config is None else config])[0]
+    closed = closed_form_measure(rho, rdm, a).value
+    return minimize_batch([(rho, rdm, a)], [OracleConfig() if config is None else config],
+                          [closed])[0]

@@ -181,7 +181,9 @@ def test_batch_matches_each_problem_alone():
     assert len(problems) == 35
     configs = [OracleConfig(restarts=1, max_iterations=FAST_MAX_ITER[3], tol=FAST_TOL,
                             seed=oseed) for *_, oseed in problems]
-    together = minimize_batch([(rho, rdm, a) for _, rdm, rho, a, _ in problems], configs)
+    together = minimize_batch([(rho, rdm, a) for _, rdm, rho, a, _ in problems], configs,
+                              [closed_form_measure(rho, rdm, a).value
+                               for _, rdm, rho, a, _ in problems])
     for (_, rdm, rho, a, _), config, res in zip(problems, configs, together):
         alone = minimize_over_free_states(rho, rdm, a, config)
         assert np.array_equal(res.sigma_min, alone.sigma_min)
