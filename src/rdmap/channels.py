@@ -1,12 +1,18 @@
 """CPTP maps, their adjoints, and the built-in resource-destroying maps.
 
-Two representations share the `QuantumChannel` interface.  Twirls and raw
-Kraus input are Kraus sums, rho -> sum_i K_i rho K_i^dag.  The four
-partition families (dephasing, Lueders, modified coarse-graining, complete
-mixing) are `PartitionChannel`s: the trace-preserving conditional
-expectation onto the block algebra of a partition, where each block either
-keeps its diagonal block or traces it out, so applying one is a mask plus
-block averaging, O(d^2), with no Kraus operators.
+Two representations share the `QuantumChannel` interface.  A Kraus sum,
+rho -> sum_i K_i rho K_i^dag, holds what nothing cheaper fits: twirls over
+non-abelian groups and Kraus input whose operators do not commute.  Every
+other map is a `PartitionChannel`: the trace-preserving conditional
+expectation onto the block algebra of a partition of an orthonormal basis,
+where each block either keeps its diagonal block or traces it out.  The
+four partition families (dephasing, Lueders, modified coarse-graining,
+complete mixing) use the computational basis, so applying one is a mask
+plus block averaging, O(d^2).  A twirl over an abelian group, and Kraus
+input whose operators are normal and commute, is a Lueders map in the
+operators' joint eigenbasis W (its fixed points are their commutant), so it
+applies as W (mask o W^dag X W) W^dag in O(d^3) and certifies in O(n d^3)
+for n operators; see `_eigenbasis_form`.
 
 The d^2 x d^2 superoperator (column-major vectorization, column (a, b) is
 vec E(|a><b|), S = sum_i conj(K_i) (x) K_i) is the canonical representation
@@ -113,11 +119,7 @@ class QuantumChannel:
         return self._act(A)
 
     def _act(self, A: np.ndarray) -> np.ndarray:
-        """sum_i K_i A K_i^dag."""
-        out = np.zeros_like(A)
-        for K in self.kraus:
-            out += K @ A @ linalg.dagger(K)
-        return out
+        return _kraus_act(self.kraus, A)
 
     def adjoint(self) -> "QuantumChannel":
         """The map with Kraus {K_i^dag}; unital iff self is trace preserving,
@@ -133,11 +135,7 @@ class QuantumChannel:
         return QuantumChannel([A @ B for A in self.kraus for B in other.kraus])
 
     def trace_preserving_residual(self) -> float:
-        """||sum_i K_i^dag K_i - I||_F."""
-        acc = np.zeros((self.dim, self.dim), dtype=complex)
-        for K in self.kraus:
-            acc += linalg.dagger(K) @ K
-        return linalg.frobenius(acc - np.eye(self.dim))
+        return _kraus_tp_residual(self.kraus)
 
     def _idempotency_residual(self) -> float:
         """||S^2 - S||_F on the superoperator, which is not kept: a certified
@@ -149,20 +147,42 @@ class QuantumChannel:
         return linalg.frobenius(self.apply(np.eye(self.dim, dtype=complex)) - np.eye(self.dim))
 
 
+def _kraus_act(ops, A: np.ndarray) -> np.ndarray:
+    """sum_i K_i A K_i^dag over a Kraus list or an (n, d, d) stack."""
+    out = np.zeros_like(A)
+    for K in ops:
+        out += K @ A @ linalg.dagger(K)
+    return out
+
+
+def _kraus_tp_residual(ops) -> float:
+    """||sum_i K_i^dag K_i - I||_F over a Kraus list or an (n, d, d) stack."""
+    d = ops[0].shape[0]
+    acc = np.zeros((d, d), dtype=complex)
+    for K in ops:
+        acc += linalg.dagger(K) @ K
+    return linalg.frobenius(acc - np.eye(d))
+
+
 class PartitionChannel(QuantumChannel):
     """The trace-preserving conditional expectation onto the block algebra of
-    a partition of the computational basis.
+    a partition of an orthonormal basis: the computational basis, or the
+    columns of a unitary W when `basis` is given.
 
     Block j either keeps its diagonal block, X -> L_j X L_j, or, when
     traced[j] is true, traces it out and re-mixes, X -> Tr(X L_j) L_j / n_j.
     Dephasing keeps singleton blocks, Lueders keeps every block, the
     modified coarse-graining traces every block and complete mixing traces
-    the single block.  `apply` is a mask plus block averaging, O(d^2) per
-    matrix.  `kraus` (projectors for kept blocks, |k><l| / sqrt(n_j) for
-    traced ones) is built on first read, and `superop` from it.
+    the single block.  In the computational basis `apply` is a mask plus
+    block averaging, O(d^2) per matrix; with a basis it is
+    W P0(W^dag X W) W^dag, O(d^3), for P0 the same map in the computational
+    basis.  `kraus` (projectors for kept blocks, |k><l| / sqrt(n_j) for
+    traced ones, conjugated by W) is built on first read, and `superop` from
+    it.
     """
 
-    def __init__(self, partition: MeasurementPartition, traced: Sequence[bool]):
+    def __init__(self, partition: MeasurementPartition, traced: Sequence[bool],
+                 basis: np.ndarray | None = None):
         traced = tuple(bool(t) for t in traced)
         if len(traced) != len(partition.blocks):
             raise ValidationError(
@@ -170,16 +190,17 @@ class PartitionChannel(QuantumChannel):
             )
         d = partition.dim
         diag = [i for block, t in zip(partition.blocks, traced) if t for i in block]
-        keep = np.zeros((d, d))
+        label = np.empty(d, dtype=int)
         avg = np.zeros((len(diag), len(diag)))
         at = 0
-        for block, t in zip(partition.blocks, traced):
-            n = len(block)
+        for j, (block, t) in enumerate(zip(partition.blocks, traced)):
+            label[list(block)] = j
             if t:
+                n = len(block)
                 avg[at:at + n, at:at + n] = 1.0 / n
                 at += n
-            else:
-                keep[np.ix_(block, block)] = 1.0
+        kept = ~np.array(traced)[label]
+        keep = ((label[:, None] == label) & kept[:, None]).astype(float)
         keep.setflags(write=False)
         avg.setflags(write=False)
         self.partition = partition
@@ -188,6 +209,15 @@ class PartitionChannel(QuantumChannel):
         self._keep = keep
         self._diag = np.array(diag, dtype=int)
         self._avg = avg
+        self._basis = None
+        self._unitarity_defect = 0.0
+        if basis is not None:
+            W = np.array(basis, dtype=complex)
+            if W.shape != (d, d):
+                raise DimensionMismatch(f"basis has shape {W.shape}, partition is of {d} indices")
+            W.setflags(write=False)
+            self._basis = W
+            self._unitarity_defect = linalg.frobenius(linalg.dagger(W) @ W - np.eye(d))
         self._kraus = None
         self._superop = None
         self._residuals = None
@@ -207,46 +237,83 @@ class PartitionChannel(QuantumChannel):
                     K[0, block, block] = 1.0
                 ops.append(K)
             K = np.concatenate(ops)
+            if self._basis is not None:
+                K = self._basis @ K @ linalg.dagger(self._basis)
             K.setflags(write=False)
             self._kraus = tuple(K)
         return self._kraus
 
     def _act(self, A: np.ndarray) -> np.ndarray:
+        if self._basis is None:
+            return self._block_act(A)
+        W = self._basis
+        Wh = linalg.dagger(W)
+        return W @ self._block_act(Wh @ A @ W) @ Wh
+
+    def _block_act(self, A: np.ndarray) -> np.ndarray:
+        """P0: the map in the computational basis."""
         out = A * self._keep
         if self._diag.size:
             i = self._diag
             out[..., i, i] = A[..., i, i] @ self._avg
         return out
 
-    def _unit_residuals(self) -> tuple:
-        """(trace preservation, idempotency) from E applied to the d^2 matrix
-        units e_ab in chunks.  C_ab = E(e_ab) is column (a, b) of the
-        superoperator S, so sum ||E(C_ab) - C_ab||_F^2 is ||S^2 - S||_F^2,
-        and [Tr C_ab] - I is the transpose of sum_i K_i^dag K_i - I; neither
-        S nor a Kraus operator is formed."""
+    def _block_residuals(self) -> tuple:
+        """(trace preservation, idempotency) of P0, read off its
+        superoperator S0, which `_block_act` makes block diagonal: every
+        matrix unit e_ab is kept or zeroed, S0 e_ab = keep[a, b] e_ab, except
+        the diagonal units of traced blocks, which `avg` mixes.  So
+        ||S0^2 - S0||_F^2 = ||keep^2 - keep||^2 + ||avg^2 - avg||^2, and
+        [Tr P0(e_ab)] - I (the transpose of sum_i K_i^dag K_i - I) is
+        diagonal: keep[a, a] - 1 on kept indices, the row sums of avg minus 1
+        on traced ones.  O(d^2 + sum of traced n_j^2); neither S0 nor a Kraus
+        operator is formed."""
+        keep, avg = self._keep, self._avg
+        idem = np.hypot(linalg.frobenius(keep * keep - keep), linalg.frobenius(avg @ avg - avg))
+        traces = np.diagonal(keep).copy()
+        traces[self._diag] = avg.sum(axis=1)
+        return linalg.frobenius(traces - 1.0), float(idem)
+
+    def _residual_bounds(self) -> tuple:
+        """(trace preservation, idempotency, unitality) residuals, as in
+        `certify_rdm`, or upper bounds on them.
+
+        Those of P0 are measured (`_block_residuals`, ||P0(I) - I||_F).
+        With a basis W of unitarity defect w = ||W^dag W - I||_F, write
+        W^dag W = I + F and ||W||_op^2 <= 1 + w; P0 is an orthogonal
+        projection in the Hilbert-Schmidt inner product, so its superoperator
+        has norm 1.  Then E = Ad_W P0 Ad_W^dag (Ad_W: X -> W X W^dag) gives
+
+          E^dag(I) - I = (W W^dag - I) + W (P0^dag(I) - I) W^dag + W P0^dag(F) W^dag,
+          E(I) - I     = (W W^dag - I) + W (P0(I) - I) W^dag + W P0(F) W^dag,
+          E^2 - E      = Ad_W [P0 (Ad_{I+F} - id) P0 + P0^2 - P0] Ad_W^dag,
+
+        and ||Ad_{I+F} - id||_F <= 2 sqrt(d) w + w^2, so
+
+          tp <= w + (1 + w)(tp0 + w),  unital <= w + (1 + w)(unital0 + w),
+          idem <= (1 + w)^2 (idem0 + 2 sqrt(d) w + w^2).
+
+        Without a basis w = 0 and these are P0's own residuals.
+        """
         if self._residuals is None:
             d = self._dim
-            traces = np.empty(d * d, dtype=complex)
-            idem = 0.0
-            # at most 2^14 complex entries (256 KiB) of matrix units at once
-            step = max(1, 2**14 // (d * d))
-            for start in range(0, d * d, step):
-                u = np.arange(start, min(start + step, d * d))
-                units = np.zeros((u.size, d, d), dtype=complex)
-                units[np.arange(u.size), u // d, u % d] = 1.0
-                C = self._act(units)
-                traces[u] = np.trace(C, axis1=1, axis2=2)
-                D = self._act(C) - C
-                idem += float(np.vdot(D, D).real)
-            tp = linalg.frobenius(traces.reshape(d, d) - np.eye(d))
-            self._residuals = (tp, float(np.sqrt(idem)))
+            tp0, idem0 = self._block_residuals()
+            unital0 = linalg.frobenius(self._block_act(np.eye(d, dtype=complex)) - np.eye(d))
+            w = self._unitarity_defect
+            g = 1.0 + w
+            self._residuals = (w + g * (tp0 + w),
+                               g * g * (idem0 + 2.0 * np.sqrt(d) * w + w * w),
+                               w + g * (unital0 + w))
         return self._residuals
 
     def trace_preserving_residual(self) -> float:
-        return self._unit_residuals()[0]
+        return self._residual_bounds()[0]
 
     def _idempotency_residual(self) -> float:
-        return self._unit_residuals()[1]
+        return self._residual_bounds()[1]
+
+    def unitality_residual(self) -> float:
+        return self._residual_bounds()[2]
 
 
 class ResourceDestroyingMap(QuantumChannel):
@@ -254,8 +321,10 @@ class ResourceDestroyingMap(QuantumChannel):
 
     Built through `certify_rdm` or the named constructors; wraps the
     certified channel (or a Kraus list) and keeps its representation, and
-    carries the measured certification residuals and, when available, the
-    wire-format descriptor it was built from.
+    carries the certification residuals (`idempotency_residual`, and
+    `unitality_residual()`, which returns the certified value rather than
+    measuring again) and, when available, the descriptor it was built from,
+    with its matrices kept as read-only arrays (`map_to_json` encodes them).
     """
 
     def __init__(self, channel, idempotency_residual: float, unitality_residual: float,
@@ -265,8 +334,11 @@ class ResourceDestroyingMap(QuantumChannel):
         self.channel = channel
         self._dim = channel.dim
         self.idempotency_residual = idempotency_residual
-        self.unitality_residual_ = unitality_residual
+        self._unitality_residual = unitality_residual
         self.descriptor = descriptor
+
+    def unitality_residual(self) -> float:
+        return self._unitality_residual
 
     @property
     def kraus(self) -> tuple:
@@ -293,9 +365,10 @@ def certify_rdm(channel: QuantumChannel, descriptor: dict | None = None) -> Reso
     idempotency on the superoperator, ||S^2 - S||_F <= 1e-9 (the looser
     tolerance absorbs round-off from squaring); unitality as
     ||E(I) - I||_F <= 1e-10.  A Kraus-sum channel squares S; a partition
-    map measures the same residuals on E applied to the matrix units,
-    without forming S.  Raises ValidationError, NotIdempotent or NotUnital
-    with the measured residual.
+    map reads the same residuals off the blocks of its superoperator,
+    without forming it, and bounds what its basis adds (see
+    `PartitionChannel._residual_bounds`).  Raises ValidationError,
+    NotIdempotent or NotUnital with the measured residual.
     """
     tp = channel.trace_preserving_residual()
     if tp > TRACE_PRESERVING_TOL:
@@ -404,12 +477,174 @@ def _match_up_to_phase(target: np.ndarray, candidates: np.ndarray, tol: float) -
     return False
 
 
-def twirling_map(unitaries: Sequence[np.ndarray]) -> ResourceDestroyingMap:
+def _check_group(group: np.ndarray) -> None:
+    """Raise NotAGroup unless the (n, d, d) unitaries are closed under
+    products and inverses up to phase, checked on the matrices themselves
+    (n^2 products)."""
+    for U in group:
+        for V in group:
+            if not _match_up_to_phase(U @ V, group, GROUP_CLOSURE_TOL):
+                raise NotAGroup("set is not closed under products")
+        if not _match_up_to_phase(linalg.dagger(U), group, GROUP_CLOSURE_TOL):
+            raise NotAGroup("set is not closed under inverses")
+
+
+def _joint_eigenbasis(K: np.ndarray) -> tuple:
+    """(W, lam, off, norms) for an (n, d, d) stack: W the eigenvectors of the
+    Hermitian combination H = sum_k c_k K_k + h.c. with fixed pseudo-random
+    c_k, lam[k] the diagonal of W^dag K_k W, off[k] the Frobenius norm of its
+    off-diagonal part and norms[k] = ||K_k||_F.
+
+    Normal commuting operators, and with them their adjoints, are diagonal in
+    a common orthonormal basis, which then diagonalizes H; c_k in general
+    position give distinct joint eigenvalues distinct eigenvalues of H, so
+    H's eigenbasis is a joint one.  For any other stack off measures how far
+    W is from one.  The seed is fixed so that a map builds the same way
+    every time.
+    """
+    n, d, _ = K.shape
+    rng = np.random.default_rng(0)
+    c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    H = np.tensordot(c, K, axes=1)
+    W = np.linalg.eigh(H + linalg.dagger(H))[1]
+    Wh = linalg.dagger(W)
+    lam = np.empty((n, d), dtype=complex)
+    off = np.empty(n)
+    norms = np.empty(n)
+    i = np.arange(d)
+    # a few operators at a time, at most 2^13 complex entries (128 KiB)
+    step = max(1, 2**13 // (d * d))
+    for start in range(0, n, step):
+        rows = slice(start, start + step)
+        norms[rows] = np.linalg.norm(K[rows], axis=(1, 2))
+        T = Wh @ K[rows] @ W
+        lam[rows] = T[:, i, i]
+        T[:, i, i] = 0.0
+        off[rows] = np.linalg.norm(T, axis=(1, 2))
+    return W, lam, off, norms
+
+
+def _eigenbasis_form(K: np.ndarray) -> tuple:
+    """The Kraus sum E(X) = sum_k K_k X K_k^dag of an (n, d, d) stack as a
+    Lueders map in the joint eigenbasis W of its operators.
+
+    Returns (channel, lam, err): channel is a `PartitionChannel` whose
+    residuals bound E's, lam[k] = diag(W^dag K_k W) and err[k] bounds
+    ||K_k - W diag(lam_k) W^dag||_F.  All three are None when M below is not
+    a partition mask or the measured representation error is too large for
+    the idempotency bound to stay within IDEMPOTENCY_TOL; E is then left to
+    the Kraus-sum path.
+
+    With D_k = diag(lam_k), sum_k D_k Y D_k^dag = M o Y for
+    M = lam^T conj(lam), M[i, j] = sum_k lam_k[i] conj(lam_k[j]); E is
+    idempotent and trace preserving exactly when M is the 0/1 mask of a
+    partition, the kept blocks of P = Ad_W Mask Ad_W^dag.  Measured errors:
+    w = ||W^dag W - I||_F, o_k the off-diagonal mass of W^dag K_k W,
+    mu = ||M - mask||_F.  Since K_k - W W^dag K_k W W^dag = -(Q K_k + K_k Q +
+    Q K_k Q) with Q = W W^dag - I, ||Q||_op <= w,
+
+      ||K_k - W D_k W^dag||_F <= (1 + w) o_k + (2w + w^2) ||K_k||_F = err_k.
+
+    The superoperator of X -> A X B^dag has Frobenius norm ||A||_F ||B||_F,
+    sum_k ||D_k||_F^2 = Tr M and ||W||_op^2 <= 1 + w, so with a = ||err||_2
+    the superoperators of E and P differ in Frobenius norm by at most
+
+      delta = (1 + w)^2 mu + 2 (1 + w) sqrt(Tr M) a + a^2.
+
+    With S_E = S_P + Delta and ||S_P||_op <= (1 + w)^2,
+    S_E^2 - S_E = S_P^2 - S_P + S_P Delta + Delta S_P + Delta^2 - Delta, so
+
+      idem(E) <= idem(P) + (2 (1 + w)^2 + 1) delta + delta^2,
+
+    about idem(P) + 3 delta.  Trace preservation and unitality of E are
+    measured directly, ||sum_k K_k^dag K_k - I||_F and ||E(I) - I||_F (2n
+    products, as the Kraus-sum path computes them); each reported residual is
+    the larger of E's and P's, so it bounds both the given Kraus sum and the
+    map that is applied.  Everything is O(n d^3); no superoperator is formed.
+    Quantities are measured in floating point, with round-off of the same
+    order as that of the Kraus-sum path's own residuals.
+    """
+    n, d, _ = K.shape
+    W, lam, off, norms = _joint_eigenbasis(K)
+    w = linalg.frobenius(linalg.dagger(W) @ W - np.eye(d))
+    g = 1.0 + w
+    err = g * off + (2.0 * w + w * w) * norms
+    a = float(np.linalg.norm(err))
+    M = lam.T @ lam.conj()
+    keep = M.real > 0.5
+    delta = (g * g * linalg.frobenius(M - keep)
+             + 2.0 * g * np.sqrt(np.trace(M).real) * a + a * a)
+    excess = (2.0 * g * g + 1.0) * delta + delta * delta
+    first = keep.argmax(axis=1)  # of a partition mask: the first index of each block
+    if not (excess <= IDEMPOTENCY_TOL and np.array_equal(keep, first[:, None] == first)):
+        return None, None, None
+    blocks = [np.flatnonzero(first == i) for i in np.flatnonzero(first == np.arange(d))]
+    channel = PartitionChannel(MeasurementPartition(d, blocks), [False] * len(blocks), basis=W)
+    tp, idem, unital = channel._residual_bounds()
+    idem += excess
+    if not idem <= IDEMPOTENCY_TOL:
+        return None, None, None
+    eye = np.eye(d, dtype=complex)
+    channel._residuals = (max(tp, _kraus_tp_residual(K)), idem,
+                          max(unital, linalg.frobenius(_kraus_act(K, eye) - eye)))
+    return channel, lam, err
+
+
+def _closed_on_diagonals(u: np.ndarray, err: np.ndarray, w: float) -> bool:
+    """Whether unitaries U_g are closed under products and inverses up to
+    phase within GROUP_CLOSURE_TOL, read off their eigenvalues u[g] in a
+    basis W: err[g] >= ||U_g - V_g||_F for V_g = W diag(u_g) W^dag, and
+    w = ||W^dag W - I||_F.  True only when that is certain; False sends the
+    caller to the check on the matrices themselves.
+
+    With W^dag W = I + F, ||V_g||_op <= (1 + w) max|u_g| = v_g and
+    ||U_h||_op <= sqrt(1 + UNITARY_TOL) = s,
+
+      ||U_g U_h - phi U_m||_F <= (1 + w)(||u_g u_h - phi u_m|| + max|u_g| max|u_h| w)
+                                 + s err_g + v_g err_h + err_m,
+      ||U_g^dag - phi U_m||_F <= (1 + w) ||conj(u_g) - phi u_m|| + err_g + err_m.
+
+    m and phi come from the largest overlap <u_m, target>: the rows of one
+    (n^2, d) x (d, n) product, against the n^2 matrix products of the direct
+    check.
+    """
+    n, d = u.shape
+    g = 1.0 + w
+    top = np.abs(u).max(axis=1)
+    s = np.sqrt(1.0 + UNITARY_TOL)
+
+    def within(targets, slack):
+        overlaps = targets @ u.conj().T
+        best = np.abs(overlaps).argmax(axis=1)
+        phase = np.exp(1j * np.angle(overlaps[np.arange(len(targets)), best]))
+        miss = np.linalg.norm(targets - phase[:, None] * u[best], axis=1)
+        return bool(np.all(g * miss + slack + err[best] <= GROUP_CLOSURE_TOL))
+
+    # the products u_g u_h for a few g at a time, at most 2^12 complex
+    # entries (64 KiB) per array
+    step = max(1, 2**12 // (n * d))
+    for start in range(0, n, step):
+        rows = slice(start, start + step)
+        products = (u[rows, None, :] * u[None, :, :]).reshape(-1, d)
+        slack = g * np.outer(top[rows], top) * w + s * err[rows, None] + g * np.outer(top[rows], err)
+        if not within(products, slack.reshape(-1)):
+            return False
+    return within(u.conj(), err)
+
+
+def twirling_map(unitaries: Iterable[np.ndarray]) -> ResourceDestroyingMap:
     """Finite-group twirl: rho -> (1/|G|) sum_g U_g rho U_g^dag.
 
     Each element must be unitary and the set closed under products and
     inverses (up to global phase, which is invisible at the channel level);
     a non-closed set silently breaks idempotency, so it is a hard error.
+
+    A twirl over an abelian group is built as a Lueders map in the group's
+    joint eigenbasis and its closure checked on the eigenvalues
+    (`_eigenbasis_form`, `_closed_on_diagonals`): O(n d^3 + n^3 d) for n
+    elements, no superoperator.  Non-abelian groups, and any case whose
+    measured representation error is too large, take the Kraus sum and the
+    n^2 matrix products.
     """
     ops = [np.asarray(U, dtype=complex) for U in unitaries]
     if not ops:
@@ -421,17 +656,17 @@ def twirling_map(unitaries: Sequence[np.ndarray]) -> ResourceDestroyingMap:
         res = linalg.frobenius(linalg.dagger(U) @ U - np.eye(d))
         if res > UNITARY_TOL:
             raise NotUnitary(f"||U^dag U - I|| = {res:.3e} exceeds {UNITARY_TOL:.0e}")
-    group = np.stack(ops)
-    for U in ops:
-        for V in ops:
-            if not _match_up_to_phase(U @ V, group, GROUP_CLOSURE_TOL):
-                raise NotAGroup("set is not closed under products")
-        if not _match_up_to_phase(linalg.dagger(U), group, GROUP_CLOSURE_TOL):
-            raise NotAGroup("set is not closed under inverses")
     n = len(ops)
-    desc = {"type": "twirl", "dim": d,
-            "unitaries": [linalg.matrix_to_json(U) for U in ops]}
-    return certify_rdm(QuantumChannel([U / np.sqrt(n) for U in ops]), desc)
+    group = np.stack(ops)
+    group.setflags(write=False)
+    del ops  # the stack holds them now
+    K = group / np.sqrt(n)
+    form, lam, err = _eigenbasis_form(K)
+    if form is None or not _closed_on_diagonals(np.sqrt(n) * lam, np.sqrt(n) * err,
+                                                 form._unitarity_defect):
+        _check_group(group)
+    desc = {"type": "twirl", "dim": d, "unitaries": group}
+    return certify_rdm(form if form is not None else QuantumChannel(K), desc)
 
 
 def mixing_map(d: int) -> ResourceDestroyingMap:
@@ -442,12 +677,14 @@ def mixing_map(d: int) -> ResourceDestroyingMap:
     return certify_rdm(channel, {"type": "mixing", "dim": d})
 
 
+def cyclic_shift(d: int, k: int) -> np.ndarray:
+    """C^k for the cyclic shift C: e_i -> e_{i+1 mod d}."""
+    return np.roll(np.eye(d, dtype=complex), k, axis=0)
+
+
 def cyclic_twirl(d: int) -> ResourceDestroyingMap:
-    """Twirl over the cyclic shift group {C^k} with C: e_i -> e_{i+1 mod d}."""
-    C = np.zeros((d, d), dtype=complex)
-    for i in range(d):
-        C[(i + 1) % d, i] = 1.0
-    return twirling_map([np.linalg.matrix_power(C, k) for k in range(d)])
+    """Twirl over the cyclic shift group {C^k}; dephasing in the Fourier basis."""
+    return twirling_map(cyclic_shift(d, k) for k in range(d))
 
 
 def _check_declared_dim(d: int, ops) -> None:
@@ -490,15 +727,20 @@ def map_from_json(obj: dict) -> ResourceDestroyingMap:
             raise ValidationError("map type 'kraus' needs operators")
         ops = [linalg.matrix_from_json(k) for k in obj["operators"]]
         _check_declared_dim(d, ops)
-        desc = {"type": "kraus", "dim": d,
-                "operators": [linalg.matrix_to_json(K) for K in ops]}
-        return certify_rdm(QuantumChannel(ops), desc)
+        if not ops:
+            raise ValidationError("map type 'kraus' needs at least one operator")
+        K = np.stack(ops)
+        K.setflags(write=False)
+        form = _eigenbasis_form(K)[0]
+        desc = {"type": "kraus", "dim": d, "operators": K}
+        return certify_rdm(form if form is not None else QuantumChannel(K), desc)
     raise ValidationError(f"unknown map type {kind!r}")
 
 
 def map_to_json(rdm: ResourceDestroyingMap) -> dict:
     """Wire-format descriptor of a certified map."""
-    if rdm.descriptor is not None:
-        return rdm.descriptor
-    return {"type": "kraus", "dim": rdm.dim,
-            "operators": [linalg.matrix_to_json(K) for K in rdm.kraus]}
+    desc = dict(rdm.descriptor or {"type": "kraus", "dim": rdm.dim, "operators": rdm.kraus})
+    for key in ("unitaries", "operators"):
+        if key in desc:
+            desc[key] = [linalg.matrix_to_json(M) for M in desc[key]]
+    return desc

@@ -89,7 +89,12 @@ def matrix_power(M: np.ndarray, p: float) -> np.ndarray:
     taken on the support only (eigenvalues at or below the relative cutoff
     map to 0), i.e. a pseudo-power M^p restricted to range(M).
     """
-    values, vectors = _clipped_spectrum(M)
+    return spectral_power(_clipped_spectrum(M), p)
+
+
+def spectral_power(spectrum: Eigensystem, p: float) -> np.ndarray:
+    """`matrix_power` from an already clipped eigensystem."""
+    values, vectors = spectrum
     if p > 0:
         pos = values > roundoff_level(values)
     else:
@@ -145,10 +150,24 @@ def validate_density(M) -> np.ndarray:
     lo = float(np.linalg.eigvalsh(A)[0])
     if lo < -PSD_TOL:
         raise NotPSD(f"minimum eigenvalue {lo:.3e} below -{PSD_TOL:.0e}")
+    _check_trace(A)
+    return A
+
+
+def density_spectrum(M: np.ndarray) -> Eigensystem:
+    """`validate_density` and `_clipped_spectrum` on one eigh: the checks,
+    tolerances and errors of the former, in its order, then the eigensystem
+    with round-off negatives clipped to 0."""
+    A = as_complex_matrix(M)
+    spectrum = _clipped_spectrum(A)
+    _check_trace(A)
+    return spectrum
+
+
+def _check_trace(A: np.ndarray) -> None:
     tr = complex(np.trace(A))
     if abs(tr - 1.0) > TRACE_TOL:
         raise TraceNotOne(f"trace deviates from 1 by {abs(tr - 1.0):.3e}")
-    return A
 
 
 def matrix_to_json(M: np.ndarray) -> dict:

@@ -36,8 +36,11 @@ def validate_order(a: float) -> float:
 
 def von_neumann_entropy(rho: np.ndarray) -> float:
     """-sum lam ln lam over eigenvalues above 1e-12, in nats."""
-    w = linalg.eig_hermitian(rho).values
-    w = w[w > ENTROPY_CUTOFF]
+    return _entropy(linalg.eig_hermitian(rho).values)
+
+
+def _entropy(values: np.ndarray) -> float:
+    w = values[values > ENTROPY_CUTOFF]
     return float(-np.sum(w * np.log(w)))
 
 
@@ -90,20 +93,22 @@ def closed_form_measure(rho: np.ndarray, rdm: ResourceDestroyingMap, a: float) -
     Evaluates the closed form literally: rho^a, one application of E, the
     1/a-th power, and a trace.  The a = 1 branch is exact, not a numerical
     limit; callers wanting stability at |a - 1| < 1e-6 must request a = 1
-    explicitly.
+    explicitly.  One eigendecomposition of rho serves its validation and
+    rho^a (or S(rho)).
     """
     a = validate_order(a)
-    A = linalg.validate_density(rho)
+    A = linalg.as_complex_matrix(rho)
+    spectrum = linalg.density_spectrum(A)
     if A.shape[0] != rdm.dim:
         raise DimensionMismatch(
             f"state dimension {A.shape[0]} does not match map dimension {rdm.dim}"
         )
     if a == 1.0:
         sigma_star = rdm.apply(A)
-        value = von_neumann_entropy(sigma_star) - von_neumann_entropy(A)
+        value = von_neumann_entropy(sigma_star) - _entropy(spectrum.values)
         N = 1.0
     else:
-        X = linalg.matrix_power(rdm.apply(linalg.matrix_power(A, a)), 1.0 / a)
+        X = linalg.matrix_power(rdm.apply(linalg.spectral_power(spectrum, a)), 1.0 / a)
         N = float(np.trace(X).real)
         value = (N - 1.0) / (a - 1.0)
         sigma_star = X / N

@@ -18,6 +18,7 @@ import numpy as np
 from . import linalg
 from .channels import (
     MeasurementPartition,
+    cyclic_shift,
     cyclic_twirl,
     dephasing_map,
     lueders_map,
@@ -119,10 +120,7 @@ def _free_unitary(name: str, d: int, rng, partition) -> np.ndarray:
     if name in ("lueders", "modified"):
         return _block_diagonal_unitary(partition, rng)
     if name == "twirl":
-        C = np.zeros((d, d), dtype=complex)
-        for i in range(d):
-            C[(i + 1) % d, i] = 1.0
-        return np.linalg.matrix_power(C, int(rng.integers(0, d)))
+        return cyclic_shift(d, int(rng.integers(0, d)))
     if name == "mixing":
         return _random_unitary(d, rng)
     raise ValidationError(f"no free-unitary family for map {name!r}")

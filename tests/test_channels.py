@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rdmap import linalg
 from rdmap.channels import (
@@ -9,6 +11,7 @@ from rdmap.channels import (
     PartitionChannel,
     QuantumChannel,
     certify_rdm,
+    cyclic_shift,
     cyclic_twirl,
     dephasing_map,
     lueders_map,
@@ -192,7 +195,7 @@ def test_certify_rejects_non_trace_preserving():
 def test_certified_maps_carry_residuals():
     rdm = dephasing_map(MeasurementPartition.singletons(2))
     assert rdm.idempotency_residual <= 1e-9
-    assert rdm.unitality_residual_ <= 1e-10
+    assert rdm.unitality_residual() <= 1e-10
 
 
 def test_analytic_functions_stay_in_fixed_set():
@@ -211,35 +214,77 @@ def test_analytic_functions_stay_in_fixed_set():
 
 # ----------------------------------------------------------- partition maps
 
+def random_unitary(d, rng):
+    Q, R = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return Q * (np.diag(R) / np.abs(np.diag(R)))
+
+
+def conjugated(V, ops):
+    return [V @ K @ V.conj().T for K in ops]
+
+
+def twirl_kraus(group):
+    return [U / np.sqrt(len(group)) for U in group]
+
+
+def kraus_json(ops):
+    return {"type": "kraus", "dim": len(ops[0]),
+            "operators": [linalg.matrix_to_json(K) for K in ops]}
+
+
 def test_partition_maps_match_kraus_sum_reference():
     """Mask-and-average apply, the superoperator view and the certification
-    residuals equal those of the same map certified as a Kraus sum."""
+    residuals equal those of the same map certified as a Kraus sum.  Abelian
+    twirls and commuting Kraus lists in a random basis, built in their joint
+    eigenbasis, match their Kraus sums, and their reported residuals bound
+    the Kraus sums' from above."""
     rng = np.random.default_rng(5)
     for d in range(2, 9):
         for trial in range(3):
             part = random_partition(d, rng)
             mixed = PartitionChannel(part, rng.integers(0, 2, len(part.blocks)))
             coarse = random_partition(d, rng, coarse=True)
+            stack = np.stack([[linalg.random_hermitian(d, seed=100 * d + 10 * trial + 3 * i + j)
+                               for j in range(3)] for i in range(2)])
             for rdm in (certify_rdm(mixed),
                         dephasing_map(MeasurementPartition.singletons(d)),
                         lueders_map(coarse), modified_coarse_map(coarse), mixing_map(d)):
                 ref = certify_rdm(QuantumChannel(rdm.kraus))
-                stack = np.stack([[linalg.random_hermitian(d, seed=100 * d + 10 * trial + 3 * i + j)
-                                   for j in range(3)] for i in range(2)])
                 want = np.array([[ref.apply(X) for X in row] for row in stack])
                 assert np.abs(rdm.apply(stack) - want).max() <= 1e-12
                 assert float(np.linalg.norm(rdm.superop - ref.superop)) <= 1e-12
                 assert abs(rdm.idempotency_residual - ref.idempotency_residual) <= 1e-12
-                assert abs(rdm.unitality_residual_ - ref.unitality_residual_) <= 1e-12
+                assert abs(rdm.unitality_residual() - ref.unitality_residual()) <= 1e-12
                 assert abs(rdm.trace_preserving_residual()
                            - ref.trace_preserving_residual()) <= 1e-12
+
+            V = random_unitary(d, rng)
+            signs = rng.choice([-1.0, 1.0], size=(2, d))
+            cyclic = conjugated(V, [cyclic_shift(d, k) for k in range(d)])
+            klein = conjugated(V, [np.diag(signs[0] ** i * signs[1] ** j)
+                                   for i in (0, 1) for j in (0, 1)])
+            dephasing = conjugated(V, MeasurementPartition.singletons(d).projectors())
+            lueders = conjugated(V, coarse.projectors())
+            for kraus, rdm in ((twirl_kraus(cyclic), twirling_map(cyclic)),
+                               (twirl_kraus(klein), twirling_map(klein)),
+                               (dephasing, map_from_json(kraus_json(dephasing))),
+                               (lueders, map_from_json(kraus_json(lueders)))):
+                assert isinstance(rdm.channel, PartitionChannel)
+                ref = certify_rdm(QuantumChannel(kraus))
+                want = np.array([[ref.apply(X) for X in row] for row in stack])
+                assert np.abs(rdm.apply(stack) - want).max() <= 1e-12
+                assert float(np.linalg.norm(rdm.superop - ref.superop)) <= 1e-12
+                assert rdm.idempotency_residual >= ref.idempotency_residual - 1e-15
+                assert rdm.unitality_residual() >= ref.unitality_residual() - 1e-15
+                assert rdm.trace_preserving_residual() >= ref.trace_preserving_residual() - 1e-15
 
 
 def test_partition_map_certifies_and_applies_without_superoperator():
     # a d^2 x d^2 complex array at d = 32 is 16 MiB
     d = 32
     for build in (lambda: mixing_map(d),
-                  lambda: modified_coarse_map(MeasurementPartition(d, [range(16), range(16, d)]))):
+                  lambda: modified_coarse_map(MeasurementPartition(d, [range(16), range(16, d)])),
+                  lambda: cyclic_twirl(d)):
         tracemalloc.start()
         try:
             rdm = build()
@@ -249,6 +294,73 @@ def test_partition_map_certifies_and_applies_without_superoperator():
             tracemalloc.stop()
         assert peak < 16 * d**4 / 8
         assert rdm.channel._superop is None and rdm.channel._kraus is None
+
+
+def test_non_abelian_twirl_stays_a_kraus_sum():
+    # the Pauli group twirl is complete mixing; its elements do not commute
+    Y = 1j * X @ Z
+    tw = twirling_map([np.eye(2), X, Y, Z])
+    assert not isinstance(tw.channel, PartitionChannel)
+    assert superop_distance(tw, mixing_map(2)) <= 1e-12
+
+
+def test_non_commuting_kraus_input_still_certifies():
+    rng = np.random.default_rng(11)
+    V = random_unitary(3, rng)
+    part = MeasurementPartition(3, [[0, 2], [1]])
+    ops = conjugated(V, modified_coarse_map(part).kraus)
+    rdm = map_from_json(kraus_json(ops))
+    assert not isinstance(rdm.channel, PartitionChannel)
+    assert superop_distance(rdm, certify_rdm(QuantumChannel(ops))) <= 1e-12
+
+
+def test_commuting_set_that_is_not_a_group():
+    # the rows of a non-Fourier 4x4 complex Hadamard matrix: the twirl over
+    # their diagonal unitaries is complete dephasing, idempotent, but the set
+    # is not closed under products
+    e = np.exp(0.3j)
+    rows = np.array([[1, 1, 1, 1], [1, 1j * e, -1, -1j * e],
+                     [1, -1, 1, -1], [1, -1j * e, -1, 1j * e]])
+    V = random_unitary(4, np.random.default_rng(12))
+    with pytest.raises(NotAGroup):
+        twirling_map(conjugated(V, [np.diag(r) for r in rows]))
+
+
+def test_commuting_kraus_that_is_not_idempotent():
+    # partial dephasing rho -> 0.7 rho + 0.3 Z rho Z in a random basis
+    V = random_unitary(2, np.random.default_rng(13))
+    ops = conjugated(V, [np.sqrt(0.7) * np.eye(2), np.sqrt(0.3) * Z])
+    with pytest.raises(NotIdempotent):
+        map_from_json(kraus_json(ops))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 8), st.lists(st.integers(2, 4), min_size=1, max_size=3),
+       st.integers(0, 2**32 - 1))
+def test_abelian_twirl_json_round_trip(d, orders, seed):
+    """A product of cyclic groups, each generated by a diagonal unitary of
+    random m-th roots of unity, in a random basis: built from JSON it is a
+    partition map, map_to_json gives back its descriptor, and it matches its
+    Kraus sum."""
+    rng = np.random.default_rng(seed)
+    V = random_unitary(d, rng)
+    group = [np.eye(d, dtype=complex)]
+    for m in orders:
+        g = np.diag(np.exp(2j * np.pi * rng.integers(0, m, size=d) / m))
+        group = [U @ np.linalg.matrix_power(g, k) for U in group for k in range(m)]
+    group = conjugated(V, group)
+    obj = {"type": "twirl", "dim": d, "unitaries": [linalg.matrix_to_json(U) for U in group]}
+    rdm = map_from_json(obj)
+    assert isinstance(rdm.channel, PartitionChannel)
+    assert map_to_json(rdm) == obj
+    again = map_from_json(map_to_json(rdm))
+    ref = certify_rdm(QuantumChannel(twirl_kraus(group)))
+    X_ = linalg.random_hermitian(d, seed=seed % 2**31)
+    assert np.abs(again.apply(X_) - ref.apply(X_)).max() <= 1e-12
+    assert float(np.linalg.norm(again.superop - ref.superop)) <= 1e-12
+    assert again.idempotency_residual >= ref.idempotency_residual - 1e-15
+    assert again.unitality_residual() >= ref.unitality_residual() - 1e-15
+    assert again.trace_preserving_residual() >= ref.trace_preserving_residual() - 1e-15
 
 
 def test_partition_channel_needs_one_action_per_block():

@@ -105,6 +105,28 @@ def test_measure_map_dim_mismatch_exits_2(files, capsys):
     assert capsys.readouterr().err.startswith("error: DimensionMismatch:")
 
 
+def test_measure_commuting_maps_keep_exit_codes(files, capsys):
+    # partial dephasing, 0.7 rho + 0.3 Z rho Z: commuting Kraus operators,
+    # not idempotent, so a certification error (3)
+    r = math.sqrt(0.7), math.sqrt(0.3)
+    partial = files["tmp"] / "partial.json"
+    partial.write_text(json.dumps({"type": "kraus", "dim": 2, "operators": [
+        {"re": [[r[0], 0], [0, r[0]]], "im": [[0, 0], [0, 0]]},
+        {"re": [[r[1], 0], [0, -r[1]]], "im": [[0, 0], [0, 0]]}]}))
+    assert main(["measure", "--state", files["plus"], "--map", str(partial), "--a", "1"]) == 3
+    assert capsys.readouterr().err.startswith("error: NotIdempotent:")
+    # diag(1, e^{0.3i}) and diag(1, -e^{0.3i}): their twirl is dephasing,
+    # idempotent, but neither product nor inverse is in the set, an input
+    # error (2)
+    c, s = math.cos(0.3), math.sin(0.3)
+    no_group = files["tmp"] / "no_group.json"
+    no_group.write_text(json.dumps({"type": "twirl", "dim": 2, "unitaries": [
+        {"re": [[1, 0], [0, c]], "im": [[0, 0], [0, s]]},
+        {"re": [[1, 0], [0, -c]], "im": [[0, 0], [0, -s]]}]}))
+    assert main(["measure", "--state", files["plus"], "--map", str(no_group), "--a", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error: NotAGroup:")
+
+
 def test_measure_zero_prints_without_sign(files, capsys):
     ket0 = files["tmp"] / "ket0.json"
     ket0.write_text(json.dumps({"re": [[1, 0], [0, 0]], "im": [[0, 0], [0, 0]]}))

@@ -208,7 +208,7 @@ def test_partition_maps_at_d64():
     d = 64
     coarse = MeasurementPartition(d, np.split(np.random.default_rng(64).permutation(d), [32, 48]))
     maps = (dephasing_map(MeasurementPartition.singletons(d)), lueders_map(coarse),
-            modified_coarse_map(coarse), mixing_map(d))
+            modified_coarse_map(coarse), mixing_map(d), cyclic_twirl(d))
     for rank in (d, 1):
         rho = linalg.random_density_matrix(d, rank, seed=rank)
         for rdm in maps:
