@@ -398,7 +398,9 @@ class MeasurementPartition:
         seen = [i for b in normalized for i in b]
         if any(len(b) == 0 for b in normalized):
             raise ValidationError("partition blocks must be nonempty")
-        if sorted(seen) != list(range(dim)):
+        # counted before anything of size dim is built, so a huge declared
+        # dim is refused at once
+        if len(seen) != dim or sorted(seen) != list(range(dim)):
             raise ValidationError(
                 f"blocks must disjointly cover 0..{dim - 1}, got {normalized}"
             )

@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from . import channels, linalg, measures, verify
-from .errors import CertificationError, ValidationError
+from .errors import CertificationError, DimensionMismatch, ValidationError
 
 
 def fmt_float(x: float) -> str:
@@ -140,9 +140,24 @@ def _parse_ints(s: str):
         raise ValidationError(f"expected comma-separated integers, got {s!r}") from None
 
 
+def _load_map(path: str, d: int):
+    """The certified map of a JSON file, for states of dimension d.  A
+    declared dim other than d is refused before anything of that size is
+    built; map_from_json reports a missing or malformed dim."""
+    obj = _load_json(path)
+    try:
+        declared = int(obj["dim"])
+    except (KeyError, TypeError, ValueError):
+        declared = d
+    if declared != d:
+        raise DimensionMismatch(
+            f"state dimension {d} does not match map dimension {declared}")
+    return channels.map_from_json(obj)
+
+
 def cmd_measure(args) -> int:
     rho = linalg.validate_density(linalg.matrix_from_json(_load_json(args.state)))
-    rdm = channels.map_from_json(_load_json(args.map))
+    rdm = _load_map(args.map, rho.shape[0])
     rep = measures.closed_form_measure(rho, rdm, args.a)
     payload = measures.report_to_json(rep)
     if args.output == "csv":
@@ -169,7 +184,7 @@ def sweep_grid(values) -> list:
 
 def cmd_sweep(args) -> int:
     rho = linalg.validate_density(linalg.matrix_from_json(_load_json(args.state)))
-    rdm = channels.map_from_json(_load_json(args.map))
+    rdm = _load_map(args.map, rho.shape[0])
     rows = []
     for a in sweep_grid(_parse_floats(args.a_grid)):
         rep = measures.closed_form_measure(rho, rdm, a)

@@ -49,10 +49,19 @@ class OracleConfig:
 
 @dataclass
 class OracleResult:
+    """The minimum found, its gap to the closed form, and the work it took:
+    evaluations counts the points scored over every restart and both passes,
+    iterations the simplex iterations of the winning restart (both passes),
+    and stop_reason says why the winning restart's last simplex stopped,
+    "tolerance" or "iteration_cap"."""
+
     value: float
     sigma_min: np.ndarray
     gap_to_closed_form: float
     restarts_agreeing: int
+    evaluations: int
+    iterations: int
+    stop_reason: str
 
 
 def parameterize_free_state(x: np.ndarray, rdm: ResourceDestroyingMap) -> np.ndarray:
@@ -88,7 +97,9 @@ def _lockstep_simplex(f, x0: np.ndarray, tol: np.ndarray, max_iterations: np.nda
     objective spread drops below its tolerance or it reaches its iteration
     cap.  Every problem sees exactly the arithmetic it would see alone, so
     its endpoint does not depend on the other problems of the batch.
-    Returns the best point (k, n) and value (k,) of each problem.
+    Returns the best point (k, n) and value (k,) of each problem, with the
+    points it scored (k,), the iterations it ran (k,) and whether it stopped
+    at its iteration cap rather than its tolerance (k,).
     """
     k, n = x0.shape
     alpha = 1.0
@@ -96,10 +107,18 @@ def _lockstep_simplex(f, x0: np.ndarray, tol: np.ndarray, max_iterations: np.nda
     beta = 0.75 - 1.0 / (2.0 * n)
     delta = 1.0 - 1.0 / n
 
+    evaluations = np.zeros(k, dtype=np.int64)
+    iterations = np.zeros(k, dtype=np.int64)
+    capped = np.zeros(k, dtype=bool)
+
+    def score(X, owners):
+        evaluations[:] += np.bincount(owners, minlength=k)
+        return f(X, owners)
+
     rows = np.arange(k)
     verts = np.repeat(x0[:, None, :], n + 1, axis=1)
     verts[:, np.arange(1, n + 1), np.arange(n)] += initial_step
-    fs = f(verts.reshape(-1, n), np.repeat(rows, n + 1)).reshape(k, n + 1)
+    fs = score(verts.reshape(-1, n), np.repeat(rows, n + 1)).reshape(k, n + 1)
     best_x = np.empty((k, n))
     best_f = np.empty(k)
 
@@ -111,22 +130,24 @@ def _lockstep_simplex(f, x0: np.ndarray, tol: np.ndarray, max_iterations: np.nda
         # inf - inf is nan when the whole simplex sits on the barrier;
         # keep iterating in that case rather than declaring convergence.
         with np.errstate(invalid="ignore"):
-            done = np.isfinite(fs[:, -1]) & (fs[:, -1] - fs[:, 0] < tol)
-        done |= iteration >= max_iterations
+            converged = np.isfinite(fs[:, -1]) & (fs[:, -1] - fs[:, 0] < tol)
+        done = converged | (iteration >= max_iterations)
         if done.any():
             best_x[rows[done]] = verts[done, 0]
             best_f[rows[done]] = fs[done, 0]
+            iterations[rows[done]] = iteration
+            capped[rows[done]] = ~converged[done]
             live = ~done
             rows, verts, fs = rows[live], verts[live], fs[live]
             tol, max_iterations = tol[live], max_iterations[live]
         if not rows.size:
-            return best_x, best_f
+            return best_x, best_f, evaluations, iterations, capped
         iteration += 1
 
         centroid = verts[:, :-1].mean(axis=1)
         worst = verts[:, -1]
         xr = centroid + alpha * (centroid - worst)
-        fr = f(xr, rows)
+        fr = score(xr, rows)
         expand = fr < fs[:, 0]
         contract = ~expand & ~(fr < fs[:, -2])
         outside = contract & (fr < fs[:, -1])
@@ -136,7 +157,7 @@ def _lockstep_simplex(f, x0: np.ndarray, tol: np.ndarray, max_iterations: np.nda
         f2 = np.full(rows.size, np.nan)
         second = expand | contract
         if second.any():
-            f2[second] = f(x2[second], rows[second])
+            f2[second] = score(x2[second], rows[second])
         take2 = ((expand & (f2 < fr)) | (outside & (f2 <= fr))
                  | (contract & ~outside & (f2 < fs[:, -1])))
         shrink = contract & ~take2
@@ -147,8 +168,8 @@ def _lockstep_simplex(f, x0: np.ndarray, tol: np.ndarray, max_iterations: np.nda
             base = verts[shrink, :1]
             pulled = base + delta * (verts[shrink, 1:] - base)
             verts[shrink, 1:] = pulled
-            fs[shrink, 1:] = f(pulled.reshape(-1, n),
-                               np.repeat(rows[shrink], n)).reshape(-1, n)
+            fs[shrink, 1:] = score(pulled.reshape(-1, n),
+                                   np.repeat(rows[shrink], n)).reshape(-1, n)
 
 
 def simplex_minimize(f, x0: np.ndarray, config: OracleConfig,
@@ -166,8 +187,8 @@ def simplex_minimize(f, x0: np.ndarray, config: OracleConfig,
     def batched(X, rows):
         return np.array([f(x) for x in X], dtype=float)
 
-    x, fx = _lockstep_simplex(batched, x0.reshape(1, -1), np.array([config.tol]),
-                              np.array([config.max_iterations]), initial_step)
+    x, fx, *_ = _lockstep_simplex(batched, x0.reshape(1, -1), np.array([config.tol]),
+                                  np.array([config.max_iterations]), initial_step)
     return x[0], float(fx[0])
 
 
@@ -262,8 +283,10 @@ def minimize_batch(problems, configs, closed) -> list[OracleResult]:
     def f(X, rows):
         return objective(X, owner[rows])
 
-    x, fx = _lockstep_simplex(f, starts, tol, cap, 0.5)
-    x, fx = _lockstep_simplex(f, x, tol, cap, 0.05)
+    x, fx, evals, iters, _ = _lockstep_simplex(f, starts, tol, cap, 0.5)
+    x, fx, polish_evals, polish_iters, capped = _lockstep_simplex(f, x, tol, cap, 0.05)
+    evals += polish_evals
+    iters += polish_iters
 
     results = []
     for i, (rho, rdm, a) in enumerate(problems):
@@ -279,9 +302,11 @@ def minimize_batch(problems, configs, closed) -> list[OracleResult]:
         sigma = parameterize_free_state(x[mine[win]], rdm)
         value = tsallis_relative_entropy(rho, sigma, a)
         agreeing = int(np.count_nonzero(finals <= best_f + AGREEMENT_WINDOW))
-        results.append(OracleResult(value=value, sigma_min=sigma,
-                                    gap_to_closed_form=value - closed[i],
-                                    restarts_agreeing=agreeing))
+        results.append(OracleResult(
+            value=value, sigma_min=sigma, gap_to_closed_form=value - closed[i],
+            restarts_agreeing=agreeing, evaluations=int(evals[mine].sum()),
+            iterations=int(iters[mine[win]]),
+            stop_reason="iteration_cap" if capped[mine[win]] else "tolerance"))
     return results
 
 

@@ -10,6 +10,7 @@ seeded as seed + trial index and all draws come from them.
 
 from __future__ import annotations
 
+import logging
 import time
 from dataclasses import dataclass, field
 
@@ -32,10 +33,13 @@ from .oracle import OracleConfig, minimize_batch, minimize_over_free_states
 DEFAULT_A_GRID = (0.3, 0.5, 0.8, 1.0, 1.2, 1.5, 2.0)
 SUITE_NAMES = ("theorem1", "axioms", "theorem2", "piani", "continuity")
 
-# theorem1 runs a cheap oracle first, 35 problems per lockstep batch, and
-# only escalates the rare trial whose gap is not already far below the pass
-# threshold; the acceptance run (50 trials) takes about 95 s on a 2-vCPU VM
-# against its 300 s budget.
+# progress of the long suites; the library installs no handler
+log = logging.getLogger("rdmap.verify")
+
+# theorem1 runs a cheap oracle first, all trials of one dimension in one
+# lockstep batch, and only escalates the rare trial whose gap is not already
+# far below the pass threshold; the acceptance run (50 trials) takes 49-50 s
+# on a 2-vCPU VM against its 300 s budget.
 GAP_TOL = 1e-5
 ESCALATE_ABOVE = 3e-6
 FAST_TOL = 1e-8
@@ -174,31 +178,39 @@ def theorem1_batches(dims, a_grid, trials: int, seed: int):
 def suite_theorem1(dims, a_grid, trials: int, seed: int,
                    tol: float = GAP_TOL) -> SuiteReport:
     """Closed form vs oracle on random states, every built-in map, the full
-    a grid (see theorem1_batches).  The oracle solves each (trial, dim)
-    batch together in one lockstep simplex; a problem whose gap is not far
-    below the threshold is then solved again, alone, with the escalated
-    budget.  Records carry the minimizer's density-validation verdict and
-    fixed-point residual alongside the gap."""
+    a grid (see theorem1_batches).  The oracle solves the problems of every
+    trial of one dimension together in one lockstep simplex; a problem whose
+    gap is not far below the threshold is then solved again, alone, with the
+    escalated budget.  Records come in trial, dim, map, a order and carry the
+    minimizer's density-validation verdict, fixed-point residual and the
+    oracle's work counters alongside the gap."""
     dims = [int(d) for d in dims]
     if not set(dims) <= {2, 3, 4}:
         raise ValidationError(f"oracle-backed dims are limited to 2..4, got {dims}")
     a_grid = [float(a) for a in a_grid]
     t0 = time.perf_counter()
-    records = []
-    for t, s, d, problems in theorem1_batches(dims, a_grid, trials, seed):
-        reports = [closed_form_measure(rho, rdm, a) for _, rdm, rho, a, _ in problems]
+    batches = list(theorem1_batches(dims, a_grid, trials, seed))
+    records = [[] for _ in batches]
+    for d in dict.fromkeys(dims):  # each dimension once, in order
+        group = [(i, p) for i, (*_, dim, problems) in enumerate(batches) if dim == d
+                 for p in problems]
+        reports = [closed_form_measure(rho, rdm, a) for _, (_, rdm, rho, a, _) in group]
+        t_solve = time.perf_counter()
         fast = minimize_batch(
-            [(rho, rdm, a) for _, rdm, rho, a, _ in problems],
+            [(rho, rdm, a) for _, (_, rdm, rho, a, _) in group],
             [OracleConfig(restarts=1, max_iterations=FAST_MAX_ITER[d], tol=FAST_TOL,
-                          seed=oseed) for *_, oseed in problems],
+                          seed=oseed) for _, (*_, oseed) in group],
             closed=[rep.value for rep in reports])
-        for (name, rdm, rho, a, oseed), rep, res in zip(problems, reports, fast):
-            escalated = False
-            if abs(res.gap_to_closed_form) > ESCALATE_ABOVE:
+        t_solve = time.perf_counter() - t_solve
+        escalations = 0
+        for (i, (name, rdm, rho, a, oseed)), rep, res in zip(group, reports, fast):
+            t, s = batches[i][:2]
+            escalated = abs(res.gap_to_closed_form) > ESCALATE_ABOVE
+            if escalated:
                 res = minimize_over_free_states(
                     rho, rdm, a, OracleConfig(seed=oseed + 1, **ESCALATED_CONFIG))
-                escalated = True
-            records.append({
+                escalations += 1
+            records[i].append({
                 "trial": t, "seed": s, "dim": d, "map": name, "a": a,
                 "fixed": t % 10 == 0,
                 "closed": rep.value,
@@ -206,11 +218,16 @@ def suite_theorem1(dims, a_grid, trials: int, seed: int,
                 "gap": res.gap_to_closed_form,
                 "escalated": escalated,
                 "restarts_agreeing": res.restarts_agreeing,
+                "evaluations": res.evaluations,
+                "iterations": res.iterations,
+                "stop_reason": res.stop_reason,
                 "sigma_ok": _density_ok(rep.sigma_star),
                 "sigma_fp_residual": rep.fixed_point_residual,
                 "violation": abs(res.gap_to_closed_form) - tol,
             })
-    return _finish("theorem1", trials, records, t0)
+        log.info("theorem1 d=%d: %d problems solved in %.2f s, %d escalated",
+                 d, len(group), t_solve, escalations)
+    return _finish("theorem1", trials, [r for batch in records for r in batch], t0)
 
 
 def suite_axioms(trials: int, seed: int, tol: float = 1e-9) -> SuiteReport:

@@ -53,6 +53,12 @@ def test_partition_validates_cover():
         MeasurementPartition(2, [[0], [], [1]])
 
 
+def test_partition_refuses_huge_dim_without_building_it():
+    # an index list of 10^12 entries cannot be built; the count alone refuses it
+    with pytest.raises(ValidationError):
+        MeasurementPartition(10**12, [[0]])
+
+
 def test_partition_helpers():
     assert MeasurementPartition.singletons(3).is_fine_grained()
     assert MeasurementPartition.single_block(3).degeneracies == (3,)

@@ -105,6 +105,23 @@ def test_measure_map_dim_mismatch_exits_2(files, capsys):
     assert capsys.readouterr().err.startswith("error: DimensionMismatch:")
 
 
+@pytest.mark.parametrize("command", ["measure", "sweep"])
+@pytest.mark.parametrize("descriptor", [
+    {"type": "mixing", "dim": 10**12},
+    {"type": "dephasing", "dim": 10**12, "partition": [[0]]},
+])
+def test_huge_declared_map_dim_exits_2(files, capsys, command, descriptor):
+    # 10^12 is refused before anything of that size is built, never a
+    # MemoryError reported as an internal error
+    huge = files["tmp"] / "huge.json"
+    huge.write_text(json.dumps(descriptor))
+    order = ["--a", "1"] if command == "measure" else ["--a-grid", "0.5,2"]
+    assert main([command, "--state", files["plus"], "--map", str(huge), *order]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: DimensionMismatch:")
+    assert "internal" not in err
+
+
 def test_measure_commuting_maps_keep_exit_codes(files, capsys):
     # partial dephasing, 0.7 rho + 0.3 Z rho Z: commuting Kraus operators,
     # not idempotent, so a certification error (3)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rdmap import linalg
+from rdmap import linalg, oracle
 from rdmap.channels import (
     MeasurementPartition,
     ResourceDestroyingMap,
@@ -175,10 +175,12 @@ def test_oracle_deterministic():
 
 
 def test_batch_matches_each_problem_alone():
-    """The 35 problems of one theorem-1 (trial, dim) batch, solved together,
-    end exactly where each ends when solved alone."""
-    *_, problems = list(theorem1_batches([3], DEFAULT_A_GRID, trials=2, seed=7))[1]
-    assert len(problems) == 35
+    """The 70 d = 3 problems of theorem-1 trials 0 and 1 (two (trial, dim)
+    batches of 35, one of them a fixed-point trial), solved together, end
+    exactly where each ends when solved alone, with the same work counters."""
+    batches = list(theorem1_batches([3], DEFAULT_A_GRID, trials=2, seed=7))
+    assert [len(problems) for *_, problems in batches] == [35, 35]
+    problems = [p for *_, batch in batches for p in batch]
     configs = [OracleConfig(restarts=1, max_iterations=FAST_MAX_ITER[3], tol=FAST_TOL,
                             seed=oseed) for *_, oseed in problems]
     together = minimize_batch([(rho, rdm, a) for _, rdm, rho, a, _ in problems], configs,
@@ -190,6 +192,40 @@ def test_batch_matches_each_problem_alone():
         assert res.value == alone.value
         assert res.gap_to_closed_form == alone.gap_to_closed_form
         assert res.restarts_agreeing == alone.restarts_agreeing
+        assert res.evaluations == alone.evaluations
+        assert res.iterations == alone.iterations
+        assert res.stop_reason == alone.stop_reason
+
+
+def test_counters_report_the_work_done(monkeypatch):
+    """evaluations equals the points handed to the objective; a capped search
+    runs its cap in both passes, a converged one stops short of it."""
+    scored = []
+    inner = oracle._free_state_objective
+
+    def counting(problems):
+        objective = inner(problems)
+
+        def f(X, rows):
+            scored.append(rows.size)
+            return objective(X, rows)
+
+        return f
+
+    monkeypatch.setattr(oracle, "_free_state_objective", counting)
+    rdm = dephasing_map(MeasurementPartition.singletons(2))
+    rho = linalg.random_density_matrix(2, 2, seed=3)
+    capped = minimize_over_free_states(
+        rho, rdm, 2.0, OracleConfig(restarts=3, max_iterations=20, tol=1e-14, seed=1))
+    assert capped.evaluations == sum(scored)
+    assert capped.stop_reason == "iteration_cap"
+    assert capped.iterations == 2 * 20
+    scored.clear()
+    loose = minimize_over_free_states(
+        rho, rdm, 2.0, OracleConfig(restarts=1, max_iterations=2000, tol=1e-6, seed=1))
+    assert loose.evaluations == sum(scored)
+    assert loose.stop_reason == "tolerance"
+    assert loose.iterations < 2 * 2000
 
 
 def test_oracle_flags_all_infinite_objective():

@@ -1,9 +1,19 @@
+import logging
+
 import numpy as np
 import pytest
 
 from rdmap.errors import ValidationError
+from rdmap.measures import closed_form_measure
+from rdmap.oracle import OracleConfig, minimize_batch, minimize_over_free_states
 from rdmap.verify import (
     DEFAULT_A_GRID,
+    ESCALATE_ABOVE,
+    ESCALATED_CONFIG,
+    FAST_MAX_ITER,
+    FAST_TOL,
+    GAP_TOL,
+    _density_ok,
     random_partition,
     run_suite,
     suite_axioms,
@@ -11,6 +21,7 @@ from rdmap.verify import (
     suite_piani_demo,
     suite_theorem1,
     suite_theorem2,
+    theorem1_batches,
 )
 
 SMALL_GRID = [0.5, 1.0, 2.0]
@@ -64,6 +75,55 @@ def test_theorem1_deterministic_records():
     r2 = suite_theorem1([2], [0.5], trials=2, seed=9)
     assert r1.records == r2.records
     assert r1.failures == r2.failures
+
+
+def test_theorem1_cross_trial_batches_change_no_record():
+    """Solving all trials of a dimension together gives, field by field, the
+    records of solving each (trial, dim) batch on its own."""
+    dims, trials, seed = [2, 3], 3, 7
+    rep = suite_theorem1(dims, DEFAULT_A_GRID, trials=trials, seed=seed)
+    expected = []
+    for t, s, d, problems in theorem1_batches(dims, DEFAULT_A_GRID, trials, seed):
+        reports = [closed_form_measure(rho, rdm, a) for _, rdm, rho, a, _ in problems]
+        results = minimize_batch(
+            [(rho, rdm, a) for _, rdm, rho, a, _ in problems],
+            [OracleConfig(restarts=1, max_iterations=FAST_MAX_ITER[d], tol=FAST_TOL,
+                          seed=oseed) for *_, oseed in problems],
+            [r.value for r in reports])
+        for (name, rdm, rho, a, oseed), r, res in zip(problems, reports, results):
+            escalated = abs(res.gap_to_closed_form) > ESCALATE_ABOVE
+            if escalated:
+                res = minimize_over_free_states(
+                    rho, rdm, a, OracleConfig(seed=oseed + 1, **ESCALATED_CONFIG))
+            expected.append({
+                "trial": t, "seed": s, "dim": d, "map": name, "a": a,
+                "fixed": t % 10 == 0, "closed": r.value, "oracle": res.value,
+                "gap": res.gap_to_closed_form, "escalated": escalated,
+                "restarts_agreeing": res.restarts_agreeing,
+                "evaluations": res.evaluations, "iterations": res.iterations,
+                "stop_reason": res.stop_reason, "sigma_ok": _density_ok(r.sigma_star),
+                "sigma_fp_residual": r.fixed_point_residual,
+                "violation": abs(res.gap_to_closed_form) - GAP_TOL,
+            })
+    assert rep.records[0]["fixed"], "trial 0 must be a fixed-point trial"
+    assert len(rep.records) == len(expected) == trials * len(dims) * 5 * len(DEFAULT_A_GRID)
+    for got, want in zip(rep.records, expected):
+        assert list(got) == list(want)
+        for key in want:
+            assert got[key] == want[key], (key, got, want)
+
+
+def test_theorem1_logs_progress_per_dimension(caplog, capsys):
+    with caplog.at_level(logging.INFO, logger="rdmap.verify"):
+        suite_theorem1([2, 3], [2.0], trials=2, seed=7)
+    lines = [r.getMessage() for r in caplog.records if r.name == "rdmap.verify"]
+    assert [line.split(":")[0] for line in lines] == ["theorem1 d=2", "theorem1 d=3"]
+    assert all("10 problems" in line and "0 escalated" in line for line in lines)
+    # the library installs no handler, so nothing reaches stdout or stderr
+    assert not logging.getLogger("rdmap.verify").handlers
+    assert not logging.getLogger("rdmap").handlers
+    suite_theorem1([2], [2.0], trials=1, seed=7)
+    assert capsys.readouterr() == ("", "")
 
 
 def test_axioms_small_run():
