@@ -14,6 +14,15 @@ operators' joint eigenbasis W (its fixed points are their commutant), so it
 applies as W (mask o W^dag X W) W^dag in O(d^3) and certifies in O(n d^3)
 for n operators; see `_eigenbasis_form`.
 
+Every channel also offers `spectral_image(Y, p)`: E(Y)^p, or with p None the
+eigenvalues of E(Y), which is what the closed form needs of E.  By default it
+forms E(Y) densely and diagonalizes it (`linalg.matrix_power`,
+`linalg.eig_hermitian`).  A partition map's E(Y) is block diagonal in its
+basis, so it diagonalizes block by block: a kept singleton or a traced block
+is a scalar, and the kept blocks of each size n > 1 share one batched eigh,
+with the checks and the round-off rule of the dense path applied to the
+spectrum of all blocks together.
+
 The d^2 x d^2 superoperator (column-major vectorization, column (a, b) is
 vec E(|a><b|), S = sum_i conj(K_i) (x) K_i) is the canonical representation
 for map equality, since Kraus decompositions are not unique.  Both it and a
@@ -121,6 +130,15 @@ class QuantumChannel:
     def _act(self, A: np.ndarray) -> np.ndarray:
         return _kraus_act(self.kraus, A)
 
+    def spectral_image(self, Y: np.ndarray, p: float | None = None) -> np.ndarray:
+        """E(Y)^p, `linalg.matrix_power` of E(Y) with its checks and round-off
+        rule, or, when p is None, the eigenvalues of E(Y), as
+        `linalg.eig_hermitian` gives them.  Here E(Y) is formed densely."""
+        X = self.apply(Y)
+        if p is None:
+            return linalg.eig_hermitian(X).values
+        return linalg.matrix_power(X, p)
+
     def adjoint(self) -> "QuantumChannel":
         """The map with Kraus {K_i^dag}; unital iff self is trace preserving,
         trace preserving iff self is unital."""
@@ -153,6 +171,11 @@ def _kraus_act(ops, A: np.ndarray) -> np.ndarray:
     for K in ops:
         out += K @ A @ linalg.dagger(K)
     return out
+
+
+def _dagger(M: np.ndarray) -> np.ndarray:
+    """The conjugate transpose of each matrix in a (..., n, n) stack."""
+    return np.swapaxes(M, -1, -2).conj()
 
 
 def _kraus_tp_residual(ops) -> float:
@@ -221,6 +244,7 @@ class PartitionChannel(QuantumChannel):
         self._kraus = None
         self._superop = None
         self._residuals = None
+        self._layout = None
 
     @property
     def kraus(self) -> tuple:
@@ -257,6 +281,82 @@ class PartitionChannel(QuantumChannel):
             i = self._diag
             out[..., i, i] = A[..., i, i] @ self._avg
         return out
+
+    def _spectral_layout(self) -> tuple:
+        """(scalars, groups, at), built on first use: scalars lists the kept
+        singleton indices, then the traced ones in the order of `_avg`;
+        groups holds, per size n > 1, the kept blocks of that size as an
+        (m, n) index array; at holds the positions of their entries in a
+        flattened d x d matrix, the diagonal entries of scalars, then an
+        (m, n, n) array per group (take and put are cheaper than 2-d fancy
+        indexing)."""
+        if self._layout is None:
+            d = self._dim
+            kept = [b for b, t in zip(self.partition.blocks, self.traced) if not t]
+            singles = np.array([b[0] for b in kept if len(b) == 1], dtype=int)
+            scalars = np.concatenate([singles, self._diag])
+            sizes = sorted({len(b) for b in kept if len(b) > 1})
+            groups = tuple(np.array([b for b in kept if len(b) == n]) for n in sizes)
+            at = (scalars * (d + 1), tuple(i[:, :, None] * d + i[:, None, :] for i in groups))
+            self._layout = (scalars, groups, at)
+        return self._layout
+
+    def spectral_image(self, Y: np.ndarray, p: float | None = None) -> np.ndarray:
+        """E(Y)^p, or the eigenvalues of E(Y), from the blocks of
+        A = W^dag Y W: E(Y) = W P0(A) W^dag, and P0(A) is block diagonal.  A
+        kept singleton or a traced block has a scalar eigenvalue, a diagonal
+        entry of A or its block average; the kept blocks of each size n > 1
+        are diagonalized together, in one batched eigh.  The Hermiticity
+        residual ||P0(A) - P0(A)^dag||_F, and the NotPSD check and round-off
+        rule of `linalg.matrix_power`, apply to the spectrum of all blocks at
+        once.  With a basis the input costs one d x d product and the output
+        one; without one both are gathers and scatters, O(d^2 + sum n^3).
+        """
+        A = np.asarray(Y, dtype=complex)
+        d = self._dim
+        if A.shape != (d, d):
+            raise DimensionMismatch(f"matrix has shape {A.shape}, channel acts on {d}x{d}")
+        A = linalg.as_complex_matrix(A)
+        scalars, groups, (diag_at, block_at) = self._spectral_layout()
+        W = self._basis
+        if W is None:
+            diag = A.take(diag_at)
+            blocks = [A.take(at) for at in block_at]
+        else:
+            AW = A @ W
+            diag = np.einsum("ij,ij->j", W[:, scalars].conj(), AW[:, scalars])
+            # block b of W^dag A W is W[:, i[b]]^dag (A W)[:, i[b]]
+            blocks = [W[:, i].conj().transpose(1, 2, 0) @ AW[:, i].transpose(1, 0, 2)
+                      for i in groups]
+        t = self._diag.size
+        if t:
+            diag[-t:] = diag[-t:] @ self._avg
+        skew = 4.0 * (diag.imag @ diag.imag)
+        for B in blocks:
+            S = B - _dagger(B)
+            skew += np.vdot(S, S).real
+        linalg.check_hermitian(float(np.sqrt(skew)))
+        if p is None:
+            return np.concatenate([diag.real] + [np.linalg.eigvalsh(B).ravel() for B in blocks])
+        spectra = [np.linalg.eigh(B) for B in blocks]
+        values = np.concatenate([diag.real] + [w.ravel() for w, _ in spectra])
+        f = linalg.power_values(linalg.clip_spectrum(values), p)
+        if W is not None:
+            # E(Y)^p = U diag(f) U^dag for the eigenvectors U of E(Y): the
+            # scalar columns of W, then W[:, i[b]] V_b for each block b
+            cols = [W[:, scalars]]
+            for i, (_, V) in zip(groups, spectra):
+                cols.append((W[:, i].transpose(1, 0, 2) @ V).transpose(1, 0, 2).reshape(d, -1))
+            U = np.concatenate(cols, axis=1)
+            return (U * f) @ linalg.dagger(U)
+        X = np.zeros((d, d), dtype=complex)
+        k = scalars.size
+        X.put(diag_at, f[:k])
+        for at, (_, V) in zip(block_at, spectra):
+            m, n = at.shape[:2]
+            X.put(at, (V * f[k:k + m * n].reshape(m, 1, n)) @ _dagger(V))
+            k += m * n
+        return X
 
     def _block_residuals(self) -> tuple:
         """(trace preservation, idempotency) of P0, read off its
@@ -351,6 +451,9 @@ class ResourceDestroyingMap(QuantumChannel):
     def _act(self, A: np.ndarray) -> np.ndarray:
         return self.channel._act(A)
 
+    def spectral_image(self, Y: np.ndarray, p: float | None = None) -> np.ndarray:
+        return self.channel.spectral_image(Y, p)
+
     def trace_preserving_residual(self) -> float:
         return self.channel.trace_preserving_residual()
 
@@ -382,6 +485,13 @@ def certify_rdm(channel: QuantumChannel, descriptor: dict | None = None) -> Reso
     return ResourceDestroyingMap(channel, idem, unital, descriptor)
 
 
+def _check_matrix_dim(d: int) -> None:
+    """ValidationError, before anything of size d is built, for a dimension
+    whose d x d complex matrix no numpy array can hold."""
+    if d * d * np.dtype(complex).itemsize > np.iinfo(np.intp).max:
+        raise ValidationError(f"dimension {d} is too large for a {d}x{d} complex matrix")
+
+
 @dataclass(frozen=True)
 class MeasurementPartition:
     """A partition of the computational-basis indices {0,...,d-1} into blocks.
@@ -409,10 +519,12 @@ class MeasurementPartition:
 
     @classmethod
     def singletons(cls, dim: int) -> "MeasurementPartition":
+        _check_matrix_dim(dim)
         return cls(dim, [[i] for i in range(dim)])
 
     @classmethod
     def single_block(cls, dim: int) -> "MeasurementPartition":
+        _check_matrix_dim(dim)
         return cls(dim, [list(range(dim))])
 
     @property

@@ -20,6 +20,7 @@ PSD_TOL = 1e-10
 TRACE_TOL = 1e-10
 #: relative spectral cutoff below which an eigenvalue counts as zero
 SUPPORT_CUTOFF = 1e-12
+_EPS = np.finfo(float).eps
 
 
 class Eigensystem(NamedTuple):
@@ -42,7 +43,7 @@ def as_complex_matrix(M) -> np.ndarray:
     A = np.asarray(M, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    if not np.all(np.isfinite(A.real)) or not np.all(np.isfinite(A.imag)):
+    if not np.isfinite(A).all():
         raise ValueError("matrix has non-finite entries")
     return A
 
@@ -57,27 +58,43 @@ def eig_hermitian(M: np.ndarray) -> Eigensystem:
     Raises NonHermitian if the symmetry residual exceeds 1e-10.  Eigenvalues
     come back ascending; no phase convention is imposed on the eigenvectors.
     """
-    A = as_complex_matrix(M)
-    res = hermiticity_residual(A)
-    if res > HERMITIAN_TOL:
-        raise NonHermitian(f"Hermiticity residual {res:.3e} exceeds {HERMITIAN_TOL:.0e}")
+    return _eigh(as_complex_matrix(M))
+
+
+def _eigh(A: np.ndarray) -> Eigensystem:
+    """`eig_hermitian` of an array that `as_complex_matrix` already returned."""
+    check_hermitian(hermiticity_residual(A))
     values, vectors = np.linalg.eigh(A)
     return Eigensystem(values, vectors)
 
 
-def _clipped_spectrum(M: np.ndarray) -> Eigensystem:
-    """Eigensystem with round-off negatives clipped to 0; NotPSD below -1e-10."""
-    values, vectors = eig_hermitian(M)
-    if values[0] < -PSD_TOL:
-        raise NotPSD(f"minimum eigenvalue {values[0]:.3e} below -{PSD_TOL:.0e}")
-    return Eigensystem(np.maximum(values, 0.0), vectors)
+def check_hermitian(residual: float) -> None:
+    """NonHermitian when a Hermiticity residual exceeds 1e-10."""
+    if residual > HERMITIAN_TOL:
+        raise NonHermitian(f"Hermiticity residual {residual:.3e} exceeds {HERMITIAN_TOL:.0e}")
+
+
+def clip_spectrum(values: np.ndarray) -> np.ndarray:
+    """Eigenvalues, in any order, with round-off negatives clipped to 0;
+    NotPSD below -1e-10."""
+    lo = values.min()
+    if lo < -PSD_TOL:
+        raise NotPSD(f"minimum eigenvalue {lo:.3e} below -{PSD_TOL:.0e}")
+    return np.maximum(values, 0.0)
+
+
+def _clipped_spectrum(A: np.ndarray) -> Eigensystem:
+    """Eigensystem of a coerced array with round-off negatives clipped to 0;
+    NotPSD below -1e-10."""
+    values, vectors = _eigh(A)
+    return Eigensystem(clip_spectrum(values), vectors)
 
 
 def roundoff_level(values: np.ndarray) -> np.ndarray:
     """eigh's round-off level d * eps * lambda_max for ascending eigenvalues
     along the last axis, with a trailing axis so that it broadcasts against
     them.  A computed eigenvalue at or below it is indistinguishable from 0."""
-    return values.shape[-1] * np.finfo(float).eps * np.maximum(values[..., -1:], 0.0)
+    return values.shape[-1] * _EPS * np.maximum(values[..., -1:], 0.0)
 
 
 def matrix_power(M: np.ndarray, p: float) -> np.ndarray:
@@ -89,24 +106,32 @@ def matrix_power(M: np.ndarray, p: float) -> np.ndarray:
     taken on the support only (eigenvalues at or below the relative cutoff
     map to 0), i.e. a pseudo-power M^p restricted to range(M).
     """
-    return spectral_power(_clipped_spectrum(M), p)
+    return spectral_power(_clipped_spectrum(as_complex_matrix(M)), p)
 
 
 def spectral_power(spectrum: Eigensystem, p: float) -> np.ndarray:
     """`matrix_power` from an already clipped eigensystem."""
     values, vectors = spectrum
-    if p > 0:
-        pos = values > roundoff_level(values)
-    else:
-        pos = values > SUPPORT_CUTOFF * max(float(values[-1]), 0.0)
+    return (vectors * power_values(values, p)) @ dagger(vectors)
+
+
+def power_values(values: np.ndarray, p: float) -> np.ndarray:
+    """`matrix_power`'s map on the clipped eigenvalues of one matrix, all of
+    them, in any order: values ** p, with 0 for the eigenvalues that p > 0
+    takes as round-off (at or below d * eps * lambda_max, d = values.size)
+    and that p <= 0 takes as outside the support (at or below 1e-12 *
+    lambda_max)."""
+    top = max(float(values.max()), 0.0)
+    cut = values.size * _EPS * top if p > 0 else SUPPORT_CUTOFF * top
     out = np.zeros_like(values)
+    pos = values > cut
     out[pos] = values[pos] ** p
-    return (vectors * out) @ dagger(vectors)
+    return out
 
 
 def matrix_log(M: np.ndarray) -> np.ndarray:
     """Spectral log of a PSD matrix on its support; zero eigenvalues are skipped."""
-    values, vectors = _clipped_spectrum(M)
+    values, vectors = _clipped_spectrum(as_complex_matrix(M))
     cut = SUPPORT_CUTOFF * max(float(values[-1]), 0.0)
     out = np.zeros_like(values)
     pos = values > cut
@@ -144,9 +169,7 @@ def validate_density(M) -> np.ndarray:
     and the measured residual.
     """
     A = as_complex_matrix(M)
-    res = hermiticity_residual(A)
-    if res > HERMITIAN_TOL:
-        raise NonHermitian(f"Hermiticity residual {res:.3e} exceeds {HERMITIAN_TOL:.0e}")
+    check_hermitian(hermiticity_residual(A))
     lo = float(np.linalg.eigvalsh(A)[0])
     if lo < -PSD_TOL:
         raise NotPSD(f"minimum eigenvalue {lo:.3e} below -{PSD_TOL:.0e}")
@@ -154,11 +177,11 @@ def validate_density(M) -> np.ndarray:
     return A
 
 
-def density_spectrum(M: np.ndarray) -> Eigensystem:
-    """`validate_density` and `_clipped_spectrum` on one eigh: the checks,
-    tolerances and errors of the former, in its order, then the eigensystem
-    with round-off negatives clipped to 0."""
-    A = as_complex_matrix(M)
+def density_spectrum(A: np.ndarray) -> Eigensystem:
+    """`validate_density` and `_clipped_spectrum` on one eigh, for an array
+    that `as_complex_matrix` already returned: the checks, tolerances and
+    errors of the former, in its order, then the eigensystem with round-off
+    negatives clipped to 0."""
     spectrum = _clipped_spectrum(A)
     _check_trace(A)
     return spectrum

@@ -8,6 +8,13 @@ has a closed form, so no optimizer is involved: for a != 1
 
 attained at sigma* = (E(rho^a))^{1/a} / N; at a = 1 the value is
 S(E(rho)) - S(rho) with sigma* = E(rho).  Entropies are in nats.
+
+E(rho^a) is block diagonal in the map's own basis, so a partition map takes
+the 1/a-th power, and the spectrum of E(rho) at a = 1, block by block
+(`QuantumChannel.spectral_image`).  For coherence this is Zhao et al.'s
+Tsallis measure, N = sum_i <i|rho^a|i>^{1/a}, a sum over the diagonal.  The
+round-off rule is global: an eigenvalue of E(rho^a) at or below
+d * eps * lambda_max, with lambda_max taken over every block, counts as 0.
 """
 
 from __future__ import annotations
@@ -90,11 +97,16 @@ class MeasureReport:
 def closed_form_measure(rho: np.ndarray, rdm: ResourceDestroyingMap, a: float) -> MeasureReport:
     """Distance from rho to Fix(E) without optimization.
 
-    Evaluates the closed form literally: rho^a, one application of E, the
-    1/a-th power, and a trace.  The a = 1 branch is exact, not a numerical
-    limit; callers wanting stability at |a - 1| < 1e-6 must request a = 1
-    explicitly.  One eigendecomposition of rho serves its validation and
-    rho^a (or S(rho)).
+    Evaluates the closed form literally: rho^a, the 1/a-th power of its image
+    under E, and a trace.  rho is coerced and checked once, and one
+    eigendecomposition of rho serves its validation and rho^a (or S(rho)).
+    The power of E(rho^a), and at a = 1 the spectrum of E(rho) for
+    S(E(rho)), come from `spectral_image`: a partition map takes them on
+    its blocks, with no d x d eigh, and other maps on the dense image.
+    Either way an eigenvalue at or below d * eps * lambda_max, lambda_max
+    the largest eigenvalue of the whole image, counts as 0 in the power.
+    The a = 1 branch is exact, not a numerical limit; callers wanting
+    stability at |a - 1| < 1e-6 must request a = 1 explicitly.
     """
     a = validate_order(a)
     A = linalg.as_complex_matrix(rho)
@@ -105,10 +117,10 @@ def closed_form_measure(rho: np.ndarray, rdm: ResourceDestroyingMap, a: float) -
         )
     if a == 1.0:
         sigma_star = rdm.apply(A)
-        value = von_neumann_entropy(sigma_star) - _entropy(spectrum.values)
+        value = _entropy(rdm.spectral_image(A)) - _entropy(spectrum.values)
         N = 1.0
     else:
-        X = linalg.matrix_power(rdm.apply(linalg.spectral_power(spectrum, a)), 1.0 / a)
+        X = rdm.spectral_image(linalg.spectral_power(spectrum, a), 1.0 / a)
         N = float(np.trace(X).real)
         value = (N - 1.0) / (a - 1.0)
         sigma_star = X / N

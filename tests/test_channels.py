@@ -23,12 +23,15 @@ from rdmap.channels import (
 )
 from rdmap.errors import (
     DimensionMismatch,
+    NonHermitian,
     NotAGroup,
     NotFineGrained,
     NotIdempotent,
+    NotPSD,
     NotUnitary,
     ValidationError,
 )
+from rdmap.measures import von_neumann_entropy
 from rdmap.verify import random_partition
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -57,6 +60,13 @@ def test_partition_refuses_huge_dim_without_building_it():
     # an index list of 10^12 entries cannot be built; the count alone refuses it
     with pytest.raises(ValidationError):
         MeasurementPartition(10**12, [[0]])
+    # nor can a 10^12 x 10^12 matrix, so a partition drawn from the dim alone
+    # is refused before its index list is built (list(range(10**12)), which
+    # the check replaces, fails at once too, with a bare MemoryError)
+    for build in (MeasurementPartition.single_block, mixing_map,
+                  lambda d: map_from_json({"type": "mixing", "dim": d})):
+        with pytest.raises(ValidationError):
+            build(10**12)
 
 
 def test_partition_helpers():
@@ -338,6 +348,76 @@ def test_commuting_kraus_that_is_not_idempotent():
     ops = conjugated(V, [np.sqrt(0.7) * np.eye(2), np.sqrt(0.3) * Z])
     with pytest.raises(NotIdempotent):
         map_from_json(kraus_json(ops))
+
+
+A_GRID = (0.3, 0.5, 0.8, 1.0, 1.2, 1.5, 2.0)
+
+
+def spectral_maps(d, rng):
+    """Every built-in family at d, a coarse partition of random blocks, and
+    Lueders projectors in a random basis given as commuting Kraus input:
+    partition maps without a basis and with one (the cyclic twirl's, or the
+    Kraus operators' joint eigenbasis, whose blocks are not singletons)."""
+    coarse = random_partition(d, rng, coarse=True)
+    V = random_unitary(d, rng)
+    return [dephasing_map(MeasurementPartition.singletons(d)), lueders_map(coarse),
+            modified_coarse_map(coarse), cyclic_twirl(d), mixing_map(d),
+            map_from_json(kraus_json(conjugated(V, coarse.projectors())))]
+
+
+def assert_spectral_image_is_dense(rdm, rho):
+    """spectral_image against E(Y) formed densely: matrix_power of it for
+    every order's power 1/a of Y = rho^a, and its spectrum and entropy."""
+    for a in A_GRID:
+        if a == 1.0:
+            got = rdm.spectral_image(rho)
+            want = linalg.eig_hermitian(rdm.apply(rho)).values
+            assert got.shape == want.shape
+            assert np.abs(np.sort(got) - want).max() <= 1e-12
+            assert abs(von_neumann_entropy(np.diag(got))
+                       - von_neumann_entropy(rdm.apply(rho))) <= 1e-12
+        else:
+            Y = linalg.matrix_power(rho, a)
+            want = linalg.matrix_power(rdm.apply(Y), 1.0 / a)
+            assert np.abs(rdm.spectral_image(Y, 1.0 / a) - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 8, 16, 32, 64])
+def test_spectral_image_matches_dense_power(d):
+    rng = np.random.default_rng(100 + d)
+    for rdm in spectral_maps(d, rng):
+        assert isinstance(rdm.channel, PartitionChannel)
+        for rank in sorted({d, max(1, d // 2), 1}):
+            rho = linalg.random_density_matrix(d, rank, seed=int(rng.integers(2**31)))
+            assert_spectral_image_is_dense(rdm, rho)
+
+
+def test_spectral_image_keeps_the_dense_checks():
+    """ValueError on non-finite input, NonHermitian when E(Y) is not
+    Hermitian and NotPSD when it is genuinely negative, on the blocks as on
+    the dense image; a non-Hermitian part that E removes is no error on
+    either path."""
+    for d in (2, 4, 8):
+        rng = np.random.default_rng(20 + d)
+        rho = linalg.random_density_matrix(d, d, seed=d)
+        for rdm in spectral_maps(d, rng):
+            for E in (rdm, QuantumChannel(rdm.kraus)):
+                for p in (None, 0.5):
+                    with pytest.raises(ValueError):
+                        E.spectral_image(np.full((d, d), np.nan), p)
+                    with pytest.raises(NonHermitian):
+                        E.spectral_image(rho + 1e-6j * np.eye(d), p)
+                with pytest.raises(NotPSD):
+                    E.spectral_image(-np.eye(d) / d, 0.5)
+                assert np.abs(E.spectral_image(-np.eye(d) / d) + 1.0 / d).max() <= 1e-12
+            with pytest.raises(DimensionMismatch):
+                rdm.spectral_image(np.eye(d + 1), 0.5)
+        # a real antisymmetric part has a zero diagonal, which dephasing keeps
+        skew = rng.standard_normal((d, d))
+        lost = rho + 1e-6 * (skew - skew.T)
+        deph = dephasing_map(MeasurementPartition.singletons(d))
+        want = QuantumChannel(deph.kraus).spectral_image(lost, 0.5)
+        assert np.abs(deph.spectral_image(lost, 0.5) - want).max() <= 1e-12
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

@@ -2,15 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rdmap import linalg
 from rdmap.channels import (
     MeasurementPartition,
+    PartitionChannel,
+    QuantumChannel,
+    certify_rdm,
     cyclic_twirl,
     dephasing_map,
     lueders_map,
     mixing_map,
     modified_coarse_map,
+    twirling_map,
 )
 from rdmap.errors import InfiniteValue, ValidationError
 from rdmap.measures import (
@@ -22,6 +28,7 @@ from rdmap.measures import (
     von_neumann_entropy,
     validate_order,
 )
+from rdmap.verify import random_partition
 
 PLUS = np.full((2, 2), 0.5, dtype=complex)
 A_GRID = (0.3, 0.5, 0.8, 1.0, 1.2, 1.5, 2.0)
@@ -217,6 +224,63 @@ def test_partition_maps_at_d64():
                 assert rep.fixed_point_residual <= 1e-8
                 direct = tsallis_relative_entropy(rho, rep.sigma_star, a)
                 assert rep.value == pytest.approx(direct, abs=1e-9)
+
+
+def test_lueders_pure_state_gap_at_roundoff():
+    # the block sizes of the benchmark's coarse partitions; a pure state
+    # leaves round-off eigenvalues in E(rho^a), which must not survive the
+    # power (1/a = 0.5 would lift 1e-17 to 3e-9)
+    rng = np.random.default_rng(2)
+    for sizes in ((2, 2), (4, 2, 2), (8, 4, 4), (16, 8, 8)):
+        d = sum(sizes)
+        blocks = np.split(rng.permutation(d), np.cumsum(sizes)[:-1])
+        rdm = lueders_map(MeasurementPartition(d, blocks))
+        rho = linalg.random_density_matrix(d, 1, seed=d)
+        rep = closed_form_measure(rho, rdm, 2.0)
+        assert abs(rep.value - tsallis_relative_entropy(rho, rep.sigma_star, 2.0)) <= 1e-12
+
+
+def test_non_abelian_twirl_keeps_the_dense_closed_form():
+    """The twirl over Pauli (x) I_2 is a Kraus sum, and its closed form is
+    the dense one: matrix_power of E(rho^a), and S(E(rho)) at a = 1."""
+    X = np.array([[0, 1], [1, 0]], dtype=complex)
+    Z = np.diag([1.0, -1.0]).astype(complex)
+    paulis = (np.eye(2), X, 1j * X @ Z, Z)
+    rdm = twirling_map([np.kron(P, np.eye(2)) for P in paulis])
+    assert type(rdm.channel) is QuantumChannel
+    rho = linalg.random_density_matrix(4, 4, seed=9)
+    for a in A_GRID:
+        if a == 1.0:
+            want = von_neumann_entropy(rdm.apply(rho)) - von_neumann_entropy(rho)
+        else:
+            X_ = linalg.matrix_power(rdm.apply(linalg.matrix_power(rho, a)), 1.0 / a)
+            want = (np.trace(X_).real - 1.0) / (a - 1.0)
+        assert closed_form_measure(rho, rdm, a).value == want
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 12), st.booleans(), st.integers(0, 2**32 - 1))
+def test_blockwise_closed_form_equals_dense(d, with_basis, seed):
+    """A random partition with a random mix of kept and traced blocks, in the
+    computational basis or a random one, on a state of random rank: the
+    closed form taken on the blocks equals the one on the same map given as
+    a Kraus sum, whose image is formed densely."""
+    rng = np.random.default_rng(seed)
+    part = random_partition(d, rng, coarse=bool(rng.integers(2)))
+    traced = rng.integers(0, 2, len(part.blocks))
+    basis = None
+    if with_basis:
+        Q, R = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        basis = Q * (np.diag(R) / np.abs(np.diag(R)))
+    rdm = certify_rdm(PartitionChannel(part, traced, basis=basis))
+    dense = certify_rdm(QuantumChannel(rdm.kraus))
+    rho = linalg.random_density_matrix(d, int(rng.integers(1, d + 1)), seed=seed % 2**31)
+    for a in A_GRID:
+        got = closed_form_measure(rho, rdm, a)
+        want = closed_form_measure(rho, dense, a)
+        assert abs(got.value - want.value) <= 1e-12 * max(1.0, abs(want.value))
+        assert abs(got.N - want.N) <= 1e-12 * want.N
+        assert np.abs(got.sigma_star - want.sigma_star).max() <= 1e-12
 
 
 def test_closed_form_rejects_bad_inputs():

@@ -228,6 +228,9 @@ def test_counters_report_the_work_done(monkeypatch):
     assert loose.iterations < 2 * 2000
 
 
+# closed_form_measure still divides by N = 0 on this uncertified map and warns
+# (ROADMAP item 7, "Edges"); it should raise instead
+@pytest.mark.filterwarnings("ignore:invalid value encountered in divide:RuntimeWarning")
 def test_oracle_flags_all_infinite_objective():
     # a map built by hand (skipping certification) whose only reachable state
     # has disjoint support from rho: every evaluation is +inf
