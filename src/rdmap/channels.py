@@ -504,7 +504,13 @@ class MeasurementPartition:
     blocks: tuple
 
     def __init__(self, dim: int, blocks: Iterable[Iterable[int]]):
-        normalized = tuple(tuple(sorted(int(i) for i in b)) for b in blocks)
+        dim = linalg.as_integer(dim, "partition dim")
+        try:
+            normalized = tuple(tuple(sorted(linalg.as_integer(i, "a partition index")
+                                            for i in b)) for b in blocks)
+        except TypeError:
+            raise ValidationError(
+                "a partition is a list of blocks, each a list of indices") from None
         seen = [i for b in normalized for i in b]
         if any(len(b) == 0 for b in normalized):
             raise ValidationError("partition blocks must be nonempty")
@@ -514,7 +520,7 @@ class MeasurementPartition:
             raise ValidationError(
                 f"blocks must disjointly cover 0..{dim - 1}, got {normalized}"
             )
-        object.__setattr__(self, "dim", int(dim))
+        object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "blocks", normalized)
 
     @classmethod
@@ -818,27 +824,28 @@ def map_from_json(obj: dict) -> ResourceDestroyingMap:
     """
     try:
         kind = obj["type"]
-        d = int(obj["dim"])
-    except (KeyError, TypeError, ValueError) as exc:
+        d = obj["dim"]
+    except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed map object: {exc}") from None
+    if not isinstance(kind, str):
+        raise ValidationError(f"map type must be a string, got {repr(kind):.60}")
+    d = linalg.as_integer(d, "map dim")
+    key = {"dephasing": "partition", "lueders": "partition", "modified": "partition",
+           "twirl": "unitaries", "kraus": "operators"}.get(kind)
+    if key is not None and not isinstance(obj.get(key), list):
+        raise ValidationError(f"map type {kind!r} needs {key} as a list")
     if kind in ("dephasing", "lueders", "modified"):
-        if "partition" not in obj:
-            raise ValidationError(f"map type {kind!r} needs a partition")
         partition = MeasurementPartition(d, obj["partition"])
         builder = {"dephasing": dephasing_map, "lueders": lueders_map,
                    "modified": modified_coarse_map}[kind]
         return builder(partition)
     if kind == "twirl":
-        if "unitaries" not in obj:
-            raise ValidationError("map type 'twirl' needs unitaries")
         unitaries = [linalg.matrix_from_json(u) for u in obj["unitaries"]]
         _check_declared_dim(d, unitaries)
         return twirling_map(unitaries)
     if kind == "mixing":
         return mixing_map(d)
     if kind == "kraus":
-        if "operators" not in obj:
-            raise ValidationError("map type 'kraus' needs operators")
         ops = [linalg.matrix_from_json(k) for k in obj["operators"]]
         _check_declared_dim(d, ops)
         if not ops:

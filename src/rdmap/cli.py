@@ -146,8 +146,8 @@ def _load_map(path: str, d: int):
     built; map_from_json reports a missing or malformed dim."""
     obj = _load_json(path)
     try:
-        declared = int(obj["dim"])
-    except (KeyError, TypeError, ValueError):
+        declared = linalg.as_integer(obj["dim"], "map dim")
+    except (KeyError, TypeError, ValidationError):
         declared = d
     if declared != d:
         raise DimensionMismatch(

@@ -9,17 +9,23 @@ is dense complex128.
 
 from __future__ import annotations
 
+import math
+import numbers
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BadRank, NonHermitian, NotPSD, TraceNotOne
+from .errors import BadRank, NonHermitian, NotPSD, TraceNotOne, ValidationError
 
 HERMITIAN_TOL = 1e-10
 PSD_TOL = 1e-10
 TRACE_TOL = 1e-10
 #: relative spectral cutoff below which an eigenvalue counts as zero
 SUPPORT_CUTOFF = 1e-12
+#: largest entry magnitude a wire-format matrix may hold: states, unitaries
+#: and trace-preserving Kraus operators have entries of magnitude <= 1, and
+#: anything far above would overflow the checks that refuse it
+WIRE_ENTRY_MAX = 1e6
 _EPS = np.finfo(float).eps
 
 
@@ -199,8 +205,23 @@ def matrix_to_json(M: np.ndarray) -> dict:
     return {"re": A.real.tolist(), "im": A.imag.tolist()}
 
 
+def as_integer(value, what: str) -> int:
+    """An integral number (2 or 2.0, as JSON may carry it) as an int.
+
+    Anything else, a bool, a non-integral or non-finite float, a string or
+    a list, is a ValidationError rather than a silent truncation.
+    """
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value) and float(value).is_integer()):
+        return int(value)
+    raise ValidationError(f"{what} must be an integer, got {repr(value):.60}")
+
+
 def matrix_from_json(obj: dict) -> np.ndarray:
-    """Decode the {"re", "im"} wire format back into a complex matrix."""
+    """Decode the {"re", "im"} wire format back into a complex matrix, with
+    entries of magnitude at most WIRE_ENTRY_MAX."""
     try:
         re = np.asarray(obj["re"], dtype=float)
         im = np.asarray(obj["im"], dtype=float)
@@ -208,4 +229,8 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         raise ValueError(f"malformed matrix object: {exc}") from None
     if re.shape != im.shape:
         raise ValueError(f"re/im shapes differ: {re.shape} vs {im.shape}")
-    return as_complex_matrix(re + 1j * im)
+    A = as_complex_matrix(re + 1j * im)
+    if A.size and np.abs(A).max() > WIRE_ENTRY_MAX:
+        raise ValidationError(
+            f"matrix entry of magnitude {np.abs(A).max():.3e} exceeds {WIRE_ENTRY_MAX:.0e}")
+    return A

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import linalg
 from .channels import ResourceDestroyingMap
-from .errors import DimensionMismatch, InfiniteValue, ValidationError
+from .errors import CertificationError, DimensionMismatch, InfiniteValue, ValidationError
 
 ENTROPY_CUTOFF = 1e-12
 SUPPORT_LEAK_TOL = 1e-10
@@ -94,6 +94,16 @@ class MeasureReport:
     fixed_point_residual: float
 
 
+def _check_image_trace(trace: float, a: float) -> None:
+    """CertificationError when the image of rho^a under E, raised to 1/a,
+    has no positive trace, which a trace-preserving map cannot produce:
+    sigma* would be 0 / 0."""
+    if not trace > 0.0:
+        what = "E(rho)" if a == 1.0 else f"E(rho^{a:g})^(1/{a:g})"
+        raise CertificationError(
+            f"Tr {what} = {trace:.3e}: the map is not trace preserving on this state")
+
+
 def closed_form_measure(rho: np.ndarray, rdm: ResourceDestroyingMap, a: float) -> MeasureReport:
     """Distance from rho to Fix(E) without optimization.
 
@@ -105,6 +115,8 @@ def closed_form_measure(rho: np.ndarray, rdm: ResourceDestroyingMap, a: float) -
     its blocks, with no d x d eigh, and other maps on the dense image.
     Either way an eigenvalue at or below d * eps * lambda_max, lambda_max
     the largest eigenvalue of the whole image, counts as 0 in the power.
+    A map that is not trace preserving (only an uncertified one) can send
+    rho^a to zero trace; that raises CertificationError with the trace.
     The a = 1 branch is exact, not a numerical limit; callers wanting
     stability at |a - 1| < 1e-6 must request a = 1 explicitly.
     """
@@ -117,11 +129,13 @@ def closed_form_measure(rho: np.ndarray, rdm: ResourceDestroyingMap, a: float) -
         )
     if a == 1.0:
         sigma_star = rdm.apply(A)
+        _check_image_trace(float(np.trace(sigma_star).real), a)
         value = _entropy(rdm.spectral_image(A)) - _entropy(spectrum.values)
         N = 1.0
     else:
         X = rdm.spectral_image(linalg.spectral_power(spectrum, a), 1.0 / a)
         N = float(np.trace(X).real)
+        _check_image_trace(N, a)
         value = (N - 1.0) / (a - 1.0)
         sigma_star = X / N
     residual = linalg.frobenius(rdm.apply(sigma_star) - sigma_star)

@@ -1,10 +1,16 @@
 """Brute-force minimization oracle for certifying the closed form.
 
 Minimizes S~_a(rho|sigma) over sigma in Fix(E) by derivative-free search on
-an unconstrained parameterization of the fixed points.  Idempotency makes
-sigma = E(tau) surjective onto Fix(E) as tau ranges over all states, so a
-full d x d Ginibre-style factor G with tau = GG^dag / Tr(GG^dag) reaches
-every candidate.  The search path shares nothing with the closed-form
+an unconstrained parameterization of the fixed points.  For a unital,
+trace-preserving, idempotent E, Fix(E) = range(S) is a *-algebra (the
+commutant of the Kraus operators), so every free state is GG^dag / Tr(GG^dag)
+for some G in Fix(E), e.g. G = sigma^{1/2}.  The search therefore runs over
+the complex coordinates of G in a Hilbert-Schmidt-orthonormal basis
+B_1..B_r of range(S), taken from the SVD of the superoperator: 2r real
+parameters, r = dim Fix(E) (d for dephasing and the cyclic twirl, 1 for
+complete mixing), instead of the 2d^2 of a full d x d factor.  Every
+candidate is still mapped through E, so it is a fixed point by
+construction.  The search path shares nothing with the closed-form
 evaluation; agreement between the two is evidence, not circularity.
 """
 
@@ -52,8 +58,10 @@ class OracleResult:
     """The minimum found, its gap to the closed form, and the work it took:
     evaluations counts the points scored over every restart and both passes,
     iterations the simplex iterations of the winning restart (both passes),
-    and stop_reason says why the winning restart's last simplex stopped,
-    "tolerance" or "iteration_cap"."""
+    stop_reason says why the winning restart's last simplex stopped,
+    "tolerance" or "iteration_cap", and cap_hits counts the simplices, over
+    every restart and both passes, that stopped at the iteration cap.
+    free_dim is r = dim Fix(E); the search ran over 2r real parameters."""
 
     value: float
     sigma_min: np.ndarray
@@ -62,27 +70,53 @@ class OracleResult:
     evaluations: int
     iterations: int
     stop_reason: str
+    cap_hits: int
+    free_dim: int
 
 
-def parameterize_free_state(x: np.ndarray, rdm: ResourceDestroyingMap) -> np.ndarray:
-    """Map a real vector of length 2d^2 to a fixed point of the channel.
+def free_algebra_basis(rdm: ResourceDestroyingMap) -> np.ndarray:
+    """A Hilbert-Schmidt-orthonormal basis B_1..B_r of range(S) = Fix(E), as
+    an (r, d, d) stack.
 
-    x packs Re(G) then Im(G); tau = GG^dag / Tr(GG^dag), falling back to the
-    maximally mixed state when the trace underflows, and the output is E(tau).
-    Redundant (many x per sigma) but unconstrained and map-agnostic.
+    The left singular vectors of the superoperator whose singular values
+    pass numpy's matrix_rank rule (above s_max * d^2 * eps), so r is the
+    numerical rank of S.
     """
     d = rdm.dim
-    z = np.asarray(x, dtype=float)
-    if z.size != 2 * d * d:
-        raise ValidationError(f"expected {2 * d * d} parameters, got {z.size}")
-    G = (z[: d * d] + 1j * z[d * d :]).reshape(d, d)
-    gram = G @ G.conj().T
-    tr = float(gram.trace().real)
+    U, s, _ = np.linalg.svd(rdm.superop)
+    r = int(np.count_nonzero(s > s[0] * d * d * np.finfo(float).eps))
+    if r == 0:
+        raise ValidationError("the map has no nonzero fixed point")
+    # columns of U are column-stacked matrices
+    return U[:, :r].T.reshape(r, d, d).transpose(0, 2, 1)
+
+
+def _free_state(x: np.ndarray, basis: np.ndarray, rdm: ResourceDestroyingMap) -> np.ndarray:
+    r, d, _ = basis.shape
+    G = np.tensordot(x[:r] + 1j * x[r:], basis, axes=1)
+    tr = float(x @ x)  # Tr GG^dag = |c|^2, the basis being orthonormal
     if tr < 1e-14:
         tau = np.eye(d, dtype=complex) / d
     else:
-        tau = gram / tr
+        tau = G @ G.conj().T / tr
     return rdm.apply(tau)
+
+
+def parameterize_free_state(x: np.ndarray, rdm: ResourceDestroyingMap) -> np.ndarray:
+    """Map a real vector of length 2r, r = dim Fix(E), to a fixed point of
+    the channel.
+
+    x packs Re(c) then Im(c), the coordinates of G = sum_j c_j B_j in the
+    basis of free_algebra_basis(rdm); tau = GG^dag / Tr(GG^dag), falling
+    back to the maximally mixed state when the trace underflows, and the
+    output is E(tau).  Unconstrained and onto the free states: sigma is
+    reached at the coordinates of sigma^{1/2}.
+    """
+    basis = free_algebra_basis(rdm)
+    z = np.asarray(x, dtype=float).ravel()
+    if z.size != 2 * len(basis):
+        raise ValidationError(f"expected {2 * len(basis)} parameters, got {z.size}")
+    return _free_state(z, basis, rdm)
 
 
 def _lockstep_simplex(f, x0: np.ndarray, tol: np.ndarray, max_iterations: np.ndarray,
@@ -192,66 +226,74 @@ def simplex_minimize(f, x0: np.ndarray, config: OracleConfig,
     return x[0], float(fx[0])
 
 
-def _free_state_objective(problems):
-    """Objective (X, rows) -> S~_a(rho | parameterize_free_state(x)) over a
-    stack of points, each scored for its own problem (rho, rdm, a).
+def _free_state_objective(problems, bases):
+    """Objective (X, rows) -> S~_a(rho | sigma(x)) over a stack of points,
+    each scored for its own problem (rho, rdm, a), with sigma(x) as in
+    parameterize_free_state over that problem's basis (bases[i], the
+    free_algebra_basis of its map).
 
-    Hot path for the search: one stacked superoperator matvec and one
-    stacked eigh per call, with the entropy assembled from eigenvector
-    weights instead of full matrix powers; masks select the a < 1, a = 1 and
-    a > 1 branches and the +inf support barrier.  Mirrors
-    tsallis_relative_entropy's support conventions and matrix_power's
-    round-off rule exactly; a unit test pins the two together to 1e-12.
-    Every problem must have the same dimension.
+    Hot path for the search, built for few numpy calls per stack: G from
+    the coordinates in one product, E(GG^dag) in one superoperator product
+    on row-major flattened matrices, one stacked eigh, and the entropy from
+    eigenvector weights instead of full matrix powers.  sigma = E(GG^dag) /
+    Tr(GG^dag) shares the eigenvectors of E(GG^dag), so the trace divides
+    only the eigenvalues.  Masks select the a < 1, a = 1 and a > 1 branches
+    and the +inf support barrier.  Mirrors tsallis_relative_entropy's
+    support conventions and matrix_power's round-off rule exactly; a unit
+    test pins the two together to 1e-12.  Every problem must have the same
+    dimension and the same r.
     """
-    d = problems[0][1].dim
-    if any(rdm.dim != d for _, rdm, _ in problems):
-        raise ValidationError("problems solved together must share one dimension")
-    S = np.stack([rdm.superop for _, rdm, _ in problems])
-    A = np.stack([np.asarray(rho, dtype=complex) for rho, _, _ in problems])
+    if len({B.shape for B in bases}) != 1:
+        raise ValidationError("problems scored together must share one dimension and one r")
+    r, d, _ = bases[0].shape
+    # real coordinates x -> G = x @ [B; iB], G flattened row-major
+    Bx = np.stack([np.concatenate([B, 1j * B]).reshape(2 * r, d * d) for B in bases])
+    # the superoperator acting on row-major rather than column-stacked
+    # flattenings: the two orders differ by the transpose permutation
+    flip = np.arange(d * d).reshape(d, d).T.ravel()
+    S = np.stack([rdm.superop[np.ix_(flip, flip)] for _, rdm, _ in problems])
     a = np.array([float(a) for _, _, a in problems])
     one = a == 1.0
-    # A for the a = 1 branch, rho^a otherwise; base = Tr rho ln rho at a = 1
-    M = np.stack([Ai if a1 else linalg.matrix_power(Ai, ai)
-                  for Ai, ai, a1 in zip(A, a, one)])
-    base = np.array([float(np.trace(Ai @ linalg.matrix_log(Ai)).real) if a1 else 0.0
-                     for Ai, a1 in zip(A, one)])
+    A = [np.asarray(rho, dtype=complex) for rho, _, _ in problems]
+    # rho for the support leak, and rho^a (rho at a = 1) for the entropy
+    AM = np.stack([[Ai, Ai if a1 else linalg.matrix_power(Ai, ai)]
+                   for Ai, ai, a1 in zip(A, a, one)])
+    rho_ln_rho = [float(np.trace(Ai @ linalg.matrix_log(Ai)).real) if a1 else 0.0
+                  for Ai, a1 in zip(A, one)]
+    # per problem: a < 1, a = 1, 1 - a, 1 / a, the denominator a - 1 (1 at
+    # a = 1) and Tr rho ln rho at a = 1 (0 otherwise)
+    params = np.stack([a < 1.0, one, 1.0 - a, 1.0 / a, np.where(one, 1.0, a - 1.0), rho_ln_rho],
+                      axis=1)
     mixed = np.eye(d, dtype=complex) / d
     # the initial simplex and shrink steps score n or n + 1 points per
-    # problem at once; scoring them in chunks keeps the gathered
-    # superoperators within 256 KiB
-    chunk = max(1, 2**18 // S[0].nbytes)
+    # problem at once; scoring them in chunks keeps the gathered operators
+    # within 256 KiB
+    chunk = max(1, 2**18 // (S[0].nbytes + Bx[0].nbytes + AM[0].nbytes))
 
     def objective(X: np.ndarray, rows: np.ndarray) -> np.ndarray:
         m = rows.size
         if m > chunk:
             return np.concatenate([objective(X[i:i + chunk], rows[i:i + chunk])
                                    for i in range(0, m, chunk)])
-        G = (X[:, : d * d] + 1j * X[:, d * d :]).reshape(m, d, d)
+        G = (X[:, None, :] @ Bx[rows]).reshape(m, d, d)
         gram = G @ G.conj().transpose(0, 2, 1)
-        tr = (X * X).sum(axis=1)
+        tr = np.einsum("ij,ij->i", X, X)  # Tr GG^dag, the basis being orthonormal
         low = tr < 1e-14
-        tau = gram / np.where(low, 1.0, tr)[:, None, None]
-        tau[low] = mixed
-        # column-stacking vec/unvec of each matrix in the stack
-        v = tau.transpose(0, 2, 1).reshape(m, d * d, 1)
-        sig = (S[rows] @ v).reshape(m, d, d).transpose(0, 2, 1)
-        sig = (sig + sig.conj().transpose(0, 2, 1)) / 2.0
-        w, V = np.linalg.eigh(sig)
-        w = np.clip(w, 0.0, None)
+        if low.any():
+            gram[low] = mixed
+            tr[low] = 1.0
+        w, V = np.linalg.eigh((S[rows] @ gram.reshape(m, d * d, 1)).reshape(m, d, d))
+        w = np.maximum(w, 0.0) / tr[:, None]
         pos = w > linalg.SUPPORT_CUTOFF * w[:, -1:]
-        qa = (V.conj() * (A[rows] @ V)).sum(axis=1).real
-        qm = (V.conj() * (M[rows] @ V)).sum(axis=1).real
-        ar = a[rows]
+        qa, qm = (V.conj()[:, None] * (AM[rows] @ V[:, None])).sum(axis=2).real.transpose(1, 0, 2)
+        lt1, r1, expo, inv_a, den, base = params[rows].T
         leak = np.where(pos, 0.0, qa).sum(axis=1)
-        keep = np.where(ar[:, None] < 1.0, w > linalg.roundoff_level(w), pos)
+        keep = np.where(lt1[:, None] > 0, w > linalg.roundoff_level(w), pos)
         ws = np.where(keep, w, 1.0)
-        r1 = one[rows]
         ln = np.where(pos, qm * np.log(ws), 0.0).sum(axis=1)
-        T = np.where(keep, ws ** (1.0 - ar[:, None]) * qm, 0.0).sum(axis=1)
-        powered = (np.maximum(T, 0.0) ** (1.0 / ar) - 1.0) / np.where(r1, 1.0, ar - 1.0)
-        out = np.where(r1, base[rows] - ln, powered)
-        out[(ar >= 1.0) & (leak > SUPPORT_LEAK_TOL)] = math.inf
+        T = np.where(keep, ws ** expo[:, None] * qm, 0.0).sum(axis=1)
+        out = np.where(r1 > 0, base - ln, (np.maximum(T, 0.0) ** inv_a - 1.0) / den)
+        out[(lt1 == 0) & (leak > SUPPORT_LEAK_TOL)] = math.inf
         return out
 
     return objective
@@ -262,18 +304,40 @@ def minimize_batch(problems, configs, closed) -> list[OracleResult]:
     several problems (rho, rdm, a) of one dimension, each with its own
     OracleConfig, solved together.
 
-    Every restart of every problem is a row of one lockstep simplex; result i
-    equals minimize_over_free_states(*problems[i], configs[i]) bit for bit.
-    closed holds each problem's closed-form value, which the gaps are taken
-    against.
+    Problems are grouped by r = dim Fix(E), their parameter count being 2r,
+    and every restart of every problem of a group is a row of one lockstep
+    simplex; result i equals minimize_over_free_states(*problems[i],
+    configs[i]) bit for bit.  closed holds each problem's closed-form value,
+    which the gaps are taken against.
     """
     problems = [(rho, rdm, validate_order(a)) for rho, rdm, a in problems]
     if len(configs) != len(problems):
         raise ValidationError(f"{len(problems)} problems but {len(configs)} configs")
     if len(closed) != len(problems):
         raise ValidationError(f"{len(problems)} problems but {len(closed)} closed forms")
-    n = 2 * problems[0][1].dim ** 2
-    objective = _free_state_objective(problems)
+    if len({rdm.dim for _, rdm, _ in problems}) != 1:
+        raise ValidationError("problems solved together must share one dimension")
+    by_map = {}
+    for _, rdm, _ in problems:
+        if id(rdm) not in by_map:
+            by_map[id(rdm)] = free_algebra_basis(rdm)
+    bases = [by_map[id(rdm)] for _, rdm, _ in problems]
+    groups = {}
+    for i, B in enumerate(bases):
+        groups.setdefault(len(B), []).append(i)
+    results = [None] * len(problems)
+    for members in groups.values():
+        solved = _solve_group(*([seq[i] for i in members]
+                                for seq in (problems, bases, configs, closed)))
+        for i, res in zip(members, solved):
+            results[i] = res
+    return results
+
+
+def _solve_group(problems, bases, configs, closed) -> list[OracleResult]:
+    """The two lockstep passes over problems that share one parameter count."""
+    n = 2 * len(bases[0])
+    objective = _free_state_objective(problems, bases)
     owner = np.repeat(np.arange(len(problems)), [c.restarts for c in configs])
     starts = np.concatenate([np.random.default_rng(c.seed).standard_normal((c.restarts, n))
                              for c in configs])
@@ -283,13 +347,14 @@ def minimize_batch(problems, configs, closed) -> list[OracleResult]:
     def f(X, rows):
         return objective(X, owner[rows])
 
-    x, fx, evals, iters, _ = _lockstep_simplex(f, starts, tol, cap, 0.5)
+    x, fx, evals, iters, first_capped = _lockstep_simplex(f, starts, tol, cap, 0.5)
     x, fx, polish_evals, polish_iters, capped = _lockstep_simplex(f, x, tol, cap, 0.05)
     evals += polish_evals
     iters += polish_iters
+    cap_hits = first_capped.astype(np.int64) + capped
 
     results = []
-    for i, (rho, rdm, a) in enumerate(problems):
+    for i, ((rho, rdm, a), basis) in enumerate(zip(problems, bases)):
         mine = np.flatnonzero(owner == i)
         finals = fx[mine]
         if not np.isfinite(finals).any():
@@ -299,14 +364,15 @@ def minimize_batch(problems, configs, closed) -> list[OracleResult]:
             )
         win = int(np.argmin(finals))
         best_f = finals[win]
-        sigma = parameterize_free_state(x[mine[win]], rdm)
-        value = tsallis_relative_entropy(rho, sigma, a)
+        sigma = _free_state(x[mine[win]], basis, rdm)
         agreeing = int(np.count_nonzero(finals <= best_f + AGREEMENT_WINDOW))
+        value = tsallis_relative_entropy(rho, sigma, a)
         results.append(OracleResult(
             value=value, sigma_min=sigma, gap_to_closed_form=value - closed[i],
-            restarts_agreeing=agreeing, evaluations=int(evals[mine].sum()),
-            iterations=int(iters[mine[win]]),
-            stop_reason="iteration_cap" if capped[mine[win]] else "tolerance"))
+            restarts_agreeing=agreeing,
+            evaluations=int(evals[mine].sum()), iterations=int(iters[mine[win]]),
+            stop_reason="iteration_cap" if capped[mine[win]] else "tolerance",
+            cap_hits=int(cap_hits[mine].sum()), free_dim=len(basis)))
     return results
 
 

@@ -558,3 +558,19 @@ def test_map_json_malformed():
         map_from_json({"type": "nosuch", "dim": 2})
     with pytest.raises(ValidationError):
         map_from_json({"dim": 2})
+
+
+@pytest.mark.parametrize("dim, blocks", [
+    (2, None), (2, [0, 1]), (2, [[[0]], [1]]), (2, [[0.5], [1]]), (2, [[True], [1]]),
+    (2.5, [[0], [1]]), ("2", [[0], [1]]),
+])
+def test_partition_refuses_non_integral_input(dim, blocks):
+    # int() once truncated 2.5 and 0.5, and a non-list crashed with TypeError
+    with pytest.raises(ValidationError):
+        MeasurementPartition(dim, blocks)
+
+
+def test_partition_accepts_integral_numbers():
+    p = MeasurementPartition(np.int64(3), [[2.0, np.int32(0)], [1]])
+    assert p.dim == 3 and p.blocks == ((0, 2), (1,))
+    assert all(type(i) is int for b in p.blocks for i in b)

@@ -1,7 +1,11 @@
 import json
 import math
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rdmap.cli import fmt_float, main, render_csv, render_json, sweep_grid
 
@@ -267,3 +271,97 @@ def test_render_helpers_stable():
     text = render_csv(rows)
     assert text.splitlines()[0] == "a,b,c"
     assert "inf" in text
+
+
+# ------------------------------------------------ malformed input exits 2
+
+TWO = {"re": [[0.5, 0.5], [0.5, 0.5]], "im": [[0, 0], [0, 0]]}
+
+
+@pytest.mark.parametrize("command", ["measure", "sweep"])
+@pytest.mark.parametrize("descriptor", [
+    {"type": "lueders", "dim": 2, "partition": None},
+    {"type": "lueders", "dim": 2, "partition": [[[0]], [1]]},
+    {"type": "lueders", "dim": 2, "partition": [0, 1]},
+    {"type": "twirl", "dim": 2, "unitaries": None},
+    {"type": "kraus", "dim": 2, "operators": {"re": [[1, 0], [0, 1]]}},
+    {"type": "lueders", "dim": 2.5, "partition": [[0], [1]]},
+    {"type": "lueders", "dim": 2, "partition": [[0.5], [1]]},
+    {"type": "mixing", "dim": True},
+    {"type": "mixing", "dim": "2"},
+    {"type": ["mixing"], "dim": 2},
+])
+def test_malformed_map_exits_2(files, capsys, command, descriptor):
+    # each of these once crashed (exit 1) or was truncated to a valid map
+    # (exit 0)
+    path = files["tmp"] / "malformed.json"
+    path.write_text(json.dumps(descriptor))
+    order = ["--a", "1"] if command == "measure" else ["--a-grid", "0.5,2"]
+    assert main([command, "--state", files["plus"], "--map", str(path), *order]) == 2
+    assert capsys.readouterr().err.startswith("error: ValidationError:")
+
+
+def test_huge_matrix_entries_exit_2(files, capsys):
+    # squaring 1e308 overflowed inside the checks that should refuse it
+    huge = {"re": [[1e308, 0], [0, 1e308]], "im": [[0, 0], [0, 0]]}
+    state = files["tmp"] / "huge_state.json"
+    state.write_text(json.dumps(huge))
+    twirl = files["tmp"] / "huge_twirl.json"
+    twirl.write_text(json.dumps({"type": "twirl", "dim": 2, "unitaries": [huge]}))
+    for rho, rdm in ((str(state), files["deph"]), (files["plus"], str(twirl))):
+        assert main(["measure", "--state", rho, "--map", rdm, "--a", "2"]) == 2
+        assert capsys.readouterr().err.startswith("error: ValidationError: matrix entry")
+
+
+def test_integral_float_dims_and_indices_are_accepted(files, capsys):
+    path = files["tmp"] / "float_dim.json"
+    path.write_text(json.dumps({"type": "lueders", "dim": 2.0, "partition": [[0.0], [1]]}))
+    assert main(["measure", "--state", files["plus"], "--map", str(path), "--a", "2"]) == 0
+    assert '"value": 4.14213562373e-01' in capsys.readouterr().out
+
+
+_leaves = (st.none() | st.booleans() | st.integers(-3, 5) | st.floats()
+           | st.text(max_size=3))
+json_values = st.recursive(
+    _leaves, lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3), max_leaves=10)
+_grids = st.lists(st.lists(st.floats(-2, 2) | st.integers(-1, 2), min_size=1, max_size=3),
+                  min_size=1, max_size=3)
+matrices = st.fixed_dictionaries({"re": _grids | json_values, "im": _grids | json_values})
+# near-valid maps for the 2 x 2 state: a known type and dim 2 most of the
+# time, so the fields behind them get parsed
+map_objects = st.fixed_dictionaries(
+    {"type": st.sampled_from(["dephasing", "lueders", "modified", "twirl", "mixing",
+                              "kraus"]) | json_values,
+     "dim": st.sampled_from([2, 2.0, 2.5]) | json_values},
+    optional={"partition": st.lists(st.lists(st.integers(0, 1) | st.floats(0, 1)
+                                             | json_values, max_size=3), max_size=3)
+              | json_values,
+              "unitaries": st.lists(matrices, max_size=3) | json_values,
+              "operators": st.lists(matrices, max_size=3) | json_values})
+state_objects = matrices | json_values
+
+
+def _exit_code(command, state, rdm):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for name, obj in (("state", state), ("map", rdm)):
+            paths.append(os.path.join(tmp, name + ".json"))
+            with open(paths[-1], "w") as fh:
+                json.dump(obj, fh)
+        order = ["--a", "1.5"] if command == "measure" else ["--a-grid", "0.5,1,2"]
+        return main([command, "--state", paths[0], "--map", paths[1], *order,
+                     "--out", os.path.join(tmp, "out.txt")])
+
+
+@settings(max_examples=150, deadline=None)
+@given(command=st.sampled_from(["measure", "sweep"]), rdm=map_objects)
+def test_malformed_map_file_never_exits_1(command, rdm):
+    assert _exit_code(command, TWO, rdm) in (0, 2, 3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(command=st.sampled_from(["measure", "sweep"]), state=state_objects)
+def test_malformed_state_file_never_exits_1(command, state):
+    assert _exit_code(command, state, {"type": "dephasing", "dim": 2,
+                                       "partition": [[0], [1]]}) in (0, 2, 3)

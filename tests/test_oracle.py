@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rdmap import linalg, oracle
 from rdmap.channels import (
@@ -11,17 +13,24 @@ from rdmap.channels import (
     dephasing_map,
     mixing_map,
 )
-from rdmap.errors import NoFiniteObjective, ValidationError
+from rdmap.errors import CertificationError, NoFiniteObjective, ValidationError
 from rdmap.measures import closed_form_measure, tsallis_relative_entropy
 from rdmap.oracle import (
     OracleConfig,
     _free_state_objective,
+    free_algebra_basis,
     minimize_batch,
     minimize_over_free_states,
     parameterize_free_state,
     simplex_minimize,
 )
-from rdmap.verify import DEFAULT_A_GRID, FAST_MAX_ITER, FAST_TOL, theorem1_batches
+from rdmap.verify import (
+    DEFAULT_A_GRID,
+    FAST_MAX_ITER,
+    FAST_TOL,
+    _builtin_families,
+    theorem1_batches,
+)
 
 QUICK = OracleConfig(restarts=2, max_iterations=1200, tol=1e-9, seed=11)
 
@@ -71,15 +80,28 @@ def test_simplex_deterministic():
 
 # --------------------------------------------------------- parameterization
 
+def _families(d):
+    """The five built-in maps at dimension d, with the coarse partition the
+    Lueders and modified maps share."""
+    return _builtin_families(d, np.random.default_rng(d))
+
+
+def _coordinates(M, basis):
+    """Real coordinates (Re c, Im c) of M in an orthonormal basis."""
+    c = np.einsum("jab,ab->j", basis.conj(), M)
+    return np.concatenate([c.real, c.imag])
+
+
 def test_parameterize_zero_vector_falls_back_to_mixed():
     deph = dephasing_map(MeasurementPartition.singletons(2))
-    out = parameterize_free_state(np.zeros(8), deph)
+    out = parameterize_free_state(np.zeros(4), deph)
     assert np.allclose(out, np.eye(2) / 2, atol=1e-14)
 
 
 def test_parameterize_identity_factor():
     deph = dephasing_map(MeasurementPartition.singletons(2))
-    x = np.concatenate([np.eye(2).ravel(), np.zeros(4)])
+    x = _coordinates(np.eye(2), free_algebra_basis(deph))
+    assert x.size == 4
     assert np.allclose(parameterize_free_state(x, deph), np.eye(2) / 2, atol=1e-14)
 
 
@@ -87,14 +109,58 @@ def test_parameterize_lands_in_fixed_set():
     rng = np.random.default_rng(0)
     for rdm in (dephasing_map(MeasurementPartition.singletons(3)), cyclic_twirl(3)):
         for _ in range(10):
-            sigma = parameterize_free_state(rng.standard_normal(18), rdm)
+            sigma = parameterize_free_state(rng.standard_normal(6), rdm)
             linalg.validate_density(sigma)
             assert linalg.frobenius(rdm.apply(sigma) - sigma) <= 1e-10
 
 
 def test_parameterize_rejects_wrong_length():
-    with pytest.raises(ValidationError):
-        parameterize_free_state(np.zeros(7), dephasing_map(MeasurementPartition.singletons(2)))
+    deph = dephasing_map(MeasurementPartition.singletons(2))
+    for size in (3, 7, 8):  # 8 = 2d^2, the length of a full d x d factor
+        with pytest.raises(ValidationError):
+            parameterize_free_state(np.zeros(size), deph)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_free_algebra_basis_is_orthonormal_with_the_rank_of_s(d):
+    coarse, families = _families(d)
+    expected = {"dephasing": d, "lueders": sum(n * n for n in coarse.degeneracies),
+                "modified": len(coarse.blocks), "twirl": d, "mixing": 1}
+    for name, rdm in families:
+        basis = free_algebra_basis(rdm)
+        r = len(basis)
+        assert r == expected[name] == np.linalg.matrix_rank(rdm.superop), name
+        gram = np.einsum("iab,jab->ij", basis.conj(), basis)
+        assert np.allclose(gram, np.eye(r), atol=1e-12), name
+        assert linalg.frobenius(rdm.apply(basis) - basis) <= 1e-12, name
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_every_free_state_is_reachable(d):
+    """sigma = GG^dag at G = sigma^{1/2}, which lies in Fix(E): its
+    coordinates map back to sigma."""
+    rng = np.random.default_rng(100 + d)
+    for name, rdm in _families(d)[1]:
+        basis = free_algebra_basis(rdm)
+        for _ in range(5):
+            tau = linalg.random_density_matrix(d, int(rng.integers(1, d + 1)),
+                                               seed=int(rng.integers(2**31)))
+            sigma = rdm.apply(tau)
+            x = _coordinates(linalg.matrix_power(sigma, 0.5), basis)
+            assert x.size == 2 * len(basis)
+            assert linalg.frobenius(parameterize_free_state(x, rdm) - sigma) <= 1e-12, name
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_random_coordinates_give_a_fixed_density_matrix(data):
+    d = data.draw(st.integers(2, 4))
+    name, rdm = data.draw(st.sampled_from(_families(d)[1]))
+    n = 2 * len(free_algebra_basis(rdm))
+    x = np.array(data.draw(st.lists(st.floats(-10, 10), min_size=n, max_size=n)))
+    sigma = parameterize_free_state(x, rdm)
+    linalg.validate_density(sigma)
+    assert linalg.frobenius(rdm.apply(sigma) - sigma) <= 1e-10, name
 
 
 def test_fused_objective_matches_reference():
@@ -105,9 +171,10 @@ def test_fused_objective_matches_reference():
     for d, rdm in ((2, dephasing_map(MeasurementPartition.singletons(2))),
                    (3, cyclic_twirl(3))):
         rho = linalg.random_density_matrix(d, d, seed=d)
-        fused = _free_state_objective([(rho, rdm, a) for a in orders])
+        basis = free_algebra_basis(rdm)
+        fused = _free_state_objective([(rho, rdm, a) for a in orders], [basis] * len(orders))
         rows = np.repeat(np.arange(len(orders)), 10)
-        X = rng.standard_normal((rows.size, 2 * d * d))
+        X = rng.standard_normal((rows.size, 2 * len(basis)))
         for x, i, value in zip(X, rows, fused(X, rows)):
             direct = tsallis_relative_entropy(rho, parameterize_free_state(x, rdm), orders[i])
             assert value == pytest.approx(direct, abs=1e-12)
@@ -195,16 +262,19 @@ def test_batch_matches_each_problem_alone():
         assert res.evaluations == alone.evaluations
         assert res.iterations == alone.iterations
         assert res.stop_reason == alone.stop_reason
+        assert res.cap_hits == alone.cap_hits
+        assert res.free_dim == alone.free_dim
 
 
 def test_counters_report_the_work_done(monkeypatch):
     """evaluations equals the points handed to the objective; a capped search
-    runs its cap in both passes, a converged one stops short of it."""
+    runs its cap in both passes of every restart, a converged one stops
+    short of it."""
     scored = []
     inner = oracle._free_state_objective
 
-    def counting(problems):
-        objective = inner(problems)
+    def counting(problems, bases):
+        objective = inner(problems, bases)
 
         def f(X, rows):
             scored.append(rows.size)
@@ -220,23 +290,45 @@ def test_counters_report_the_work_done(monkeypatch):
     assert capped.evaluations == sum(scored)
     assert capped.stop_reason == "iteration_cap"
     assert capped.iterations == 2 * 20
+    assert capped.cap_hits == 2 * 3
     scored.clear()
     loose = minimize_over_free_states(
         rho, rdm, 2.0, OracleConfig(restarts=1, max_iterations=2000, tol=1e-6, seed=1))
     assert loose.evaluations == sum(scored)
     assert loose.stop_reason == "tolerance"
     assert loose.iterations < 2 * 2000
+    assert loose.cap_hits == 0
 
 
-# closed_form_measure still divides by N = 0 on this uncertified map and warns
-# (ROADMAP item 7, "Edges"); it should raise instead
-@pytest.mark.filterwarnings("ignore:invalid value encountered in divide:RuntimeWarning")
-def test_oracle_flags_all_infinite_objective():
-    # a map built by hand (skipping certification) whose only reachable state
-    # has disjoint support from rho: every evaluation is +inf
+def _crush():
+    """A map built by hand (skipping certification) that sends everything to
+    a multiple of |0><0|; it is not trace preserving on |1><1|."""
     K = np.zeros((2, 2), dtype=complex)
     K[0, 0] = 1.0
-    crush = ResourceDestroyingMap([K], 0.0, 0.0)
+    return ResourceDestroyingMap([K], 0.0, 0.0)
+
+
+def test_oracle_flags_all_infinite_objective():
+    # the only reachable state has disjoint support from rho: every
+    # evaluation is +inf
     rho = np.diag([0.0, 1.0]).astype(complex)
     with pytest.raises(NoFiniteObjective):
-        minimize_over_free_states(rho, crush, 1.5, OracleConfig(restarts=2, max_iterations=50, tol=1e-6, seed=0))
+        minimize_batch([(rho, _crush(), 1.5)],
+                       [OracleConfig(restarts=2, max_iterations=50, tol=1e-6, seed=0)],
+                       closed=[0.0])
+
+
+@pytest.mark.parametrize("a", [0.5, 1.0, 1.5])
+def test_closed_form_refuses_a_zero_trace_image(a):
+    rho = np.diag([0.0, 1.0]).astype(complex)
+    with pytest.raises(CertificationError, match="0.000e"):
+        closed_form_measure(rho, _crush(), a)
+
+
+def test_batch_refuses_mixed_dimensions():
+    # the two maps have different r as well, so they would form separate
+    # groups; the batch still refuses them
+    problems = [(np.eye(d, dtype=complex) / d, dephasing_map(MeasurementPartition.singletons(d)),
+                 2.0) for d in (2, 3)]
+    with pytest.raises(ValidationError):
+        minimize_batch(problems, [QUICK, QUICK], [0.0, 0.0])

@@ -101,7 +101,8 @@ def test_theorem1_cross_trial_batches_change_no_record():
                 "gap": res.gap_to_closed_form, "escalated": escalated,
                 "restarts_agreeing": res.restarts_agreeing,
                 "evaluations": res.evaluations, "iterations": res.iterations,
-                "stop_reason": res.stop_reason, "sigma_ok": _density_ok(r.sigma_star),
+                "stop_reason": res.stop_reason, "cap_hits": res.cap_hits,
+                "sigma_ok": _density_ok(r.sigma_star),
                 "sigma_fp_residual": r.fixed_point_residual,
                 "violation": abs(res.gap_to_closed_form) - GAP_TOL,
             })
@@ -119,6 +120,9 @@ def test_theorem1_logs_progress_per_dimension(caplog, capsys):
     lines = [r.getMessage() for r in caplog.records if r.name == "rdmap.verify"]
     assert [line.split(":")[0] for line in lines] == ["theorem1 d=2", "theorem1 d=3"]
     assert all("10 problems" in line and "0 escalated" in line for line in lines)
+    # d = 2: dephasing and the twirl have r = 2, mixing r = 1, and the
+    # coarse partition is the single block (Lueders r = 4, modified r = 1)
+    assert lines[0].endswith("r=1: 4, r=2: 4, r=4: 2")
     # the library installs no handler, so nothing reaches stdout or stderr
     assert not logging.getLogger("rdmap.verify").handlers
     assert not logging.getLogger("rdmap").handlers
