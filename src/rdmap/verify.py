@@ -29,7 +29,7 @@ from .channels import (
 )
 from .errors import ValidationError
 from .measures import closed_form_measure, tsallis_relative_entropy
-from .oracle import OracleConfig, minimize_batch, minimize_over_free_states
+from .oracle import OracleConfig, minimize_batch
 
 DEFAULT_A_GRID = (0.3, 0.5, 0.8, 1.0, 1.2, 1.5, 2.0)
 SUITE_NAMES = ("theorem1", "axioms", "theorem2", "piani", "continuity")
@@ -37,15 +37,13 @@ SUITE_NAMES = ("theorem1", "axioms", "theorem2", "piani", "continuity")
 # progress of the long suites; the library installs no handler
 log = logging.getLogger("rdmap.verify")
 
-# theorem1 runs a cheap oracle first, all trials of one dimension in one
-# lockstep batch, and only escalates the rare trial whose gap is not already
-# far below the pass threshold; the acceptance run (50 trials) takes 25-29 s
-# on a 2-vCPU VM against its 300 s budget.
+# theorem1 solves all trials of one dimension in one lockstep batch, with one
+# restart per problem, OracleConfig's default iteration cap and ORACLE_TOL;
+# the acceptance run (50 trials) takes 27-32 s on a 2-vCPU VM against its
+# 300 s budget.  ORACLE_TOL is looser than OracleConfig's default of 1e-10,
+# which costs a third more points scored for no pass/fail change.
 GAP_TOL = 1e-5
-ESCALATE_ABOVE = 3e-6
-FAST_TOL = 1e-8
-FAST_MAX_ITER = {2: 450, 3: 750, 4: 1100}
-ESCALATED_CONFIG = dict(restarts=3, max_iterations=6000, tol=1e-12)
+ORACLE_TOL = 1e-8
 
 
 @dataclass
@@ -180,13 +178,12 @@ def suite_theorem1(dims, a_grid, trials: int, seed: int,
                    tol: float = GAP_TOL) -> SuiteReport:
     """Closed form vs oracle on random states, every built-in map, the full
     a grid (see theorem1_batches).  The oracle solves the problems of every
-    trial of one dimension together in one lockstep simplex; a problem whose
-    gap is not far below the threshold is then solved again, alone, with the
-    escalated budget.  Records come in trial, dim, map, a order and carry the
-    minimizer's density-validation verdict, fixed-point residual and the
+    trial of one dimension together in one lockstep simplex, one restart
+    each at ORACLE_TOL.  Records come in trial, dim, map, a order and carry
+    the minimizer's density-validation verdict, fixed-point residual and the
     oracle's work counters alongside the gap.  Each dimension logs one INFO
-    line: problem count, solve time, escalations and the problem count per
-    free dimension r (the oracle searches 2r real parameters)."""
+    line: problem count, solve time, cap hits and the problem count per free
+    dimension r (the oracle searches 2r real parameters)."""
     dims = [int(d) for d in dims]
     if not set(dims) <= {2, 3, 4}:
         raise ValidationError(f"oracle-backed dims are limited to 2..4, got {dims}")
@@ -199,27 +196,21 @@ def suite_theorem1(dims, a_grid, trials: int, seed: int,
                  for p in problems]
         reports = [closed_form_measure(rho, rdm, a) for _, (_, rdm, rho, a, _) in group]
         t_solve = time.perf_counter()
-        fast = minimize_batch(
+        results = minimize_batch(
             [(rho, rdm, a) for _, (_, rdm, rho, a, _) in group],
-            [OracleConfig(restarts=1, max_iterations=FAST_MAX_ITER[d], tol=FAST_TOL,
-                          seed=oseed) for _, (*_, oseed) in group],
+            [OracleConfig(restarts=1, tol=ORACLE_TOL, seed=oseed)
+             for _, (*_, oseed) in group],
             closed=[rep.value for rep in reports])
         t_solve = time.perf_counter() - t_solve
-        escalations = 0
-        for (i, (name, rdm, rho, a, oseed)), rep, res in zip(group, reports, fast):
+        for (i, (name, _, _, a, _)), rep, res in zip(group, reports, results):
             t, s = batches[i][:2]
-            escalated = abs(res.gap_to_closed_form) > ESCALATE_ABOVE
-            if escalated:
-                res = minimize_over_free_states(
-                    rho, rdm, a, OracleConfig(seed=oseed + 1, **ESCALATED_CONFIG))
-                escalations += 1
             records[i].append({
                 "trial": t, "seed": s, "dim": d, "map": name, "a": a,
                 "fixed": t % 10 == 0,
                 "closed": rep.value,
                 "oracle": res.value,
                 "gap": res.gap_to_closed_form,
-                "escalated": escalated,
+                "escalated": False,  # no second pass; kept for record readers
                 "restarts_agreeing": res.restarts_agreeing,
                 "evaluations": res.evaluations,
                 "iterations": res.iterations,
@@ -229,10 +220,10 @@ def suite_theorem1(dims, a_grid, trials: int, seed: int,
                 "sigma_fp_residual": rep.fixed_point_residual,
                 "violation": abs(res.gap_to_closed_form) - tol,
             })
-        per_r = Counter(res.free_dim for res in fast)
-        log.info("theorem1 d=%d: %d problems solved in %.2f s, %d escalated; "
+        per_r = Counter(res.free_dim for res in results)
+        log.info("theorem1 d=%d: %d problems solved in %.2f s, %d cap hits; "
                  "problems per free dimension r (2r parameters): %s",
-                 d, len(group), t_solve, escalations,
+                 d, len(group), t_solve, sum(res.cap_hits for res in results),
                  ", ".join(f"r={r}: {per_r[r]}" for r in sorted(per_r)))
     return _finish("theorem1", trials, [r for batch in records for r in batch], t0)
 
@@ -387,9 +378,15 @@ def suite_continuity_a1(trials: int, seed: int, tol: float = 1e-3) -> SuiteRepor
 def run_suite(name: str, dims=None, a_grid=None, trials: int | None = None,
               seed: int = 0, tol: float | None = None) -> SuiteReport:
     """Dispatch by suite name with per-suite defaults matching the
-    acceptance runs."""
+    acceptance runs.  trials=None and tol=None select the suite's default;
+    any other trials must be an integer >= 1 and any other tol finite and
+    >= 0."""
     if name not in SUITE_NAMES:
         raise ValidationError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
+    if trials is not None and not (isinstance(trials, (int, np.integer)) and trials >= 1):
+        raise ValidationError(f"trials must be an integer >= 1, got {trials!r}")
+    if tol is not None and not 0 <= tol < np.inf:
+        raise ValidationError(f"tol must be finite and >= 0, got {tol!r}")
     grid = list(a_grid) if a_grid else list(DEFAULT_A_GRID)
     kw = {} if tol is None else {"tol": tol}
     if name == "theorem1":

@@ -248,6 +248,22 @@ def test_verify_unknown_suite_exits_2(capsys):
     assert "unknown suite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "axioms", "--trials", "0"], "trials"),
+    (["verify", "axioms", "--trials", "-3"], "trials"),
+    (["verify", "theorem1", "--dims", "2", "--trials", "-1"], "trials"),
+    (["verify", "continuity", "--trials", "2", "--tol", "nan"], "tol"),
+    (["verify", "continuity", "--trials", "2", "--tol", "inf"], "tol"),
+    (["verify", "continuity", "--trials", "2", "--tol=-1e-3"], "tol"),
+])
+def test_verify_malformed_trials_or_tol_exits_2(argv, message, capsys):
+    # a malformed budget or tolerance must not run a default or vacuous suite
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"ValidationError: {message} must be" in captured.err
+
+
 def test_verify_failing_suite_exits_3(files, capsys):
     # impossible tolerance forces failures; the exit code must reflect them
     assert main(["verify", "continuity", "--trials", "3", "--seed", "1",

@@ -1,7 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rdmap import linalg
 from rdmap.errors import BadRank, NonHermitian, NotPSD, TraceNotOne
@@ -142,6 +145,23 @@ def test_matrix_json_round_trip():
     M = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     back = linalg.matrix_from_json(linalg.matrix_to_json(M))
     assert np.array_equal(M, back)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 6).flatmap(lambda d: st.lists(
+    st.floats(-1.0, 1.0), min_size=2 * d * d, max_size=2 * d * d)))
+def test_state_json_round_trip(entries):
+    """A state G G^dagger / Tr from a generated factor G comes back from the
+    wire format, through JSON text, equal entry for entry."""
+    d = math.isqrt(len(entries) // 2)
+    G = np.reshape(entries[:d * d], (d, d)) + 1j * np.reshape(entries[d * d:], (d, d))
+    P = G @ G.conj().T
+    assume(np.trace(P).real > 1e-3)
+    rho = (P + P.conj().T) / (2 * np.trace(P).real)
+    linalg.validate_density(rho)
+    back = linalg.matrix_from_json(json.loads(json.dumps(linalg.matrix_to_json(rho))))
+    assert back.dtype == complex
+    assert np.array_equal(back, rho)
 
 
 def test_matrix_json_malformed():

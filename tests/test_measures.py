@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -28,7 +29,7 @@ from rdmap.measures import (
     von_neumann_entropy,
     validate_order,
 )
-from rdmap.verify import random_partition
+from rdmap.verify import _builtin_families, random_partition
 
 PLUS = np.full((2, 2), 0.5, dtype=complex)
 A_GRID = (0.3, 0.5, 0.8, 1.0, 1.2, 1.5, 2.0)
@@ -351,3 +352,26 @@ def test_report_json_infinity_literal():
     payload = report_to_json(rep)
     assert payload["value"] == "inf"
     assert report_from_json(payload).value == math.inf
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 4), st.floats(0.05, 2.0), st.booleans(), st.integers(0, 2**32 - 1))
+def test_report_json_round_trip_every_family(d, a, infinite, seed):
+    """The report of every built-in map on a state of random rank comes back
+    from the wire format, through JSON text, field for field; an infinite
+    value travels as the "inf" literal."""
+    rng = np.random.default_rng(seed)
+    _, families = _builtin_families(d, rng)
+    rho = linalg.random_density_matrix(d, int(rng.integers(1, d + 1)), seed=seed % 2**31)
+    for _, rdm in families:
+        rep = closed_form_measure(rho, rdm, a)
+        if infinite:
+            rep.value = math.inf
+        payload = json.loads(json.dumps(report_to_json(rep)))
+        assert (payload["value"] == "inf") == infinite
+        back = report_from_json(payload)
+        assert back.value == rep.value
+        assert back.a == rep.a
+        assert back.N == rep.N
+        assert back.fixed_point_residual == rep.fixed_point_residual
+        assert np.array_equal(back.sigma_star, rep.sigma_star)

@@ -26,8 +26,7 @@ from rdmap.oracle import (
 )
 from rdmap.verify import (
     DEFAULT_A_GRID,
-    FAST_MAX_ITER,
-    FAST_TOL,
+    ORACLE_TOL,
     _builtin_families,
     theorem1_batches,
 )
@@ -248,8 +247,8 @@ def test_batch_matches_each_problem_alone():
     batches = list(theorem1_batches([3], DEFAULT_A_GRID, trials=2, seed=7))
     assert [len(problems) for *_, problems in batches] == [35, 35]
     problems = [p for *_, batch in batches for p in batch]
-    configs = [OracleConfig(restarts=1, max_iterations=FAST_MAX_ITER[3], tol=FAST_TOL,
-                            seed=oseed) for *_, oseed in problems]
+    configs = [OracleConfig(restarts=1, tol=ORACLE_TOL, seed=oseed)
+               for *_, oseed in problems]
     together = minimize_batch([(rho, rdm, a) for _, rdm, rho, a, _ in problems], configs,
                               [closed_form_measure(rho, rdm, a).value
                                for _, rdm, rho, a, _ in problems])
