@@ -229,7 +229,11 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         raise ValueError(f"malformed matrix object: {exc}") from None
     if re.shape != im.shape:
         raise ValueError(f"re/im shapes differ: {re.shape} vs {im.shape}")
-    A = as_complex_matrix(re + 1j * im)
+    # set the parts instead of forming re + 1j * im, whose 0 * inf for an
+    # infinite imaginary part warns before the finiteness check can refuse it
+    z = re.astype(complex)
+    z.imag = im
+    A = as_complex_matrix(z)
     if A.size and np.abs(A).max() > WIRE_ENTRY_MAX:
         raise ValidationError(
             f"matrix entry of magnitude {np.abs(A).max():.3e} exceeds {WIRE_ENTRY_MAX:.0e}")

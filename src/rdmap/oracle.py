@@ -2,15 +2,17 @@
 
 Minimizes S~_a(rho|sigma) over sigma in Fix(E) by derivative-free search on
 an unconstrained parameterization of the fixed points.  For a unital,
-trace-preserving, idempotent E, Fix(E) = range(S) is a *-algebra (the
-commutant of the Kraus operators), so every free state is GG^dag / Tr(GG^dag)
-for some G in Fix(E), e.g. G = sigma^{1/2}.  The search therefore runs over
-the complex coordinates of G in a Hilbert-Schmidt-orthonormal basis
-B_1..B_r of range(S), taken from the SVD of the superoperator: 2r real
-parameters, r = dim Fix(E) (d for dephasing and the cyclic twirl, 1 for
-complete mixing), instead of the 2d^2 of a full d x d factor.  Every
-candidate is still mapped through E, so it is a fixed point by
-construction.  The search path shares nothing with the closed-form
+trace-preserving, idempotent E, Fix(E) = range(S) is a unital *-algebra
+(the commutant of the Kraus operators), so every full-rank free state is
+exp(H) / Tr exp(H) for a traceless Hermitian H in Fix(E): the traceless
+part of log sigma.  The search therefore runs over the real coordinates of
+H in a Hilbert-Schmidt-orthonormal basis of the traceless Hermitian part
+of Fix(E): r - 1 parameters, r = dim Fix(E) (d - 1 for dephasing and the
+cyclic twirl, none for complete mixing).  The objective is convex in sigma
+(Lieb 1973; Ando 1979), so mixing a minimizer with a little of I/d shows
+that the infimum over full-rank free states is the minimum over all of
+them.  Every candidate is still mapped through E, so it is a fixed point
+by construction.  The search path shares nothing with the closed-form
 evaluation; agreement between the two is evidence, not circularity.
 """
 
@@ -61,7 +63,8 @@ class OracleResult:
     stop_reason says why the winning restart's last simplex stopped,
     "tolerance" or "iteration_cap", and cap_hits counts the simplices, over
     every restart and both passes, that stopped at the iteration cap.
-    free_dim is r = dim Fix(E); the search ran over 2r real parameters."""
+    free_dim is r = dim Fix(E); the search ran over r - 1 real parameters
+    (none at r = 1, where I/d, the only free state, is scored once)."""
 
     value: float
     sigma_min: np.ndarray
@@ -75,12 +78,17 @@ class OracleResult:
 
 
 def free_algebra_basis(rdm: ResourceDestroyingMap) -> np.ndarray:
-    """A Hilbert-Schmidt-orthonormal basis B_1..B_r of range(S) = Fix(E), as
-    an (r, d, d) stack.
+    """A Hilbert-Schmidt-orthonormal basis of the traceless Hermitian part of
+    range(S) = Fix(E), as an (r - 1, d, d) stack of Hermitian matrices,
+    r = dim Fix(E).
 
-    The left singular vectors of the superoperator whose singular values
-    pass numpy's matrix_rank rule (above s_max * d^2 * eps), so r is the
-    numerical rank of S.
+    range(S) comes from the left singular vectors of the superoperator whose
+    singular values pass numpy's matrix_rank rule (above s_max * d^2 * eps),
+    so r is the numerical rank of S.  For a certified map range(S) is a
+    unital *-algebra: the Hermitian and anti-Hermitian parts of those
+    vectors span its Hermitian part, which holds I.  With the identity
+    component removed, an SVD of their real coordinates gives the basis,
+    and together with I / sqrt(d) it spans range(S).
     """
     d = rdm.dim
     U, s, _ = np.linalg.svd(rdm.superop)
@@ -88,34 +96,43 @@ def free_algebra_basis(rdm: ResourceDestroyingMap) -> np.ndarray:
     if r == 0:
         raise ValidationError("the map has no nonzero fixed point")
     # columns of U are column-stacked matrices
-    return U[:, :r].T.reshape(r, d, d).transpose(0, 2, 1)
+    B = U[:, :r].T.reshape(r, d, d).transpose(0, 2, 1)
+    Bh = B.conj().transpose(0, 2, 1)
+    herm = np.concatenate([B + Bh, 1j * (B - Bh)]) / 2
+    herm -= np.trace(herm, axis1=1, axis2=2).real[:, None, None] * np.eye(d) / d
+    # the Hilbert-Schmidt inner product of Hermitian matrices is the real
+    # dot product of their (real, imaginary) entries; every row has norm at
+    # most 1, so the rank rule takes 1 as its scale
+    flat = herm.reshape(2 * r, d * d)
+    _, s, Vt = np.linalg.svd(np.concatenate([flat.real, flat.imag], axis=1))
+    rank = int(np.count_nonzero(s > 2 * d * d * np.finfo(float).eps))
+    basis = (Vt[:rank, :d * d] + 1j * Vt[:rank, d * d:]).reshape(rank, d, d)
+    # exactly Hermitian, so every real combination is too
+    return (basis + basis.conj().transpose(0, 2, 1)) / 2
 
 
 def _free_state(x: np.ndarray, basis: np.ndarray, rdm: ResourceDestroyingMap) -> np.ndarray:
-    r, d, _ = basis.shape
-    G = np.tensordot(x[:r] + 1j * x[r:], basis, axes=1)
-    tr = float(x @ x)  # Tr GG^dag = |c|^2, the basis being orthonormal
-    if tr < 1e-14:
-        tau = np.eye(d, dtype=complex) / d
-    else:
-        tau = G @ G.conj().T / tr
+    h, V = np.linalg.eigh(np.tensordot(x, basis, axes=1))
+    e = np.exp(h - h[-1])
+    tau = (V * (e / e.sum())) @ V.conj().T
     return rdm.apply(tau)
 
 
 def parameterize_free_state(x: np.ndarray, rdm: ResourceDestroyingMap) -> np.ndarray:
-    """Map a real vector of length 2r, r = dim Fix(E), to a fixed point of
+    """Map a real vector of length r - 1, r = dim Fix(E), to a fixed point of
     the channel.
 
-    x packs Re(c) then Im(c), the coordinates of G = sum_j c_j B_j in the
-    basis of free_algebra_basis(rdm); tau = GG^dag / Tr(GG^dag), falling
-    back to the maximally mixed state when the trace underflows, and the
-    output is E(tau).  Unconstrained and onto the free states: sigma is
-    reached at the coordinates of sigma^{1/2}.
+    x holds the coordinates of a traceless Hermitian H = sum_j x_j B_j in
+    the basis B of free_algebra_basis(rdm); tau = exp(H) / Tr exp(H), from
+    one eigh of H shifted by its largest eigenvalue, and the output is
+    E(tau).  Unconstrained and onto the full-rank free states: sigma is
+    reached at the coordinates of the traceless part of log sigma, and the
+    zero vector gives I/d.
     """
     basis = free_algebra_basis(rdm)
     z = np.asarray(x, dtype=float).ravel()
-    if z.size != 2 * len(basis):
-        raise ValidationError(f"expected {2 * len(basis)} parameters, got {z.size}")
+    if z.size != len(basis):
+        raise ValidationError(f"expected {len(basis)} parameters, got {z.size}")
     return _free_state(z, basis, rdm)
 
 
@@ -136,10 +153,14 @@ def _lockstep_simplex(f, x0: np.ndarray, tol: np.ndarray, max_iterations: np.nda
     at its iteration cap rather than its tolerance (k,).
     """
     k, n = x0.shape
+    # Gao and Han's shrink coefficient 1 - 1/n is 0 at n = 1, which would
+    # collapse the simplex onto its best vertex; n = 1 takes the n = 2
+    # coefficients, those of standard Nelder-Mead
+    m = max(n, 2)
     alpha = 1.0
-    gamma = 1.0 + 2.0 / n
-    beta = 0.75 - 1.0 / (2.0 * n)
-    delta = 1.0 - 1.0 / n
+    gamma = 1.0 + 2.0 / m
+    beta = 0.75 - 1.0 / (2.0 * m)
+    delta = 1.0 - 1.0 / m
 
     evaluations = np.zeros(k, dtype=np.int64)
     iterations = np.zeros(k, dtype=np.int64)
@@ -208,7 +229,8 @@ def _lockstep_simplex(f, x0: np.ndarray, tol: np.ndarray, max_iterations: np.nda
 
 def simplex_minimize(f, x0: np.ndarray, config: OracleConfig,
                      initial_step: float = 0.5):
-    """Nelder-Mead with the dimension-adaptive coefficients of Gao and Han.
+    """Nelder-Mead with the dimension-adaptive coefficients of Gao and Han
+    (standard Nelder-Mead in one dimension).
 
     Stops when the objective spread over the simplex drops below config.tol
     or at the iteration cap.  Deterministic given x0; +inf objective values
@@ -232,22 +254,21 @@ def _free_state_objective(problems, bases):
     parameterize_free_state over that problem's basis (bases[i], the
     free_algebra_basis of its map).
 
-    Hot path for the search, built for few numpy calls per stack: G from
-    the coordinates in one product, E(GG^dag) in one superoperator product
-    on row-major flattened matrices, one stacked eigh, and the entropy from
-    eigenvector weights instead of full matrix powers.  sigma = E(GG^dag) /
-    Tr(GG^dag) shares the eigenvectors of E(GG^dag), so the trace divides
-    only the eigenvalues.  Masks select the a < 1, a = 1 and a > 1 branches
-    and the +inf support barrier.  Mirrors tsallis_relative_entropy's
-    support conventions and matrix_power's round-off rule exactly; a unit
-    test pins the two together to 1e-12.  Every problem must have the same
-    dimension and the same r.
+    Hot path for the search, built for few numpy calls per stack: H from
+    the coordinates in one product, exp(H) / Tr exp(H) from one stacked
+    eigh, E of it in one superoperator product on row-major flattened
+    matrices, one more stacked eigh, and the entropy from eigenvector
+    weights instead of full matrix powers.  Masks select the a < 1, a = 1
+    and a > 1 branches and the +inf support barrier.  Mirrors
+    tsallis_relative_entropy's support conventions and matrix_power's
+    round-off rule exactly; a unit test pins the two together to 1e-12.
+    Every problem must have the same dimension and the same r.
     """
     if len({B.shape for B in bases}) != 1:
         raise ValidationError("problems scored together must share one dimension and one r")
-    r, d, _ = bases[0].shape
-    # real coordinates x -> G = x @ [B; iB], G flattened row-major
-    Bx = np.stack([np.concatenate([B, 1j * B]).reshape(2 * r, d * d) for B in bases])
+    n, d, _ = bases[0].shape
+    # real coordinates x -> H = x @ B, H flattened row-major
+    Bx = np.stack([B.reshape(n, d * d) for B in bases])
     # the superoperator acting on row-major rather than column-stacked
     # flattenings: the two orders differ by the transpose permutation
     flip = np.arange(d * d).reshape(d, d).T.ravel()
@@ -264,7 +285,6 @@ def _free_state_objective(problems, bases):
     # a = 1) and Tr rho ln rho at a = 1 (0 otherwise)
     params = np.stack([a < 1.0, one, 1.0 - a, 1.0 / a, np.where(one, 1.0, a - 1.0), rho_ln_rho],
                       axis=1)
-    mixed = np.eye(d, dtype=complex) / d
     # the initial simplex and shrink steps score n or n + 1 points per
     # problem at once; scoring them in chunks keeps the gathered operators
     # within 256 KiB
@@ -275,15 +295,12 @@ def _free_state_objective(problems, bases):
         if m > chunk:
             return np.concatenate([objective(X[i:i + chunk], rows[i:i + chunk])
                                    for i in range(0, m, chunk)])
-        G = (X[:, None, :] @ Bx[rows]).reshape(m, d, d)
-        gram = G @ G.conj().transpose(0, 2, 1)
-        tr = np.einsum("ij,ij->i", X, X)  # Tr GG^dag, the basis being orthonormal
-        low = tr < 1e-14
-        if low.any():
-            gram[low] = mixed
-            tr[low] = 1.0
-        w, V = np.linalg.eigh((S[rows] @ gram.reshape(m, d * d, 1)).reshape(m, d, d))
-        w = np.maximum(w, 0.0) / tr[:, None]
+        h, U = np.linalg.eigh((X[:, None, :] @ Bx[rows]).reshape(m, d, d))
+        e = np.exp(h - h[:, -1:])
+        e /= e.sum(axis=1, keepdims=True)
+        tau = (U * e[:, None, :]) @ U.conj().transpose(0, 2, 1)
+        w, V = np.linalg.eigh((S[rows] @ tau.reshape(m, d * d, 1)).reshape(m, d, d))
+        w = np.maximum(w, 0.0)
         pos = w > linalg.SUPPORT_CUTOFF * w[:, -1:]
         qa, qm = (V.conj()[:, None] * (AM[rows] @ V[:, None])).sum(axis=2).real.transpose(1, 0, 2)
         lt1, r1, expo, inv_a, den, base = params[rows].T
@@ -304,9 +321,9 @@ def minimize_batch(problems, configs, closed) -> list[OracleResult]:
     several problems (rho, rdm, a) of one dimension, each with its own
     OracleConfig, solved together.
 
-    Problems are grouped by r = dim Fix(E), their parameter count being 2r,
-    and every restart of every problem of a group is a row of one lockstep
-    simplex; result i equals minimize_over_free_states(*problems[i],
+    Problems are grouped by r = dim Fix(E), their parameter count being
+    r - 1, and every restart of every problem of a group is a row of one
+    lockstep simplex; result i equals minimize_over_free_states(*problems[i],
     configs[i]) bit for bit.  closed holds each problem's closed-form value,
     which the gaps are taken against.
     """
@@ -336,10 +353,12 @@ def minimize_batch(problems, configs, closed) -> list[OracleResult]:
 
 def _solve_group(problems, bases, configs, closed) -> list[OracleResult]:
     """The two lockstep passes over problems that share one parameter count."""
-    n = 2 * len(bases[0])
+    n = len(bases[0])
     objective = _free_state_objective(problems, bases)
     owner = np.repeat(np.arange(len(problems)), [c.restarts for c in configs])
-    starts = np.concatenate([np.random.default_rng(c.seed).standard_normal((c.restarts, n))
+    # seeded starts near the origin, where sigma is within a few percent of
+    # I/d, away from the flat region of near-singular states
+    starts = np.concatenate([0.1 * np.random.default_rng(c.seed).standard_normal((c.restarts, n))
                              for c in configs])
     tol = np.array([configs[i].tol for i in owner])
     cap = np.array([configs[i].max_iterations for i in owner])
@@ -347,11 +366,22 @@ def _solve_group(problems, bases, configs, closed) -> list[OracleResult]:
     def f(X, rows):
         return objective(X, owner[rows])
 
-    x, fx, evals, iters, first_capped = _lockstep_simplex(f, starts, tol, cap, 0.5)
-    x, fx, polish_evals, polish_iters, capped = _lockstep_simplex(f, x, tol, cap, 0.05)
-    evals += polish_evals
-    iters += polish_iters
-    cap_hits = first_capped.astype(np.int64) + capped
+    if n:
+        x, fx, evals, iters, first_capped = _lockstep_simplex(f, starts, tol, cap, 0.5)
+        x, fx, polish_evals, polish_iters, capped = _lockstep_simplex(f, x, tol, cap, 0.05)
+        evals += polish_evals
+        iters += polish_iters
+        cap_hits = first_capped.astype(np.int64) + capped
+    else:
+        # Fix(E) = CI: the only free state, E(I/d), is scored once per
+        # problem and every restart lands on it
+        first = np.searchsorted(owner, np.arange(len(problems)))
+        x = starts
+        fx = f(x[first], first)[owner]
+        evals = np.zeros(owner.size, dtype=np.int64)
+        evals[first] = 1
+        iters = cap_hits = np.zeros(owner.size, dtype=np.int64)
+        capped = np.zeros(owner.size, dtype=bool)
 
     results = []
     for i, ((rho, rdm, a), basis) in enumerate(zip(problems, bases)):
@@ -372,7 +402,7 @@ def _solve_group(problems, bases, configs, closed) -> list[OracleResult]:
             restarts_agreeing=agreeing,
             evaluations=int(evals[mine].sum()), iterations=int(iters[mine[win]]),
             stop_reason="iteration_cap" if capped[mine[win]] else "tolerance",
-            cap_hits=int(cap_hits[mine].sum()), free_dim=len(basis)))
+            cap_hits=int(cap_hits[mine].sum()), free_dim=len(basis) + 1))
     return results
 
 

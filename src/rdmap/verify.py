@@ -39,7 +39,7 @@ log = logging.getLogger("rdmap.verify")
 
 # theorem1 solves all trials of one dimension in one lockstep batch, with one
 # restart per problem, OracleConfig's default iteration cap and ORACLE_TOL;
-# the acceptance run (50 trials) takes 27-32 s on a 2-vCPU VM against its
+# the acceptance run (50 trials) takes 17-20 s on a 2-vCPU VM against its
 # 300 s budget.  ORACLE_TOL is looser than OracleConfig's default of 1e-10,
 # which costs a third more points scored for no pass/fail change.
 GAP_TOL = 1e-5
@@ -183,7 +183,7 @@ def suite_theorem1(dims, a_grid, trials: int, seed: int,
     the minimizer's density-validation verdict, fixed-point residual and the
     oracle's work counters alongside the gap.  Each dimension logs one INFO
     line: problem count, solve time, cap hits and the problem count per free
-    dimension r (the oracle searches 2r real parameters)."""
+    dimension r (the oracle searches r - 1 real parameters)."""
     dims = [int(d) for d in dims]
     if not set(dims) <= {2, 3, 4}:
         raise ValidationError(f"oracle-backed dims are limited to 2..4, got {dims}")
@@ -222,7 +222,7 @@ def suite_theorem1(dims, a_grid, trials: int, seed: int,
             })
         per_r = Counter(res.free_dim for res in results)
         log.info("theorem1 d=%d: %d problems solved in %.2f s, %d cap hits; "
-                 "problems per free dimension r (2r parameters): %s",
+                 "problems per free dimension r (r - 1 parameters): %s",
                  d, len(group), t_solve, sum(res.cap_hits for res in results),
                  ", ".join(f"r={r}: {per_r[r]}" for r in sorted(per_r)))
     return _finish("theorem1", trials, [r for batch in records for r in batch], t0)

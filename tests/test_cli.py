@@ -4,7 +4,7 @@ import os
 import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rdmap.cli import fmt_float, main, render_csv, render_json, sweep_grid
@@ -378,6 +378,7 @@ def test_malformed_map_file_never_exits_1(command, rdm):
 
 @settings(max_examples=150, deadline=None)
 @given(command=st.sampled_from(["measure", "sweep"]), state=state_objects)
+@example(command="measure", state={"re": None, "im": "INF"})
 def test_malformed_state_file_never_exits_1(command, state):
     assert _exit_code(command, state, {"type": "dephasing", "dim": 2,
                                        "partition": [[0], [1]]}) in (0, 2, 3)

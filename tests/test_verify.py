@@ -128,6 +128,7 @@ def test_theorem1_logs_progress_per_dimension(caplog, capsys):
     lines = [r.getMessage() for r in caplog.records if r.name == "rdmap.verify"]
     assert [line.split(":")[0] for line in lines] == ["theorem1 d=2", "theorem1 d=3"]
     assert all("10 problems" in line and "0 cap hits" in line for line in lines)
+    assert all("(r - 1 parameters)" in line and "2r" not in line for line in lines)
     # d = 2: dephasing and the twirl have r = 2, mixing r = 1, and the
     # coarse partition is the single block (Lueders r = 4, modified r = 1)
     assert lines[0].endswith("r=1: 4, r=2: 4, r=4: 2")
