@@ -56,16 +56,6 @@ UNITARY_TOL = 1e-10
 GROUP_CLOSURE_TOL = 1e-9
 
 
-def vec(M: np.ndarray) -> np.ndarray:
-    """Column-stacking vectorization."""
-    return np.asarray(M).reshape(-1, order="F")
-
-
-def unvec(v: np.ndarray) -> np.ndarray:
-    d = int(round(np.sqrt(v.size)))
-    return np.asarray(v).reshape(d, d, order="F")
-
-
 def kraus_to_superop(kraus: Sequence[np.ndarray]) -> np.ndarray:
     """S = sum_i conj(K_i) (x) K_i, as one matrix product over the stacked
     operators: S[(p, q), (r, s)] = sum_i conj(K_i)[p, r] K_i[q, s]."""

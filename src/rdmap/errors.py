@@ -64,4 +64,7 @@ class InfiniteValue(RdmapError):
 
 
 class NoFiniteObjective(RdmapError):
-    """Every objective evaluation returned +inf during a minimization."""
+    """The oracle's best point, mapped through E, scores +inf: a >= 1 and its
+    image misses the support of rho.  For a certified map the best point is
+    its own image up to round-off, so this flags a map that skipped
+    certification or a search that found no finite value."""

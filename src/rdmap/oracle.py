@@ -11,9 +11,12 @@ of Fix(E): r - 1 parameters, r = dim Fix(E) (d - 1 for dephasing and the
 cyclic twirl, none for complete mixing).  The objective is convex in sigma
 (Lieb 1973; Ando 1979), so mixing a minimizer with a little of I/d shows
 that the infimum over full-rank free states is the minimum over all of
-them.  Every candidate is still mapped through E, so it is a fixed point
-by construction.  The search path shares nothing with the closed-form
-evaluation; agreement between the two is evidence, not circularity.
+them.  Fix(E) being a *-algebra, exp(H) / Tr exp(H) is itself free, so the
+search scores it directly, from the one eigh of H; only the winner is
+mapped through E, which makes the reported minimizer a fixed point by
+construction, and scored again by tsallis_relative_entropy.  The search
+path shares nothing with the closed-form evaluation; agreement between the
+two is evidence, not circularity.
 """
 
 from __future__ import annotations
@@ -64,7 +67,8 @@ class OracleResult:
     "tolerance" or "iteration_cap", and cap_hits counts the simplices, over
     every restart and both passes, that stopped at the iteration cap.
     free_dim is r = dim Fix(E); the search ran over r - 1 real parameters
-    (none at r = 1, where I/d, the only free state, is scored once)."""
+    (none at r = 1, where each pass of each restart scores I/d, the only
+    free state, once: 2 points per restart)."""
 
     value: float
     sigma_min: np.ndarray
@@ -150,7 +154,9 @@ def _lockstep_simplex(f, x0: np.ndarray, tol: np.ndarray, max_iterations: np.nda
     its endpoint does not depend on the other problems of the batch.
     Returns the best point (k, n) and value (k,) of each problem, with the
     points it scored (k,), the iterations it ran (k,) and whether it stopped
-    at its iteration cap rather than its tolerance (k,).
+    at its iteration cap rather than its tolerance (k,).  With n = 0 the
+    simplex is the single point x0: it is scored once, its spread is 0, and
+    a problem with a finite value stops at iteration 0.
     """
     k, n = x0.shape
     # Gao and Han's shrink coefficient 1 - 1/n is 0 at n = 1, which would
@@ -173,7 +179,7 @@ def _lockstep_simplex(f, x0: np.ndarray, tol: np.ndarray, max_iterations: np.nda
     rows = np.arange(k)
     verts = np.repeat(x0[:, None, :], n + 1, axis=1)
     verts[:, np.arange(1, n + 1), np.arange(n)] += initial_step
-    fs = score(verts.reshape(-1, n), np.repeat(rows, n + 1)).reshape(k, n + 1)
+    fs = score(verts.reshape(k * (n + 1), n), np.repeat(rows, n + 1)).reshape(k, n + 1)
     best_x = np.empty((k, n))
     best_f = np.empty(k)
 
@@ -249,30 +255,27 @@ def simplex_minimize(f, x0: np.ndarray, config: OracleConfig,
 
 
 def _free_state_objective(problems, bases):
-    """Objective (X, rows) -> S~_a(rho | sigma(x)) over a stack of points,
-    each scored for its own problem (rho, rdm, a), with sigma(x) as in
-    parameterize_free_state over that problem's basis (bases[i], the
+    """Objective (X, rows) -> S~_a(rho | tau(x)) over a stack of points,
+    each scored for its own problem (rho, rdm, a), with tau(x) = exp(H) /
+    Tr exp(H), H = sum_j x_j B_j over that problem's basis (bases[i], the
     free_algebra_basis of its map).
 
-    Hot path for the search, built for few numpy calls per stack: H from
-    the coordinates in one product, exp(H) / Tr exp(H) from one stacked
-    eigh, E of it in one superoperator product on row-major flattened
-    matrices, one more stacked eigh, and the entropy from eigenvector
-    weights instead of full matrix powers.  Masks select the a < 1, a = 1
-    and a > 1 branches and the +inf support barrier.  Mirrors
-    tsallis_relative_entropy's support conventions and matrix_power's
-    round-off rule exactly; a unit test pins the two together to 1e-12.
-    Every problem must have the same dimension and the same r.
+    Fix(E) is a *-algebra, so tau is already a free state: E(tau) = tau up
+    to round-off, and E is not applied here.  Hot path for the search,
+    built for few numpy calls per stack: H from the coordinates in one
+    product, the spectrum of tau and its eigenvectors from one stacked eigh
+    of H, and the entropy from eigenvector weights instead of full matrix
+    powers.  Masks select the a < 1, a = 1 and a > 1 branches and the +inf
+    support barrier.  Mirrors tsallis_relative_entropy's support
+    conventions and matrix_power's round-off rule exactly; a unit test pins
+    the two together to 1e-12.  Every problem must have the same dimension
+    and the same r.
     """
     if len({B.shape for B in bases}) != 1:
         raise ValidationError("problems scored together must share one dimension and one r")
     n, d, _ = bases[0].shape
     # real coordinates x -> H = x @ B, H flattened row-major
     Bx = np.stack([B.reshape(n, d * d) for B in bases])
-    # the superoperator acting on row-major rather than column-stacked
-    # flattenings: the two orders differ by the transpose permutation
-    flip = np.arange(d * d).reshape(d, d).T.ravel()
-    S = np.stack([rdm.superop[np.ix_(flip, flip)] for _, rdm, _ in problems])
     a = np.array([float(a) for _, _, a in problems])
     one = a == 1.0
     A = [np.asarray(rho, dtype=complex) for rho, _, _ in problems]
@@ -286,21 +289,20 @@ def _free_state_objective(problems, bases):
     params = np.stack([a < 1.0, one, 1.0 - a, 1.0 / a, np.where(one, 1.0, a - 1.0), rho_ln_rho],
                       axis=1)
     # the initial simplex and shrink steps score n or n + 1 points per
-    # problem at once; scoring them in chunks keeps the gathered operators
-    # within 256 KiB
-    chunk = max(1, 2**18 // (S[0].nbytes + Bx[0].nbytes + AM[0].nbytes))
+    # problem at once; scoring them in chunks keeps the gathered bases and
+    # powers of rho within 256 KiB
+    chunk = max(1, 2**18 // (Bx[0].nbytes + AM[0].nbytes))
 
     def objective(X: np.ndarray, rows: np.ndarray) -> np.ndarray:
         m = rows.size
         if m > chunk:
             return np.concatenate([objective(X[i:i + chunk], rows[i:i + chunk])
                                    for i in range(0, m, chunk)])
-        h, U = np.linalg.eigh((X[:, None, :] @ Bx[rows]).reshape(m, d, d))
-        e = np.exp(h - h[:, -1:])
-        e /= e.sum(axis=1, keepdims=True)
-        tau = (U * e[:, None, :]) @ U.conj().transpose(0, 2, 1)
-        w, V = np.linalg.eigh((S[rows] @ tau.reshape(m, d * d, 1)).reshape(m, d, d))
-        w = np.maximum(w, 0.0)
+        h, V = np.linalg.eigh((X[:, None, :] @ Bx[rows]).reshape(m, d, d))
+        # the spectrum of tau, ascending like h; the shift by the largest
+        # eigenvalue keeps exp from overflowing
+        w = np.exp(h - h[:, -1:])
+        w /= w.sum(axis=1, keepdims=True)
         pos = w > linalg.SUPPORT_CUTOFF * w[:, -1:]
         qa, qm = (V.conj()[:, None] * (AM[rows] @ V[:, None])).sum(axis=2).real.transpose(1, 0, 2)
         lt1, r1, expo, inv_a, den, base = params[rows].T
@@ -366,37 +368,27 @@ def _solve_group(problems, bases, configs, closed) -> list[OracleResult]:
     def f(X, rows):
         return objective(X, owner[rows])
 
-    if n:
-        x, fx, evals, iters, first_capped = _lockstep_simplex(f, starts, tol, cap, 0.5)
-        x, fx, polish_evals, polish_iters, capped = _lockstep_simplex(f, x, tol, cap, 0.05)
-        evals += polish_evals
-        iters += polish_iters
-        cap_hits = first_capped.astype(np.int64) + capped
-    else:
-        # Fix(E) = CI: the only free state, E(I/d), is scored once per
-        # problem and every restart lands on it
-        first = np.searchsorted(owner, np.arange(len(problems)))
-        x = starts
-        fx = f(x[first], first)[owner]
-        evals = np.zeros(owner.size, dtype=np.int64)
-        evals[first] = 1
-        iters = cap_hits = np.zeros(owner.size, dtype=np.int64)
-        capped = np.zeros(owner.size, dtype=bool)
+    x, fx, evals, iters, first_capped = _lockstep_simplex(f, starts, tol, cap, 0.5)
+    x, fx, polish_evals, polish_iters, capped = _lockstep_simplex(f, x, tol, cap, 0.05)
+    evals += polish_evals
+    iters += polish_iters
+    cap_hits = first_capped.astype(np.int64) + capped
 
     results = []
     for i, ((rho, rdm, a), basis) in enumerate(zip(problems, bases)):
         mine = np.flatnonzero(owner == i)
         finals = fx[mine]
-        if not np.isfinite(finals).any():
-            raise NoFiniteObjective(
-                f"objective was +inf at every evaluation (a={a}); "
-                "support pathology in the free set"
-            )
         win = int(np.argmin(finals))
         best_f = finals[win]
+        # the search scored exp(H) / Tr exp(H); the reported minimizer is
+        # its image under E, a fixed point by construction, scored afresh
         sigma = _free_state(x[mine[win]], basis, rdm)
         agreeing = int(np.count_nonzero(finals <= best_f + AGREEMENT_WINDOW))
         value = tsallis_relative_entropy(rho, sigma, a)
+        if value == math.inf:
+            raise NoFiniteObjective(
+                f"objective is +inf at the image of the best point found (a={a}); "
+                "support pathology in the free set")
         results.append(OracleResult(
             value=value, sigma_min=sigma, gap_to_closed_form=value - closed[i],
             restarts_agreeing=agreeing,
@@ -413,10 +405,11 @@ def minimize_over_free_states(rho: np.ndarray, rdm: ResourceDestroyingMap,
     Runs the simplex from `restarts` seeded random starts, advanced together
     by minimize_batch; each restart is polished by a second simplex rebuilt
     at its endpoint with a shrunken initial step, which recovers from
-    degenerate collapse.  The winning point is re-evaluated through
-    tsallis_relative_entropy (not the fused objective) and compared with the
-    closed form.  restarts_agreeing counts restarts whose best value
-    landed within 1e-6 of the winner, making flaky convergence visible.
+    degenerate collapse.  The winning point is mapped through E,
+    re-evaluated through tsallis_relative_entropy (not the fused objective)
+    and compared with the closed form.  restarts_agreeing counts restarts
+    whose best value landed within 1e-6 of the winner, making flaky
+    convergence visible.
     """
     closed = closed_form_measure(rho, rdm, a).value
     return minimize_batch([(rho, rdm, a)], [OracleConfig() if config is None else config],

@@ -39,7 +39,7 @@ log = logging.getLogger("rdmap.verify")
 
 # theorem1 solves all trials of one dimension in one lockstep batch, with one
 # restart per problem, OracleConfig's default iteration cap and ORACLE_TOL;
-# the acceptance run (50 trials) takes 17-20 s on a 2-vCPU VM against its
+# the acceptance run (50 trials) takes 11-15 s on a 2-vCPU VM against its
 # 300 s budget.  ORACLE_TOL is looser than OracleConfig's default of 1e-10,
 # which costs a third more points scored for no pass/fail change.
 GAP_TOL = 1e-5

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -541,6 +542,47 @@ def test_map_json_twirl_and_kraus():
                         "operators": [linalg.matrix_to_json(K) for K in proj]})
     assert superop_distance(kr, tw) <= 1e-10
     assert map_to_json(kr)["type"] == "kraus"
+
+
+MAP_KINDS = ("dephasing", "lueders", "modified", "mixing", "pauli twirl", "commuting kraus",
+             "non-commuting kraus")
+
+
+@settings(max_examples=70, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_map_json_round_trip_every_type(data):
+    """Every map type, written by map_to_json as JSON text and read back by
+    map_from_json, keeps its superoperator to 1e-12 and its descriptor
+    exactly.  Partitions are random (dephasing in a random block order);
+    the Pauli x I twirl (non-abelian, a Kraus sum) and both Kraus inputs,
+    Lueders projectors and a modified map's operators, are in a random
+    basis."""
+    kind = data.draw(st.sampled_from(MAP_KINDS))
+    d = data.draw(st.sampled_from([2, 4, 6]) if kind == "pauli twirl" else st.integers(2, 6))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    coarse = random_partition(d, rng, coarse=True)
+    V = random_unitary(d, rng)
+    if kind == "dephasing":
+        rdm = dephasing_map(MeasurementPartition(d, [[i] for i in rng.permutation(d)]))
+    elif kind == "lueders":
+        rdm = lueders_map(random_partition(d, rng))
+    elif kind == "modified":
+        rdm = modified_coarse_map(random_partition(d, rng))
+    elif kind == "mixing":
+        rdm = mixing_map(d)
+    elif kind == "pauli twirl":
+        pauli = [np.eye(2), X, 1j * X @ Z, Z]
+        rdm = twirling_map(conjugated(V, [np.kron(P, np.eye(d // 2)) for P in pauli]))
+    elif kind == "commuting kraus":
+        rdm = map_from_json(kraus_json(conjugated(V, coarse.projectors())))
+    else:
+        rdm = map_from_json(kraus_json(conjugated(V, modified_coarse_map(coarse).kraus)))
+    dense = kind in ("pauli twirl", "non-commuting kraus")
+    assert isinstance(rdm.channel, PartitionChannel) != dense, kind
+    obj = json.loads(json.dumps(map_to_json(rdm)))
+    again = map_from_json(obj)
+    assert superop_distance(again, rdm) <= 1e-12, kind
+    assert map_to_json(again) == obj, kind
 
 
 def test_map_json_declared_dim_must_match_operators():

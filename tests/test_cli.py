@@ -370,13 +370,13 @@ def _exit_code(command, state, rdm):
                      "--out", os.path.join(tmp, "out.txt")])
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(command=st.sampled_from(["measure", "sweep"]), rdm=map_objects)
 def test_malformed_map_file_never_exits_1(command, rdm):
     assert _exit_code(command, TWO, rdm) in (0, 2, 3)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(command=st.sampled_from(["measure", "sweep"]), state=state_objects)
 @example(command="measure", state={"re": None, "im": "INF"})
 def test_malformed_state_file_never_exits_1(command, state):
