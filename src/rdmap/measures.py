@@ -110,6 +110,11 @@ def closed_form_measure(rho: np.ndarray, rdm: ResourceDestroyingMap, a: float) -
     Evaluates the closed form literally: rho^a, the 1/a-th power of its image
     under E, and a trace.  rho is coerced and checked once, and one
     eigendecomposition of rho serves its validation and rho^a (or S(rho)).
+    That eigendecomposition comes from `linalg.density_spectrum`, which
+    remembers the last state it validated: consecutive calls on a
+    byte-identical rho (a sweep over orders, or a call after
+    `validate_density` on the same array) decompose it once, and any
+    other rho is decomposed afresh, with bit-identical results either way.
     The power of E(rho^a), and at a = 1 the spectrum of E(rho) for
     S(E(rho)), come from `spectral_image`: a partition map takes them on
     its blocks, with no d x d eigh, and other maps on the dense image.
@@ -117,6 +122,9 @@ def closed_form_measure(rho: np.ndarray, rdm: ResourceDestroyingMap, a: float) -
     the largest eigenvalue of the whole image, counts as 0 in the power.
     A map that is not trace preserving (only an uncertified one) can send
     rho^a to zero trace; that raises CertificationError with the trace.
+    An order so small that the 1/a-th power underflows to zero trace while
+    E(rho^a) keeps a positive one is the order's fault, not the map's: that
+    raises ValidationError naming a.  This check runs only once N <= 0.
     The a = 1 branch is exact, not a numerical limit; callers wanting
     stability at |a - 1| < 1e-6 must request a = 1 explicitly.
     """
@@ -133,8 +141,15 @@ def closed_form_measure(rho: np.ndarray, rdm: ResourceDestroyingMap, a: float) -
         value = _entropy(rdm.spectral_image(A)) - _entropy(spectrum.values)
         N = 1.0
     else:
-        X = rdm.spectral_image(linalg.spectral_power(spectrum, a), 1.0 / a)
+        Y = linalg.spectral_power(spectrum, a)
+        X = rdm.spectral_image(Y, 1.0 / a)
         N = float(np.trace(X).real)
+        if not N > 0.0:
+            image_trace = float(np.trace(rdm.apply(Y)).real)
+            if image_trace > 0.0:
+                raise ValidationError(
+                    f"order a = {a:g} is too small: Tr E(rho^a) = {image_trace:.3e}, "
+                    f"but its 1/a-th power underflows to zero trace")
         _check_image_trace(N, a)
         value = (N - 1.0) / (a - 1.0)
         sigma_star = X / N

@@ -421,7 +421,7 @@ def test_spectral_image_keeps_the_dense_checks():
         assert np.abs(deph.spectral_image(lost, 0.5) - want).max() <= 1e-12
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(st.integers(2, 8), st.lists(st.integers(2, 4), min_size=1, max_size=3),
        st.integers(0, 2**32 - 1))
 def test_abelian_twirl_json_round_trip(d, orders, seed):
@@ -548,7 +548,7 @@ MAP_KINDS = ("dephasing", "lueders", "modified", "mixing", "pauli twirl", "commu
              "non-commuting kraus")
 
 
-@settings(max_examples=70, deadline=None, derandomize=True, database=None)
+@settings(max_examples=70)
 @given(st.data())
 def test_map_json_round_trip_every_type(data):
     """Every map type, written by map_to_json as JSON text and read back by

@@ -1,5 +1,7 @@
 import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -135,6 +137,117 @@ def test_validate_density_names_the_violation():
         linalg.validate_density([[0.5, 1j], [1j, 0.5]])
 
 
+def _same_bits(got: linalg.Eigensystem, want: linalg.Eigensystem) -> bool:
+    return all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
+def test_density_spectrum_reuses_a_byte_identical_state(monkeypatch):
+    """A byte-identical array, even a fresh copy, gets the stored
+    eigensystem back without an eigh, bit for bit what a fresh one is."""
+    monkeypatch.setattr(linalg, "_last_spectrum", None)
+    rho = linalg.random_density_matrix(4, 4, seed=21)
+    first = linalg.density_spectrum(rho)
+    assert _same_bits(first, linalg._clipped_spectrum(rho))
+    assert linalg.density_spectrum(rho.copy()) is first
+    assert linalg.density_spectrum(np.asfortranarray(rho)) is first
+
+
+def test_density_spectrum_misses_on_one_ulp_and_on_the_sign_of_zero(monkeypatch):
+    """One ulp in one entry, or -0.0 for +0.0, is another state: it gets its
+    own eigensystem, equal to a fresh one, and the entry follows it."""
+    monkeypatch.setattr(linalg, "_last_spectrum", None)
+    rho = linalg.random_density_matrix(3, 3, seed=22)
+    rho = (rho + rho.conj().T) / 2  # a real diagonal, with +0.0 imaginary parts
+    first = linalg.density_spectrum(rho)
+    nudged = rho.copy()
+    nudged[1, 1] = np.nextafter(rho[1, 1].real, 1.0)
+    second = linalg.density_spectrum(nudged)
+    assert second is not first
+    assert _same_bits(second, linalg._clipped_spectrum(nudged))
+    assert linalg.density_spectrum(nudged) is second
+    signed = rho.copy()
+    signed[0, 0] = complex(rho[0, 0].real, -0.0)
+    assert np.array_equal(signed, rho) and signed.tobytes() != rho.tobytes()
+    assert linalg.density_spectrum(signed) is not first
+
+
+def test_density_spectrum_decomposes_an_array_mutated_in_place(monkeypatch):
+    monkeypatch.setattr(linalg, "_last_spectrum", None)
+    A = linalg.random_density_matrix(3, 3, seed=23)
+    first = linalg.density_spectrum(A)
+    A[0, 1] += 0.01
+    A[1, 0] += 0.01
+    again = linalg.density_spectrum(A)
+    assert again is not first
+    assert _same_bits(again, linalg._clipped_spectrum(A))
+
+
+def test_density_spectrum_never_stores_an_error(monkeypatch):
+    """An invalid state after a valid one raises on every call, and the
+    valid state's entry survives it."""
+    monkeypatch.setattr(linalg, "_last_spectrum", None)
+    rho = linalg.random_density_matrix(2, 2, seed=24)
+    first = linalg.density_spectrum(rho)
+    bad = {NotPSD: np.array([[0.5, 0.6], [0.6, 0.5]], dtype=complex),
+           TraceNotOne: 2 * rho,
+           NonHermitian: np.array([[0.5, 1j], [1j, 0.5]])}
+    for error, state in bad.items():
+        for _ in range(2):
+            with pytest.raises(error):
+                linalg.density_spectrum(state)
+            with pytest.raises(error):
+                linalg.validate_density(state)
+    assert linalg.density_spectrum(rho) is first
+
+
+def test_density_spectrum_returns_read_only_arrays():
+    values, vectors = linalg.density_spectrum(linalg.random_density_matrix(3, 3, seed=25))
+    for part in (values, vectors):
+        assert not part.flags.writeable
+        with pytest.raises(ValueError):
+            part[0] = 0.0
+
+
+def test_validate_density_fills_the_entry_a_closed_form_reads(monkeypatch):
+    """validate_density returns the coerced array, and density_spectrum on
+    that array decomposes nothing again."""
+    monkeypatch.setattr(linalg, "_last_spectrum", None)
+    rho = linalg.random_density_matrix(3, 3, seed=26)
+    A = linalg.validate_density(rho.tolist())
+    assert A.dtype == complex and np.array_equal(A, rho)
+    eighs = []
+    monkeypatch.setattr(linalg, "_eigh", lambda M: eighs.append(M))
+    linalg.density_spectrum(A)
+    assert eighs == []
+
+
+def test_density_spectrum_under_threads():
+    """Threads that share the one entry each get their own state's
+    eigensystem: six threads on two cores, a short switch interval, each
+    checking every result against its own reference."""
+    states = [linalg.random_density_matrix(4, 4, seed=30 + i) for i in range(6)]
+    refs = [linalg._clipped_spectrum(rho) for rho in states]
+    wrong = []
+
+    def work(i):
+        for _ in range(300):
+            if not _same_bits(linalg.density_spectrum(states[i].copy()), refs[i]):
+                wrong.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(states))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+
+
 def test_random_hermitian_is_hermitian():
     X = linalg.random_hermitian(4, seed=9)
     assert linalg.hermiticity_residual(X) == 0.0
@@ -147,7 +260,7 @@ def test_matrix_json_round_trip():
     assert np.array_equal(M, back)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(st.integers(1, 6).flatmap(lambda d: st.lists(
     st.floats(-1.0, 1.0), min_size=2 * d * d, max_size=2 * d * d)))
 def test_state_json_round_trip(entries):

@@ -19,7 +19,7 @@ from rdmap.channels import (
     modified_coarse_map,
     twirling_map,
 )
-from rdmap.errors import InfiniteValue, ValidationError
+from rdmap.errors import CertificationError, InfiniteValue, ValidationError
 from rdmap.measures import (
     closed_form_measure,
     decomposition_identity_residual,
@@ -29,7 +29,7 @@ from rdmap.measures import (
     von_neumann_entropy,
     validate_order,
 )
-from rdmap.verify import _builtin_families, random_partition
+from rdmap.verify import _builtin_families, _free_unitary, random_partition
 
 PLUS = np.full((2, 2), 0.5, dtype=complex)
 A_GRID = (0.3, 0.5, 0.8, 1.0, 1.2, 1.5, 2.0)
@@ -259,7 +259,7 @@ def test_non_abelian_twirl_keeps_the_dense_closed_form():
         assert closed_form_measure(rho, rdm, a).value == want
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(st.integers(2, 12), st.booleans(), st.integers(0, 2**32 - 1))
 def test_blockwise_closed_form_equals_dense(d, with_basis, seed):
     """A random partition with a random mix of kept and traced blocks, in the
@@ -282,6 +282,93 @@ def test_blockwise_closed_form_equals_dense(d, with_basis, seed):
         assert abs(got.value - want.value) <= 1e-12 * max(1.0, abs(want.value))
         assert abs(got.N - want.N) <= 1e-12 * want.N
         assert np.abs(got.sigma_star - want.sigma_star).max() <= 1e-12
+
+
+def test_sweep_bits_do_not_depend_on_what_came_between():
+    """A 7-order sweep of one state, each call reading the remembered
+    eigensystem, ends with the same bits as the same calls with another
+    state decomposed between every two of them."""
+    for d in (2, 4):
+        rho = linalg.random_density_matrix(d, d, seed=40 + d)
+        other = linalg.random_density_matrix(d, d, seed=50 + d)
+        for rdm in builtin_maps(d):
+            alone = [closed_form_measure(rho, rdm, a) for a in A_GRID]
+            between = []
+            for a in A_GRID:
+                closed_form_measure(other, rdm, a)
+                between.append(closed_form_measure(rho, rdm, a))
+            for x, y in zip(alone, between):
+                assert (x.value, x.N, x.fixed_point_residual) == (y.value, y.N,
+                                                                  y.fixed_point_residual)
+                assert x.sigma_star.tobytes() == y.sigma_star.tobytes()
+
+
+def test_sweep_decomposes_the_state_once(count_decompositions):
+    rho = linalg.random_density_matrix(4, 4, seed=44)
+    calls = count_decompositions(rho)
+    for rdm in builtin_maps(4):
+        for a in A_GRID:
+            closed_form_measure(rho, rdm, a)
+    assert calls == ["eigh"]
+
+
+def test_tiny_order_blames_the_order_not_the_map():
+    """At a = 1e-20 the 1/a-th power of E(rho^a) underflows to zero trace.
+    That is the order's fault: a ValidationError naming it, not a
+    CertificationError against a certified map."""
+    rho = np.array([[0.7, 0.1 + 0.05j], [0.1 - 0.05j, 0.3]])
+    with pytest.raises(ValidationError, match="order a = 1e-20") as caught:
+        closed_form_measure(rho, qubit_dephasing(), 1e-20)
+    assert not isinstance(caught.value, CertificationError)
+
+
+def _full_rank_state(entries):
+    """G G^dagger + 1e-3 I, normalized, from a generated complex factor G."""
+    d = math.isqrt(len(entries) // 2)
+    G = np.reshape(entries[:d * d], (d, d)) + 1j * np.reshape(entries[d * d:], (d, d))
+    P = G @ G.conj().T + 1e-3 * np.eye(d)
+    P = (P + P.conj().T) / 2
+    return P / np.trace(P).real
+
+
+def _factor(d):
+    return st.lists(st.floats(-1.0, 1.0), min_size=2 * d * d, max_size=2 * d * d)
+
+
+AXIOM_TOL = 1e-9
+
+
+@pytest.mark.parametrize("family", range(5))
+@settings(max_examples=20)
+@given(data=st.data())
+def test_axioms_on_generated_states(family, data):
+    """The resource-measure axioms of the axioms suite, on generated
+    full-rank states at d = 2..4 for each built-in family, at orders drawn
+    from the grid: faithfulness on E(tau), invariance under a free unitary,
+    monotonicity under E and under a random mixture of free unitaries, and
+    convexity.  Each closed form follows one on another state, so every
+    call decomposes its state afresh."""
+    d = data.draw(st.integers(2, 4), label="d")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    coarse, families = _builtin_families(d, rng)
+    name, rdm = families[family]
+    a = data.draw(st.sampled_from(A_GRID), label="a")
+    rho, tau, rho2 = (_full_rank_state(data.draw(_factor(d))) for _ in range(3))
+    p = data.draw(st.floats(0.0, 1.0), label="p")
+
+    def v(state):
+        return closed_form_measure(state, rdm, a).value
+
+    assert abs(v(rdm.apply(tau))) <= AXIOM_TOL
+    v_rho = v(rho)
+    U = _free_unitary(name, d, rng, coarse)
+    assert abs(v(U @ rho @ U.conj().T) - v_rho) <= AXIOM_TOL
+    assert v(rdm.apply(rho)) <= v_rho + AXIOM_TOL
+    mixes = [_free_unitary(name, d, rng, coarse) for _ in range(3)]
+    probs = rng.dirichlet(np.ones(len(mixes)))
+    assert v(sum(q * (W @ rho @ W.conj().T) for q, W in zip(probs, mixes))) <= v_rho + AXIOM_TOL
+    assert v(p * rho + (1 - p) * rho2) <= p * v_rho + (1 - p) * v(rho2) + AXIOM_TOL
 
 
 def test_closed_form_rejects_bad_inputs():
@@ -354,7 +441,7 @@ def test_report_json_infinity_literal():
     assert report_from_json(payload).value == math.inf
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(st.integers(2, 4), st.floats(0.05, 2.0), st.booleans(), st.integers(0, 2**32 - 1))
 def test_report_json_round_trip_every_family(d, a, infinite, seed):
     """The report of every built-in map on a state of random rank comes back

@@ -187,7 +187,7 @@ def test_every_free_state_is_reachable(d):
             assert linalg.frobenius(parameterize_free_state(x, rdm) - sigma) <= 1e-12, name
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(st.data())
 def test_random_coordinates_give_a_fixed_density_matrix(data):
     """E(tau) and tau = exp(H) / Tr exp(H) itself are fixed points: the
@@ -305,7 +305,13 @@ def test_oracle_reaches_a_singular_minimizer(a):
     """Every searched state exp(H) / Tr exp(H) has full rank; the search
     still comes within 1e-7 of a minimizer sigma* that has not: a pure
     state under the one-block Lueders map (the identity, sigma* = rho) and
-    |0><0| under dephasing."""
+    |0><0| under dephasing.
+
+    Seeded random pure states under the same two maps at d = 2, 3, searched
+    with 20 restarts, stay above criterion 1's floor of -1e-7: the search
+    can read below the true minimum when sigma* is singular, by round-off
+    in the objective near a singular sigma, and the worst seen is -5.5e-9
+    (d = 2, seed 3, a = 2)."""
     psi = np.array([0.6, 0.8j])
     cases = ((np.outer(psi, psi.conj()), lueders_map(MeasurementPartition(2, [[0, 1]]))),
              (np.diag([1.0, 0.0]).astype(complex),
@@ -314,6 +320,12 @@ def test_oracle_reaches_a_singular_minimizer(a):
         res = minimize_over_free_states(rho, rdm, a,
                                         OracleConfig(restarts=1, tol=ORACLE_TOL, seed=3))
         assert abs(res.gap_to_closed_form) <= 1e-7
+    for d, seed in ((2, 1), (2, 3), (3, 0)):
+        rho = linalg.random_density_matrix(d, 1, seed=seed)
+        for rdm in (lueders_map(MeasurementPartition(d, [list(range(d))])),
+                    dephasing_map(MeasurementPartition.singletons(d))):
+            res = minimize_over_free_states(rho, rdm, a, OracleConfig(seed=1))
+            assert res.gap_to_closed_form >= -1e-7
 
 
 def test_batch_matches_each_problem_alone():

@@ -199,7 +199,7 @@ def test_report_json_shape():
     assert payload["wall_time_s"] > 0
 
 
-@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@settings(max_examples=20)
 @given(st.sampled_from(SUITE_NAMES), st.integers(1, 3), st.integers(0, 2**16))
 def test_suite_report_json_round_trip(name, trials, seed):
     """Every suite's report survives JSON text unchanged, including the
