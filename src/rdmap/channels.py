@@ -16,12 +16,13 @@ for n operators; see `_eigenbasis_form`.
 
 Every channel also offers `spectral_image(Y, p)`: E(Y)^p, or with p None the
 eigenvalues of E(Y), which is what the closed form needs of E.  By default it
-forms E(Y) densely and diagonalizes it (`linalg.matrix_power`,
-`linalg.eig_hermitian`).  A partition map's E(Y) is block diagonal in its
-basis, so it diagonalizes block by block: a kept singleton or a traced block
-is a scalar, and the kept blocks of each size n > 1 share one batched eigh,
-with the checks and the round-off rule of the dense path applied to the
-spectrum of all blocks together.
+forms E(Y) densely, or takes the E(Y) its caller already formed, and
+diagonalizes it (`linalg.matrix_power`, `linalg.eig_hermitian`).  A
+partition map's E(Y) is block diagonal in its basis, so it diagonalizes
+block by block: a kept singleton or a traced block is a scalar, and the kept
+blocks of each size n > 1 share one batched eigh, with the checks and the
+round-off rule of the dense path applied to the spectrum of all blocks
+together.
 
 The d^2 x d^2 superoperator (column-major vectorization, column (a, b) is
 vec E(|a><b|), S = sum_i conj(K_i) (x) K_i) is the canonical representation
@@ -120,11 +121,13 @@ class QuantumChannel:
     def _act(self, A: np.ndarray) -> np.ndarray:
         return _kraus_act(self.kraus, A)
 
-    def spectral_image(self, Y: np.ndarray, p: float | None = None) -> np.ndarray:
+    def spectral_image(self, Y: np.ndarray, p: float | None = None,
+                       image: np.ndarray | None = None) -> np.ndarray:
         """E(Y)^p, `linalg.matrix_power` of E(Y) with its checks and round-off
         rule, or, when p is None, the eigenvalues of E(Y), as
-        `linalg.eig_hermitian` gives them.  Here E(Y) is formed densely."""
-        X = self.apply(Y)
+        `linalg.eig_hermitian` gives them.  Here E(Y) is formed densely,
+        unless the caller passes it as `image`, which is then taken as is."""
+        X = self.apply(Y) if image is None else image
         if p is None:
             return linalg.eig_hermitian(X).values
         return linalg.matrix_power(X, p)
@@ -291,7 +294,8 @@ class PartitionChannel(QuantumChannel):
             self._layout = (scalars, groups, at)
         return self._layout
 
-    def spectral_image(self, Y: np.ndarray, p: float | None = None) -> np.ndarray:
+    def spectral_image(self, Y: np.ndarray, p: float | None = None,
+                       image: np.ndarray | None = None) -> np.ndarray:
         """E(Y)^p, or the eigenvalues of E(Y), from the blocks of
         A = W^dag Y W: E(Y) = W P0(A) W^dag, and P0(A) is block diagonal.  A
         kept singleton or a traced block has a scalar eigenvalue, a diagonal
@@ -301,6 +305,7 @@ class PartitionChannel(QuantumChannel):
         rule of `linalg.matrix_power`, apply to the spectrum of all blocks at
         once.  With a basis the input costs one d x d product and the output
         one; without one both are gathers and scatters, O(d^2 + sum n^3).
+        A dense `image` is not needed here and is ignored.
         """
         A = np.asarray(Y, dtype=complex)
         d = self._dim
@@ -441,8 +446,9 @@ class ResourceDestroyingMap(QuantumChannel):
     def _act(self, A: np.ndarray) -> np.ndarray:
         return self.channel._act(A)
 
-    def spectral_image(self, Y: np.ndarray, p: float | None = None) -> np.ndarray:
-        return self.channel.spectral_image(Y, p)
+    def spectral_image(self, Y: np.ndarray, p: float | None = None,
+                       image: np.ndarray | None = None) -> np.ndarray:
+        return self.channel.spectral_image(Y, p, image)
 
     def trace_preserving_residual(self) -> float:
         return self.channel.trace_preserving_residual()

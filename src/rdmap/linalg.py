@@ -126,8 +126,13 @@ def power_values(values: np.ndarray, p: float) -> np.ndarray:
     them, in any order: values ** p, with 0 for the eigenvalues that p > 0
     takes as round-off (at or below d * eps * lambda_max, d = values.size)
     and that p <= 0 takes as outside the support (at or below 1e-12 *
-    lambda_max)."""
+    lambda_max).  Raises OverflowError, before numpy would warn, when
+    lambda_max ** p overflows, as it does when p > 0 is so large that an
+    eigenvalue just above 1 leaves the float range."""
     top = max(float(values.max()), 0.0)
+    # a Python float power raises OverflowError itself unless p is inf
+    if p > 0 and top > 1.0 and top ** p == math.inf:
+        raise OverflowError(f"{top!r} ** {p!r} overflows")
     cut = values.size * _EPS * top if p > 0 else SUPPORT_CUTOFF * top
     out = np.zeros_like(values)
     pos = values > cut

@@ -117,7 +117,8 @@ def closed_form_measure(rho: np.ndarray, rdm: ResourceDestroyingMap, a: float) -
     other rho is decomposed afresh, with bit-identical results either way.
     The power of E(rho^a), and at a = 1 the spectrum of E(rho) for
     S(E(rho)), come from `spectral_image`: a partition map takes them on
-    its blocks, with no d x d eigh, and other maps on the dense image.
+    its blocks, with no d x d eigh, and other maps on the dense image; at
+    a = 1 that image is sigma* = E(rho) itself, so E is applied once.
     Either way an eigenvalue at or below d * eps * lambda_max, lambda_max
     the largest eigenvalue of the whole image, counts as 0 in the power.
     A map that is not trace preserving (only an uncertified one) can send
@@ -125,6 +126,9 @@ def closed_form_measure(rho: np.ndarray, rdm: ResourceDestroyingMap, a: float) -
     An order so small that the 1/a-th power underflows to zero trace while
     E(rho^a) keeps a positive one is the order's fault, not the map's: that
     raises ValidationError naming a.  This check runs only once N <= 0.
+    An order so small that an eigenvalue of E(rho^a), rounded above 1,
+    overflows in the 1/a-th power raises the same ValidationError:
+    `linalg.power_values` raises OverflowError before numpy would warn.
     The a = 1 branch is exact, not a numerical limit; callers wanting
     stability at |a - 1| < 1e-6 must request a = 1 explicitly.
     """
@@ -138,11 +142,16 @@ def closed_form_measure(rho: np.ndarray, rdm: ResourceDestroyingMap, a: float) -
     if a == 1.0:
         sigma_star = rdm.apply(A)
         _check_image_trace(float(np.trace(sigma_star).real), a)
-        value = _entropy(rdm.spectral_image(A)) - _entropy(spectrum.values)
+        value = _entropy(rdm.spectral_image(A, image=sigma_star)) - _entropy(spectrum.values)
         N = 1.0
     else:
         Y = linalg.spectral_power(spectrum, a)
-        X = rdm.spectral_image(Y, 1.0 / a)
+        try:
+            X = rdm.spectral_image(Y, 1.0 / a)
+        except OverflowError:
+            raise ValidationError(
+                f"order a = {a:g} is too small: an eigenvalue of E(rho^a) rounds "
+                f"above 1, and its 1/a-th power overflows") from None
         N = float(np.trace(X).real)
         if not N > 0.0:
             image_trace = float(np.trace(rdm.apply(Y)).real)

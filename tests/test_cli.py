@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -8,7 +10,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rdmap.cli import fmt_float, main, render_csv, render_json, sweep_grid
+from rdmap import cli, linalg
+from rdmap.cli import _json_scalar, fmt_float, main, render_csv, render_json, sweep_grid
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def run_module(argv):
+    """`python -m rdmap` on argv in a fresh interpreter importing rdmap from
+    this checkout: (exit code, stdout, stderr)."""
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run([sys.executable, "-m", "rdmap", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    return done.returncode, done.stdout, done.stderr
 
 
 @pytest.fixture()
@@ -103,6 +118,24 @@ def test_measure_tiny_order_exits_2_naming_the_order(files, capsys):
     assert main(["measure", "--state", files["mixed"], "--map", files["deph"],
                  "--a", "1e-20"]) == 2
     assert capsys.readouterr().err.startswith("error: ValidationError: order a = 1e-20")
+
+
+@pytest.mark.parametrize("seed", [1, 2, 5])
+def test_measure_tiny_order_that_overflows_exits_2(files, capsys, seed):
+    """At a = 1e-20 an eigenvalue of E(rho^a) of these d = 4 states rounds
+    above 1 and its 1/a-th power overflows; that once printed
+    inf,1.00000000000e-20,inf,inf and exited 0."""
+    state = files["tmp"] / "rho4.json"
+    state.write_text(json.dumps(linalg.matrix_to_json(
+        linalg.random_density_matrix(4, 4, seed=seed))))
+    deph = files["tmp"] / "deph4.json"
+    deph.write_text(json.dumps({"type": "dephasing", "dim": 4,
+                                "partition": [[0], [1], [2], [3]]}))
+    assert main(["measure", "--state", str(state), "--map", str(deph),
+                 "--a", "1e-20", "--output", "csv"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ValidationError: order a = 1e-20")
 
 
 @pytest.mark.parametrize("argv", [["measure", "--a", "0.5"],
@@ -310,6 +343,87 @@ def test_render_helpers_stable():
     text = render_csv(rows)
     assert text.splitlines()[0] == "a,b,c"
     assert "inf" in text
+
+
+def test_parser_is_built_once_per_process(files, capsys):
+    cli.build_parser.cache_clear()
+    for a in ("0.5", "1", "2", "0.5"):
+        assert main(["measure", "--state", files["mixed"], "--map", files["deph"],
+                     "--a", a]) == 0
+    assert main(["sweep", "--state", files["mixed"], "--map", files["deph"],
+                 "--a-grid", "0.5,2"]) == 0
+    capsys.readouterr()
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 4)
+
+
+def _in_process(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse refuses the command line
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_requests_in_one_process_match_each_request_alone(files, capsys):
+    """The shared parser keeps no state between requests: each call of a
+    sequence in one process gives the bytes and exit code it gives alone, in
+    a fresh `python -m rdmap`."""
+    state = ["--state", files["mixed"], "--map", files["deph"]]
+    sequence = [
+        ["measure", *state, "--a", "0.5"],
+        ["sweep", *state, "--a-grid", "0.3,1.0,2.0"],
+        ["verify", "continuity", "--trials", "2", "--seed", "1", "--output", "csv"],
+        ["sweep", *state, "--a-grid", "0.5,2.0", "--output", "xml"],
+        ["measure", *state, "--a", "0.5"],
+    ]
+    together = [_in_process(argv, capsys) for argv in sequence]
+    assert [code for code, _, _ in together] == [0, 0, 0, 2, 0]
+    assert "invalid choice: 'xml'" in together[3][2]
+    assert together[4] == together[0]
+    assert together == [run_module(argv) for argv in sequence]
+
+
+def test_python_m_rdmap_runs_the_cli(files):
+    code, out, err = run_module(["measure", "--state", files["plus"], "--map", files["deph"],
+                                 "--a", "2"])
+    assert (code, err) == (0, "")
+    assert '"value": 4.14213562373e-01' in out
+    code, out, err = run_module(["measure", "--state", files["bad_state"], "--map",
+                                 files["deph"], "--a", "2"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: TraceNotOne:")
+
+
+def _generic_row(row):
+    return "[" + ", ".join(_json_scalar(v) for v in row) + "]"
+
+
+_edge_floats = [-0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324, -2.2e-308, 1e300, -1e300]
+
+
+@settings(max_examples=200)
+@given(row=st.lists(st.floats() | st.sampled_from(_edge_floats), min_size=1, max_size=40))
+@example(row=_edge_floats)
+def test_float_rows_render_like_the_generic_path(row):
+    """A list of Python floats takes render_json's fast path; the same
+    values as numpy float64 take the generic one.  Both, and the scalar
+    rule applied item by item, give the same bytes."""
+    assert all(type(v) is float for v in row)
+    text = render_json(row)
+    assert text == _generic_row(row)
+    assert text == render_json([np.float64(v) for v in row])
+    assert render_json({"m": [row, row]}) == render_json({"m": [list(map(np.float64, row))] * 2})
+
+
+@settings(max_examples=200)
+@given(row=st.lists(st.floats() | st.sampled_from(_edge_floats) | st.integers(-10**6, 10**6)
+                    | st.floats().map(np.float64), min_size=1, max_size=20))
+@example(row=[1, 2.5, -0.0, math.nan])
+@example(row=[np.float64(-0.0), 1.0, math.inf])
+def test_mixed_rows_render_like_the_scalar_rule(row):
+    assert render_json(row) == _generic_row(row)
 
 
 # ------------------------------------------------ malformed input exits 2

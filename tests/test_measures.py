@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rdmap import linalg
+from rdmap import channels, linalg
 from rdmap.channels import (
     MeasurementPartition,
     PartitionChannel,
@@ -320,6 +320,42 @@ def test_tiny_order_blames_the_order_not_the_map():
     with pytest.raises(ValidationError, match="order a = 1e-20") as caught:
         closed_form_measure(rho, qubit_dephasing(), 1e-20)
     assert not isinstance(caught.value, CertificationError)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 5])
+def test_tiny_order_that_overflows_blames_the_order(seed):
+    """At a = 1e-20 an eigenvalue of E(rho^a) can round above 1, and its
+    1/a-th power overflow: a ValidationError naming the order, with no
+    numpy overflow warning (tier-1 turns RuntimeWarning into an error)
+    and no infinite value."""
+    rho = linalg.random_density_matrix(4, 4, seed=seed)
+    with pytest.raises(ValidationError, match="order a = 1e-20 .* overflows") as caught:
+        closed_form_measure(rho, dephasing_map(MeasurementPartition.singletons(4)), 1e-20)
+    assert not isinstance(caught.value, CertificationError)
+
+
+def test_a1_applies_a_kraus_sum_map_to_rho_once(monkeypatch):
+    """At a = 1 sigma* = E(rho) is also the image whose spectrum gives
+    S(E(rho)): a map on the dense path applies E to rho once, and the value
+    has the same bits as the entropy of a second, separate E(rho)."""
+    rng = np.random.default_rng(11)
+    Q, R = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    V = Q * (np.diag(R) / np.abs(np.diag(R)))
+    coarse = modified_coarse_map(MeasurementPartition(3, [[0, 2], [1]]))
+    rdm = certify_rdm(QuantumChannel([V @ K @ V.conj().T for K in coarse.kraus]))
+    assert not isinstance(rdm.channel, PartitionChannel)
+    rho = linalg.random_density_matrix(3, 3, seed=9)
+    applied = []
+    inner = channels._kraus_act
+
+    def counted(ops, A):
+        applied.append("rho" if np.array_equal(A, rho) else "other")
+        return inner(ops, A)
+    monkeypatch.setattr(channels, "_kraus_act", counted)
+    rep = closed_form_measure(rho, rdm, 1.0)
+    assert applied == ["rho", "other"]  # sigma* = E(rho), then E(sigma*)
+    monkeypatch.undo()
+    assert rep.value == von_neumann_entropy(rdm.apply(rho)) - von_neumann_entropy(rho)
 
 
 def _full_rank_state(entries):
