@@ -104,6 +104,17 @@ def _check_image_trace(trace: float, a: float) -> None:
             f"Tr {what} = {trace:.3e}: the map is not trace preserving on this state")
 
 
+def _power_is_projector(values: np.ndarray, a: float) -> bool:
+    """Whether rho^a, from rho's ascending eigenvalues, rounds to the
+    projector onto rho's support while rho is not one: at least two
+    eigenvalues lie above the round-off cut, so each lies below 1, and
+    every one of them has p^a == 1.0.  The true rho^a then differs from the
+    projector by O(a ln p), which rounding has lost.  A pure state is its
+    own support projector, so nothing is lost for it."""
+    live = values[values > linalg.roundoff_level(values)]
+    return live.size > 1 and bool(np.all(live ** a == 1.0))
+
+
 def closed_form_measure(rho: np.ndarray, rdm: ResourceDestroyingMap, a: float) -> MeasureReport:
     """Distance from rho to Fix(E) without optimization.
 
@@ -129,6 +140,11 @@ def closed_form_measure(rho: np.ndarray, rdm: ResourceDestroyingMap, a: float) -
     An order so small that an eigenvalue of E(rho^a), rounded above 1,
     overflows in the 1/a-th power raises the same ValidationError:
     `linalg.power_values` raises OverflowError before numpy would warn.
+    So does an order so small that rho^a rounds to the projector onto the
+    support of a rho of rank 2 or more (every eigenvalue p has p^a == 1.0):
+    N then counts the eigenvalues of E(rho^a) that round to 1, and the
+    value reads about -(N - 1).  This check runs only once the value is
+    negative, and a pure state, which is its own support projector, passes.
     The a = 1 branch is exact, not a numerical limit; callers wanting
     stability at |a - 1| < 1e-6 must request a = 1 explicitly.
     """
@@ -161,6 +177,11 @@ def closed_form_measure(rho: np.ndarray, rdm: ResourceDestroyingMap, a: float) -
                     f"but its 1/a-th power underflows to zero trace")
         _check_image_trace(N, a)
         value = (N - 1.0) / (a - 1.0)
+        if value < 0.0 and _power_is_projector(spectrum.values, a):
+            raise ValidationError(
+                f"order a = {a:g} is too small: every eigenvalue p of rho above round-off "
+                f"has p^a == 1.0, so rho^a rounds to its support projector and no digit "
+                f"of the order survives")
         sigma_star = X / N
     residual = linalg.frobenius(rdm.apply(sigma_star) - sigma_star)
     return MeasureReport(value=value, a=a, N=N, sigma_star=sigma_star,

@@ -17,11 +17,18 @@ mapped through E, which makes the reported minimizer a fixed point by
 construction, and scored again by tsallis_relative_entropy.  The search
 path shares nothing with the closed-form evaluation; agreement between the
 two is evidence, not circularity.
+
+minimize_batch solves many problems of one dimension together: every
+restart of every problem, whatever its r, is a row of one padded vertex
+stack that one lockstep simplex advances per pass, so each iteration pays
+one bookkeeping pass and one objective call per phase for the whole batch.
+Each result is bit-identical to solving its problem alone.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +49,13 @@ AGREEMENT_WINDOW = 1e-6
 @dataclass
 class OracleConfig:
     """Search budget: seeded random restarts, per-restart iteration cap, and
-    the objective-spread tolerance that stops the simplex."""
+    the objective-spread tolerance that stops the simplex.
+
+    restarts, max_iterations and seed are integers (an integral float is
+    taken as its int; a bool or a fractional value is refused), restarts
+    and max_iterations at least 1 and seed at least 0; tol is a finite
+    positive number.  Anything else is a ValidationError naming the field.
+    """
 
     restarts: int = 20
     max_iterations: int = 2000
@@ -50,12 +63,15 @@ class OracleConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.restarts < 1:
-            raise ValidationError(f"restarts must be >= 1, got {self.restarts}")
-        if not self.tol > 0:
-            raise ValidationError(f"tolerance must be positive, got {self.tol}")
-        if self.max_iterations < 1:
-            raise ValidationError(f"max_iterations must be >= 1, got {self.max_iterations}")
+        for name, least in (("restarts", 1), ("max_iterations", 1), ("seed", 0)):
+            value = linalg.as_integer(getattr(self, name), name)
+            if value < least:
+                raise ValidationError(f"{name} must be >= {least}, got {value}")
+            setattr(self, name, value)
+        tol = self.tol
+        if (isinstance(tol, bool) or not isinstance(tol, numbers.Real)
+                or not (math.isfinite(tol) and tol > 0)):
+            raise ValidationError(f"tol must be finite and positive, got {tol!r:.60}")
 
 
 @dataclass
@@ -68,7 +84,10 @@ class OracleResult:
     every restart and both passes, that stopped at the iteration cap.
     free_dim is r = dim Fix(E); the search ran over r - 1 real parameters
     (none at r = 1, where each pass of each restart scores I/d, the only
-    free state, once: 2 points per restart)."""
+    free state, once: 2 points per restart).  stack_iterations holds the
+    iterations of the lockstep stack the problem was solved in, one count
+    per pass: the most any of its rows ran, which is the number of
+    bookkeeping passes the whole batch paid."""
 
     value: float
     sigma_min: np.ndarray
@@ -79,6 +98,7 @@ class OracleResult:
     stop_reason: str
     cap_hits: int
     free_dim: int
+    stack_iterations: tuple[int, int]
 
 
 def free_algebra_basis(rdm: ResourceDestroyingMap) -> np.ndarray:
@@ -140,33 +160,59 @@ def parameterize_free_state(x: np.ndarray, rdm: ResourceDestroyingMap) -> np.nda
     return _free_state(z, basis, rdm)
 
 
-def _lockstep_simplex(f, x0: np.ndarray, tol: np.ndarray, max_iterations: np.ndarray,
-                      initial_step: float):
-    """Nelder-Mead on k independent problems advanced in lockstep.
+# the simplex steps that touch whole simplices (scoring the initial one,
+# reordering, dropping finished problems and shrinking) run on blocks of
+# problems whose vertices fill at most this many bytes
+_BLOCK_BYTES = 2**18
 
-    x0 is (k, n); tol and max_iterations are per-problem arrays of length k.
-    f(X, rows) returns the objective values of the points X (m, n), row i
-    belonging to problem rows[i].  Each phase (reflect, expand or contract,
-    shrink) makes one call of f for every problem that needs it; per-problem
-    masks pick the branch, and a problem leaves the active set once its
-    objective spread drops below its tolerance or it reaches its iteration
-    cap.  Every problem sees exactly the arithmetic it would see alone, so
-    its endpoint does not depend on the other problems of the batch.
+
+def _lockstep_simplex(f, x0: np.ndarray, dims: np.ndarray, tol: np.ndarray,
+                      max_iterations: np.ndarray, initial_step: float):
+    """Nelder-Mead on k independent problems advanced in lockstep, one
+    padded vertex stack for problems of any parameter count.
+
+    x0 is (k, n); problem i searches the first dims[i] coordinates of its
+    row, whose other entries must be 0, and dims must be non-increasing
+    (widest problem first).  dims, tol and max_iterations are per-problem
+    arrays of length k, and so are the Gao-Han coefficients.  f(X, rows)
+    returns the objective values of the points X (m, n), row i belonging to
+    problem rows[i]; rows come in ascending order.  Each phase (reflect,
+    expand or contract, shrink) makes one call of f for every problem that
+    needs it; the phases that touch whole simplices (the initial one, a
+    shrink) make one per block of problems whose vertices fill at most
+    _BLOCK_BYTES.  Per-problem masks pick the branch, and a problem leaves
+    the active set once its objective spread drops below its tolerance or
+    it reaches its iteration cap.
+
+    The vertices live in one (k, n + 1, n) stack.  Problem i owns vertex
+    rows 0..dims[i]; the rows past them are padding with f = +inf, never
+    scored, which a stable sort keeps last, so its worst vertex is row
+    dims[i] and its second worst row dims[i] - 1.  Its padded coordinates
+    start at 0 and get no initial step, so they stay exactly 0, and its
+    centroid sums its own best dims[i] vertices in rank order.  Every
+    problem therefore sees exactly the arithmetic it would see alone, and
+    its endpoint does not depend on the other problems of the batch.  The
+    stack is built, reordered, compacted and shrunk in place, block by
+    block, so no temporary grows with it.
+
     Returns the best point (k, n) and value (k,) of each problem, with the
-    points it scored (k,), the iterations it ran (k,) and whether it stopped
-    at its iteration cap rather than its tolerance (k,).  With n = 0 the
-    simplex is the single point x0: it is scored once, its spread is 0, and
-    a problem with a finite value stops at iteration 0.
+    points it scored (k,), the iterations it ran (k,) and whether it
+    stopped at its iteration cap rather than its tolerance (k,); the
+    stack's own iteration count is the largest of them.  A problem with
+    dims[i] = 0 has the single point x0 as its simplex: it is scored once,
+    its spread is 0, and with a finite value it stops at iteration 0.
     """
     k, n = x0.shape
+    dims = np.asarray(dims, dtype=np.intp)
+    if np.any(dims[1:] > dims[:-1]):
+        raise ValueError("problems must come widest first")
     # Gao and Han's shrink coefficient 1 - 1/n is 0 at n = 1, which would
     # collapse the simplex onto its best vertex; n = 1 takes the n = 2
     # coefficients, those of standard Nelder-Mead
-    m = max(n, 2)
-    alpha = 1.0
-    gamma = 1.0 + 2.0 / m
-    beta = 0.75 - 1.0 / (2.0 * m)
-    delta = 1.0 - 1.0 / m
+    m = np.maximum(dims, 2)
+    # per live problem: tolerance, cap, expansion, contraction, shrink
+    par = np.stack([tol, max_iterations, 1.0 + 2.0 / m, 0.75 - 1.0 / (2.0 * m), 1.0 - 1.0 / m],
+                   axis=1)
 
     evaluations = np.zeros(k, dtype=np.int64)
     iterations = np.zeros(k, dtype=np.int64)
@@ -176,61 +222,116 @@ def _lockstep_simplex(f, x0: np.ndarray, tol: np.ndarray, max_iterations: np.nda
         evaluations[:] += np.bincount(owners, minlength=k)
         return f(X, owners)
 
-    rows = np.arange(k)
-    verts = np.repeat(x0[:, None, :], n + 1, axis=1)
-    verts[:, np.arange(1, n + 1), np.arange(n)] += initial_step
-    fs = score(verts.reshape(k * (n + 1), n), np.repeat(rows, n + 1)).reshape(k, n + 1)
+    slots = np.arange(n + 1)
+    block = max(1, _BLOCK_BYTES // max((n + 1) * n * 8, 1))
+    # flat index of each row's first vertex within a block
+    block_base = (np.arange(block) * (n + 1))[:, None]
+    rows, dim = np.arange(k), dims
+    verts = np.empty((k, n + 1, n))
+    verts[:] = x0[:, None, :]
+    # vertex j + 1 of problem i steps along coordinate j < dims[i]; the
+    # problems with dims[i] > j, rows widest first, are the first reach
+    for j, reach in enumerate(np.searchsorted(-dims, -slots[:n]).tolist()):
+        verts[:reach, j + 1, j] += initial_step
+    fs = np.full((k, n + 1), math.inf)
+    for lo in range(0, k, block):
+        own = slots <= dims[lo:lo + block, None]
+        fs[lo:lo + block][own] = score(verts[lo:lo + block][own],
+                                       np.repeat(rows[lo:lo + block], dims[lo:lo + block] + 1))
     best_x = np.empty((k, n))
     best_f = np.empty(k)
 
     iteration = 0
     while True:
         order = np.argsort(fs, axis=1, kind="stable")
-        lane = np.arange(rows.size)[:, None]
-        verts, fs = verts[lane, order], fs[lane, order]
-        # inf - inf is nan when the whole simplex sits on the barrier;
-        # keep iterating in that case rather than declaring convergence.
-        with np.errstate(invalid="ignore"):
-            converged = np.isfinite(fs[:, -1]) & (fs[:, -1] - fs[:, 0] < tol)
-        done = converged | (iteration >= max_iterations)
+        lane = np.arange(rows.size)
+        fs = fs[lane[:, None], order]
+        if n:
+            for lo in range(0, rows.size, block):
+                part = verts[lo:lo + block]
+                flat = (order[lo:lo + block] + block_base[:len(part)]).ravel()
+                part[:] = part.reshape(-1, n).take(flat, axis=0).reshape(part.shape)
+        del order
+        f_worst = fs[lane, dim]
+        # the spread is taken only where the worst value is finite: inf -
+        # inf is nan when the whole simplex sits on the barrier, and such a
+        # simplex keeps iterating
+        finite = np.isfinite(f_worst)
+        converged = finite & (np.where(finite, f_worst, 0.0) - fs[:, 0] < par[:, 0])
+        done = converged | (iteration >= par[:, 1])
         if done.any():
             best_x[rows[done]] = verts[done, 0]
             best_f[rows[done]] = fs[done, 0]
             iterations[rows[done]] = iteration
             capped[rows[done]] = ~converged[done]
             live = ~done
-            rows, verts, fs = rows[live], verts[live], fs[live]
-            tol, max_iterations = tol[live], max_iterations[live]
+            # move the live simplices to the front of the stack, block by
+            # block: a live row only ever moves to a lower index
+            keep = np.flatnonzero(live)
+            for lo in range(0, keep.size, block):
+                moved = keep[lo:lo + block]
+                verts[lo:lo + moved.size] = verts[moved]
+            verts = verts[:keep.size]
+            rows, dim, par, fs, f_worst = rows[live], dim[live], par[live], fs[live], f_worst[live]
+            lane = lane[:rows.size]
         if not rows.size:
             return best_x, best_f, evaluations, iterations, capped
         iteration += 1
 
-        centroid = verts[:, :-1].mean(axis=1)
-        worst = verts[:, -1]
-        xr = centroid + alpha * (centroid - worst)
+        # the centroid of each problem's best dims[i] vertices, summed in
+        # rank order over the problems that own vertex j, the first reach
+        centroid = np.zeros((rows.size, n))
+        for j, reach in enumerate(np.searchsorted(-dim, -slots[:n]).tolist()):
+            if not reach:
+                break
+            centroid[:reach] += verts[:reach, j]
+        centroid /= np.maximum(dim, 1)[:, None]
+        # each (k, n) step is formed in place in one array; the in-place
+        # forms round exactly as the textbook expressions do
+        worst = verts[lane, dim]
+        xr = centroid - worst
+        xr += centroid  # the reflection centroid + (centroid - worst)
         fr = score(xr, rows)
         expand = fr < fs[:, 0]
-        contract = ~expand & ~(fr < fs[:, -2])
-        outside = contract & (fr < fs[:, -1])
-        x2 = np.where(expand[:, None], centroid + gamma * (xr - centroid),
-                      np.where(outside[:, None], centroid + beta * (xr - centroid),
-                               centroid - beta * (centroid - worst)))
+        contract = ~expand & ~(fr < fs[lane, dim - 1])
+        outside = contract & (fr < f_worst)
+        inside = contract & ~outside
+        # expand to centroid + gamma (xr - centroid), contract outside to
+        # centroid + beta (xr - centroid) and inside to centroid - beta
+        # (centroid - worst), which is centroid + beta (worst - centroid)
+        x2 = np.where(inside[:, None], worst, xr)
+        x2 -= centroid
+        x2 *= np.where(expand, par[:, 2], par[:, 3])[:, None]
+        x2 += centroid
+        del centroid, worst
         f2 = np.full(rows.size, np.nan)
         second = expand | contract
         if second.any():
             f2[second] = score(x2[second], rows[second])
-        take2 = ((expand & (f2 < fr)) | (outside & (f2 <= fr))
-                 | (contract & ~outside & (f2 < fs[:, -1])))
+        take2 = (expand & (f2 < fr)) | (outside & (f2 <= fr)) | (inside & (f2 < f_worst))
+        np.copyto(xr, x2, where=take2[:, None])
+        np.copyto(fr, f2, where=take2)
         shrink = contract & ~take2
+        if not shrink.any():
+            verts[lane, dim] = xr
+            fs[lane, dim] = fr
+            continue
         step = ~shrink
-        verts[step, -1] = np.where(take2[step, None], x2[step], xr[step])
-        fs[step, -1] = np.where(take2[step], f2[step], fr[step])
-        if shrink.any():
-            base = verts[shrink, :1]
-            pulled = base + delta * (verts[shrink, 1:] - base)
-            verts[shrink, 1:] = pulled
-            fs[shrink, 1:] = score(pulled.reshape(-1, n),
-                                   np.repeat(rows[shrink], n)).reshape(-1, n)
+        verts[lane[step], dim[step]] = xr[step]
+        fs[lane[step], dim[step]] = fr[step]
+        pull = np.flatnonzero(shrink)
+        for lo in range(0, pull.size, block):
+            s = pull[lo:lo + block]
+            base = verts[s, :1]
+            pulled = verts[s, 1:]
+            pulled -= base
+            pulled *= par[s, 4, None, None]
+            pulled += base
+            verts[s, 1:] = pulled
+            own = slots[1:] <= dim[s, None]
+            shrunk = np.full((s.size, n), math.inf)
+            shrunk[own] = score(pulled[own], np.repeat(rows[s], dim[s]))
+            fs[s, 1:] = shrunk
 
 
 def simplex_minimize(f, x0: np.ndarray, config: OracleConfig,
@@ -249,8 +350,9 @@ def simplex_minimize(f, x0: np.ndarray, config: OracleConfig,
     def batched(X, rows):
         return np.array([f(x) for x in X], dtype=float)
 
-    x, fx, *_ = _lockstep_simplex(batched, x0.reshape(1, -1), np.array([config.tol]),
-                                  np.array([config.max_iterations]), initial_step)
+    x, fx, *_ = _lockstep_simplex(batched, x0.reshape(1, -1), np.array([x0.size]),
+                                  np.array([config.tol]), np.array([config.max_iterations]),
+                                  initial_step)
     return x[0], float(fx[0])
 
 
@@ -260,45 +362,63 @@ def _free_state_objective(problems, bases):
     Tr exp(H), H = sum_j x_j B_j over that problem's basis (bases[i], the
     free_algebra_basis of its map).
 
-    Fix(E) is a *-algebra, so tau is already a free state: E(tau) = tau up
-    to round-off, and E is not applied here.  Hot path for the search,
-    built for few numpy calls per stack: H from the coordinates in one
-    product, the spectrum of tau and its eigenvectors from one stacked eigh
-    of H, and the entropy from eigenvector weights instead of full matrix
-    powers.  Masks select the a < 1, a = 1 and a > 1 branches and the +inf
-    support barrier.  Mirrors tsallis_relative_entropy's support
-    conventions and matrix_power's round-off rule exactly; a unit test pins
-    the two together to 1e-12.  Every problem must have the same dimension
-    and the same r.
+    Problems may have different r: problem i reads the first len(bases[i])
+    coordinates of its rows of X, and the rest must be 0.  Each distinct
+    basis array is stored once, however many problems share it.  Points
+    are scored in chunks that keep the gathered bases and powers of rho
+    within 256 KiB at the width of the chunk's first row, each chunk cut to
+    its widest row; rows that come widest first, as minimize_batch orders
+    them, make the first row the widest.  Fix(E) is a *-algebra, so tau is
+    already a free state: E(tau) = tau up to round-off, and E is not
+    applied here.  Hot path for the search, built for few numpy calls per
+    stack: H from the coordinates in one product, the spectrum of tau and
+    its eigenvectors from one stacked eigh of H, and the entropy from
+    eigenvector weights instead of full matrix powers.  Masks select the
+    a < 1, a = 1 and a > 1 branches and the +inf support barrier.  Mirrors
+    tsallis_relative_entropy's support conventions and matrix_power's
+    round-off rule exactly; a unit test pins the two together to 1e-12.
+    Every problem must have the same dimension.
     """
-    if len({B.shape for B in bases}) != 1:
-        raise ValidationError("problems scored together must share one dimension and one r")
-    n, d, _ = bases[0].shape
-    # real coordinates x -> H = x @ B, H flattened row-major
-    Bx = np.stack([B.reshape(n, d * d) for B in bases])
+    if len({B.shape[1:] for B in bases}) != 1:
+        raise ValidationError("problems scored together must share one dimension")
+    d = bases[0].shape[1]
+    dims = np.array([len(B) for B in bases])
+    # real coordinates x -> H = sum_j x_j B_j, H flattened row-major: each
+    # distinct basis once, stacked, with a zero row last; coordinate j of
+    # problem i multiplies row index[i, j], the zero row past its own
+    start, flat, size = {}, [], 0
+    for B in bases:
+        if id(B) not in start:
+            start[id(B)] = size
+            flat.append(B.reshape(len(B), d * d))
+            size += len(B)
+    Bx = np.concatenate(flat + [np.zeros((1, d * d), dtype=complex)])
+    j = np.arange(dims.max())
+    index = np.where(j < dims[:, None], np.array([start[id(B)] for B in bases])[:, None] + j, size)
     a = np.array([float(a) for _, _, a in problems])
     one = a == 1.0
-    A = [np.asarray(rho, dtype=complex) for rho, _, _ in problems]
-    # rho for the support leak, and rho^a (rho at a = 1) for the entropy
-    AM = np.stack([[Ai, Ai if a1 else linalg.matrix_power(Ai, ai)]
-                   for Ai, ai, a1 in zip(A, a, one)])
-    rho_ln_rho = [float(np.trace(Ai @ linalg.matrix_log(Ai)).real) if a1 else 0.0
-                  for Ai, a1 in zip(A, one)]
+    # rho for the support leak, and rho^a (rho at a = 1) for the entropy,
+    # filled in place
+    AM = np.empty((len(problems), 2, d, d), dtype=complex)
+    rho_ln_rho = np.zeros(len(problems))
+    for i, (rho, _, ai) in enumerate(problems):
+        AM[i] = rho
+        if ai == 1.0:
+            rho_ln_rho[i] = np.trace(AM[i, 0] @ linalg.matrix_log(AM[i, 0])).real
+        else:
+            AM[i, 1] = linalg.matrix_power(AM[i, 0], ai)
     # per problem: a < 1, a = 1, 1 - a, 1 / a, the denominator a - 1 (1 at
     # a = 1) and Tr rho ln rho at a = 1 (0 otherwise)
     params = np.stack([a < 1.0, one, 1.0 - a, 1.0 / a, np.where(one, 1.0, a - 1.0), rho_ln_rho],
                       axis=1)
-    # the initial simplex and shrink steps score n or n + 1 points per
-    # problem at once; scoring them in chunks keeps the gathered bases and
-    # powers of rho within 256 KiB
-    chunk = max(1, 2**18 // (Bx[0].nbytes + AM[0].nbytes))
 
-    def objective(X: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        m = rows.size
-        if m > chunk:
-            return np.concatenate([objective(X[i:i + chunk], rows[i:i + chunk])
-                                   for i in range(0, m, chunk)])
-        h, V = np.linalg.eigh((X[:, None, :] @ Bx[rows]).reshape(m, d, d))
+    def score(X, rows):
+        m, width = X.shape
+        # the terms x_j B_j coordinate-major, so that the sum over j runs
+        # along the outer axis, in order, as a row-by-row sum would
+        H = Bx.take(index[rows, :width].T, axis=0)
+        H *= X.T.astype(complex)[:, :, None]
+        h, V = np.linalg.eigh(np.add.reduce(H, axis=0).reshape(m, d, d))
         # the spectrum of tau, ascending like h; the shift by the largest
         # eigenvalue keeps exp from overflowing
         w = np.exp(h - h[:, -1:])
@@ -315,6 +435,16 @@ def _free_state_objective(problems, bases):
         out[(lt1 == 0) & (leak > SUPPORT_LEAK_TOL)] = math.inf
         return out
 
+    def objective(X: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        width = dims[rows]
+        out = np.empty(rows.size)
+        lo = 0
+        while lo < rows.size:
+            hi = lo + max(1, 2**18 // (16 * d * d * int(width[lo]) + AM[0].nbytes))
+            out[lo:hi] = score(X[lo:hi, :width[lo:hi].max()], rows[lo:hi])
+            lo = hi
+        return out
+
     return objective
 
 
@@ -323,11 +453,15 @@ def minimize_batch(problems, configs, closed) -> list[OracleResult]:
     several problems (rho, rdm, a) of one dimension, each with its own
     OracleConfig, solved together.
 
-    Problems are grouped by r = dim Fix(E), their parameter count being
-    r - 1, and every restart of every problem of a group is a row of one
-    lockstep simplex; result i equals minimize_over_free_states(*problems[i],
-    configs[i]) bit for bit.  closed holds each problem's closed-form value,
-    which the gaps are taken against.
+    Every restart of every problem is a row of one lockstep simplex per
+    pass, whatever its r = dim Fix(E): problem i searches the first r_i - 1
+    coordinates of rows as wide as the largest r - 1 (see
+    _lockstep_simplex).  Rows are ordered widest first, so that each
+    objective chunk is cut to the width of its first row; results come
+    back in input order, and result i equals
+    minimize_over_free_states(*problems[i], configs[i]) bit for bit.
+    closed holds each problem's closed-form value, which the gaps are
+    taken against.
     """
     problems = [(rho, rdm, validate_order(a)) for rho, rdm, a in problems]
     if len(configs) != len(problems):
@@ -336,53 +470,58 @@ def minimize_batch(problems, configs, closed) -> list[OracleResult]:
         raise ValidationError(f"{len(problems)} problems but {len(closed)} closed forms")
     if len({rdm.dim for _, rdm, _ in problems}) != 1:
         raise ValidationError("problems solved together must share one dimension")
+    # one basis per map, shared by every problem on it
     by_map = {}
     for _, rdm, _ in problems:
         if id(rdm) not in by_map:
             by_map[id(rdm)] = free_algebra_basis(rdm)
     bases = [by_map[id(rdm)] for _, rdm, _ in problems]
-    groups = {}
-    for i, B in enumerate(bases):
-        groups.setdefault(len(B), []).append(i)
+    order = sorted(range(len(problems)), key=lambda i: -len(bases[i]))
+    solved = _solve(*([seq[i] for i in order] for seq in (problems, bases, configs, closed)))
     results = [None] * len(problems)
-    for members in groups.values():
-        solved = _solve_group(*([seq[i] for i in members]
-                                for seq in (problems, bases, configs, closed)))
-        for i, res in zip(members, solved):
-            results[i] = res
+    for i, res in zip(order, solved):
+        results[i] = res
     return results
 
 
-def _solve_group(problems, bases, configs, closed) -> list[OracleResult]:
-    """The two lockstep passes over problems that share one parameter count."""
-    n = len(bases[0])
+def _solve(problems, bases, configs, closed) -> list[OracleResult]:
+    """The two lockstep passes over every restart of every problem, widest
+    problem first."""
+    dims = np.array([len(B) for B in bases])
+    n = int(dims.max())
     objective = _free_state_objective(problems, bases)
     owner = np.repeat(np.arange(len(problems)), [c.restarts for c in configs])
     # seeded starts near the origin, where sigma is within a few percent of
-    # I/d, away from the flat region of near-singular states
-    starts = np.concatenate([0.1 * np.random.default_rng(c.seed).standard_normal((c.restarts, n))
-                             for c in configs])
+    # I/d, away from the flat region of near-singular states; zero past
+    # each problem's own coordinates
+    first = np.cumsum([0] + [c.restarts for c in configs])
+    starts = np.zeros((owner.size, n))
+    for i, c in enumerate(configs):
+        starts[first[i]:first[i + 1], :dims[i]] = 0.1 * np.random.default_rng(
+            c.seed).standard_normal((c.restarts, dims[i]))
+    row_dims = dims[owner]
     tol = np.array([configs[i].tol for i in owner])
     cap = np.array([configs[i].max_iterations for i in owner])
 
     def f(X, rows):
         return objective(X, owner[rows])
 
-    x, fx, evals, iters, first_capped = _lockstep_simplex(f, starts, tol, cap, 0.5)
-    x, fx, polish_evals, polish_iters, capped = _lockstep_simplex(f, x, tol, cap, 0.05)
+    x, fx, evals, iters, first_capped = _lockstep_simplex(f, starts, row_dims, tol, cap, 0.5)
+    x, fx, polish_evals, polish_iters, capped = _lockstep_simplex(f, x, row_dims, tol, cap, 0.05)
+    stack_iterations = (int(iters.max()), int(polish_iters.max()))
     evals += polish_evals
     iters += polish_iters
     cap_hits = first_capped.astype(np.int64) + capped
 
     results = []
     for i, ((rho, rdm, a), basis) in enumerate(zip(problems, bases)):
-        mine = np.flatnonzero(owner == i)
+        mine = np.arange(first[i], first[i + 1])
         finals = fx[mine]
         win = int(np.argmin(finals))
         best_f = finals[win]
         # the search scored exp(H) / Tr exp(H); the reported minimizer is
         # its image under E, a fixed point by construction, scored afresh
-        sigma = _free_state(x[mine[win]], basis, rdm)
+        sigma = _free_state(x[mine[win], :dims[i]], basis, rdm)
         agreeing = int(np.count_nonzero(finals <= best_f + AGREEMENT_WINDOW))
         value = tsallis_relative_entropy(rho, sigma, a)
         if value == math.inf:
@@ -394,7 +533,8 @@ def _solve_group(problems, bases, configs, closed) -> list[OracleResult]:
             restarts_agreeing=agreeing,
             evaluations=int(evals[mine].sum()), iterations=int(iters[mine[win]]),
             stop_reason="iteration_cap" if capped[mine[win]] else "tolerance",
-            cap_hits=int(cap_hits[mine].sum()), free_dim=len(basis) + 1))
+            cap_hits=int(cap_hits[mine].sum()), free_dim=len(basis) + 1,
+            stack_iterations=stack_iterations))
     return results
 
 

@@ -37,11 +37,14 @@ SUITE_NAMES = ("theorem1", "axioms", "theorem2", "piani", "continuity")
 # progress of the long suites; the library installs no handler
 log = logging.getLogger("rdmap.verify")
 
-# theorem1 solves all trials of one dimension in one lockstep batch, with one
-# restart per problem, OracleConfig's default iteration cap and ORACLE_TOL;
-# the acceptance run (50 trials) takes 11-15 s on a 2-vCPU VM against its
-# 300 s budget.  ORACLE_TOL is looser than OracleConfig's default of 1e-10,
-# which costs a third more points scored for no pass/fail change.
+# theorem1 solves all trials of one dimension in one lockstep batch, one
+# padded vertex stack whatever each map's r, with one restart per problem,
+# OracleConfig's default iteration cap and ORACLE_TOL; the acceptance run
+# (50 trials) takes 11-15 s on a 2-vCPU VM against its 300 s budget, about
+# what it took when each r ran its own stack: at that size the objective's
+# work per point, not the number of calls, sets the pace.  ORACLE_TOL is
+# looser than OracleConfig's default of 1e-10, which costs a third more
+# points scored for no pass/fail change.
 GAP_TOL = 1e-5
 ORACLE_TOL = 1e-8
 
@@ -178,12 +181,14 @@ def suite_theorem1(dims, a_grid, trials: int, seed: int,
                    tol: float = GAP_TOL) -> SuiteReport:
     """Closed form vs oracle on random states, every built-in map, the full
     a grid (see theorem1_batches).  The oracle solves the problems of every
-    trial of one dimension together in one lockstep simplex, one restart
-    each at ORACLE_TOL.  Records come in trial, dim, map, a order and carry
-    the minimizer's density-validation verdict, fixed-point residual and the
-    oracle's work counters alongside the gap.  Each dimension logs one INFO
-    line: problem count, solve time, cap hits and the problem count per free
-    dimension r (the oracle searches r - 1 real parameters)."""
+    trial of one dimension together, whatever their free dimension r, in
+    one lockstep simplex per pass, one restart each at ORACLE_TOL.  Records
+    come in trial, dim, map, a order and carry the minimizer's
+    density-validation verdict, fixed-point residual and the oracle's work
+    counters alongside the gap.  Each dimension logs one INFO line: problem
+    count, solve time, cap hits, the stack's iterations in each pass and
+    the problem count per free dimension r (the oracle searches r - 1 real
+    parameters)."""
     dims = [int(d) for d in dims]
     if not set(dims) <= {2, 3, 4}:
         raise ValidationError(f"oracle-backed dims are limited to 2..4, got {dims}")
@@ -221,9 +226,11 @@ def suite_theorem1(dims, a_grid, trials: int, seed: int,
                 "violation": abs(res.gap_to_closed_form) - tol,
             })
         per_r = Counter(res.free_dim for res in results)
-        log.info("theorem1 d=%d: %d problems solved in %.2f s, %d cap hits; "
+        log.info("theorem1 d=%d: %d problems solved in %.2f s, %d cap hits, "
+                 "%d + %d stack iterations; "
                  "problems per free dimension r (r - 1 parameters): %s",
                  d, len(group), t_solve, sum(res.cap_hits for res in results),
+                 *results[0].stack_iterations,
                  ", ".join(f"r={r}: {per_r[r]}" for r in sorted(per_r)))
     return _finish("theorem1", trials, [r for batch in records for r in batch], t0)
 

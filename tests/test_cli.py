@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rdmap import cli, linalg
+from rdmap import channels, cli, linalg, measures
 from rdmap.cli import _json_scalar, fmt_float, main, render_csv, render_json, sweep_grid
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -118,6 +118,37 @@ def test_measure_tiny_order_exits_2_naming_the_order(files, capsys):
     assert main(["measure", "--state", files["mixed"], "--map", files["deph"],
                  "--a", "1e-20"]) == 2
     assert capsys.readouterr().err.startswith("error: ValidationError: order a = 1e-20")
+
+
+def test_measure_tiny_order_that_loses_every_digit_exits_2(files, capsys):
+    """At a = 1e-20 every eigenvalue of this full-rank d = 3 state rounds to
+    1 in rho^a; that once printed the value -1.0 and exited 0."""
+    state = files["tmp"] / "rho3.json"
+    state.write_text(json.dumps(linalg.matrix_to_json(
+        linalg.random_density_matrix(3, 3, seed=1))))
+    deph = files["tmp"] / "deph3.json"
+    deph.write_text(json.dumps({"type": "dephasing", "dim": 3,
+                                "partition": [[0], [1], [2]]}))
+    assert main(["measure", "--state", str(state), "--map", str(deph),
+                 "--a", "1e-20", "--output", "csv"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ValidationError: order a = 1e-20")
+
+
+def test_measure_free_state_round_off_prints_as_before(files, capsys):
+    """The zero of a free state that reads a few eps below 0 passes the
+    tiny-order check and prints the library's value, sign included."""
+    deph = channels.dephasing_map(channels.MeasurementPartition.singletons(2))
+    state = files["tmp"] / "free.json"
+    state.write_text(json.dumps(linalg.matrix_to_json(
+        deph.apply(linalg.random_density_matrix(2, 2, seed=1)))))
+    rho = linalg.matrix_from_json(json.loads(state.read_text()))
+    value = measures.closed_form_measure(rho, deph, 0.3).value
+    assert value < 0.0
+    assert main(["measure", "--state", str(state), "--map", files["deph"],
+                 "--a", "0.3", "--output", "csv"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].split(",")[0] == fmt_float(value)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 5])

@@ -334,6 +334,37 @@ def test_tiny_order_that_overflows_blames_the_order(seed):
     assert not isinstance(caught.value, CertificationError)
 
 
+@pytest.mark.parametrize("seed, make_map", [
+    (1, lambda: dephasing_map(MeasurementPartition.singletons(3))),
+    (5, lambda: mixing_map(3)),
+])
+def test_tiny_order_that_rounds_rho_to_its_support_blames_the_order(seed, make_map):
+    """At a = 1e-20 every eigenvalue p of these full-rank states has
+    p^a == 1.0, so rho^a rounds to I and the eigenvalues of E(rho^a) that
+    round to 1 survive the 1/a-th power: the value once read -1.0 (N = 2)
+    under dephasing and -2.0 under mixing.  No digit of the order is left;
+    a ValidationError names it."""
+    rho = linalg.random_density_matrix(3, 3, seed=seed)
+    with pytest.raises(ValidationError, match="order a = 1e-20 .* no digit of the order"):
+        closed_form_measure(rho, make_map(), 1e-20)
+
+
+def test_round_off_below_zero_is_kept():
+    """A zero that reads a few eps below 0 runs the tiny-order check and
+    keeps its value: a free state at a = 0.3, where p^a != 1.0, and pure
+    states at a = 0.5 and at a = 1e-20, whose rho^a is their own support
+    projector even when p^a == 1.0 rounds an eigenvalue below 1."""
+    deph = dephasing_map(MeasurementPartition.singletons(2))
+    free = deph.apply(linalg.random_density_matrix(2, 2, seed=1))
+    one_block = lueders_map(MeasurementPartition(3, [[0, 1, 2]]))
+    pure = linalg.random_density_matrix(3, 1, seed=2)
+    assert np.linalg.eigvalsh(pure)[-1] < 1.0
+    for rho, rdm, a in ((free, deph, 0.3), (pure, one_block, 0.5), (pure, one_block, 1e-20)):
+        rep = closed_form_measure(rho, rdm, a)
+        assert -1e-15 <= rep.value < 0.0
+        assert rep.value == (rep.N - 1.0) / (a - 1.0)
+
+
 def test_a1_applies_a_kraus_sum_map_to_rho_once(monkeypatch):
     """At a = 1 sigma* = E(rho) is also the image whose spectrum gives
     S(E(rho)): a map on the dense path applies E to rho once, and the value

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from rdmap.channels import (
     dephasing_map,
     lueders_map,
     mixing_map,
+    modified_coarse_map,
 )
 from rdmap.errors import CertificationError, NoFiniteObjective, ValidationError
 from rdmap.measures import closed_form_measure, tsallis_relative_entropy
@@ -44,6 +46,27 @@ def test_config_validation():
     with pytest.raises(ValidationError):
         OracleConfig(max_iterations=0)
     assert OracleConfig().restarts == 20
+
+
+@pytest.mark.parametrize("field, value", [
+    ("restarts", 2.5), ("restarts", True), ("restarts", "3"),
+    ("max_iterations", 10.5), ("max_iterations", False), ("max_iterations", math.inf),
+    ("seed", -1), ("seed", 1.5), ("seed", True),
+    ("tol", math.inf), ("tol", math.nan), ("tol", -1e-8), ("tol", True), ("tol", "1e-8"),
+])
+def test_config_refuses_malformed_values(field, value):
+    """restarts=2.5 once failed inside numpy with a TypeError, tol=inf
+    stopped every simplex at iteration 0 and reported its start as the
+    minimum, and max_iterations=10.5 ran 11 iterations per pass."""
+    with pytest.raises(ValidationError, match=field):
+        OracleConfig(**{field: value})
+
+
+def test_config_takes_integral_numbers_as_ints():
+    config = OracleConfig(restarts=3.0, max_iterations=np.int32(7), tol=np.float64(1e-9),
+                          seed=np.int64(4))
+    assert (config.restarts, config.max_iterations, config.seed) == (3, 7, 4)
+    assert all(type(v) is int for v in (config.restarts, config.max_iterations, config.seed))
 
 
 # ----------------------------------------------------------------- simplex
@@ -328,11 +351,14 @@ def test_oracle_reaches_a_singular_minimizer(a):
             assert res.gap_to_closed_form >= -1e-7
 
 
-def test_batch_matches_each_problem_alone():
-    """The 70 d = 3 problems of theorem-1 trials 0 and 1 (two (trial, dim)
-    batches of 35, one of them a fixed-point trial), solved together, end
-    exactly where each ends when solved alone, with the same work counters."""
-    batches = list(theorem1_batches([3], DEFAULT_A_GRID, trials=2, seed=7))
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_batch_matches_each_problem_alone(d):
+    """The 70 problems of theorem-1 trials 0 and 1 at dimension d (two
+    (trial, dim) batches of 35, one of them a fixed-point trial), solved
+    together in one stack whatever their r (at d = 4 from r = 1 to r = 16),
+    end exactly where each ends when solved alone, with the same work
+    counters."""
+    batches = list(theorem1_batches([d], DEFAULT_A_GRID, trials=2, seed=7))
     assert [len(problems) for *_, problems in batches] == [35, 35]
     problems = [p for *_, batch in batches for p in batch]
     configs = [OracleConfig(restarts=1, tol=ORACLE_TOL, seed=oseed)
@@ -340,6 +366,8 @@ def test_batch_matches_each_problem_alone():
     together = minimize_batch([(rho, rdm, a) for _, rdm, rho, a, _ in problems], configs,
                               [closed_form_measure(rho, rdm, a).value
                                for _, rdm, rho, a, _ in problems])
+    if d == 4:
+        assert {res.free_dim for res in together} >= {1, 16}
     for (_, rdm, rho, a, _), config, res in zip(problems, configs, together):
         alone = minimize_over_free_states(rho, rdm, a, config)
         assert np.array_equal(res.sigma_min, alone.sigma_min)
@@ -351,6 +379,98 @@ def test_batch_matches_each_problem_alone():
         assert res.stop_reason == alone.stop_reason
         assert res.cap_hits == alone.cap_hits
         assert res.free_dim == alone.free_dim
+
+
+def _mixed_r_batch():
+    """Two restarts each of problems at d = 3 with r = 1, 2, 3 and 5 (the
+    mixing map, the modified coarse map of two blocks, dephasing and a
+    Lueders map), widest neither first nor last."""
+    coarse = MeasurementPartition(3, [[0, 1], [2]])
+    maps = [dephasing_map(MeasurementPartition.singletons(3)), mixing_map(3),
+            lueders_map(coarse), modified_coarse_map(coarse)]
+    rho = linalg.random_density_matrix(3, 3, seed=4)
+    problems = [(rho, rdm, a) for rdm in maps for a in (0.5, 2.0)]
+    configs = [OracleConfig(restarts=2, max_iterations=400, tol=1e-9, seed=s)
+               for s in range(len(problems))]
+    return problems, configs, [closed_form_measure(*p).value for p in problems]
+
+
+def test_mixed_r_batch_runs_one_stack_per_pass(monkeypatch):
+    """Every r shares one lockstep simplex per pass: two calls in all, on a
+    stack as wide as the largest r - 1, and each winner reaches E as a
+    point of its own problem's length."""
+    problems, configs, closed = _mixed_r_batch()
+    stacks, points = [], []
+    inner_simplex, inner_state = oracle._lockstep_simplex, oracle._free_state
+
+    def simplex(f, x0, *args):
+        stacks.append(x0.shape)
+        return inner_simplex(f, x0, *args)
+
+    def free_state(x, basis, rdm):
+        points.append((x.shape, len(basis)))
+        return inner_state(x, basis, rdm)
+
+    monkeypatch.setattr(oracle, "_lockstep_simplex", simplex)
+    monkeypatch.setattr(oracle, "_free_state", free_state)
+    results = minimize_batch(problems, configs, closed)
+    assert stacks == [(16, 4), (16, 4)]
+    assert [res.free_dim for res in results] == [3, 3, 1, 1, 5, 5, 2, 2]
+    assert sorted(shape for shape, _ in points) == sorted((res.free_dim - 1,) for res in results)
+    assert all(shape == (r,) for shape, r in points)
+    assert all(abs(res.gap_to_closed_form) <= 1e-6 for res in results)
+
+
+def test_stack_allocates_at_most_twice_its_own_size(monkeypatch):
+    """The padded stack of the ten d = 4 theorem-1 trials (656 KiB) is
+    built, reordered, compacted and shrunk in place.  The peak traced inside
+    each pass stays within twice the stack's bytes plus 512 KiB, about one
+    objective chunk's temporaries; between objective calls, where the
+    simplex's own steps run, it stays below twice the stack (it reads 1.73
+    times), so no step holds a second copy of the stack."""
+    batches = theorem1_batches([4], DEFAULT_A_GRID, trials=10, seed=7)
+    problems = [p for *_, batch in batches for p in batch]
+    passes, steps, calls = [], [], []
+    inner_simplex, inner_objective = oracle._lockstep_simplex, oracle._free_state_objective
+
+    def simplex(f, x0, *args):
+        steps.clear()
+        calls.clear()
+        tracemalloc.reset_peak()
+        entry = tracemalloc.get_traced_memory()[0]
+        out = inner_simplex(f, x0, *args)
+        steps.append(tracemalloc.get_traced_memory()[1])
+        k, n = x0.shape
+        passes.append((k * (n + 1) * n * 8, max(steps) - entry, max(calls) - entry))
+        return out
+
+    def objective(problems, bases):
+        f = inner_objective(problems, bases)
+
+        def traced(X, rows):
+            steps.append(tracemalloc.get_traced_memory()[1])
+            out = f(X, rows)
+            calls.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+            return out
+
+        return traced
+
+    monkeypatch.setattr(oracle, "_lockstep_simplex", simplex)
+    monkeypatch.setattr(oracle, "_free_state_objective", objective)
+    tracemalloc.start()
+    try:
+        minimize_batch([(rho, rdm, a) for _, rdm, rho, a, _ in problems],
+                       [OracleConfig(restarts=1, tol=ORACLE_TOL, seed=oseed)
+                        for *_, oseed in problems],
+                       [0.0] * len(problems))
+    finally:
+        tracemalloc.stop()
+    assert len(passes) == 2
+    for stack, own_steps, with_objective in passes:
+        assert stack == 350 * 16 * 15 * 8
+        assert own_steps < 2 * stack
+        assert max(own_steps, with_objective) <= 2 * stack + 2**19
 
 
 def test_counters_report_the_work_done(monkeypatch):

@@ -1,5 +1,6 @@
 import json
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -124,10 +125,16 @@ def test_theorem1_one_budget_converges_on_every_problem():
 
 def test_theorem1_logs_progress_per_dimension(caplog, capsys):
     with caplog.at_level(logging.INFO, logger="rdmap.verify"):
-        suite_theorem1([2, 3], [2.0], trials=2, seed=7)
+        rep = suite_theorem1([2, 3], [2.0], trials=2, seed=7)
     lines = [r.getMessage() for r in caplog.records if r.name == "rdmap.verify"]
     assert [line.split(":")[0] for line in lines] == ["theorem1 d=2", "theorem1 d=3"]
     assert all("10 problems" in line and "0 cap hits" in line for line in lines)
+    # one stack per dimension, whatever its r: its iterations in each pass,
+    # those of its slowest row, bound every record's two passes together
+    for d, line in zip((2, 3), lines):
+        passes = re.search(r"cap hits, (\d+) \+ (\d+) stack iterations;", line).groups()
+        slowest = max(r["iterations"] for r in rep.records if r["dim"] == d)
+        assert 0 < slowest <= sum(int(p) for p in passes)
     assert all("(r - 1 parameters)" in line and "2r" not in line for line in lines)
     # d = 2: dephasing and the twirl have r = 2, mixing r = 1, and the
     # coarse partition is the single block (Lueders r = 4, modified r = 1)
