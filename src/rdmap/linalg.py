@@ -252,6 +252,15 @@ def as_integer(value, what: str) -> int:
     raise ValidationError(f"{what} must be an integer, got {repr(value):.60}")
 
 
+def as_count(value, what: str, least: int) -> int:
+    """as_integer, and at least `least`: a smaller value is a
+    ValidationError naming the field too."""
+    value = as_integer(value, what)
+    if value < least:
+        raise ValidationError(f"{what} must be >= {least}, got {value}")
+    return value
+
+
 def matrix_from_json(obj: dict) -> np.ndarray:
     """Decode the {"re", "im"} wire format back into a complex matrix, with
     entries of magnitude at most WIRE_ENTRY_MAX."""

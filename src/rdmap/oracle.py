@@ -64,10 +64,7 @@ class OracleConfig:
 
     def __post_init__(self):
         for name, least in (("restarts", 1), ("max_iterations", 1), ("seed", 0)):
-            value = linalg.as_integer(getattr(self, name), name)
-            if value < least:
-                raise ValidationError(f"{name} must be >= {least}, got {value}")
-            setattr(self, name, value)
+            setattr(self, name, linalg.as_count(getattr(self, name), name, least))
         tol = self.tol
         if (isinstance(tol, bool) or not isinstance(tol, numbers.Real)
                 or not (math.isfinite(tol) and tol > 0)):
@@ -166,6 +163,12 @@ def parameterize_free_state(x: np.ndarray, rdm: ResourceDestroyingMap) -> np.nda
 _BLOCK_BYTES = 2**18
 
 
+def _runs(dims: np.ndarray) -> list[tuple[int, int, int]]:
+    """(start, stop, width) of each run of equal entries of dims."""
+    cuts = [0, *(np.flatnonzero(dims[1:] != dims[:-1]) + 1).tolist(), dims.size]
+    return [(lo, hi, int(dims[lo])) for lo, hi in zip(cuts[:-1], cuts[1:]) if lo < hi]
+
+
 def _lockstep_simplex(f, x0: np.ndarray, dims: np.ndarray, tol: np.ndarray,
                       max_iterations: np.ndarray, initial_step: float):
     """Nelder-Mead on k independent problems advanced in lockstep, one
@@ -189,7 +192,10 @@ def _lockstep_simplex(f, x0: np.ndarray, dims: np.ndarray, tol: np.ndarray,
     scored, which a stable sort keeps last, so its worst vertex is row
     dims[i] and its second worst row dims[i] - 1.  Its padded coordinates
     start at 0 and get no initial step, so they stay exactly 0, and its
-    centroid sums its own best dims[i] vertices in rank order.  Every
+    centroid sums its own best dims[i] vertices in rank order: rows stay
+    widest first through every compaction, so the rows of each width are
+    one contiguous run, and one reduce over the vertex axis per run adds
+    them in that order.  Every
     problem therefore sees exactly the arithmetic it would see alone, and
     its endpoint does not depend on the other problems of the batch.  The
     stack is built, reordered, compacted and shrunk in place, block by
@@ -241,10 +247,10 @@ def _lockstep_simplex(f, x0: np.ndarray, dims: np.ndarray, tol: np.ndarray,
     best_x = np.empty((k, n))
     best_f = np.empty(k)
 
+    lane, runs = np.arange(k), _runs(dims)
     iteration = 0
     while True:
         order = np.argsort(fs, axis=1, kind="stable")
-        lane = np.arange(rows.size)
         fs = fs[lane[:, None], order]
         if n:
             for lo in range(0, rows.size, block):
@@ -273,18 +279,17 @@ def _lockstep_simplex(f, x0: np.ndarray, dims: np.ndarray, tol: np.ndarray,
                 verts[lo:lo + moved.size] = verts[moved]
             verts = verts[:keep.size]
             rows, dim, par, fs, f_worst = rows[live], dim[live], par[live], fs[live], f_worst[live]
-            lane = lane[:rows.size]
+            lane, runs = lane[:rows.size], _runs(dim)
         if not rows.size:
             return best_x, best_f, evaluations, iterations, capped
         iteration += 1
 
         # the centroid of each problem's best dims[i] vertices, summed in
-        # rank order over the problems that own vertex j, the first reach
-        centroid = np.zeros((rows.size, n))
-        for j, reach in enumerate(np.searchsorted(-dim, -slots[:n]).tolist()):
-            if not reach:
-                break
-            centroid[:reach] += verts[:reach, j]
+        # rank order: one reduce over the vertex axis per run of rows of
+        # equal dims, which the widest-first order keeps contiguous
+        centroid = np.empty((rows.size, n))
+        for lo, hi, width in runs:
+            np.add.reduce(verts[lo:hi, :width], axis=1, out=centroid[lo:hi])
         centroid /= np.maximum(dim, 1)[:, None]
         # each (k, n) step is formed in place in one array; the in-place
         # forms round exactly as the textbook expressions do
@@ -373,11 +378,18 @@ def _free_state_objective(problems, bases):
     applied here.  Hot path for the search, built for few numpy calls per
     stack: H from the coordinates in one product, the spectrum of tau and
     its eigenvectors from one stacked eigh of H, and the entropy from
-    eigenvector weights instead of full matrix powers.  Masks select the
-    a < 1, a = 1 and a > 1 branches and the +inf support barrier.  Mirrors
-    tsallis_relative_entropy's support conventions and matrix_power's
-    round-off rule exactly; a unit test pins the two together to 1e-12.
-    Every problem must have the same dimension.
+    eigenvector weights of rho^a instead of full matrix powers.  When every
+    row of a chunk has full support, its smallest weight above its cut
+    (matrix_power's round-off level d * eps * w_max for a < 1,
+    SUPPORT_CUTOFF * w_max from a = 1 on), the chunk takes the fast path:
+    every mask would be all true and the support leak 0, so it sums the
+    same terms in the same order with no mask and no sandwich of rho.  On
+    the theorem-1 suite every chunk does.  Otherwise masks select the
+    a < 1, a = 1 and a > 1 branches and the +inf support barrier, whose
+    leak needs the weights of rho itself.  Mirrors tsallis_relative_entropy's
+    support conventions and matrix_power's round-off rule exactly; a unit
+    test pins the two together to 1e-12 and the fast path to the masked one
+    bit for bit.  Every problem must have the same dimension.
     """
     if len({B.shape[1:] for B in bases}) != 1:
         raise ValidationError("problems scored together must share one dimension")
@@ -399,17 +411,20 @@ def _free_state_objective(problems, bases):
     one = a == 1.0
     # rho for the support leak, and rho^a (rho at a = 1) for the entropy,
     # filled in place
-    AM = np.empty((len(problems), 2, d, d), dtype=complex)
+    AM = np.empty((2, len(problems), d, d), dtype=complex)
     rho_ln_rho = np.zeros(len(problems))
     for i, (rho, _, ai) in enumerate(problems):
-        AM[i] = rho
+        AM[:, i] = rho
         if ai == 1.0:
-            rho_ln_rho[i] = np.trace(AM[i, 0] @ linalg.matrix_log(AM[i, 0])).real
+            rho_ln_rho[i] = np.trace(AM[0, i] @ linalg.matrix_log(AM[0, i])).real
         else:
-            AM[i, 1] = linalg.matrix_power(AM[i, 0], ai)
+            AM[1, i] = linalg.matrix_power(AM[0, i], ai)
     # per problem: a < 1, a = 1, 1 - a, 1 / a, the denominator a - 1 (1 at
-    # a = 1) and Tr rho ln rho at a = 1 (0 otherwise)
-    params = np.stack([a < 1.0, one, 1.0 - a, 1.0 / a, np.where(one, 1.0, a - 1.0), rho_ln_rho],
+    # a = 1), Tr rho ln rho at a = 1 (0 otherwise) and the cut on tau's
+    # weights relative to the largest: matrix_power's round-off level
+    # d * eps below a = 1, SUPPORT_CUTOFF from a = 1 on
+    params = np.stack([a < 1.0, one, 1.0 - a, 1.0 / a, np.where(one, 1.0, a - 1.0), rho_ln_rho,
+                       np.where(a < 1.0, d * np.finfo(float).eps, linalg.SUPPORT_CUTOFF)],
                       axis=1)
 
     def score(X, rows):
@@ -417,15 +432,22 @@ def _free_state_objective(problems, bases):
         # the terms x_j B_j coordinate-major, so that the sum over j runs
         # along the outer axis, in order, as a row-by-row sum would
         H = Bx.take(index[rows, :width].T, axis=0)
-        H *= X.T.astype(complex)[:, :, None]
+        H *= X.T[:, :, None]
         h, V = np.linalg.eigh(np.add.reduce(H, axis=0).reshape(m, d, d))
         # the spectrum of tau, ascending like h; the shift by the largest
         # eigenvalue keeps exp from overflowing
         w = np.exp(h - h[:, -1:])
         w /= w.sum(axis=1, keepdims=True)
+        lt1, r1, expo, inv_a, den, base, cut = params[rows].T
+        qm = (V.conj() * (AM[1, rows] @ V)).sum(axis=1).real
+        if (w[:, 0] > cut * w[:, -1]).all():
+            # full support: every weight, the smallest first, passes its
+            # row's cut, so every mask below is all true and the leak is 0
+            ln = (qm * np.log(w)).sum(axis=1)
+            T = (w ** expo[:, None] * qm).sum(axis=1)
+            return np.where(r1 > 0, base - ln, (np.maximum(T, 0.0) ** inv_a - 1.0) / den)
         pos = w > linalg.SUPPORT_CUTOFF * w[:, -1:]
-        qa, qm = (V.conj()[:, None] * (AM[rows] @ V[:, None])).sum(axis=2).real.transpose(1, 0, 2)
-        lt1, r1, expo, inv_a, den, base = params[rows].T
+        qa = (V.conj() * (AM[0, rows] @ V)).sum(axis=1).real
         leak = np.where(pos, 0.0, qa).sum(axis=1)
         keep = np.where(lt1[:, None] > 0, w > linalg.roundoff_level(w), pos)
         ws = np.where(keep, w, 1.0)
@@ -440,7 +462,7 @@ def _free_state_objective(problems, bases):
         out = np.empty(rows.size)
         lo = 0
         while lo < rows.size:
-            hi = lo + max(1, 2**18 // (16 * d * d * int(width[lo]) + AM[0].nbytes))
+            hi = lo + max(1, 2**18 // (16 * d * d * int(width[lo]) + AM[:, 0].nbytes))
             out[lo:hi] = score(X[lo:hi, :width[lo:hi].max()], rows[lo:hi])
             lo = hi
         return out
@@ -468,6 +490,8 @@ def minimize_batch(problems, configs, closed) -> list[OracleResult]:
         raise ValidationError(f"{len(problems)} problems but {len(configs)} configs")
     if len(closed) != len(problems):
         raise ValidationError(f"{len(problems)} problems but {len(closed)} closed forms")
+    if not problems:
+        return []
     if len({rdm.dim for _, rdm, _ in problems}) != 1:
         raise ValidationError("problems solved together must share one dimension")
     # one basis per map, shared by every problem on it

@@ -40,9 +40,10 @@ log = logging.getLogger("rdmap.verify")
 # theorem1 solves all trials of one dimension in one lockstep batch, one
 # padded vertex stack whatever each map's r, with one restart per problem,
 # OracleConfig's default iteration cap and ORACLE_TOL; the acceptance run
-# (50 trials) takes 11-15 s on a 2-vCPU VM against its 300 s budget, about
-# what it took when each r ran its own stack: at that size the objective's
-# work per point, not the number of calls, sets the pace.  ORACLE_TOL is
+# (50 trials) takes 8-13 s on a 2-vCPU VM against its 300 s budget.  At
+# that size the objective's work per point sets the pace, most of it the
+# stacked eigh of H, since every point it scores has full support and
+# skips the masked scoring.  ORACLE_TOL is
 # looser than OracleConfig's default of 1e-10, which costs a third more
 # points scored for no pass/fail change.
 GAP_TOL = 1e-5
@@ -186,10 +187,12 @@ def suite_theorem1(dims, a_grid, trials: int, seed: int,
     come in trial, dim, map, a order and carry the minimizer's
     density-validation verdict, fixed-point residual and the oracle's work
     counters alongside the gap.  Each dimension logs one INFO line: problem
-    count, solve time, cap hits, the stack's iterations in each pass and
+    count, solve time, cap hits, the stack's iterations in each pass, the
+    points scored per map family (the sum of its records' evaluations) and
     the problem count per free dimension r (the oracle searches r - 1 real
     parameters)."""
-    dims = [int(d) for d in dims]
+    dims = [linalg.as_integer(d, "dims") for d in dims]
+    trials, seed = linalg.as_count(trials, "trials", 1), linalg.as_count(seed, "seed", 0)
     if not set(dims) <= {2, 3, 4}:
         raise ValidationError(f"oracle-backed dims are limited to 2..4, got {dims}")
     a_grid = [float(a) for a in a_grid]
@@ -226,11 +229,15 @@ def suite_theorem1(dims, a_grid, trials: int, seed: int,
                 "violation": abs(res.gap_to_closed_form) - tol,
             })
         per_r = Counter(res.free_dim for res in results)
+        points = Counter()
+        for (_, (name, *_)), res in zip(group, results):
+            points[name] += res.evaluations
         log.info("theorem1 d=%d: %d problems solved in %.2f s, %d cap hits, "
-                 "%d + %d stack iterations; "
+                 "%d + %d stack iterations; points scored per map: %s; "
                  "problems per free dimension r (r - 1 parameters): %s",
                  d, len(group), t_solve, sum(res.cap_hits for res in results),
                  *results[0].stack_iterations,
+                 ", ".join(f"{name}: {n}" for name, n in points.items()),
                  ", ".join(f"r={r}: {per_r[r]}" for r in sorted(per_r)))
     return _finish("theorem1", trials, [r for batch in records for r in batch], t0)
 
@@ -239,6 +246,7 @@ def suite_axioms(trials: int, seed: int, tol: float = 1e-9) -> SuiteReport:
     """Faithfulness, free-unitary invariance, convexity, and monotonicity
     under an enumerated free-operation family (the map itself, a free
     unitary, and a random mixture of free unitaries)."""
+    trials, seed = linalg.as_count(trials, "trials", 1), linalg.as_count(seed, "seed", 0)
     t0 = time.perf_counter()
     records = []
     for t in range(trials):
@@ -293,7 +301,8 @@ def suite_theorem2(dims, a_grid, trials: int, seed: int,
     on random states and coarse partitions, plus the composition identities
     fine.modified = modified.fine = modified at the superoperator level.
     The minimum observed slack is left in the records as data."""
-    dims = [int(d) for d in dims]
+    dims = [linalg.as_integer(d, "dims") for d in dims]
+    trials, seed = linalg.as_count(trials, "trials", 1), linalg.as_count(seed, "seed", 0)
     if not set(dims) <= {3, 4, 5, 6}:
         raise ValidationError(f"coarse partitions need dims in 3..6, got {dims}")
     a_grid = [float(a) for a in a_grid]
@@ -332,6 +341,7 @@ def suite_piani_demo(trials: int, seed: int, tol: float = 1e-9) -> SuiteReport:
     state.  At a = 1 the fine measurement is provably farther and the
     suite counts violations; at other a the signed difference is recorded
     as data without failing the suite."""
+    trials, seed = linalg.as_count(trials, "trials", 1), linalg.as_count(seed, "seed", 0)
     t0 = time.perf_counter()
     records = []
     for t in range(trials):
@@ -360,6 +370,7 @@ def suite_continuity_a1(trials: int, seed: int, tol: float = 1e-3) -> SuiteRepor
     """Both a != 1 branches evaluated at 1 +- 1e-4 must land within 1e-3 of
     the exact a = 1 value.  Every 4th trial uses a fixed point, where all
     three values are ~0."""
+    trials, seed = linalg.as_count(trials, "trials", 1), linalg.as_count(seed, "seed", 0)
     t0 = time.perf_counter()
     records = []
     for t in range(trials):
@@ -387,11 +398,13 @@ def run_suite(name: str, dims=None, a_grid=None, trials: int | None = None,
     """Dispatch by suite name with per-suite defaults matching the
     acceptance runs.  trials=None and tol=None select the suite's default;
     any other trials must be an integer >= 1 and any other tol finite and
-    >= 0."""
+    >= 0.  Each suite also takes only integral dims and a seed >= 0: an
+    integral float counts as its int, and a bool, a fraction, a string or a
+    smaller value is a ValidationError naming the field."""
     if name not in SUITE_NAMES:
         raise ValidationError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
-    if trials is not None and not (isinstance(trials, (int, np.integer)) and trials >= 1):
-        raise ValidationError(f"trials must be an integer >= 1, got {trials!r}")
+    if trials is not None:
+        trials = linalg.as_count(trials, "trials", 1)
     if tol is not None and not 0 <= tol < np.inf:
         raise ValidationError(f"tol must be finite and >= 0, got {tol!r}")
     grid = list(a_grid) if a_grid else list(DEFAULT_A_GRID)

@@ -342,6 +342,7 @@ def test_verify_unknown_suite_exits_2(capsys):
     (["verify", "continuity", "--trials", "2", "--tol", "nan"], "tol"),
     (["verify", "continuity", "--trials", "2", "--tol", "inf"], "tol"),
     (["verify", "continuity", "--trials", "2", "--tol=-1e-3"], "tol"),
+    (["verify", "theorem1", "--dims", "2", "--trials", "1", "--seed", "-1"], "seed"),
 ])
 def test_verify_malformed_trials_or_tol_exits_2(argv, message, capsys):
     # a malformed budget or tolerance must not run a default or vacuous suite

@@ -231,19 +231,38 @@ def test_random_coordinates_give_a_fixed_density_matrix(data):
 
 def test_fused_objective_matches_reference():
     """The search-path objective, scoring one stack of points across
-    several orders, and the public entropy agree to 1e-12."""
+    several orders, and the public entropy agree to 1e-12.  Every third
+    point is moved until tau's smallest weight is below 1e-20 of its
+    largest, far under both support cuts, so the stack takes the masked
+    path; each point scored alone, a full-support one on the fast path,
+    gives the same bits."""
     rng = np.random.default_rng(42)
     orders = (0.3, 0.8, 1.0, 1.2, 2.0)
     for d, rdm in ((2, dephasing_map(MeasurementPartition.singletons(2))),
-                   (3, cyclic_twirl(3))):
+                   (3, cyclic_twirl(3)),
+                   (4, lueders_map(MeasurementPartition(4, [[0, 1, 2], [3]])))):
         rho = linalg.random_density_matrix(d, d, seed=d)
         basis = free_algebra_basis(rdm)
         fused = _free_state_objective([(rho, rdm, a) for a in orders], [basis] * len(orders))
         rows = np.repeat(np.arange(len(orders)), 10)
         X = rng.standard_normal((rows.size, len(basis)))
-        for x, i, value in zip(X, rows, fused(X, rows)):
+        tiny = np.arange(rows.size) % 3 == 0
+        for x in X[::3]:
+            # H's eigenprojectors lie in the algebra: moving its lowest
+            # eigenvalue down by 60 leaves tau's other weights as they were
+            _, V = np.linalg.eigh(np.tensordot(x, basis, axes=1))
+            x -= 60.0 * _coordinates(np.outer(V[:, 0], V[:, 0].conj()), basis)
+        values = fused(X, rows)
+        for x, i, value, small in zip(X, rows, values, tiny):
             direct = tsallis_relative_entropy(rho, parameterize_free_state(x, rdm), orders[i])
-            assert value == pytest.approx(direct, abs=1e-12)
+            if direct == math.inf:
+                assert value == math.inf
+            else:
+                assert value == pytest.approx(direct, abs=1e-12)
+            # rho has full rank, so a support that misses a direction of
+            # it is +inf from a = 1 on
+            assert (value == math.inf) == (small and orders[i] >= 1.0)
+            assert fused(x[None], np.array([i])).view(np.int64) == value.view(np.int64)
 
 
 # ---------------------------------------------------------------- the oracle
@@ -541,3 +560,15 @@ def test_batch_refuses_mixed_dimensions():
                  2.0) for d in (2, 3)]
     with pytest.raises(ValidationError):
         minimize_batch(problems, [QUICK, QUICK], [0.0, 0.0])
+
+
+def test_empty_batch_solves_nothing(monkeypatch):
+    # an empty batch is not a dimension mismatch, and builds no basis or
+    # objective; a length mismatch is still refused
+    def refuse(*_):
+        raise AssertionError("nothing to build for an empty batch")
+    monkeypatch.setattr(oracle, "free_algebra_basis", refuse)
+    monkeypatch.setattr(oracle, "_free_state_objective", refuse)
+    assert minimize_batch([], [], []) == []
+    with pytest.raises(ValidationError, match="0 problems but 1 configs"):
+        minimize_batch([], [QUICK], [])

@@ -139,6 +139,15 @@ def test_theorem1_logs_progress_per_dimension(caplog, capsys):
     # d = 2: dephasing and the twirl have r = 2, mixing r = 1, and the
     # coarse partition is the single block (Lueders r = 4, modified r = 1)
     assert lines[0].endswith("r=1: 4, r=2: 4, r=4: 2")
+    # the points scored per map family, before the per-r list, are the
+    # sums of its records' evaluations
+    for d, line in zip((2, 3), lines):
+        listed = re.search(r"points scored per map: ([^;]*);", line).group(1)
+        scored = {}
+        for r in rep.records:
+            if r["dim"] == d:
+                scored[r["map"]] = scored.get(r["map"], 0) + r["evaluations"]
+        assert listed == ", ".join(f"{name}: {n}" for name, n in scored.items())
     # the library installs no handler, so nothing reaches stdout or stderr
     assert not logging.getLogger("rdmap.verify").handlers
     assert not logging.getLogger("rdmap").handlers
@@ -224,6 +233,45 @@ def test_run_suite_dispatch():
     assert rep.suite == "theorem2"
     with pytest.raises(ValidationError):
         run_suite("nosuch")
+
+
+@pytest.mark.parametrize("kwargs, field", [
+    ({"name": "theorem1", "trials": True}, "trials"),
+    ({"name": "axioms", "trials": 2.5}, "trials"),
+    ({"name": "piani", "trials": "3"}, "trials"),
+    ({"name": "theorem1", "dims": [2.5], "trials": 1}, "dims"),
+    ({"name": "theorem2", "dims": [3.7], "trials": 1}, "dims"),
+    ({"name": "theorem2", "dims": ["3"], "trials": 1}, "dims"),
+    ({"name": "theorem1", "dims": [True], "trials": 1}, "dims"),
+    ({"name": "continuity", "trials": 1, "seed": -1}, "seed"),
+    ({"name": "axioms", "trials": 1, "seed": 1.5}, "seed"),
+    ({"name": "theorem2", "dims": [3], "trials": 1, "seed": True}, "seed"),
+])
+def test_run_suite_refuses_malformed_arguments(kwargs, field):
+    """trials=True once ran one trial and reported trials: True, dims=[2.5]
+    ran d = 2, dims=[3.7] and ["3"] ran d = 3, and a negative seed failed
+    inside numpy with a bare ValueError."""
+    with pytest.raises(ValidationError, match=field):
+        run_suite(a_grid=SMALL_GRID, **kwargs)
+
+
+def test_suites_refuse_malformed_arguments_when_called_directly():
+    with pytest.raises(ValidationError, match="dims"):
+        suite_theorem2([3.7], SMALL_GRID, trials=1, seed=0)
+    with pytest.raises(ValidationError, match="seed"):
+        suite_theorem1([2], SMALL_GRID, trials=1, seed=-1)
+    for suite in (suite_axioms, suite_piani_demo, suite_continuity_a1):
+        with pytest.raises(ValidationError, match="trials"):
+            suite(trials=True, seed=0)
+        with pytest.raises(ValidationError, match="seed"):
+            suite(trials=1, seed=-2)
+
+
+def test_run_suite_takes_integral_numbers_as_ints():
+    rep = run_suite("theorem2", dims=[3.0], a_grid=SMALL_GRID, trials=np.int64(1), seed=2.0)
+    assert rep.trials == 1 and type(rep.trials) is int
+    assert {r["dim"] for r in rep.records} == {3}
+    assert {r["seed"] for r in rep.records} == {2}
 
 
 def test_run_suite_tol_override():
