@@ -14,22 +14,22 @@ operators' joint eigenbasis W (its fixed points are their commutant), so it
 applies as W (mask o W^dag X W) W^dag in O(d^3) and certifies in O(n d^3)
 for n operators; see `_eigenbasis_form`.
 
-Every channel also offers `spectral_image(Y, p)`: E(Y)^p, or with p None the
-eigenvalues of E(Y), which is what the closed form needs of E.  By default it
-forms E(Y) densely, or takes the E(Y) its caller already formed, and
-diagonalizes it (`linalg.matrix_power`, `linalg.eig_hermitian`).  A
-partition map's E(Y) is block diagonal in its basis, so it diagonalizes
-block by block: a kept singleton or a traced block is a scalar, and the kept
-blocks of each size n > 1 share one batched eigh, with the checks and the
-round-off rule of the dense path applied to the spectrum of all blocks
-together.
+Every channel also offers `spectral_image(Y, p)`, which is all the closed
+form needs of E: the clipped eigenvalues of E(Y), in any order, and E(Y)^p
+under `linalg.matrix_power`'s checks and round-off rule.  By default it
+forms E(Y) densely and diagonalizes it.  A partition map's E(Y) is block
+diagonal in its basis, so it diagonalizes block by block: a kept singleton
+or a traced block is a scalar, and the kept blocks of each size n > 1 share
+one batched eigh, with the checks and the round-off rule of the dense path
+applied to the spectrum of all blocks together.
 
 The d^2 x d^2 superoperator (column-major vectorization, column (a, b) is
 vec E(|a><b|), S = sum_i conj(K_i) (x) K_i) is the canonical representation
 for map equality, since Kraus decompositions are not unique.  Both it and a
-partition map's Kraus list are views built on first read; certification and
-`apply` need neither for a partition map.  Channels are immutable once
-built.
+partition map's Kraus list are views built on first read.  Within the
+library only `oracle.free_algebra_basis` reads the superoperator;
+certification and `apply` need neither for a partition map.  Channels are
+immutable once built.
 """
 
 from __future__ import annotations
@@ -121,29 +121,19 @@ class QuantumChannel:
     def _act(self, A: np.ndarray) -> np.ndarray:
         return _kraus_act(self.kraus, A)
 
-    def spectral_image(self, Y: np.ndarray, p: float | None = None,
-                       image: np.ndarray | None = None) -> np.ndarray:
-        """E(Y)^p, `linalg.matrix_power` of E(Y) with its checks and round-off
-        rule, or, when p is None, the eigenvalues of E(Y), as
-        `linalg.eig_hermitian` gives them.  Here E(Y) is formed densely,
-        unless the caller passes it as `image`, which is then taken as is."""
-        X = self.apply(Y) if image is None else image
-        if p is None:
-            return linalg.eig_hermitian(X).values
-        return linalg.matrix_power(X, p)
+    def spectral_image(self, Y: np.ndarray, p: float) -> tuple:
+        """(values, X): the eigenvalues of E(Y), ascending, with round-off
+        negatives clipped to 0, and X = E(Y)^p, both exactly as
+        `linalg.matrix_power` of E(Y) forms them, with its checks and
+        round-off rule.  Here E(Y) is formed densely."""
+        values, vectors = linalg.eig_hermitian(self.apply(Y))
+        values = linalg.clip_spectrum(values)
+        return values, linalg.spectral_power((values, vectors), p)
 
     def adjoint(self) -> "QuantumChannel":
         """The map with Kraus {K_i^dag}; unital iff self is trace preserving,
         trace preserving iff self is unital."""
         return QuantumChannel([linalg.dagger(K) for K in self.kraus])
-
-    def compose(self, other: "QuantumChannel") -> "QuantumChannel":
-        """self after other: (self . other)(rho) = self(other(rho))."""
-        if other.dim != self.dim:
-            raise DimensionMismatch(
-                f"cannot compose dimension {self.dim} with {other.dim}"
-            )
-        return QuantumChannel([A @ B for A in self.kraus for B in other.kraus])
 
     def trace_preserving_residual(self) -> float:
         return _kraus_tp_residual(self.kraus)
@@ -294,18 +284,18 @@ class PartitionChannel(QuantumChannel):
             self._layout = (scalars, groups, at)
         return self._layout
 
-    def spectral_image(self, Y: np.ndarray, p: float | None = None,
-                       image: np.ndarray | None = None) -> np.ndarray:
-        """E(Y)^p, or the eigenvalues of E(Y), from the blocks of
-        A = W^dag Y W: E(Y) = W P0(A) W^dag, and P0(A) is block diagonal.  A
-        kept singleton or a traced block has a scalar eigenvalue, a diagonal
-        entry of A or its block average; the kept blocks of each size n > 1
-        are diagonalized together, in one batched eigh.  The Hermiticity
-        residual ||P0(A) - P0(A)^dag||_F, and the NotPSD check and round-off
-        rule of `linalg.matrix_power`, apply to the spectrum of all blocks at
-        once.  With a basis the input costs one d x d product and the output
-        one; without one both are gathers and scatters, O(d^2 + sum n^3).
-        A dense `image` is not needed here and is ignored.
+    def spectral_image(self, Y: np.ndarray, p: float) -> tuple:
+        """(values, X): the clipped eigenvalues of E(Y) and X = E(Y)^p, from
+        the blocks of A = W^dag Y W: E(Y) = W P0(A) W^dag, and P0(A) is
+        block diagonal.  A kept singleton or a traced block has a scalar
+        eigenvalue, a diagonal entry of A or its block average; the kept
+        blocks of each size n > 1 are diagonalized together, in one batched
+        eigh.  values lists the scalars first, then each block's eigenvalues,
+        not sorted.  The Hermiticity residual ||P0(A) - P0(A)^dag||_F, and
+        the NotPSD check and round-off rule of `linalg.matrix_power`, apply
+        to the spectrum of all blocks at once.  With a basis the input costs
+        one d x d product and the output one; without one both are gathers
+        and scatters, O(d^2 + sum n^3).
         """
         A = np.asarray(Y, dtype=complex)
         d = self._dim
@@ -331,11 +321,10 @@ class PartitionChannel(QuantumChannel):
             S = B - _dagger(B)
             skew += np.vdot(S, S).real
         linalg.check_hermitian(float(np.sqrt(skew)))
-        if p is None:
-            return np.concatenate([diag.real] + [np.linalg.eigvalsh(B).ravel() for B in blocks])
         spectra = [np.linalg.eigh(B) for B in blocks]
-        values = np.concatenate([diag.real] + [w.ravel() for w, _ in spectra])
-        f = linalg.power_values(linalg.clip_spectrum(values), p)
+        values = linalg.clip_spectrum(
+            np.concatenate([diag.real] + [w.ravel() for w, _ in spectra]))
+        f = linalg.power_values(values, p)
         if W is not None:
             # E(Y)^p = U diag(f) U^dag for the eigenvectors U of E(Y): the
             # scalar columns of W, then W[:, i[b]] V_b for each block b
@@ -343,7 +332,7 @@ class PartitionChannel(QuantumChannel):
             for i, (_, V) in zip(groups, spectra):
                 cols.append((W[:, i].transpose(1, 0, 2) @ V).transpose(1, 0, 2).reshape(d, -1))
             U = np.concatenate(cols, axis=1)
-            return (U * f) @ linalg.dagger(U)
+            return values, (U * f) @ linalg.dagger(U)
         X = np.zeros((d, d), dtype=complex)
         k = scalars.size
         X.put(diag_at, f[:k])
@@ -351,7 +340,7 @@ class PartitionChannel(QuantumChannel):
             m, n = at.shape[:2]
             X.put(at, (V * f[k:k + m * n].reshape(m, 1, n)) @ _dagger(V))
             k += m * n
-        return X
+        return values, X
 
     def _block_residuals(self) -> tuple:
         """(trace preservation, idempotency) of P0, read off its
@@ -446,9 +435,9 @@ class ResourceDestroyingMap(QuantumChannel):
     def _act(self, A: np.ndarray) -> np.ndarray:
         return self.channel._act(A)
 
-    def spectral_image(self, Y: np.ndarray, p: float | None = None,
-                       image: np.ndarray | None = None) -> np.ndarray:
-        return self.channel.spectral_image(Y, p, image)
+    def spectral_image(self, Y: np.ndarray, p: float) -> tuple:
+        """(values, E(Y)^p) from the certified channel's own spectral_image."""
+        return self.channel.spectral_image(Y, p)
 
     def trace_preserving_residual(self) -> float:
         return self.channel.trace_preserving_residual()
@@ -492,15 +481,16 @@ def _check_matrix_dim(d: int) -> None:
 class MeasurementPartition:
     """A partition of the computational-basis indices {0,...,d-1} into blocks.
 
-    Blocks are disjoint, nonempty, and cover every index; block sizes are the
-    degeneracies of the corresponding coarse projectors.
+    dim is an integer >= 1.  Blocks are disjoint, nonempty, and cover every
+    index; block sizes are the degeneracies of the corresponding coarse
+    projectors.
     """
 
     dim: int
     blocks: tuple
 
     def __init__(self, dim: int, blocks: Iterable[Iterable[int]]):
-        dim = linalg.as_integer(dim, "partition dim")
+        dim = linalg.as_count(dim, "partition dim", 1)
         try:
             normalized = tuple(tuple(sorted(linalg.as_integer(i, "a partition index")
                                             for i in b)) for b in blocks)

@@ -10,11 +10,12 @@ attained at sigma* = (E(rho^a))^{1/a} / N; at a = 1 the value is
 S(E(rho)) - S(rho) with sigma* = E(rho).  Entropies are in nats.
 
 E(rho^a) is block diagonal in the map's own basis, so a partition map takes
-the 1/a-th power, and the spectrum of E(rho) at a = 1, block by block
-(`QuantumChannel.spectral_image`).  For coherence this is Zhao et al.'s
-Tsallis measure, N = sum_i <i|rho^a|i>^{1/a}, a sum over the diagonal.  The
-round-off rule is global: an eigenvalue of E(rho^a) at or below
-d * eps * lambda_max, with lambda_max taken over every block, counts as 0.
+the 1/a-th power, and at a = 1 the spectrum of E(rho) and sigma* = E(rho),
+block by block (`QuantumChannel.spectral_image`).  For coherence this is
+Zhao et al.'s Tsallis measure, N = sum_i <i|rho^a|i>^{1/a}, a sum over the
+diagonal.  The round-off rule is global: an eigenvalue of E(rho^a) at or
+below d * eps * lambda_max, with lambda_max taken over every block, counts
+as 0.
 """
 
 from __future__ import annotations
@@ -126,12 +127,13 @@ def closed_form_measure(rho: np.ndarray, rdm: ResourceDestroyingMap, a: float) -
     byte-identical rho (a sweep over orders, or a call after
     `validate_density` on the same array) decompose it once, and any
     other rho is decomposed afresh, with bit-identical results either way.
-    The power of E(rho^a), and at a = 1 the spectrum of E(rho) for
-    S(E(rho)), come from `spectral_image`: a partition map takes them on
-    its blocks, with no d x d eigh, and other maps on the dense image; at
-    a = 1 that image is sigma* = E(rho) itself, so E is applied once.
-    Either way an eigenvalue at or below d * eps * lambda_max, lambda_max
-    the largest eigenvalue of the whole image, counts as 0 in the power.
+    The power of E(rho^a) comes from `spectral_image`: a partition map
+    takes it on its blocks, with no d x d eigh, and other maps on the dense
+    image.  At a = 1 one call, `spectral_image(rho, 1.0)`, applies E once
+    and gives both the spectrum of E(rho), for S(E(rho)), and
+    sigma* = E(rho), rebuilt from that spectrum.  Either way an eigenvalue
+    at or below d * eps * lambda_max, lambda_max the largest eigenvalue of
+    the whole image, counts as 0 in the power.
     A map that is not trace preserving (only an uncertified one) can send
     rho^a to zero trace; that raises CertificationError with the trace.
     An order so small that the 1/a-th power underflows to zero trace while
@@ -156,14 +158,14 @@ def closed_form_measure(rho: np.ndarray, rdm: ResourceDestroyingMap, a: float) -
             f"state dimension {A.shape[0]} does not match map dimension {rdm.dim}"
         )
     if a == 1.0:
-        sigma_star = rdm.apply(A)
+        mu, sigma_star = rdm.spectral_image(A, 1.0)
         _check_image_trace(float(np.trace(sigma_star).real), a)
-        value = _entropy(rdm.spectral_image(A, image=sigma_star)) - _entropy(spectrum.values)
+        value = _entropy(mu) - _entropy(spectrum.values)
         N = 1.0
     else:
         Y = linalg.spectral_power(spectrum, a)
         try:
-            X = rdm.spectral_image(Y, 1.0 / a)
+            _, X = rdm.spectral_image(Y, 1.0 / a)
         except OverflowError:
             raise ValidationError(
                 f"order a = {a:g} is too small: an eigenvalue of E(rho^a) rounds "

@@ -14,9 +14,10 @@ that the infimum over full-rank free states is the minimum over all of
 them.  Fix(E) being a *-algebra, exp(H) / Tr exp(H) is itself free, so the
 search scores it directly, from the one eigh of H; only the winner is
 mapped through E, which makes the reported minimizer a fixed point by
-construction, and scored again by tsallis_relative_entropy.  The search
-path shares nothing with the closed-form evaluation; agreement between the
-two is evidence, not circularity.
+construction, and scored again by tsallis_relative_entropy.  This module
+never evaluates the closed form, and the search shares no code with it:
+callers take the gap themselves, and agreement between the two is
+evidence, not circularity.
 
 minimize_batch solves many problems of one dimension together: every
 restart of every problem, whatever its r, is a row of one padded vertex
@@ -36,12 +37,7 @@ import numpy as np
 from . import linalg
 from .channels import ResourceDestroyingMap
 from .errors import NoFiniteObjective, ValidationError
-from .measures import (
-    SUPPORT_LEAK_TOL,
-    closed_form_measure,
-    tsallis_relative_entropy,
-    validate_order,
-)
+from .measures import SUPPORT_LEAK_TOL, tsallis_relative_entropy, validate_order
 
 AGREEMENT_WINDOW = 1e-6
 
@@ -73,7 +69,7 @@ class OracleConfig:
 
 @dataclass
 class OracleResult:
-    """The minimum found, its gap to the closed form, and the work it took:
+    """The minimum found, its minimizer, and the work it took:
     evaluations counts the points scored over every restart and both passes,
     iterations the simplex iterations of the winning restart (both passes),
     stop_reason says why the winning restart's last simplex stopped,
@@ -88,7 +84,6 @@ class OracleResult:
 
     value: float
     sigma_min: np.ndarray
-    gap_to_closed_form: float
     restarts_agreeing: int
     evaluations: int
     iterations: int
@@ -470,7 +465,7 @@ def _free_state_objective(problems, bases):
     return objective
 
 
-def minimize_batch(problems, configs, closed) -> list[OracleResult]:
+def minimize_batch(problems, configs) -> list[OracleResult]:
     """Direct numerical minimization of the distance to the free set for
     several problems (rho, rdm, a) of one dimension, each with its own
     OracleConfig, solved together.
@@ -482,14 +477,10 @@ def minimize_batch(problems, configs, closed) -> list[OracleResult]:
     objective chunk is cut to the width of its first row; results come
     back in input order, and result i equals
     minimize_over_free_states(*problems[i], configs[i]) bit for bit.
-    closed holds each problem's closed-form value, which the gaps are
-    taken against.
     """
     problems = [(rho, rdm, validate_order(a)) for rho, rdm, a in problems]
     if len(configs) != len(problems):
         raise ValidationError(f"{len(problems)} problems but {len(configs)} configs")
-    if len(closed) != len(problems):
-        raise ValidationError(f"{len(problems)} problems but {len(closed)} closed forms")
     if not problems:
         return []
     if len({rdm.dim for _, rdm, _ in problems}) != 1:
@@ -501,14 +492,14 @@ def minimize_batch(problems, configs, closed) -> list[OracleResult]:
             by_map[id(rdm)] = free_algebra_basis(rdm)
     bases = [by_map[id(rdm)] for _, rdm, _ in problems]
     order = sorted(range(len(problems)), key=lambda i: -len(bases[i]))
-    solved = _solve(*([seq[i] for i in order] for seq in (problems, bases, configs, closed)))
+    solved = _solve(*([seq[i] for i in order] for seq in (problems, bases, configs)))
     results = [None] * len(problems)
     for i, res in zip(order, solved):
         results[i] = res
     return results
 
 
-def _solve(problems, bases, configs, closed) -> list[OracleResult]:
+def _solve(problems, bases, configs) -> list[OracleResult]:
     """The two lockstep passes over every restart of every problem, widest
     problem first."""
     dims = np.array([len(B) for B in bases])
@@ -553,8 +544,7 @@ def _solve(problems, bases, configs, closed) -> list[OracleResult]:
                 f"objective is +inf at the image of the best point found (a={a}); "
                 "support pathology in the free set")
         results.append(OracleResult(
-            value=value, sigma_min=sigma, gap_to_closed_form=value - closed[i],
-            restarts_agreeing=agreeing,
+            value=value, sigma_min=sigma, restarts_agreeing=agreeing,
             evaluations=int(evals[mine].sum()), iterations=int(iters[mine[win]]),
             stop_reason="iteration_cap" if capped[mine[win]] else "tolerance",
             cap_hits=int(cap_hits[mine].sum()), free_dim=len(basis) + 1,
@@ -569,12 +559,10 @@ def minimize_over_free_states(rho: np.ndarray, rdm: ResourceDestroyingMap,
     Runs the simplex from `restarts` seeded random starts, advanced together
     by minimize_batch; each restart is polished by a second simplex rebuilt
     at its endpoint with a shrunken initial step, which recovers from
-    degenerate collapse.  The winning point is mapped through E,
-    re-evaluated through tsallis_relative_entropy (not the fused objective)
-    and compared with the closed form.  restarts_agreeing counts restarts
-    whose best value landed within 1e-6 of the winner, making flaky
-    convergence visible.
+    degenerate collapse.  The winning point is mapped through E and
+    re-evaluated through tsallis_relative_entropy (not the fused objective);
+    the closed form is not evaluated, so the gap to it is the caller's to
+    take.  restarts_agreeing counts restarts whose best value landed within
+    1e-6 of the winner, making flaky convergence visible.
     """
-    closed = closed_form_measure(rho, rdm, a).value
-    return minimize_batch([(rho, rdm, a)], [OracleConfig() if config is None else config],
-                          [closed])[0]
+    return minimize_batch([(rho, rdm, a)], [OracleConfig() if config is None else config])[0]

@@ -272,7 +272,7 @@ def test_oracle_on_plus_state():
     plus = np.full((2, 2), 0.5, dtype=complex)
     res = minimize_over_free_states(plus, deph, 2.0, QUICK)
     assert res.value == pytest.approx(math.sqrt(2) - 1, abs=1e-6)
-    assert abs(res.gap_to_closed_form) <= 1e-6
+    assert abs(res.value - closed_form_measure(plus, deph, 2.0).value) <= 1e-6
     assert res.restarts_agreeing >= 1
 
 
@@ -288,8 +288,9 @@ def test_oracle_across_grid_on_twirl():
     rho = linalg.random_density_matrix(3, 3, seed=5)
     for a in (0.3, 0.7, 1.0, 1.5, 2.0):
         res = minimize_over_free_states(rho, tw, a, QUICK)
-        assert abs(res.gap_to_closed_form) <= 1e-5
-        assert res.gap_to_closed_form >= -1e-7
+        gap = res.value - closed_form_measure(rho, tw, a).value
+        assert abs(gap) <= 1e-5
+        assert gap >= -1e-7
         assert linalg.frobenius(tw.apply(res.sigma_min) - res.sigma_min) <= 1e-8
 
 
@@ -312,7 +313,7 @@ def test_oracle_minimizer_matches_sigma_star():
     rho = linalg.random_density_matrix(3, 3, seed=8)
     rep = closed_form_measure(rho, deph, 1.5)
     res = minimize_over_free_states(rho, deph, 1.5, QUICK)
-    assert abs(res.gap_to_closed_form) <= 1e-6
+    assert abs(res.value - rep.value) <= 1e-6
     assert linalg.frobenius(res.sigma_min - rep.sigma_star) <= 1e-3
 
 
@@ -339,7 +340,7 @@ def test_oracle_starts_near_the_mixed_state(trial, a):
                            if name == "lueders" and b == a]
     res = minimize_over_free_states(rho, rdm, a,
                                     OracleConfig(restarts=1, tol=ORACLE_TOL, seed=oseed))
-    assert abs(res.gap_to_closed_form) <= GAP_TOL
+    assert abs(res.value - closed_form_measure(rho, rdm, a).value) <= GAP_TOL
 
 
 @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
@@ -361,13 +362,13 @@ def test_oracle_reaches_a_singular_minimizer(a):
     for rho, rdm in cases:
         res = minimize_over_free_states(rho, rdm, a,
                                         OracleConfig(restarts=1, tol=ORACLE_TOL, seed=3))
-        assert abs(res.gap_to_closed_form) <= 1e-7
+        assert abs(res.value - closed_form_measure(rho, rdm, a).value) <= 1e-7
     for d, seed in ((2, 1), (2, 3), (3, 0)):
         rho = linalg.random_density_matrix(d, 1, seed=seed)
         for rdm in (lueders_map(MeasurementPartition(d, [list(range(d))])),
                     dephasing_map(MeasurementPartition.singletons(d))):
             res = minimize_over_free_states(rho, rdm, a, OracleConfig(seed=1))
-            assert res.gap_to_closed_form >= -1e-7
+            assert res.value - closed_form_measure(rho, rdm, a).value >= -1e-7
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -382,16 +383,13 @@ def test_batch_matches_each_problem_alone(d):
     problems = [p for *_, batch in batches for p in batch]
     configs = [OracleConfig(restarts=1, tol=ORACLE_TOL, seed=oseed)
                for *_, oseed in problems]
-    together = minimize_batch([(rho, rdm, a) for _, rdm, rho, a, _ in problems], configs,
-                              [closed_form_measure(rho, rdm, a).value
-                               for _, rdm, rho, a, _ in problems])
+    together = minimize_batch([(rho, rdm, a) for _, rdm, rho, a, _ in problems], configs)
     if d == 4:
         assert {res.free_dim for res in together} >= {1, 16}
     for (_, rdm, rho, a, _), config, res in zip(problems, configs, together):
         alone = minimize_over_free_states(rho, rdm, a, config)
         assert np.array_equal(res.sigma_min, alone.sigma_min)
         assert res.value == alone.value
-        assert res.gap_to_closed_form == alone.gap_to_closed_form
         assert res.restarts_agreeing == alone.restarts_agreeing
         assert res.evaluations == alone.evaluations
         assert res.iterations == alone.iterations
@@ -411,14 +409,14 @@ def _mixed_r_batch():
     problems = [(rho, rdm, a) for rdm in maps for a in (0.5, 2.0)]
     configs = [OracleConfig(restarts=2, max_iterations=400, tol=1e-9, seed=s)
                for s in range(len(problems))]
-    return problems, configs, [closed_form_measure(*p).value for p in problems]
+    return problems, configs
 
 
 def test_mixed_r_batch_runs_one_stack_per_pass(monkeypatch):
     """Every r shares one lockstep simplex per pass: two calls in all, on a
     stack as wide as the largest r - 1, and each winner reaches E as a
     point of its own problem's length."""
-    problems, configs, closed = _mixed_r_batch()
+    problems, configs = _mixed_r_batch()
     stacks, points = [], []
     inner_simplex, inner_state = oracle._lockstep_simplex, oracle._free_state
 
@@ -432,12 +430,13 @@ def test_mixed_r_batch_runs_one_stack_per_pass(monkeypatch):
 
     monkeypatch.setattr(oracle, "_lockstep_simplex", simplex)
     monkeypatch.setattr(oracle, "_free_state", free_state)
-    results = minimize_batch(problems, configs, closed)
+    results = minimize_batch(problems, configs)
     assert stacks == [(16, 4), (16, 4)]
     assert [res.free_dim for res in results] == [3, 3, 1, 1, 5, 5, 2, 2]
     assert sorted(shape for shape, _ in points) == sorted((res.free_dim - 1,) for res in results)
     assert all(shape == (r,) for shape, r in points)
-    assert all(abs(res.gap_to_closed_form) <= 1e-6 for res in results)
+    assert all(abs(res.value - closed_form_measure(*p).value) <= 1e-6
+               for p, res in zip(problems, results))
 
 
 def test_stack_allocates_at_most_twice_its_own_size(monkeypatch):
@@ -481,8 +480,7 @@ def test_stack_allocates_at_most_twice_its_own_size(monkeypatch):
     try:
         minimize_batch([(rho, rdm, a) for _, rdm, rho, a, _ in problems],
                        [OracleConfig(restarts=1, tol=ORACLE_TOL, seed=oseed)
-                        for *_, oseed in problems],
-                       [0.0] * len(problems))
+                        for *_, oseed in problems])
     finally:
         tracemalloc.stop()
     assert len(passes) == 2
@@ -542,8 +540,7 @@ def test_oracle_flags_all_infinite_objective():
     rho = np.diag([0.0, 1.0]).astype(complex)
     with pytest.raises(NoFiniteObjective):
         minimize_batch([(rho, _crush(), 1.5)],
-                       [OracleConfig(restarts=2, max_iterations=50, tol=1e-6, seed=0)],
-                       closed=[0.0])
+                       [OracleConfig(restarts=2, max_iterations=50, tol=1e-6, seed=0)])
 
 
 @pytest.mark.parametrize("a", [0.5, 1.0, 1.5])
@@ -559,7 +556,7 @@ def test_batch_refuses_mixed_dimensions():
     problems = [(np.eye(d, dtype=complex) / d, dephasing_map(MeasurementPartition.singletons(d)),
                  2.0) for d in (2, 3)]
     with pytest.raises(ValidationError):
-        minimize_batch(problems, [QUICK, QUICK], [0.0, 0.0])
+        minimize_batch(problems, [QUICK, QUICK])
 
 
 def test_empty_batch_solves_nothing(monkeypatch):
@@ -569,6 +566,6 @@ def test_empty_batch_solves_nothing(monkeypatch):
         raise AssertionError("nothing to build for an empty batch")
     monkeypatch.setattr(oracle, "free_algebra_basis", refuse)
     monkeypatch.setattr(oracle, "_free_state_objective", refuse)
-    assert minimize_batch([], [], []) == []
+    assert minimize_batch([], []) == []
     with pytest.raises(ValidationError, match="0 problems but 1 configs"):
-        minimize_batch([], [QUICK], [])
+        minimize_batch([], [QUICK])

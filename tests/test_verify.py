@@ -90,19 +90,18 @@ def test_theorem1_cross_trial_batches_change_no_record():
         results = minimize_batch(
             [(rho, rdm, a) for _, rdm, rho, a, _ in problems],
             [OracleConfig(restarts=1, tol=ORACLE_TOL, seed=oseed)
-             for *_, oseed in problems],
-            [r.value for r in reports])
+             for *_, oseed in problems])
         for (name, _, _, a, _), r, res in zip(problems, reports, results):
             expected.append({
                 "trial": t, "seed": s, "dim": d, "map": name, "a": a,
                 "fixed": t % 10 == 0, "closed": r.value, "oracle": res.value,
-                "gap": res.gap_to_closed_form, "escalated": False,
+                "gap": res.value - r.value, "escalated": False,
                 "restarts_agreeing": res.restarts_agreeing,
                 "evaluations": res.evaluations, "iterations": res.iterations,
                 "stop_reason": res.stop_reason, "cap_hits": res.cap_hits,
                 "sigma_ok": _density_ok(r.sigma_star),
                 "sigma_fp_residual": r.fixed_point_residual,
-                "violation": abs(res.gap_to_closed_form) - GAP_TOL,
+                "violation": abs(res.value - r.value) - GAP_TOL,
             })
     assert rep.records[0]["fixed"], "trial 0 must be a fixed-point trial"
     assert len(rep.records) == len(expected) == trials * len(dims) * 5 * len(DEFAULT_A_GRID)
@@ -246,11 +245,14 @@ def test_run_suite_dispatch():
     ({"name": "continuity", "trials": 1, "seed": -1}, "seed"),
     ({"name": "axioms", "trials": 1, "seed": 1.5}, "seed"),
     ({"name": "theorem2", "dims": [3], "trials": 1, "seed": True}, "seed"),
+    ({"name": "continuity", "trials": 1, "tol": True}, "tol"),
+    ({"name": "piani", "trials": 1, "tol": "x"}, "tol"),
 ])
 def test_run_suite_refuses_malformed_arguments(kwargs, field):
     """trials=True once ran one trial and reported trials: True, dims=[2.5]
-    ran d = 2, dims=[3.7] and ["3"] ran d = 3, and a negative seed failed
-    inside numpy with a bare ValueError."""
+    ran d = 2, dims=[3.7] and ["3"] ran d = 3, a negative seed failed
+    inside numpy with a bare ValueError, tol=True ran as tol 1 and tol="x"
+    failed with a bare TypeError."""
     with pytest.raises(ValidationError, match=field):
         run_suite(a_grid=SMALL_GRID, **kwargs)
 
