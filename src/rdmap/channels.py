@@ -18,10 +18,10 @@ Every channel also offers `spectral_image(Y, p)`, which is all the closed
 form needs of E: the clipped eigenvalues of E(Y), in any order, and E(Y)^p
 under `linalg.matrix_power`'s checks and round-off rule.  By default it
 forms E(Y) densely and diagonalizes it.  A partition map's E(Y) is block
-diagonal in its basis, so it diagonalizes block by block: a kept singleton
-or a traced block is a scalar, and the kept blocks of each size n > 1 share
-one batched eigh, with the checks and the round-off rule of the dense path
-applied to the spectrum of all blocks together.
+diagonal in its basis, so it diagonalizes block by block, on one path for
+every basis: a kept singleton or a traced block is a scalar, the kept blocks
+of each size n > 1 share one batched eigh, and a basis W only rotates Y in
+and the power out.
 
 The d^2 x d^2 superoperator (column-major vectorization, column (a, b) is
 vec E(|a><b|), S = sum_i conj(K_i) (x) K_i) is the canonical representation
@@ -80,6 +80,8 @@ class QuantumChannel:
         ops = tuple(np.array(K, dtype=complex) for K in kraus)
         if not ops:
             raise ValidationError("a channel needs at least one Kraus operator")
+        if ops[0].ndim != 2:
+            raise DimensionMismatch(f"Kraus operators must be matrices, got shape {ops[0].shape}")
         d = ops[0].shape[0]
         for K in ops:
             if K.ndim != 2 or K.shape != (d, d):
@@ -154,11 +156,6 @@ def _kraus_act(ops, A: np.ndarray) -> np.ndarray:
     for K in ops:
         out += K @ A @ linalg.dagger(K)
     return out
-
-
-def _dagger(M: np.ndarray) -> np.ndarray:
-    """The conjugate transpose of each matrix in a (..., n, n) stack."""
-    return np.swapaxes(M, -1, -2).conj()
 
 
 def _kraus_tp_residual(ops) -> float:
@@ -266,22 +263,20 @@ class PartitionChannel(QuantumChannel):
         return out
 
     def _spectral_layout(self) -> tuple:
-        """(scalars, groups, at), built on first use: scalars lists the kept
-        singleton indices, then the traced ones in the order of `_avg`;
-        groups holds, per size n > 1, the kept blocks of that size as an
-        (m, n) index array; at holds the positions of their entries in a
-        flattened d x d matrix, the diagonal entries of scalars, then an
-        (m, n, n) array per group (take and put are cheaper than 2-d fancy
+        """(diag_at, block_at), built on first use: the positions, in a
+        flattened d x d matrix, of the scalar eigenvalues' diagonal entries
+        (the kept singletons, then the traced indices in the order of
+        `_avg`), and per size n > 1 an (m, n, n) array of the entries of the
+        m kept blocks of that size (take and put are cheaper than 2-d fancy
         indexing)."""
         if self._layout is None:
             d = self._dim
             kept = [b for b, t in zip(self.partition.blocks, self.traced) if not t]
             singles = np.array([b[0] for b in kept if len(b) == 1], dtype=int)
-            scalars = np.concatenate([singles, self._diag])
             sizes = sorted({len(b) for b in kept if len(b) > 1})
-            groups = tuple(np.array([b for b in kept if len(b) == n]) for n in sizes)
-            at = (scalars * (d + 1), tuple(i[:, :, None] * d + i[:, None, :] for i in groups))
-            self._layout = (scalars, groups, at)
+            groups = [np.array([b for b in kept if len(b) == n]) for n in sizes]
+            self._layout = (np.concatenate([singles, self._diag]) * (d + 1),
+                            tuple(i[:, :, None] * d + i[:, None, :] for i in groups))
         return self._layout
 
     def spectral_image(self, Y: np.ndarray, p: float) -> tuple:
@@ -293,53 +288,42 @@ class PartitionChannel(QuantumChannel):
         eigh.  values lists the scalars first, then each block's eigenvalues,
         not sorted.  The Hermiticity residual ||P0(A) - P0(A)^dag||_F, and
         the NotPSD check and round-off rule of `linalg.matrix_power`, apply
-        to the spectrum of all blocks at once.  With a basis the input costs
-        one d x d product and the output one; without one both are gathers
-        and scatters, O(d^2 + sum n^3).
+        to the spectrum of all blocks at once.  The blocks are gathered from
+        A and P0(A)^p scattered back, O(d^2 + sum n^3); a basis only rotates
+        Y in and the power out, two d x d products each way.
         """
         A = np.asarray(Y, dtype=complex)
         d = self._dim
         if A.shape != (d, d):
             raise DimensionMismatch(f"matrix has shape {A.shape}, channel acts on {d}x{d}")
         A = linalg.as_complex_matrix(A)
-        scalars, groups, (diag_at, block_at) = self._spectral_layout()
         W = self._basis
-        if W is None:
-            diag = A.take(diag_at)
-            blocks = [A.take(at) for at in block_at]
-        else:
-            AW = A @ W
-            diag = np.einsum("ij,ij->j", W[:, scalars].conj(), AW[:, scalars])
-            # block b of W^dag A W is W[:, i[b]]^dag (A W)[:, i[b]]
-            blocks = [W[:, i].conj().transpose(1, 2, 0) @ AW[:, i].transpose(1, 0, 2)
-                      for i in groups]
+        if W is not None:
+            A = linalg.dagger(W) @ A @ W
+        diag_at, block_at = self._spectral_layout()
+        diag = A.take(diag_at)
+        blocks = [A.take(at) for at in block_at]
         t = self._diag.size
         if t:
             diag[-t:] = diag[-t:] @ self._avg
         skew = 4.0 * (diag.imag @ diag.imag)
         for B in blocks:
-            S = B - _dagger(B)
+            S = B - linalg.dagger(B)
             skew += np.vdot(S, S).real
         linalg.check_hermitian(float(np.sqrt(skew)))
         spectra = [np.linalg.eigh(B) for B in blocks]
         values = linalg.clip_spectrum(
             np.concatenate([diag.real] + [w.ravel() for w, _ in spectra]))
         f = linalg.power_values(values, p)
-        if W is not None:
-            # E(Y)^p = U diag(f) U^dag for the eigenvectors U of E(Y): the
-            # scalar columns of W, then W[:, i[b]] V_b for each block b
-            cols = [W[:, scalars]]
-            for i, (_, V) in zip(groups, spectra):
-                cols.append((W[:, i].transpose(1, 0, 2) @ V).transpose(1, 0, 2).reshape(d, -1))
-            U = np.concatenate(cols, axis=1)
-            return values, (U * f) @ linalg.dagger(U)
         X = np.zeros((d, d), dtype=complex)
-        k = scalars.size
+        k = diag_at.size
         X.put(diag_at, f[:k])
         for at, (_, V) in zip(block_at, spectra):
             m, n = at.shape[:2]
-            X.put(at, (V * f[k:k + m * n].reshape(m, 1, n)) @ _dagger(V))
+            X.put(at, (V * f[k:k + m * n].reshape(m, 1, n)) @ linalg.dagger(V))
             k += m * n
+        if W is not None:
+            X = W @ X @ linalg.dagger(W)
         return values, X
 
     def _block_residuals(self) -> tuple:
@@ -470,11 +454,13 @@ def certify_rdm(channel: QuantumChannel, descriptor: dict | None = None) -> Reso
     return ResourceDestroyingMap(channel, idem, unital, descriptor)
 
 
-def _check_matrix_dim(d: int) -> None:
-    """ValidationError, before anything of size d is built, for a dimension
-    whose d x d complex matrix no numpy array can hold."""
+def _matrix_dim(d) -> int:
+    """d as a partition dim, with a ValidationError, before anything of size
+    d is built, for one whose d x d complex matrix no numpy array can hold."""
+    d = linalg.as_count(d, "partition dim", 1)
     if d * d * np.dtype(complex).itemsize > np.iinfo(np.intp).max:
         raise ValidationError(f"dimension {d} is too large for a {d}x{d} complex matrix")
+    return d
 
 
 @dataclass(frozen=True)
@@ -511,12 +497,12 @@ class MeasurementPartition:
 
     @classmethod
     def singletons(cls, dim: int) -> "MeasurementPartition":
-        _check_matrix_dim(dim)
+        dim = _matrix_dim(dim)
         return cls(dim, [[i] for i in range(dim)])
 
     @classmethod
     def single_block(cls, dim: int) -> "MeasurementPartition":
-        _check_matrix_dim(dim)
+        dim = _matrix_dim(dim)
         return cls(dim, [list(range(dim))])
 
     @property
@@ -755,6 +741,8 @@ def twirling_map(unitaries: Iterable[np.ndarray]) -> ResourceDestroyingMap:
     ops = [np.asarray(U, dtype=complex) for U in unitaries]
     if not ops:
         raise ValidationError("twirling needs at least one unitary")
+    if ops[0].ndim != 2:
+        raise DimensionMismatch(f"unitaries must be matrices, got shape {ops[0].shape}")
     d = ops[0].shape[0]
     for U in ops:
         if U.shape != (d, d):
@@ -777,19 +765,21 @@ def twirling_map(unitaries: Iterable[np.ndarray]) -> ResourceDestroyingMap:
 
 def mixing_map(d: int) -> ResourceDestroyingMap:
     """Complete mixing: rho -> Tr(rho) I/d.  Kraus view {|i><j| / sqrt(d)}."""
-    if d < 2:
-        raise ValidationError(f"mixing map needs dimension >= 2, got {d}")
+    d = linalg.as_count(d, "mixing map dim", 2)
     channel = PartitionChannel(MeasurementPartition.single_block(d), [True])
     return certify_rdm(channel, {"type": "mixing", "dim": d})
 
 
 def cyclic_shift(d: int, k: int) -> np.ndarray:
     """C^k for the cyclic shift C: e_i -> e_{i+1 mod d}."""
+    d = linalg.as_count(d, "cyclic shift dim", 1)
+    k = linalg.as_integer(k, "cyclic shift power")
     return np.roll(np.eye(d, dtype=complex), k, axis=0)
 
 
 def cyclic_twirl(d: int) -> ResourceDestroyingMap:
     """Twirl over the cyclic shift group {C^k}; dephasing in the Fourier basis."""
+    d = linalg.as_count(d, "cyclic twirl dim", 1)
     return twirling_map(cyclic_shift(d, k) for k in range(d))
 
 

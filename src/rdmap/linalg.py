@@ -37,7 +37,8 @@ class Eigensystem(NamedTuple):
 
 
 def dagger(M: np.ndarray) -> np.ndarray:
-    return M.conj().T
+    """The conjugate transpose of a matrix, or of each in a (..., n, n) stack."""
+    return M.conj().swapaxes(-1, -2)
 
 
 def frobenius(M: np.ndarray) -> float:

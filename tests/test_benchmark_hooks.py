@@ -3,6 +3,9 @@ deleting one fails the tests rather than a later benchmark run."""
 
 import importlib
 import os
+from time import perf_counter
+
+import pytest
 
 import rdmap
 from rdmap import channels, cli, linalg, measures, oracle, verify
@@ -42,3 +45,20 @@ def test_tracer_installs_and_theorem1_judge_reads_every_key(monkeypatch):
     theorem1 = workloads.Theorem1(seed=1, tiny=True, root=ROOT)
     outcome = theorem1.judge(7, (report, [(0.0, 0.0)] * len(records)), 0.0, 1.0)
     assert outcome.failed == 0 and outcome.counts == {"escalations": 0}
+
+
+@pytest.mark.parametrize("name", ["CliMixed", "WarmSweep"])
+def test_cli_mixed_and_warm_sweep_judge_one_round_without_failures(name, monkeypatch, tmp_path):
+    """One full-size round of each library workload, set up, run and judged
+    as the benchmark does it: no operation fails its correctness check."""
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    workloads = importlib.import_module("workloads")
+    workload = getattr(workloads, name)(seed=1, tiny=False, root=str(tmp_path))
+    workload.setup()
+    calls = workload.round(0)
+    failed = 0
+    for call in calls:
+        t0 = perf_counter()
+        raw = workload.execute(call)
+        failed += workload.judge(call, raw, t0, perf_counter()).failed
+    assert calls and failed == 0

@@ -33,7 +33,7 @@ from rdmap.errors import (
     ValidationError,
 )
 from rdmap.measures import von_neumann_entropy
-from rdmap.verify import random_partition, suite_theorem2
+from rdmap.verify import compose_residual, random_partition, suite_theorem2
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.diag([1.0, -1.0]).astype(complex)
@@ -421,6 +421,27 @@ def test_spectral_image_keeps_the_dense_checks():
         assert np.abs(deph.spectral_image(lost, 0.5)[1] - want).max() <= 1e-12
 
 
+@pytest.mark.parametrize("seed", range(12))
+def test_spectral_image_in_a_basis_is_the_block_path_rotated(seed):
+    """With a basis W, spectral_image(Y, p) is the basis-free map's
+    spectral_image(W^dag Y W, p) rotated out, bit for bit: the same values
+    and W X0 W^dag, on random partitions that mix kept and traced blocks."""
+    rng = np.random.default_rng(300 + seed)
+    d = int(rng.integers(2, 13))
+    partition = random_partition(d, rng)
+    n = len(partition.blocks)
+    traced = rng.permutation(np.arange(n) % 2 == 0)
+    W = random_unitary(d, rng)
+    rotated = PartitionChannel(partition, traced, basis=W)
+    plain = PartitionChannel(partition, traced)
+    Y = linalg.random_density_matrix(d, d, seed=seed)
+    for p in (1 / 0.3, 1.0, 0.5):
+        values, X = rotated.spectral_image(Y, p)
+        values0, X0 = plain.spectral_image(linalg.dagger(W) @ Y @ W, p)
+        assert np.array_equal(values, values0)
+        assert np.array_equal(X, W @ X0 @ linalg.dagger(W))
+
+
 @settings(max_examples=40)
 @given(st.integers(2, 8), st.lists(st.integers(2, 4), min_size=1, max_size=3),
        st.integers(0, 2**32 - 1))
@@ -501,22 +522,29 @@ def test_fixed_point_duality():
 # -------------------------------------------------------------- composition
 
 def test_compose_fine_with_modified():
-    """The theorem-2 suite's residuals of fine.modified = modified.fine =
-    modified, taken through apply on the d^2 matrix units, match the same
-    identities on the superoperators to 1e-12 on seeded records at d = 3..6.
-    The norm identity behind it also holds where the residual is far from
-    0: Lueders after dephasing is not the Lueders map."""
+    """`compose_residual`, the theorem-2 suite's check of fine.modified =
+    modified.fine = modified through apply on the d^2 matrix units, matches
+    the same identities on the superoperators of the same maps to 1e-12,
+    with both maps in a random basis at d = 3..6, where it is round-off
+    rather than exactly 0; the suite's records hold such residuals.  The
+    norm identity behind it also holds where the residual is far from 0:
+    Lueders after dephasing is not the Lueders map."""
+    rng = np.random.default_rng(7)
+    for d in (3, 4, 5, 6):
+        for _ in range(5):
+            coarse = random_partition(d, rng, coarse=True)
+            W = random_unitary(d, rng)
+            fine = certify_rdm(PartitionChannel(MeasurementPartition.singletons(d), [False] * d, W))
+            mod = certify_rdm(PartitionChannel(coarse, [True] * len(coarse.blocks), W))
+            S_fine, S_mod = fine.superop, mod.superop
+            r1 = float(np.linalg.norm(S_fine @ S_mod - S_mod))
+            r2 = float(np.linalg.norm(S_mod @ S_fine - S_mod))
+            r = compose_residual(fine, mod)
+            assert 0.0 < r <= 1e-10
+            assert abs(r - max(r1, r2)) <= 1e-12
     rep = suite_theorem2([3, 4, 5, 6], [2.0], trials=5, seed=7)
-    comp = [r for r in rep.records if r["kind"] == "compose"]
-    assert len(comp) == 5 * 4
-    for r in comp:
-        d = r["dim"]
-        S_fine = dephasing_map(MeasurementPartition.singletons(d)).superop
-        S_mod = modified_coarse_map(MeasurementPartition(d, r["blocks"])).superop
-        r1 = float(np.linalg.norm(S_fine @ S_mod - S_mod))
-        r2 = float(np.linalg.norm(S_mod @ S_fine - S_mod))
-        assert r["value"] <= 1e-10
-        assert abs(r["value"] - max(r1, r2)) <= 1e-12
+    comp = [r["value"] for r in rep.records if r["kind"] == "compose"]
+    assert len(comp) == 5 * 4 and all(0.0 < r <= 1e-10 for r in comp)
     fine = dephasing_map(MeasurementPartition.singletons(4))
     lued = lueders_map(MeasurementPartition(4, [[0, 1], [2, 3]]))
     units = np.eye(16, dtype=complex).reshape(16, 4, 4)
@@ -619,6 +647,31 @@ def test_partition_refuses_non_integral_input(dim, blocks):
     # int() once truncated 2.5 and 0.5, and a non-list crashed with TypeError
     with pytest.raises(ValidationError):
         MeasurementPartition(dim, blocks)
+
+
+@pytest.mark.parametrize("build, args, error, field", [
+    (mixing_map, (2.5,), ValidationError, "mixing map dim"),
+    (mixing_map, ("3",), ValidationError, "mixing map dim"),
+    (MeasurementPartition.singletons, (2.5,), ValidationError, "partition dim"),
+    (MeasurementPartition.singletons, ("3",), ValidationError, "partition dim"),
+    (MeasurementPartition.single_block, (2.5,), ValidationError, "partition dim"),
+    (MeasurementPartition.single_block, ("3",), ValidationError, "partition dim"),
+    (cyclic_shift, (2.5, 1), ValidationError, "cyclic shift dim"),
+    (cyclic_shift, ("3", 1), ValidationError, "cyclic shift dim"),
+    (cyclic_shift, (3, 2.5), ValidationError, "cyclic shift power"),
+    (cyclic_shift, (3, "1"), ValidationError, "cyclic shift power"),
+    (cyclic_twirl, (2.5,), ValidationError, "cyclic twirl dim"),
+    (cyclic_twirl, ("3",), ValidationError, "cyclic twirl dim"),
+    (cyclic_twirl, (True,), ValidationError, "cyclic twirl dim"),
+    (QuantumChannel, ([np.array(1.0)],), DimensionMismatch, "Kraus operators"),
+    (twirling_map, ([np.array(1.0)],), DimensionMismatch, "unitaries"),
+], ids=lambda v: getattr(v, "__qualname__", None) or repr(v))
+def test_constructors_refuse_malformed_input(build, args, error, field):
+    # each once failed with a bare TypeError from range or an IndexError
+    # from reading the shape of a 0-d operator, or, for the shift power,
+    # was silently truncated
+    with pytest.raises(error, match=field):
+        build(*args)
 
 
 def test_partition_accepts_integral_numbers():
