@@ -14,14 +14,18 @@ operators' joint eigenbasis W (its fixed points are their commutant), so it
 applies as W (mask o W^dag X W) W^dag in O(d^3) and certifies in O(n d^3)
 for n operators; see `_eigenbasis_form`.
 
-Every channel also offers `spectral_image(Y, p)`, which is all the closed
-form needs of E: the clipped eigenvalues of E(Y), in any order, and E(Y)^p
-under `linalg.matrix_power`'s checks and round-off rule.  By default it
-forms E(Y) densely and diagonalizes it.  A partition map's E(Y) is block
-diagonal in its basis, so it diagonalizes block by block, on one path for
-every basis: a kept singleton or a traced block is a scalar, the kept blocks
-of each size n > 1 share one batched eigh, and a basis W only rotates Y in
-and the power out.
+Every channel also offers `spectral_image(V, w, p)`, which is all the
+closed form needs of E: for Z = V diag(w) V^dag, given by an eigensystem
+rather than as a matrix, the clipped eigenvalues of E(Z), in any order, and
+E(Z)^p under `linalg.matrix_power`'s round-off rule.  It checks V and w
+once and hands them to `_spectral_image`, which the closed form calls
+directly on the eigensystem of rho it has already checked.  By default
+that forms Z and E(Z) densely and diagonalizes E(Z).  A partition map's
+E(Z) is block diagonal in its basis W, so it reads the image off
+U = W^dag V, one d x d product, on one path for every basis: a kept
+singleton or a traced block is a scalar, a weighted sum of |U|^2, the kept
+blocks of each size n > 1 are formed from U's rows and share one batched
+eigh, and a basis rotates the power out.
 
 The d^2 x d^2 superoperator (column-major vectorization, column (a, b) is
 vec E(|a><b|), S = sum_i conj(K_i) (x) K_i) is the canonical representation
@@ -123,12 +127,30 @@ class QuantumChannel:
     def _act(self, A: np.ndarray) -> np.ndarray:
         return _kraus_act(self.kraus, A)
 
-    def spectral_image(self, Y: np.ndarray, p: float) -> tuple:
-        """(values, X): the eigenvalues of E(Y), ascending, with round-off
-        negatives clipped to 0, and X = E(Y)^p, both exactly as
-        `linalg.matrix_power` of E(Y) forms them, with its checks and
-        round-off rule.  Here E(Y) is formed densely."""
-        values, vectors = linalg.eig_hermitian(self.apply(Y))
+    def spectral_image(self, V: np.ndarray, w: np.ndarray, p: float) -> tuple:
+        """(values, X): the eigenvalues of E(Z) for Z = V diag(w) V^dag,
+        with round-off negatives clipped to 0, and X = E(Z)^p under
+        `linalg.matrix_power`'s round-off rule.  V is a d x d matrix and w
+        d real weights, such as an eigensystem of Z; they are checked once
+        here: non-finite entries are a ValueError, a weight below -1e-10 is
+        NotPSD (round-off negatives count as 0) and a wrong size is
+        DimensionMismatch.  Z is then PSD by construction."""
+        d = self.dim
+        if np.iscomplexobj(w):
+            raise ValueError("weights must be real")
+        V = np.asarray(V, dtype=complex)
+        w = np.asarray(w, dtype=float)
+        if V.shape != (d, d) or w.shape != (d,):
+            raise DimensionMismatch(
+                f"eigensystem has shapes {V.shape} and {w.shape}, channel acts on {d}x{d}")
+        if not np.isfinite(w).all():
+            raise ValueError("weights have non-finite entries")
+        return self._spectral_image(linalg.as_complex_matrix(V), linalg.clip_spectrum(w), p)
+
+    def _spectral_image(self, V: np.ndarray, w: np.ndarray, p: float) -> tuple:
+        """`spectral_image` of arguments it has already checked.  Here E(Z)
+        is formed densely and diagonalized, values ascending."""
+        values, vectors = linalg.eig_hermitian(self.apply((V * w) @ linalg.dagger(V)))
         values = linalg.clip_spectrum(values)
         return values, linalg.spectral_power((values, vectors), p)
 
@@ -263,64 +285,60 @@ class PartitionChannel(QuantumChannel):
         return out
 
     def _spectral_layout(self) -> tuple:
-        """(diag_at, block_at), built on first use: the positions, in a
-        flattened d x d matrix, of the scalar eigenvalues' diagonal entries
-        (the kept singletons, then the traced indices in the order of
-        `_avg`), and per size n > 1 an (m, n, n) array of the entries of the
-        m kept blocks of that size (take and put are cheaper than 2-d fancy
-        indexing)."""
+        """(scalar_rows, scalar_at, block_rows, block_at), built on first use.
+        scalar_rows lists the indices whose eigenvalue is a scalar (the kept
+        singletons, then the traced indices in the order of `_avg`), and
+        scalar_at their diagonal positions in a flattened d x d matrix; per
+        size n > 1, block_rows is the (m, n) array of the m kept blocks of
+        that size and block_at the (m, n, n) positions of their entries
+        (take and put are cheaper than 2-d fancy indexing)."""
         if self._layout is None:
             d = self._dim
             kept = [b for b, t in zip(self.partition.blocks, self.traced) if not t]
             singles = np.array([b[0] for b in kept if len(b) == 1], dtype=int)
             sizes = sorted({len(b) for b in kept if len(b) > 1})
-            groups = [np.array([b for b in kept if len(b) == n]) for n in sizes]
-            self._layout = (np.concatenate([singles, self._diag]) * (d + 1),
+            groups = tuple(np.array([b for b in kept if len(b) == n]) for n in sizes)
+            scalars = np.concatenate([singles, self._diag])
+            self._layout = (scalars, scalars * (d + 1), groups,
                             tuple(i[:, :, None] * d + i[:, None, :] for i in groups))
         return self._layout
 
-    def spectral_image(self, Y: np.ndarray, p: float) -> tuple:
-        """(values, X): the clipped eigenvalues of E(Y) and X = E(Y)^p, from
-        the blocks of A = W^dag Y W: E(Y) = W P0(A) W^dag, and P0(A) is
-        block diagonal.  A kept singleton or a traced block has a scalar
-        eigenvalue, a diagonal entry of A or its block average; the kept
-        blocks of each size n > 1 are diagonalized together, in one batched
-        eigh.  values lists the scalars first, then each block's eigenvalues,
-        not sorted.  The Hermiticity residual ||P0(A) - P0(A)^dag||_F, and
-        the NotPSD check and round-off rule of `linalg.matrix_power`, apply
-        to the spectrum of all blocks at once.  The blocks are gathered from
-        A and P0(A)^p scattered back, O(d^2 + sum n^3); a basis only rotates
-        Y in and the power out, two d x d products each way.
+    def _spectral_image(self, V: np.ndarray, w: np.ndarray, p: float) -> tuple:
+        """(values, X): the clipped eigenvalues of E(Z) and X = E(Z)^p for
+        Z = V diag(w) V^dag, read off U = W^dag V (U = V without a basis):
+        E(Z) = W P0(U diag(w) U^dag) W^dag, and P0 of it is block diagonal.
+        A kept singleton i has the eigenvalue |U_i|^2 . w, and a traced
+        block the average of those over its rows; both are non-negative by
+        construction, so they need no clip.  The kept blocks of each size
+        n > 1, (U_I w) U_I^dag, are formed and diagonalized together, in one
+        batched eigh, and their eigenvalues clipped.  values lists the
+        scalars first, then each block's eigenvalues, not sorted;
+        `linalg.matrix_power`'s round-off rule applies to all of them at
+        once.  The power is scattered back in U's frame and rotated out: a
+        basis costs one d x d product in and two out, O(d^2 + sum n^2 d)
+        besides.
         """
-        A = np.asarray(Y, dtype=complex)
-        d = self._dim
-        if A.shape != (d, d):
-            raise DimensionMismatch(f"matrix has shape {A.shape}, channel acts on {d}x{d}")
-        A = linalg.as_complex_matrix(A)
         W = self._basis
-        if W is not None:
-            A = linalg.dagger(W) @ A @ W
-        diag_at, block_at = self._spectral_layout()
-        diag = A.take(diag_at)
-        blocks = [A.take(at) for at in block_at]
+        U = V if W is None else linalg.dagger(W) @ V
+        scalar_rows, scalar_at, block_rows, block_at = self._spectral_layout()
+        R = U.take(scalar_rows, axis=0)
+        diag = (R.real * R.real + R.imag * R.imag) @ w
         t = self._diag.size
         if t:
             diag[-t:] = diag[-t:] @ self._avg
-        skew = 4.0 * (diag.imag @ diag.imag)
-        for B in blocks:
-            S = B - linalg.dagger(B)
-            skew += np.vdot(S, S).real
-        linalg.check_hermitian(float(np.sqrt(skew)))
-        spectra = [np.linalg.eigh(B) for B in blocks]
-        values = linalg.clip_spectrum(
-            np.concatenate([diag.real] + [w.ravel() for w, _ in spectra]))
+        spectra = []
+        for rows in block_rows:
+            R = U.take(rows, axis=0)
+            spectra.append(np.linalg.eigh((R * w) @ linalg.dagger(R)))
+        values = np.concatenate([diag] + [linalg.clip_spectrum(e.ravel()) for e, _ in spectra])
         f = linalg.power_values(values, p)
+        d = self._dim
         X = np.zeros((d, d), dtype=complex)
-        k = diag_at.size
-        X.put(diag_at, f[:k])
-        for at, (_, V) in zip(block_at, spectra):
+        k = scalar_at.size
+        X.put(scalar_at, f[:k])
+        for at, (_, Q) in zip(block_at, spectra):
             m, n = at.shape[:2]
-            X.put(at, (V * f[k:k + m * n].reshape(m, 1, n)) @ linalg.dagger(V))
+            X.put(at, (Q * f[k:k + m * n].reshape(m, 1, n)) @ linalg.dagger(Q))
             k += m * n
         if W is not None:
             X = W @ X @ linalg.dagger(W)
@@ -419,9 +437,9 @@ class ResourceDestroyingMap(QuantumChannel):
     def _act(self, A: np.ndarray) -> np.ndarray:
         return self.channel._act(A)
 
-    def spectral_image(self, Y: np.ndarray, p: float) -> tuple:
-        """(values, E(Y)^p) from the certified channel's own spectral_image."""
-        return self.channel.spectral_image(Y, p)
+    def _spectral_image(self, V: np.ndarray, w: np.ndarray, p: float) -> tuple:
+        """(values, E(Z)^p) from the certified channel's own _spectral_image."""
+        return self.channel._spectral_image(V, w, p)
 
     def trace_preserving_residual(self) -> float:
         return self.channel.trace_preserving_residual()

@@ -42,7 +42,8 @@ def dagger(M: np.ndarray) -> np.ndarray:
 
 
 def frobenius(M: np.ndarray) -> float:
-    return float(np.linalg.norm(M))
+    """||M||_F of an array of any shape, from one vdot."""
+    return math.sqrt(np.vdot(M, M).real)
 
 
 def as_complex_matrix(M) -> np.ndarray:
@@ -70,15 +71,11 @@ def eig_hermitian(M: np.ndarray) -> Eigensystem:
 
 def _eigh(A: np.ndarray) -> Eigensystem:
     """`eig_hermitian` of an array that `as_complex_matrix` already returned."""
-    check_hermitian(hermiticity_residual(A))
-    values, vectors = np.linalg.eigh(A)
-    return Eigensystem(values, vectors)
-
-
-def check_hermitian(residual: float) -> None:
-    """NonHermitian when a Hermiticity residual exceeds 1e-10."""
+    residual = hermiticity_residual(A)
     if residual > HERMITIAN_TOL:
         raise NonHermitian(f"Hermiticity residual {residual:.3e} exceeds {HERMITIAN_TOL:.0e}")
+    values, vectors = np.linalg.eigh(A)
+    return Eigensystem(values, vectors)
 
 
 def clip_spectrum(values: np.ndarray) -> np.ndarray:
@@ -113,7 +110,14 @@ def matrix_power(M: np.ndarray, p: float) -> np.ndarray:
     taken on the support only (eigenvalues at or below the relative cutoff
     map to 0), i.e. a pseudo-power M^p restricted to range(M).
     """
-    return spectral_power(_clipped_spectrum(as_complex_matrix(M)), p)
+    return spectral_power(psd_spectrum(M), p)
+
+
+def psd_spectrum(M: np.ndarray) -> Eigensystem:
+    """The clipped eigensystem that `matrix_power` and `matrix_log` take of
+    a PSD matrix: NonHermitian above a 1e-10 residual, NotPSD below -1e-10,
+    round-off negatives clipped to 0."""
+    return _clipped_spectrum(as_complex_matrix(M))
 
 
 def spectral_power(spectrum: Eigensystem, p: float) -> np.ndarray:
@@ -135,15 +139,19 @@ def power_values(values: np.ndarray, p: float) -> np.ndarray:
     if p > 0 and top > 1.0 and top ** p == math.inf:
         raise OverflowError(f"{top!r} ** {p!r} overflows")
     cut = values.size * _EPS * top if p > 0 else SUPPORT_CUTOFF * top
-    out = np.zeros_like(values)
-    pos = values > cut
-    out[pos] = values[pos] ** p
-    return out
+    return np.power(values, p, out=np.zeros(values.shape), where=values > cut)
 
 
 def matrix_log(M: np.ndarray) -> np.ndarray:
     """Spectral log of a PSD matrix on its support; zero eigenvalues are skipped."""
-    values, vectors = _clipped_spectrum(as_complex_matrix(M))
+    return spectral_log(psd_spectrum(M))
+
+
+def spectral_log(spectrum: Eigensystem) -> np.ndarray:
+    """`matrix_log` from an already clipped eigensystem, eigenvalues
+    ascending: the log of every eigenvalue above 1e-12 * lambda_max, 0 on
+    the rest."""
+    values, vectors = spectrum
     cut = SUPPORT_CUTOFF * max(float(values[-1]), 0.0)
     out = np.zeros_like(values)
     pos = values > cut

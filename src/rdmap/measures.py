@@ -11,16 +11,18 @@ S(E(rho)) - S(rho) with sigma* = E(rho).  Entropies are in nats.
 
 E(rho^a) is block diagonal in the map's own basis, so a partition map takes
 the 1/a-th power, and at a = 1 the spectrum of E(rho) and sigma* = E(rho),
-block by block (`QuantumChannel.spectral_image`).  For coherence this is
-Zhao et al.'s Tsallis measure, N = sum_i <i|rho^a|i>^{1/a}, a sum over the
-diagonal.  The round-off rule is global: an eigenvalue of E(rho^a) at or
-below d * eps * lambda_max, with lambda_max taken over every block, counts
-as 0.
+block by block, straight from rho's eigensystem V diag(p) V^dag
+(`QuantumChannel.spectral_image`).  For coherence this is Zhao et al.'s
+Tsallis measure, N = sum_i <i|rho^a|i>^{1/a} with
+<i|rho^a|i> = sum_j |V_ij|^2 p_j^a, a sum over the diagonal.  The
+round-off rule is global: an eigenvalue of E(rho^a) at or below
+d * eps * lambda_max, with lambda_max taken over every block, counts as 0.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +37,12 @@ FIXED_POINT_TOL = 1e-8
 
 
 def validate_order(a: float) -> float:
-    """Tsallis order: a in (0, 2], a = 1 handled as the limiting branch."""
+    """Tsallis order: a real number in (0, 2], a = 1 handled as the limiting
+    branch.  A bool, a string or any other non-real value is a
+    ValidationError naming the order, as is one outside the range; numpy
+    real scalars are accepted."""
+    if isinstance(a, bool) or not isinstance(a, numbers.Real):
+        raise ValidationError(f"order a must be a real number, got {a!r:.60}")
     a = float(a)
     if not (0.0 < a <= 2.0) or not math.isfinite(a):
         raise ValidationError(f"order a must lie in (0, 2], got {a}")
@@ -119,26 +126,30 @@ def _power_is_projector(values: np.ndarray, a: float) -> bool:
 def closed_form_measure(rho: np.ndarray, rdm: ResourceDestroyingMap, a: float) -> MeasureReport:
     """Distance from rho to Fix(E) without optimization.
 
-    Evaluates the closed form literally: rho^a, the 1/a-th power of its image
-    under E, and a trace.  rho is coerced and checked once, and one
-    eigendecomposition of rho serves its validation and rho^a (or S(rho)).
-    That eigendecomposition comes from `linalg.density_spectrum`, which
-    remembers the last state it validated: consecutive calls on a
-    byte-identical rho (a sweep over orders, or a call after
-    `validate_density` on the same array) decompose it once, and any
-    other rho is decomposed afresh, with bit-identical results either way.
-    The power of E(rho^a) comes from `spectral_image`: a partition map
-    takes it on its blocks, with no d x d eigh, and other maps on the dense
-    image.  At a = 1 one call, `spectral_image(rho, 1.0)`, applies E once
-    and gives both the spectrum of E(rho), for S(E(rho)), and
-    sigma* = E(rho), rebuilt from that spectrum.  Either way an eigenvalue
-    at or below d * eps * lambda_max, lambda_max the largest eigenvalue of
-    the whole image, counts as 0 in the power.
+    Evaluates the closed form: rho^a, the 1/a-th power of its image under
+    E, and a trace.  rho is coerced and checked once, and one
+    eigendecomposition V diag(p) V^dag of rho serves its validation, rho^a
+    and S(rho).  That eigendecomposition comes from
+    `linalg.density_spectrum`, which remembers the last state it
+    validated: consecutive calls on a byte-identical rho (a sweep over
+    orders, or a call after `validate_density` on the same array)
+    decompose it once, and any other rho is decomposed afresh, with
+    bit-identical results either way.  rho^a is never formed as a d x d
+    matrix: the map's `_spectral_image` takes the already checked
+    eigensystem, (V, `linalg.power_values(p, a)`), and returns the
+    1/a-th power of E(rho^a).  A partition map takes it on its blocks,
+    with no d x d eigh, and other maps on the dense image.  At a = 1 one
+    call on (V, p) applies E once and gives both the spectrum of E(rho),
+    for S(E(rho)), and sigma* = E(rho), rebuilt from that spectrum.
+    Either way an eigenvalue at or below d * eps * lambda_max,
+    lambda_max the largest eigenvalue of the whole image, counts as 0 in
+    the power.
     A map that is not trace preserving (only an uncertified one) can send
     rho^a to zero trace; that raises CertificationError with the trace.
     An order so small that the 1/a-th power underflows to zero trace while
     E(rho^a) keeps a positive one is the order's fault, not the map's: that
-    raises ValidationError naming a.  This check runs only once N <= 0.
+    raises ValidationError naming a.  This check, the only place rho^a is
+    formed as a matrix, runs only once N <= 0.
     An order so small that an eigenvalue of E(rho^a), rounded above 1,
     overflows in the 1/a-th power raises the same ValidationError:
     `linalg.power_values` raises OverflowError before numpy would warn.
@@ -158,21 +169,21 @@ def closed_form_measure(rho: np.ndarray, rdm: ResourceDestroyingMap, a: float) -
             f"state dimension {A.shape[0]} does not match map dimension {rdm.dim}"
         )
     if a == 1.0:
-        mu, sigma_star = rdm.spectral_image(A, 1.0)
+        mu, sigma_star = rdm._spectral_image(spectrum.vectors, spectrum.values, 1.0)
         _check_image_trace(float(np.trace(sigma_star).real), a)
         value = _entropy(mu) - _entropy(spectrum.values)
         N = 1.0
     else:
-        Y = linalg.spectral_power(spectrum, a)
         try:
-            _, X = rdm.spectral_image(Y, 1.0 / a)
+            _, X = rdm._spectral_image(spectrum.vectors,
+                                       linalg.power_values(spectrum.values, a), 1.0 / a)
         except OverflowError:
             raise ValidationError(
                 f"order a = {a:g} is too small: an eigenvalue of E(rho^a) rounds "
                 f"above 1, and its 1/a-th power overflows") from None
         N = float(np.trace(X).real)
         if not N > 0.0:
-            image_trace = float(np.trace(rdm.apply(Y)).real)
+            image_trace = float(np.trace(rdm.apply(linalg.spectral_power(spectrum, a))).real)
             if image_trace > 0.0:
                 raise ValidationError(
                     f"order a = {a:g} is too small: Tr E(rho^a) = {image_trace:.3e}, "

@@ -405,15 +405,19 @@ def _free_state_objective(problems, bases):
     a = np.array([float(a) for _, _, a in problems])
     one = a == 1.0
     # rho for the support leak, and rho^a (rho at a = 1) for the entropy,
-    # filled in place
+    # filled in place, from one eigensystem per distinct rho
     AM = np.empty((2, len(problems), d, d), dtype=complex)
     rho_ln_rho = np.zeros(len(problems))
+    spectra = {}
     for i, (rho, _, ai) in enumerate(problems):
         AM[:, i] = rho
+        key = AM[0, i].tobytes()
+        if key not in spectra:
+            spectra[key] = linalg.psd_spectrum(AM[0, i])
         if ai == 1.0:
-            rho_ln_rho[i] = np.trace(AM[0, i] @ linalg.matrix_log(AM[0, i])).real
+            rho_ln_rho[i] = np.trace(AM[0, i] @ linalg.spectral_log(spectra[key])).real
         else:
-            AM[1, i] = linalg.matrix_power(AM[0, i], ai)
+            AM[1, i] = linalg.spectral_power(spectra[key], ai)
     # per problem: a < 1, a = 1, 1 - a, 1 / a, the denominator a - 1 (1 at
     # a = 1), Tr rho ln rho at a = 1 (0 otherwise) and the cut on tau's
     # weights relative to the largest: matrix_power's round-off level

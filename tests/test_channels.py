@@ -32,7 +32,7 @@ from rdmap.errors import (
     NotUnitary,
     ValidationError,
 )
-from rdmap.measures import von_neumann_entropy
+from rdmap.measures import closed_form_measure, von_neumann_entropy
 from rdmap.verify import compose_residual, random_partition, suite_theorem2
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -366,65 +366,134 @@ def spectral_maps(d, rng):
             map_from_json(kraus_json(conjugated(V, coarse.projectors())))]
 
 
-def assert_spectral_image_is_dense(rdm, rho):
-    """Both parts of spectral_image against E(Y) formed densely, for every
-    order's Y = rho^a (rho itself at a = 1) and power 1/a: the values, in
-    any order and clipped, against eigh of E(Y), with the entropy they give
-    at a = 1, and the power against matrix_power of E(Y)."""
-    for a in A_GRID:
-        Y = rho if a == 1.0 else linalg.matrix_power(rho, a)
-        dense = rdm.apply(Y)
-        values, power = rdm.spectral_image(Y, 1.0 / a)
-        want = linalg.eig_hermitian(dense).values
-        assert values.shape == want.shape and values.min() >= 0.0
-        assert np.abs(np.sort(values) - want).max() <= 1e-12
-        assert np.abs(power - linalg.matrix_power(dense, 1.0 / a)).max() <= 1e-12
-        if a == 1.0:
-            assert abs(von_neumann_entropy(np.diag(values))
-                       - von_neumann_entropy(dense)) <= 1e-12
+def spectral_channels(d, rng):
+    """spectral_maps, then the same Lueders projectors in a random basis as
+    a plain Kraus-sum QuantumChannel, whose image is formed densely."""
+    coarse = random_partition(d, rng, coarse=True)
+    kraus_sum = QuantumChannel(conjugated(random_unitary(d, rng), coarse.projectors()))
+    return spectral_maps(d, rng) + [kraus_sum]
+
+
+def eigensystem(rho):
+    """rho's eigenvectors and clipped eigenvalues, as closed_form_measure
+    reads them off linalg.density_spectrum."""
+    values, V = linalg.eig_hermitian(rho)
+    return V, linalg.clip_spectrum(values)
+
+
+def closed_form_weights(p):
+    """(a, w) for every order: the weights of rho^a under matrix_power's
+    round-off rule, and rho's own eigenvalues at a = 1."""
+    return [(a, p if a == 1.0 else linalg.power_values(p, a)) for a in A_GRID]
+
+
+def assert_spectral_image_is_dense(E, V, w, p):
+    """Both parts of spectral_image(V, w, p) against E(Z) formed densely,
+    Z = V diag(w) V^dag: the values, in any order and clipped, against eigh
+    of E(Z), with the entropy they give at p = 1, and the power against
+    matrix_power of E(Z)."""
+    dense = E.apply((V * w) @ linalg.dagger(V))
+    values, power = E.spectral_image(V, w, p)
+    want = linalg.eig_hermitian(dense).values
+    assert values.shape == want.shape and values.min() >= 0.0
+    assert np.abs(np.sort(values) - want).max() <= 1e-12
+    assert np.abs(power - linalg.matrix_power(dense, p)).max() <= 1e-12
+    if p == 1.0:
+        assert abs(von_neumann_entropy(np.diag(values)) - von_neumann_entropy(dense)) <= 1e-12
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 8, 16, 32, 64])
 def test_spectral_image_matches_dense_power(d):
+    """Every family, Kraus input in a basis and a Kraus-sum channel, on
+    states of rank 1, d/2 and d, at every order's weights and at weights
+    with exact zeros."""
     rng = np.random.default_rng(100 + d)
-    for rdm in spectral_maps(d, rng):
-        assert isinstance(rdm.channel, PartitionChannel)
+    maps = spectral_channels(d, rng)
+    assert all(isinstance(E.channel, PartitionChannel) for E in maps[:-1])
+    assert type(maps[-1]) is QuantumChannel
+    for E in maps:
         for rank in sorted({d, max(1, d // 2), 1}):
-            rho = linalg.random_density_matrix(d, rank, seed=int(rng.integers(2**31)))
-            assert_spectral_image_is_dense(rdm, rho)
+            V, p = eigensystem(linalg.random_density_matrix(
+                d, rank, seed=int(rng.integers(2**31))))
+            for a, w in closed_form_weights(p):
+                assert_spectral_image_is_dense(E, V, w, 1.0 / a)
+            zeros = p.copy()
+            zeros[rng.permutation(d)[:max(1, d // 2)]] = 0.0
+            for q in (1.0, 0.5, 2.0):
+                assert_spectral_image_is_dense(E, V, zeros, q)
 
 
 def test_spectral_image_keeps_the_dense_checks():
-    """ValueError on non-finite input, NonHermitian when E(Y) is not
-    Hermitian and NotPSD when it is genuinely negative, on the blocks as on
-    the dense image; a non-Hermitian part that E removes is no error on
-    either path."""
+    """On the block path as on the dense one: ValueError for a non-finite
+    entry of V or w, or complex weights; NotPSD for a weight below -1e-10,
+    while one above it counts as 0; DimensionMismatch for a V or w of the
+    wrong size."""
     for d in (2, 4, 8):
         rng = np.random.default_rng(20 + d)
-        rho = linalg.random_density_matrix(d, d, seed=d)
-        for rdm in spectral_maps(d, rng):
-            for E in (rdm, QuantumChannel(rdm.kraus)):
-                for p in (1.0, 0.5):
+        V, p = eigensystem(linalg.random_density_matrix(d, d, seed=d))
+        for E in spectral_channels(d, rng):
+            for q in (1.0, 0.5):
+                bad = V.copy()
+                bad[-1, 0] = np.nan
+                with pytest.raises(ValueError):
+                    E.spectral_image(bad, p, q)
+                for x in (np.nan, np.inf):
                     with pytest.raises(ValueError):
-                        E.spectral_image(np.full((d, d), np.nan), p)
-                    with pytest.raises(NonHermitian):
-                        E.spectral_image(rho + 1e-6j * np.eye(d), p)
-                    with pytest.raises(NotPSD):
-                        E.spectral_image(-np.eye(d) / d, p)
-            with pytest.raises(DimensionMismatch):
-                rdm.spectral_image(np.eye(d + 1), 0.5)
-        # a real antisymmetric part has a zero diagonal, which dephasing keeps
-        skew = rng.standard_normal((d, d))
-        lost = rho + 1e-6 * (skew - skew.T)
-        deph = dephasing_map(MeasurementPartition.singletons(d))
-        want = QuantumChannel(deph.kraus).spectral_image(lost, 0.5)[1]
-        assert np.abs(deph.spectral_image(lost, 0.5)[1] - want).max() <= 1e-12
+                        E.spectral_image(V, np.where(np.arange(d) == 0, x, p), q)
+                with pytest.raises(ValueError):
+                    E.spectral_image(V, p + 0j, q)
+                negative = p.copy()
+                negative[0] = -1e-9
+                with pytest.raises(NotPSD):
+                    E.spectral_image(V, negative, q)
+                negative[0] = -1e-12
+                zero = p.copy()
+                zero[0] = 0.0
+                for got, want in zip(E.spectral_image(V, negative, q),
+                                     E.spectral_image(V, zero, q)):
+                    assert np.array_equal(got, want)
+            for args in ((np.eye(d + 1), np.ones(d + 1)), (V, np.ones(d + 1)),
+                         (V[:, :-1], p[:-1]), (V[:, :-1], p), (V, p[:, None])):
+                with pytest.raises(DimensionMismatch):
+                    E.spectral_image(*args, 0.5)
+
+
+def test_closed_form_refuses_a_non_hermitian_state_on_every_map():
+    """Z = V diag(w) V^dag is Hermitian by construction, so NonHermitian
+    now comes from the state's own check, on every map and order."""
+    for d in (2, 4, 8):
+        rng = np.random.default_rng(40 + d)
+        rho = linalg.random_density_matrix(d, d, seed=d)
+        maps = spectral_channels(d, rng)
+        maps[-1] = certify_rdm(maps[-1])
+        for rdm in maps:
+            for a in (0.5, 1.0, 2.0):
+                with pytest.raises(NonHermitian):
+                    closed_form_measure(rho + 1e-6j * np.eye(d), rdm, a)
+
+
+def test_closed_form_on_partition_maps_never_forms_rho_a(monkeypatch):
+    """At a != 1 a partition map reads E(rho^a) off rho's eigensystem, and
+    rho^a is never formed as a d x d matrix."""
+    def refuse(*_):
+        raise AssertionError("linalg.spectral_power called")
+    for d in (2, 3, 4, 8):
+        rng = np.random.default_rng(60 + d)
+        rho = linalg.random_density_matrix(d, d, seed=d)
+        maps = spectral_maps(d, rng)
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "spectral_power", refuse)
+            for rdm in maps:
+                assert isinstance(rdm.channel, PartitionChannel)
+                for a in A_GRID:
+                    if a != 1.0:
+                        closed_form_measure(rho, rdm, a)
 
 
 @pytest.mark.parametrize("seed", range(12))
 def test_spectral_image_in_a_basis_is_the_block_path_rotated(seed):
-    """With a basis W, spectral_image(Y, p) is the basis-free map's
-    spectral_image(W^dag Y W, p) rotated out, bit for bit: the same values
+    """With a basis W, spectral_image(V, w, p) is the basis-free map's
+    spectral_image(W^dag V, w, p) rotated out, bit for bit: the same values
     and W X0 W^dag, on random partitions that mix kept and traced blocks."""
     rng = np.random.default_rng(300 + seed)
     d = int(rng.integers(2, 13))
@@ -434,10 +503,10 @@ def test_spectral_image_in_a_basis_is_the_block_path_rotated(seed):
     W = random_unitary(d, rng)
     rotated = PartitionChannel(partition, traced, basis=W)
     plain = PartitionChannel(partition, traced)
-    Y = linalg.random_density_matrix(d, d, seed=seed)
-    for p in (1 / 0.3, 1.0, 0.5):
-        values, X = rotated.spectral_image(Y, p)
-        values0, X0 = plain.spectral_image(linalg.dagger(W) @ Y @ W, p)
+    V, p = eigensystem(linalg.random_density_matrix(d, d, seed=seed))
+    for a, w in closed_form_weights(p):
+        values, X = rotated.spectral_image(V, w, 1.0 / a)
+        values0, X0 = plain.spectral_image(linalg.dagger(W) @ V, w, 1.0 / a)
         assert np.array_equal(values, values0)
         assert np.array_equal(X, W @ X0 @ linalg.dagger(W))
 

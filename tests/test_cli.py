@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from rdmap import channels, cli, linalg, measures
 from rdmap.cli import _json_scalar, fmt_float, main, render_csv, render_json, sweep_grid
+from rdmap.errors import ValidationError
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -297,6 +298,19 @@ def test_sweep_snaps_near_one(files, capsys):
                  "--a-grid", "0.5,1.000000000001,2.0"]) == 0
     line = capsys.readouterr().out.strip().splitlines()[2]
     assert float(line.split(",")[1]) == pytest.approx(math.log(2), abs=1e-12)
+
+
+def test_sweep_grid_is_increasing_after_the_snap(files, capsys):
+    """A point within 1e-9 of 1 snaps to 1 before the grid is checked, so a
+    grid that would sweep a = 1 twice is refused (exit 2), not printed with
+    two a = 1 rows."""
+    for grid in ([0.5, 1.0, 1.0000000001], [0.5, 1.0 - 1e-10, 1.0], [0.9999999999, 1.0000000001]):
+        with pytest.raises(ValidationError, match="strictly increasing"):
+            sweep_grid(grid)
+    assert sweep_grid([0.5, 1.0 - 1e-10, 1.5]) == [0.5, 1.0, 1.5]
+    assert main(["sweep", "--state", files["plus"], "--map", files["deph"],
+                 "--a-grid", "0.5,1.0,1.0000000001"]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_sweep_bad_ranges_exit_2(files, capsys):

@@ -90,6 +90,49 @@ def test_matrix_log_skips_kernel():
     assert np.allclose(out, np.diag([math.log(0.5), 0.0]), atol=1e-12)
 
 
+def test_spectral_functions_match_their_matrix_forms():
+    """matrix_power and matrix_log are the spectral forms of psd_spectrum,
+    bit for bit, on full-rank, rank-deficient and round-off-negative
+    input, so one eigensystem serves both."""
+    rng = np.random.default_rng(5)
+    for d in (1, 2, 3, 4, 8):
+        for rank in sorted({1, max(1, d // 2), d}):
+            M = linalg.random_density_matrix(d, rank, seed=int(rng.integers(2**31)))
+            spectrum = linalg.psd_spectrum(M)
+            assert spectrum.values.min() >= 0.0
+            assert np.array_equal(linalg.spectral_log(spectrum), linalg.matrix_log(M))
+            for p in (0.3, 0.5, 1.0, 2.0, 1 / 0.3, 0.0, -0.5):
+                assert np.array_equal(linalg.spectral_power(spectrum, p), linalg.matrix_power(M, p))
+
+
+def test_power_values_is_the_masked_power():
+    """power_values equals values ** p on the eigenvalues above its cut and
+    0 elsewhere, bit for bit, whatever the mix of zeros, round-off and
+    ordinary eigenvalues."""
+    rng = np.random.default_rng(6)
+    for _ in range(500):
+        n = int(rng.integers(1, 40))
+        values = rng.random(n) ** rng.integers(1, 20)
+        values[rng.random(n) < 0.2] = 0.0
+        values[rng.random(n) < 0.2] *= 1e-17
+        for p in (1 / 0.3, 2.0, 1.0, 0.5, 1 / 1.5, 0.0, -0.7):
+            top = max(float(values.max()), 0.0)
+            cut = n * np.finfo(float).eps * top if p > 0 else linalg.SUPPORT_CUTOFF * top
+            want = np.zeros(n)
+            want[values > cut] = values[values > cut] ** p
+            assert linalg.power_values(values, p).tobytes() == want.tobytes()
+
+
+def test_frobenius_is_the_norm():
+    rng = np.random.default_rng(7)
+    for shape in ((1,), (3, 3), (4, 5), (2, 6, 6)):
+        for M in (rng.standard_normal(shape),
+                  rng.standard_normal(shape) + 1j * rng.standard_normal(shape)):
+            want = float(np.linalg.norm(M.ravel()))
+            assert abs(linalg.frobenius(M) - want) <= 1e-15 * want
+    assert linalg.frobenius(np.zeros((3, 3), dtype=complex)) == 0.0
+
+
 def test_support_projector():
     out = linalg.support_projector(np.diag([0.3, 0.0, 0.7]))
     assert np.allclose(out, np.diag([1.0, 0.0, 1.0]), atol=1e-12)

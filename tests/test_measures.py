@@ -90,6 +90,23 @@ def test_tsallis_order_validation():
     assert validate_order(2.0) == 2.0
 
 
+def test_order_must_be_a_real_number():
+    """A bool once ran silently at a = 1, a numeric string was parsed and a
+    list raised a bare TypeError: each is now a ValidationError naming the
+    order.  Python and numpy real scalars stay accepted."""
+    rho = np.array([[0.7, 0.1 + 0.05j], [0.1 - 0.05j, 0.3]])
+    deph = qubit_dephasing()
+    for a in (True, False, np.bool_(True), "0.5", b"1", [0.5], np.array([0.5]), None,
+              1.0 + 0j, np.complex128(0.5)):
+        for call in (lambda: validate_order(a), lambda: closed_form_measure(rho, deph, a),
+                     lambda: tsallis_relative_entropy(rho, rho, a)):
+            with pytest.raises(ValidationError, match="order a must be a real number"):
+                call()
+    for a in (0.5, 2, np.float64(0.5), np.float32(0.5), np.int64(1), np.int8(2)):
+        assert closed_form_measure(rho, deph, a).a == float(a)
+        assert validate_order(a) == float(a) and type(validate_order(a)) is float
+
+
 def test_tsallis_nonnegative_on_random_pairs():
     for seed in range(10):
         rho = linalg.random_density_matrix(3, 3, seed=2 * seed)
@@ -367,8 +384,9 @@ def test_round_off_below_zero_is_kept():
 
 def test_a1_applies_a_kraus_sum_map_to_rho_once(monkeypatch):
     """At a = 1 sigma* = E(rho) is also the image whose spectrum gives
-    S(E(rho)): a map on the dense path applies E to rho once, and the value
-    has the same bits as the entropy of a second, separate E(rho)."""
+    S(E(rho)): a map on the dense path applies E once to rho, rebuilt from
+    its eigensystem as Z = V diag(p) V^dag, and the value has the same bits
+    as the entropy of a second, separate E(Z)."""
     rng = np.random.default_rng(11)
     Q, R = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
     V = Q * (np.diag(R) / np.abs(np.diag(R)))
@@ -376,17 +394,20 @@ def test_a1_applies_a_kraus_sum_map_to_rho_once(monkeypatch):
     rdm = certify_rdm(QuantumChannel([V @ K @ V.conj().T for K in coarse.kraus]))
     assert not isinstance(rdm.channel, PartitionChannel)
     rho = linalg.random_density_matrix(3, 3, seed=9)
+    p, U = linalg.eig_hermitian(rho)
+    Z = (U * linalg.clip_spectrum(p)) @ linalg.dagger(U)
+    assert np.abs(Z - rho).max() <= 1e-15
     applied = []
     inner = channels._kraus_act
 
     def counted(ops, A):
-        applied.append("rho" if np.array_equal(A, rho) else "other")
+        applied.append("rho" if np.array_equal(A, Z) else "other")
         return inner(ops, A)
     monkeypatch.setattr(channels, "_kraus_act", counted)
     rep = closed_form_measure(rho, rdm, 1.0)
     assert applied == ["rho", "other"]  # sigma* = E(rho), then E(sigma*)
     monkeypatch.undo()
-    assert rep.value == von_neumann_entropy(rdm.apply(rho)) - von_neumann_entropy(rho)
+    assert rep.value == von_neumann_entropy(rdm.apply(Z)) - von_neumann_entropy(rho)
 
 
 def _full_rank_state(entries):

@@ -265,6 +265,21 @@ def test_fused_objective_matches_reference():
             assert fused(x[None], np.array([i])).view(np.int64) == value.view(np.int64)
 
 
+def test_objective_decomposes_each_distinct_state_once(count_decompositions):
+    """Problems that share a state, over maps and orders, build their
+    objective from one eigh of it; a second state adds one more."""
+    rho = linalg.random_density_matrix(3, 3, seed=31)
+    other = linalg.random_density_matrix(3, 3, seed=32)
+    maps = (dephasing_map(MeasurementPartition.singletons(3)), cyclic_twirl(3), mixing_map(3))
+    problems = [(state.copy(), rdm, a) for state in (rho, other) for rdm in maps
+                for a in (0.3, 1.0, 2.0)]
+    bases = [free_algebra_basis(rdm) for _, rdm, _ in problems]
+    calls = count_decompositions(rho)
+    seen_other = count_decompositions(other)
+    _free_state_objective(problems, bases)
+    assert calls == ["eigh"] and seen_other == ["eigh"]
+
+
 # ---------------------------------------------------------------- the oracle
 
 def test_oracle_on_plus_state():
