@@ -32,7 +32,7 @@ from .channels import (
     modified_coarse_map,
 )
 from .errors import ValidationError
-from .measures import closed_form_measure, tsallis_relative_entropy
+from .measures import closed_form_measure, tsallis_relative_entropy, validate_order
 from .oracle import OracleConfig, minimize_batch
 
 DEFAULT_A_GRID = (0.3, 0.5, 0.8, 1.0, 1.2, 1.5, 2.0)
@@ -42,14 +42,17 @@ SUITE_NAMES = ("theorem1", "axioms", "theorem2", "piani", "continuity")
 log = logging.getLogger("rdmap.verify")
 
 # theorem1 solves all trials of one dimension in one lockstep batch, one
-# padded vertex stack whatever each map's r, with one restart per problem,
+# padded stack whatever each map's r, with one restart per problem,
 # OracleConfig's default iteration cap and ORACLE_TOL; the acceptance run
-# (50 trials) takes 8-13 s on a 2-vCPU VM against its 300 s budget.  At
-# that size the objective's work per point sets the pace, most of it the
-# stacked eigh of H, since every point it scores has full support and
-# skips the masked scoring.  ORACLE_TOL is
-# looser than OracleConfig's default of 1e-10, which costs a third more
-# points scored for no pass/fail change.
+# (50 trials) takes 2.6-4.0 s on a 2-vCPU VM against its 300 s budget.
+# The quasi-Newton search converges in tens of iterations (at most about a
+# hundred per batch): under cProfile it takes 0.6 s of a 4.0 s run, and
+# mapping each winner through E and scoring it again, one problem at a
+# time, takes 1.5 s.  ORACLE_TOL bounds the largest |df/dx_j| at which a
+# search stops.
+# OracleConfig's default of 1e-10 scores 44 % more points on the
+# acceptance run (52,955 against 36,765) for no pass/fail change, and 834
+# of its 5,250 searches stop at the round-off of f instead (51 at 1e-8).
 GAP_TOL = 1e-5
 ORACLE_TOL = 1e-8
 
@@ -187,19 +190,22 @@ def suite_theorem1(dims, a_grid, trials: int, seed: int,
     """Closed form vs oracle on random states, every built-in map, the full
     a grid (see theorem1_batches).  The oracle solves the problems of every
     trial of one dimension together, whatever their free dimension r, in
-    one lockstep simplex per pass, one restart each at ORACLE_TOL.  Records
-    come in trial, dim, map, a order and carry the minimizer's
-    density-validation verdict, fixed-point residual and the oracle's work
-    counters alongside the gap.  Each dimension logs one INFO line: problem
-    count, solve time, cap hits, the stack's iterations in each pass, the
-    points scored per map family (the sum of its records' evaluations) and
-    the problem count per free dimension r (the oracle searches r - 1 real
-    parameters)."""
+    one lockstep quasi-Newton search, one restart each at ORACLE_TOL.  Each
+    order goes through measures.validate_order, so a bool or a string is a
+    ValidationError, not a number.  Records come in trial, dim, map, a order
+    and carry the minimizer's density-validation verdict, fixed-point
+    residual and the oracle's work counters alongside the gap, with
+    oracle_grad, the largest |df/dx_j| the search stopped at.  Each
+    dimension logs one INFO line: problem count, solve time, cap hits, the
+    stack's iterations, the points its line searches scored (every point
+    but the starts), the points scored per map family (the sum of its
+    records' evaluations) and the problem count per free dimension r (the
+    oracle searches r - 1 real parameters)."""
     dims = [linalg.as_integer(d, "dims") for d in dims]
     trials, seed = linalg.as_count(trials, "trials", 1), linalg.as_count(seed, "seed", 0)
     if not set(dims) <= {2, 3, 4}:
         raise ValidationError(f"oracle-backed dims are limited to 2..4, got {dims}")
-    a_grid = [float(a) for a in a_grid]
+    a_grid = [validate_order(a) for a in a_grid]
     t0 = time.perf_counter()
     batches = list(theorem1_batches(dims, a_grid, trials, seed))
     records = [[] for _ in batches]
@@ -228,6 +234,7 @@ def suite_theorem1(dims, a_grid, trials: int, seed: int,
                 "iterations": res.iterations,
                 "stop_reason": res.stop_reason,
                 "cap_hits": res.cap_hits,
+                "oracle_grad": res.grad_norm,
                 "sigma_ok": _density_ok(rep.sigma_star),
                 "sigma_fp_residual": rep.fixed_point_residual,
                 "violation": abs(gap) - tol,
@@ -237,10 +244,10 @@ def suite_theorem1(dims, a_grid, trials: int, seed: int,
         for (_, (name, *_)), res in zip(group, results):
             points[name] += res.evaluations
         log.info("theorem1 d=%d: %d problems solved in %.2f s, %d cap hits, "
-                 "%d + %d stack iterations; points scored per map: %s; "
+                 "%d stack iterations, %d line-search points; points scored per map: %s; "
                  "problems per free dimension r (r - 1 parameters): %s",
                  d, len(group), t_solve, sum(res.cap_hits for res in results),
-                 *results[0].stack_iterations,
+                 results[0].stack_iterations, sum(points.values()) - len(group),
                  ", ".join(f"{name}: {n}" for name, n in points.items()),
                  ", ".join(f"r={r}: {per_r[r]}" for r in sorted(per_r)))
     return _finish("theorem1", trials, [r for batch in records for r in batch], t0)
@@ -318,12 +325,13 @@ def suite_theorem2(dims, a_grid, trials: int, seed: int,
     `compose_residual` must be within 1e-10.  Both maps are partition maps
     in the basis of one random unitary per trial and dimension, so the
     identities hold to round-off, not exactly as for 0/1 masks.  The minimum
-    observed slack is left in the records as data."""
+    observed slack is left in the records as data.  Each order goes through
+    measures.validate_order."""
     dims = [linalg.as_integer(d, "dims") for d in dims]
     trials, seed = linalg.as_count(trials, "trials", 1), linalg.as_count(seed, "seed", 0)
     if not set(dims) <= {3, 4, 5, 6}:
         raise ValidationError(f"coarse partitions need dims in 3..6, got {dims}")
-    a_grid = [float(a) for a in a_grid]
+    a_grid = [validate_order(a) for a in a_grid]
     t0 = time.perf_counter()
     records = []
     for t in range(trials):

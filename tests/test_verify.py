@@ -99,6 +99,7 @@ def test_theorem1_cross_trial_batches_change_no_record():
                 "restarts_agreeing": res.restarts_agreeing,
                 "evaluations": res.evaluations, "iterations": res.iterations,
                 "stop_reason": res.stop_reason, "cap_hits": res.cap_hits,
+                "oracle_grad": res.grad_norm,
                 "sigma_ok": _density_ok(r.sigma_star),
                 "sigma_fp_residual": r.fixed_point_residual,
                 "violation": abs(res.value - r.value) - GAP_TOL,
@@ -128,12 +129,15 @@ def test_theorem1_logs_progress_per_dimension(caplog, capsys):
     lines = [r.getMessage() for r in caplog.records if r.name == "rdmap.verify"]
     assert [line.split(":")[0] for line in lines] == ["theorem1 d=2", "theorem1 d=3"]
     assert all("10 problems" in line and "0 cap hits" in line for line in lines)
-    # one stack per dimension, whatever its r: its iterations in each pass,
-    # those of its slowest row, bound every record's two passes together
+    # one stack per dimension, whatever its r: its iterations are those of
+    # its slowest row, and its line searches scored every point but the
+    # one start of each problem
     for d, line in zip((2, 3), lines):
-        passes = re.search(r"cap hits, (\d+) \+ (\d+) stack iterations;", line).groups()
-        slowest = max(r["iterations"] for r in rep.records if r["dim"] == d)
-        assert 0 < slowest <= sum(int(p) for p in passes)
+        stack, searched = re.search(
+            r"cap hits, (\d+) stack iterations, (\d+) line-search points;", line).groups()
+        mine = [r for r in rep.records if r["dim"] == d]
+        assert int(stack) == max(r["iterations"] for r in mine) > 0
+        assert int(searched) == sum(r["evaluations"] for r in mine) - len(mine)
     assert all("(r - 1 parameters)" in line and "2r" not in line for line in lines)
     # d = 2: dephasing and the twirl have r = 2, mixing r = 1, and the
     # coarse partition is the single block (Lueders r = 4, modified r = 1)
@@ -164,6 +168,16 @@ def test_axioms_small_run():
     for r in rep.records:
         if r["kind"] == "faithfulness":
             assert r["value"] <= 1e-9
+
+
+@pytest.mark.parametrize("name, dims", [("theorem1", [2]), ("theorem2", [3])])
+@pytest.mark.parametrize("order", [True, "0.5", 0.0, 2.5])
+def test_oracle_suites_validate_every_order(name, dims, order):
+    """Each order of the grid goes through measures.validate_order, as the
+    closed form's does: a bool once ran as a = 1 and a string was parsed as
+    a number."""
+    with pytest.raises(ValidationError, match="order a"):
+        run_suite(name, dims=dims, a_grid=[2.0, order], trials=1, seed=7)
 
 
 def test_theorem2_small_run():
