@@ -31,9 +31,10 @@ The d^2 x d^2 superoperator (column-major vectorization, column (a, b) is
 vec E(|a><b|), S = sum_i conj(K_i) (x) K_i) is the canonical representation
 for map equality, since Kraus decompositions are not unique.  Both it and a
 partition map's Kraus list are views built on first read.  Within the
-library only `oracle.free_algebra_basis` reads the superoperator;
-certification and `apply` need neither for a partition map.  Channels are
-immutable once built.
+library nothing reads `superop`: the oracle reads a map through `apply`
+alone, and only the certification of a Kraus sum forms S, once, without
+keeping it.  A partition map needs neither for certification or `apply`.
+Channels are immutable once built.
 """
 
 from __future__ import annotations

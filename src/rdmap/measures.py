@@ -59,10 +59,13 @@ def _entropy(values: np.ndarray) -> float:
     return float(-np.sum(w * np.log(w)))
 
 
-def _support_leak(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Weight of rho outside the support of sigma."""
-    P = linalg.support_projector(sigma)
-    return float(np.trace(rho).real - np.trace(P @ rho @ P).real)
+def _support_leak(rho: np.ndarray, spectrum: linalg.Eigensystem) -> float:
+    """Weight of rho outside the support of sigma, given sigma's clipped
+    eigensystem: the eigenvectors whose eigenvalues pass the support cut
+    span that support."""
+    values, vectors = spectrum
+    K = vectors[:, linalg.power_values(values, 0.0) > 0.0]
+    return float(np.trace(rho).real - np.trace(linalg.dagger(K) @ rho @ K).real)
 
 
 def tsallis_relative_entropy(rho: np.ndarray, sigma: np.ndarray, a: float) -> float:
@@ -72,20 +75,30 @@ def tsallis_relative_entropy(rho: np.ndarray, sigma: np.ndarray, a: float) -> fl
     support pseudo-power when 1 - a < 0.  a = 1: Tr rho (ln rho - ln sigma)
     with 0 ln 0 = 0.  Returns +inf when a >= 1 and supp(rho) is not contained
     in supp(sigma); always finite for a < 1.
+
+    One eigh of sigma serves the support check and the power.  At a != 1
+    the trace is taken as T = sum_i w_i^{1-a} ||R^dag v_i||^2, with (w_i, v_i)
+    the eigensystem of sigma and R R^dag = rho^a, under matrix_power's cut
+    rules: each term is a weight times a sum of squares, so a tiny w_i next
+    to a singular sigma costs no more than its own round-off, where a
+    product of the two matrix powers loses about eps / w_min at a > 1.
     """
     a = validate_order(a)
     A = linalg.as_complex_matrix(rho)
     B = linalg.as_complex_matrix(sigma)
     if A.shape != B.shape:
         raise DimensionMismatch(f"states have shapes {A.shape} and {B.shape}")
-    if a >= 1.0 and _support_leak(A, B) > SUPPORT_LEAK_TOL:
+    spectrum = linalg.psd_spectrum(B)
+    if a >= 1.0 and _support_leak(A, spectrum) > SUPPORT_LEAK_TOL:
         return math.inf
     if a == 1.0:
         la = linalg.matrix_log(A)
-        lb = linalg.matrix_log(B)
+        lb = linalg.spectral_log(spectrum)
         return float(np.trace(A @ (la - lb)).real)
-    T = float(np.trace(linalg.matrix_power(A, a) @ linalg.matrix_power(B, 1.0 - a)).real)
-    T = max(T, 0.0)
+    p, V = linalg.psd_spectrum(A)
+    M = linalg.dagger(V * np.sqrt(linalg.power_values(p, a))) @ spectrum.vectors
+    norms = (M.real ** 2 + M.imag ** 2).sum(axis=0)
+    T = max(float(linalg.power_values(spectrum.values, 1.0 - a) @ norms), 0.0)
     return (T ** (1.0 / a) - 1.0) / (a - 1.0)
 
 

@@ -2,32 +2,35 @@
 
 Minimizes S~_a(rho|sigma) over sigma in Fix(E) by a quasi-Newton search on
 an unconstrained parameterization of the fixed points.  For a unital,
-trace-preserving, idempotent E, Fix(E) = range(S) is a unital *-algebra
-(the commutant of the Kraus operators), so every full-rank free state is
+trace-preserving, idempotent E, Fix(E) is a unital *-algebra (the
+commutant of the Kraus operators), so every full-rank free state is
 exp(H) / Tr exp(H) for a traceless Hermitian H in Fix(E): the traceless
-part of log sigma.  The search therefore runs over the real coordinates of
-H in a Hilbert-Schmidt-orthonormal basis of the traceless Hermitian part
-of Fix(E): r - 1 parameters, r = dim Fix(E) (d - 1 for dephasing and the
-cyclic twirl, none for complete mixing).  The objective is convex in sigma
-(Lieb 1973; Ando 1979), so mixing a minimizer with a little of I/d shows
-that the infimum over full-rank free states is the minimum over all of
-them.  Fix(E) being a *-algebra, exp(H) / Tr exp(H) is itself free, so the
+part of log sigma.  Every problem of dimension d searches the d^2 - 1 real
+coordinates of H in one fixed Hilbert-Schmidt-orthonormal basis, the
+generalized Gell-Mann matrices Gamma; its map supplies only the projector
+Pi onto the r - 1 free directions, r = dim Fix(E) (d - 1 for dephasing and
+the cyclic twirl, none for complete mixing), read off one batched `apply`
+(free_algebra_basis).  Starts and gradients are projected, so a search
+never leaves the algebra, and BFGS from a scaled identity takes the same
+steps in any orthonormal coordinates.  The objective is convex in sigma
+(Lieb 1973; Ando 1979), so the infimum over full-rank free states is the
+minimum over all of them.  exp(H) / Tr exp(H) is itself free, so the
 search scores it directly, value and gradient from the one eigh of H; the
 gradient is the Daleckii-Krein derivative of the objective in H's
-eigenbasis (Bhatia, Matrix Analysis, 1997, ch. V), contracted with the
-basis.  Only the winner is mapped through E, which makes the reported
-minimizer a fixed point by construction, and scored again by
-tsallis_relative_entropy.  This module never evaluates the closed form,
-and the search shares no code with it: callers take the gap themselves,
-and agreement between the two is evidence, not circularity.
+eigenbasis (Bhatia, Matrix Analysis, 1997, ch. V).  Only the winner is
+mapped through E, which makes the reported minimizer a fixed point by
+construction, and scored again by tsallis_relative_entropy.  This module
+never evaluates the closed form, and the search shares no code with it:
+callers take the gap themselves, and agreement between the two is
+evidence, not circularity.
 
 minimize_batch solves many problems of one dimension together: every
-restart of every problem, whatever its r, is a row of one padded stack
-that one lockstep BFGS search (Nocedal & Wright, Numerical Optimization,
-2006, ch. 6) advances, so each iteration and each backtracking step pays
-one objective call for the whole batch.  Each result is bit-identical to
-solving its problem alone.  simplex_minimize, a derivative-free
-Nelder-Mead, is kept as an independent reference search.
+restart of every problem, whatever its r, is a row of one stack that one
+lockstep BFGS search (Nocedal & Wright, Numerical Optimization, 2006,
+ch. 6) advances, one objective call per iteration and per backtracking
+step.  Each result is bit-identical to solving its problem alone.
+simplex_minimize, a derivative-free Nelder-Mead, is kept as an
+independent reference search.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ import numpy as np
 
 from . import linalg
 from .channels import ResourceDestroyingMap
-from .errors import NoFiniteObjective, ValidationError
+from .errors import DimensionMismatch, NoFiniteObjective, ValidationError
 from .measures import SUPPORT_LEAK_TOL, tsallis_relative_entropy, validate_order
 
 AGREEMENT_WINDOW = 1e-6
@@ -86,7 +89,7 @@ class OracleResult:
     restart, stop_reason says why it stopped, "tolerance" or
     "iteration_cap", grad_norm is its final largest |df/dx_j|, and cap_hits
     counts the restarts that stopped at the iteration cap.  free_dim is r =
-    dim Fix(E); the search ran over r - 1 real parameters (none at r = 1,
+    dim Fix(E); the search ran along r - 1 free directions (none at r = 1,
     where each restart scores I/d, the only free state, once and stops at
     iteration 0).  stack_iterations is the iteration count of the lockstep
     stack the problem was solved in: the most any of its rows ran."""
@@ -103,38 +106,50 @@ class OracleResult:
     grad_norm: float
 
 
+def _gell_mann(d: int) -> np.ndarray:
+    """The generalized Gell-Mann matrices, normalized: a fixed
+    Hilbert-Schmidt-orthonormal basis of the traceless Hermitian d x d
+    matrices, as a (d^2 - 1, d, d) stack.  (|j><k| + |k><j|) / sqrt(2) and
+    (i|k><j| - i|j><k|) / sqrt(2) for each j < k, then
+    (sum_{j<l} |j><j| - l |l><l|) / sqrt(l (l + 1)) for l = 1, ..., d - 1."""
+    j, k = np.triu_indices(d, 1)
+    pairs = np.arange(j.size)
+    gamma = np.zeros((d * d - 1, d, d), dtype=complex)
+    s = math.sqrt(0.5)
+    gamma[pairs, j, k], gamma[pairs, k, j] = s, s
+    gamma[j.size + pairs, j, k], gamma[j.size + pairs, k, j] = -1j * s, 1j * s
+    for l in range(1, d):
+        diag = np.r_[np.ones(l), -l] / math.sqrt(l * l + l)
+        gamma[2 * j.size + l - 1, range(l + 1), range(l + 1)] = diag
+    return gamma
+
+
 def free_algebra_basis(rdm: ResourceDestroyingMap) -> np.ndarray:
     """A Hilbert-Schmidt-orthonormal basis of the traceless Hermitian part of
-    range(S) = Fix(E), as an (r - 1, d, d) stack of Hermitian matrices,
-    r = dim Fix(E).
+    Fix(E), as an (r - 1, d, d) stack of Hermitian matrices, r = dim Fix(E).
 
-    range(S) comes from the left singular vectors of the superoperator whose
-    singular values pass numpy's matrix_rank rule (above s_max * d^2 * eps),
-    so r is the numerical rank of S.  For a certified map range(S) is a
-    unital *-algebra: the Hermitian and anti-Hermitian parts of those
-    vectors span its Hermitian part, which holds I.  With the identity
-    component removed, an SVD of their real coordinates gives the basis,
-    and together with I / sqrt(d) it spans range(S).
+    With Gamma the Gell-Mann basis, P[k, j] = Re Tr Gamma_k E(Gamma_j) comes
+    from one batched `apply`.  For a certified map, E and its adjoint are
+    idempotent with the same range, so P is the orthogonal projector onto
+    the coordinates of the traceless Hermitian part of Fix(E) up to
+    round-off: the eigenvectors U of its symmetric part with eigenvalue
+    above 1/2 are coordinates of the basis, B_i = sum_j U[j, i] Gamma_j, and
+    together with I / sqrt(d) it spans Fix(E).
     """
-    d = rdm.dim
-    U, s, _ = np.linalg.svd(rdm.superop)
-    r = int(np.count_nonzero(s > s[0] * d * d * np.finfo(float).eps))
-    if r == 0:
-        raise ValidationError("the map has no nonzero fixed point")
-    # columns of U are column-stacked matrices
-    B = U[:, :r].T.reshape(r, d, d).transpose(0, 2, 1)
-    Bh = B.conj().transpose(0, 2, 1)
-    herm = np.concatenate([B + Bh, 1j * (B - Bh)]) / 2
-    herm -= np.trace(herm, axis1=1, axis2=2).real[:, None, None] * np.eye(d) / d
-    # the Hilbert-Schmidt inner product of Hermitian matrices is the real
-    # dot product of their (real, imaginary) entries; every row has norm at
-    # most 1, so the rank rule takes 1 as its scale
-    flat = herm.reshape(2 * r, d * d)
-    _, s, Vt = np.linalg.svd(np.concatenate([flat.real, flat.imag], axis=1))
-    rank = int(np.count_nonzero(s > 2 * d * d * np.finfo(float).eps))
-    basis = (Vt[:rank, :d * d] + 1j * Vt[:rank, d * d:]).reshape(rank, d, d)
+    gamma = _gell_mann(rdm.dim)
+    P = np.tensordot(gamma.conj(), rdm.apply(gamma), axes=([1, 2], [1, 2])).real
+    values, U = np.linalg.eigh((P + P.T) / 2)
+    basis = np.tensordot(U[:, values > 0.5].T, gamma, axes=1)
     # exactly Hermitian, so every real combination is too
     return (basis + basis.conj().transpose(0, 2, 1)) / 2
+
+
+def _projector(basis: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """C C^T with C[j, i] = Re Tr(Gamma_j B_i): the orthogonal projector, in
+    the coordinates of the Gell-Mann basis Gamma, onto the span of an
+    orthonormal Hermitian basis B (0 for an empty one)."""
+    C = np.tensordot(gamma.conj(), basis, axes=([1, 2], [1, 2])).real
+    return C @ C.T
 
 
 def _free_state(x: np.ndarray, basis: np.ndarray, rdm: ResourceDestroyingMap) -> np.ndarray:
@@ -215,24 +230,25 @@ def simplex_minimize(f, x0: np.ndarray, config: OracleConfig,
 
 
 def _free_state_objective(problems, bases):
-    """Objective (X, rows) -> (values, gradients) over a stack of points,
-    each scored for its own problem (rho, rdm, a): S~_a(rho | tau(x)) and
-    its gradient in x, with tau(x) = exp(H) / Tr exp(H), H = sum_j x_j B_j
-    over that problem's basis (bases[i], the free_algebra_basis of its
-    map).
+    """Objective (X, rows) -> (values, gradients, terms) over a stack of
+    points, each scored for its own problem (rho, rdm, a): S~_a(rho | tau(x)),
+    its gradient in x projected onto that problem's algebra, and the
+    magnitude of the terms the value is formed from, with
+    tau(x) = exp(H) / Tr exp(H), H = sum_j x_j Gamma_j over the Gell-Mann
+    basis Gamma of the problems' one dimension.
 
-    Problems may have different r: problem i reads the first len(bases[i])
-    coordinates of its rows of X, and the rest must be 0; its gradient is 0
-    past them too.  Each distinct basis array is stored once, however many
-    problems share it.  Points are scored in chunks that keep the gathered
-    bases and powers of rho within 256 KiB at the width of the chunk's first
-    row, each chunk cut to its widest row; rows that come widest first, as
-    minimize_batch orders them, make the first row the widest.  Fix(E) is a
-    *-algebra, so tau is already a free state: E(tau) = tau up to round-off,
-    and E is not applied here.  Hot path for the search, built for few numpy
-    calls per stack: H from the coordinates in one product, the spectrum of
-    tau and its eigenvectors from one stacked eigh of H, and the entropy
-    from rho^a in that eigenbasis instead of full matrix powers.
+    bases[i] is an orthonormal basis B of the traceless Hermitian part of
+    problem i's Fix(E), such as its free_algebra_basis, and row i's gradient
+    is Pi times the full one, Pi the projector onto B (_projector):
+    df/dx_j = Re Tr(df/dH sum_k Pi_jk Gamma_k), that sum stored once per
+    distinct basis.  A state that is not d x d is DimensionMismatch; each
+    distinct one is decomposed once, by linalg.density_spectrum, which
+    refuses one that is not a density matrix.  Points are scored in chunks
+    that keep the gathered projected basis and powers of rho within
+    256 KiB.  For x in the span of Pi, tau is already free, and E is not
+    applied.  Hot path for the search: H from the coordinates in one
+    product, tau's spectrum and eigenvectors from one stacked eigh of H,
+    and the entropy from rho^a in that eigenbasis, not from matrix powers.
 
     With H = V diag(h) V+, w = softmax(h), Q = V+ rho^a V and c = 1 - a, the
     value at a != 1 is (T^(1/a) - 1) / (a - 1) with T = sum_i w_i^c Q_ii,
@@ -240,53 +256,50 @@ def _free_state_objective(problems, bases):
     difference of h -> w^c: L_ij = c max(w_i^c, w_j^c) expm1(u) / u with
     u = -|c (h_i - h_j)| <= 0 (c w_i^c on the diagonal), a form that neither
     overflows nor cancels.  At a = 1 the value is Tr rho ln rho -
-    sum_i Q_ii ln w_i and its derivative in H is tau - rho.  df/dx_j is
-    Re Tr(df/dH B_j).
+    sum_i Q_ii ln w_i and its derivative in H is tau - rho.
 
     When every row of a chunk has full support, its smallest weight above
     its cut (matrix_power's round-off level d * eps * w_max for a < 1,
     SUPPORT_CUTOFF * w_max from a = 1 on), the chunk takes the fast path:
     every mask would be all true and the support leak 0, so it sums the
-    same terms in the same order with no mask and no sandwich of rho.  On
-    the theorem-1 suite nearly every chunk does.  Otherwise masks select the
-    a < 1, a = 1 and a > 1 branches and the +inf support barrier, whose
-    leak needs the weights of rho itself; the gradient drops the weights the
-    value drops, as the derivative at a fixed mask (its divided differences
-    between a kept and a dropped weight take the dropped one as 0), and is
-    0 at +inf.  Mirrors tsallis_relative_entropy's support conventions and
-    matrix_power's round-off rule exactly; a unit test pins the two together
-    to 1e-12 and the fast path to the masked one bit for bit.  Every problem
-    must have the same dimension.
+    same terms in the same order with no mask and no sandwich of rho, as
+    nearly every chunk of the theorem-1 suite does.  Otherwise masks select
+    the a < 1, a = 1 and a > 1 branches and the +inf support barrier; the
+    gradient drops the weights the value drops, as the derivative at a fixed
+    mask, and is 0 at +inf.  Mirrors tsallis_relative_entropy's support
+    conventions and matrix_power's round-off rule exactly; a unit test pins
+    the two together to 1e-12 and the fast path to the masked one bit for
+    bit.  Every problem must have the same dimension.
     """
     if len({B.shape[1:] for B in bases}) != 1:
         raise ValidationError("problems scored together must share one dimension")
     d = bases[0].shape[1]
-    dims = np.array([len(B) for B in bases])
-    # real coordinates x -> H = sum_j x_j B_j, H flattened row-major: each
-    # distinct basis once, stacked, with a zero row last; coordinate j of
-    # problem i multiplies row index[i, j], the zero row past its own
-    start, flat, size = {}, [], 0
-    for B in bases:
-        if id(B) not in start:
-            start[id(B)] = size
-            flat.append(B.reshape(len(B), d * d))
-            size += len(B)
-    Bx = np.concatenate(flat + [np.zeros((1, d * d), dtype=complex)])
-    j = np.arange(dims.max())
-    index = np.where(j < dims[:, None], np.array([start[id(B)] for B in bases])[:, None] + j, size)
+    gamma = _gell_mann(d)
+    n = len(gamma)
+    # the projected basis sum_k Pi_jk Gamma_k of each distinct basis once, as
+    # the (real, imaginary) entries of each matrix, and its slot per problem
+    distinct = {id(B): B for B in bases}
+    slot = {key: i for i, key in enumerate(distinct)}
+    projected = np.stack([np.tensordot(_projector(B, gamma), gamma, axes=1)
+                          for B in distinct.values()]).reshape(len(slot), n, d * d).view(float)
+    which = np.array([slot[id(B)] for B in bases])
+    gamma = gamma.reshape(n, d * d)
     a = np.array([float(a) for _, _, a in problems])
     one = a == 1.0
     # square-root factors R of rho and of rho^a (rho at a = 1), R R+ = rho
-    # or rho^a, filled in place, from one eigensystem per distinct rho: the
-    # weights of rho^a in any basis are sums of squares, never below 0
+    # or rho^a, filled in place, from one checked eigensystem per distinct
+    # rho: the weights of rho^a in any basis are sums of squares, never
+    # below 0
     R = np.empty((2, len(problems), d, d), dtype=complex)
     rho_ln_rho = np.zeros(len(problems))
     spectra = {}
     for i, (rho, _, ai) in enumerate(problems):
+        if np.shape(rho) != (d, d):
+            raise DimensionMismatch(f"state has shape {np.shape(rho)}, maps act on {d}x{d}")
         R[0, i] = rho
         key = R[0, i].tobytes()
         if key not in spectra:
-            spectra[key] = linalg.psd_spectrum(R[0, i])
+            spectra[key] = linalg.density_spectrum(linalg.as_complex_matrix(R[0, i]))
         values, vectors = spectra[key]
         if ai == 1.0:
             rho_ln_rho[i] = np.trace(R[0, i] @ linalg.spectral_log(spectra[key])).real
@@ -302,11 +315,11 @@ def _free_state_objective(problems, bases):
     diag = np.arange(d)
 
     def score(X, rows):
-        m, width = X.shape
-        # the terms x_j B_j coordinate-major, so that the sum over j runs
-        # along the outer axis, in order, as a row-by-row sum would
-        B = Bx.take(index[rows, :width].T, axis=0)
-        h, V = np.linalg.eigh(np.add.reduce(B * X.T[:, :, None], axis=0).reshape(m, d, d))
+        m = len(X)
+        # the terms x_j Gamma_j coordinate-major, so that the sum over j
+        # runs along the outer axis, in order, as a row-by-row sum would
+        h, V = np.linalg.eigh(np.add.reduce(gamma[:, None, :] * X.T[:, :, None], axis=0)
+                              .reshape(m, d, d))
         # the spectrum of tau and its log, ascending like h; the shift by
         # the largest eigenvalue keeps exp from overflowing.  Every power
         # below is exp(p ln): numpy's power rounds a row differently when
@@ -370,9 +383,9 @@ def _free_state_objective(problems, bases):
         G = Q * (kappa[:, None, None] * L)
         G[:, diag, diag] += np.where(r1 > 0, mass, kappa * den * T)[:, None] * w
         G = (V @ G @ Vh).reshape(m, d * d)
-        # Re Tr(G B_j) is the real dot product of their entries, B and G
+        # Re Tr(G P_j) is the real dot product of their entries, P_j and G
         # both Hermitian
-        grad = np.add.reduce(B.view(float) * G.view(float), axis=2).T
+        grad = np.add.reduce(projected[which[rows]] * G.view(float)[:, None, :], axis=2)
         grad[~np.isfinite(out)] = 0.0
         # the magnitude of the terms f is formed from: each weight Q_ii of
         # rho^a is known to about eps, and enters f times w_i^c df/dT (times
@@ -381,75 +394,41 @@ def _free_state_objective(problems, bases):
                          Ta / np.abs(den) + np.abs(kappa) * wc.sum(axis=1))
         return out, grad, terms
 
+    chunk = max(1, 2**18 // (16 * d * d * n + R[:, 0].nbytes))
+
     def objective(X: np.ndarray, rows: np.ndarray):
-        width = dims[rows]
-        values, terms = np.empty(rows.size), np.empty(rows.size)
-        grads = np.zeros(X.shape)
-        lo = 0
-        while lo < rows.size:
-            hi = lo + max(1, 2**18 // (16 * d * d * int(width[lo]) + R[:, 0].nbytes))
-            top = width[lo:hi].max()
-            values[lo:hi], grads[lo:hi, :top], terms[lo:hi] = score(X[lo:hi, :top], rows[lo:hi])
-            lo = hi
-        return values, grads, terms
+        parts = [score(X[lo:lo + chunk], rows[lo:lo + chunk]) for lo in range(0, rows.size, chunk)]
+        return tuple(np.concatenate(part) for part in zip(*parts))
 
     return objective
 
 
-def _runs(dims: np.ndarray) -> list[tuple[int, int, int]]:
-    """(start, stop, width) of each run of equal entries of dims."""
-    cuts = [0, *(np.flatnonzero(dims[1:] != dims[:-1]) + 1).tolist(), dims.size]
-    return [(lo, hi, int(dims[lo])) for lo, hi in zip(cuts[:-1], cuts[1:]) if lo < hi]
-
-
-def _row_dots(u: np.ndarray, v: np.ndarray, runs) -> np.ndarray:
-    """sum_j u[i, j] v[i, j] over each row's own width, one reduce per run."""
-    out = np.empty(len(u))
-    for lo, hi, w in runs:
-        np.add.reduce(u[lo:hi, :w] * v[lo:hi, :w], axis=1, out=out[lo:hi])
-    return out
-
-
-def _reset(Hinv: np.ndarray, which: np.ndarray, dims: np.ndarray) -> None:
-    """Set the matrices Hinv[which] to the identity on their own widths."""
-    at = np.flatnonzero(which)
-    Hinv[at] = 0.0
-    j = np.arange(Hinv.shape[-1])
-    Hinv[at[:, None], j, j] = j < dims[at, None]
-
-
-def _bfgs_update(Hinv, s, y, fresh, runs) -> None:
-    """The BFGS update of the inverse Hessians Hinv, in place, per run of
-    equal width, for the rows with s.y > 0; a fresh (identity) Hinv is
-    scaled by s.y / y.y first (Nocedal & Wright, eq. 6.20).  The update
-    H - (Hy rs' + rs Hy') + (y.Hy + s.y) rs rs', rs = s / s.y, is
-    (I - rho s y') H (I - rho y s') + rho s s' with rho = 1 / s.y, and
-    keeps H exactly symmetric."""
-    for lo, hi, w in runs:
-        if not w:
-            continue
-        sk, yk = s[lo:hi, :w], y[lo:hi, :w]
-        sy = np.add.reduce(sk * yk, axis=1)
-        upd = sy > 0
-        if not upd.any():
-            continue
-        sy = np.where(upd, sy, 1.0)
-        # a row left out gets rs = 0, which leaves its Hinv as it is
-        Hk = Hinv[lo:hi, :w, :w]
-        first = fresh[lo:hi] & upd
-        if first.any():
-            Hk[first] = (sy[first] / np.add.reduce(yk[first] * yk[first], axis=1))[:, None, None] \
-                * np.eye(w)
-        Hy = np.add.reduce(Hk * yk[:, None, :], axis=2)
-        yHy = np.add.reduce(yk * Hy, axis=1)
-        rs = np.where(upd[:, None], sk / sy[:, None], 0.0)
-        t = Hy[:, :, None] * rs[:, None, :]
-        t += t.transpose(0, 2, 1)
-        Hk -= t
-        np.multiply(rs[:, :, None], rs[:, None, :], out=t)
-        t *= (yHy + sy)[:, None, None]
-        Hk += t
-        fresh[lo:hi] &= ~upd
+def _bfgs_update(Hinv, s, y, fresh) -> None:
+    """The BFGS update of the inverse Hessians Hinv, in place, for the rows
+    with s.y > 0; a fresh (identity) Hinv is scaled by s.y / y.y first
+    (Nocedal & Wright, eq. 6.20).  The update H - (Hy rs' + rs Hy') +
+    (y.Hy + s.y) rs rs', rs = s / s.y, is (I - rho s y') H (I - rho y s') +
+    rho s s' with rho = 1 / s.y, and keeps H exactly symmetric."""
+    sy = np.add.reduce(s * y, axis=1)
+    upd = sy > 0
+    if not upd.any():
+        return
+    sy = np.where(upd, sy, 1.0)
+    first = fresh & upd
+    if first.any():
+        Hinv[first] = (sy[first] / np.add.reduce(y[first] * y[first], axis=1))[:, None, None] \
+            * np.eye(Hinv.shape[-1])
+    Hy = np.add.reduce(Hinv * y[:, None, :], axis=2)
+    yHy = np.add.reduce(y * Hy, axis=1)
+    # a row left out gets rs = 0, which leaves its Hinv as it is
+    rs = np.where(upd[:, None], s / sy[:, None], 0.0)
+    t = Hy[:, :, None] * rs[:, None, :]
+    t += t.transpose(0, 2, 1)
+    Hinv -= t
+    np.multiply(rs[:, :, None], rs[:, None, :], out=t)
+    t *= (yHy + sy)[:, None, None]
+    Hinv += t
+    fresh &= ~upd
 
 
 # the line search: Armijo's sufficient-decrease constant, the largest step
@@ -460,56 +439,52 @@ _MAX_STEP = 5.0
 _HALVINGS = 8
 # the round-off of f per unit of the magnitude of the terms it is formed from
 _ROUNDOFF = np.finfo(float).eps
-# rows of the inverse Hessian stack moved per step when it is compacted
-_COMPACT_ROWS = 64
+# the bytes of the inverse Hessians one step moves, multiplies or updates
+# at a time, so that no temporary is as large as the stack
+_STACK_BLOCK_BYTES = 2**16
 
 
-def _lockstep_bfgs(f, x0: np.ndarray, dims: np.ndarray, tol: np.ndarray,
-                   max_iterations: np.ndarray):
+def _blocks(Hinv: np.ndarray) -> list[slice]:
+    """Slices covering the rows of the stack Hinv, each of at most
+    _STACK_BLOCK_BYTES or one row."""
+    step = max(1, _STACK_BLOCK_BYTES // max(Hinv[:1].nbytes, 1))
+    return [slice(lo, min(lo + step, len(Hinv))) for lo in range(0, len(Hinv), step)]
+
+
+def _lockstep_bfgs(f, x0: np.ndarray, tol: np.ndarray, max_iterations: np.ndarray):
     """BFGS with Armijo backtracking on k independent problems advanced in
-    lockstep, one padded stack for problems of any parameter count.
+    lockstep, one stack of k rows of n coordinates.
 
-    x0 is (k, n); problem i searches the first dims[i] coordinates of its
-    row, whose other entries must be 0, and dims must be non-increasing
-    (widest problem first).  dims, tol and max_iterations are per-problem
-    arrays of length k.  f(X, rows) returns, at the points X (m, n), row i
-    belonging to problem rows[i], the values (m,), the gradients (m, n),
-    0 past dims[rows[i]], and the magnitude (m,) of the terms each value is
-    formed from, whose eps-th part is taken as its round-off; rows come in
-    ascending order.
+    x0 is (k, n); tol and max_iterations are per-problem arrays of length
+    k.  f(X, rows) returns, at the points X (m, n), row i belonging to
+    problem rows[i], the values (m,), the gradients (m, n) and the
+    magnitude (m,) of the terms each value is formed from, whose eps-th
+    part is taken as its round-off; rows come in ascending order.  A
+    problem that starts in a subspace and whose gradient f projects onto
+    it searches that subspace as it would in its own coordinates.
 
     Each iteration steps along p = -Hinv g from t = min(1, 5 / max|p_j|),
     halving t until f(x + t p) <= f(x) + 1e-4 t g.p; each round of trial
-    points is one call of f for every problem still searching.  A quasi-Newton direction that fails
-    8 halvings, or is no descent direction, is replaced by -g with Hinv
-    reset to the identity; a steepest-descent search halves until it
-    succeeds or its predicted decrease -t g.p is within the round-off of
-    f(x), where the problem stops.  A problem also stops once its largest
-    |g_j| is at most tol[i], and at its iteration cap.
+    points is one call of f for every problem still searching.  A
+    quasi-Newton direction that fails 8 halvings, or is no descent
+    direction, is replaced by -g with Hinv reset to the identity; a
+    steepest-descent search halves until it succeeds or its predicted
+    decrease -t g.p is within the round-off of f(x), where the problem
+    stops.  A problem also stops once its largest |g_j| is at most tol[i],
+    and at its iteration cap.  Every product over the coordinate axis
+    (Hinv g, the dot products and the BFGS update) is a reduce per row, so
+    every problem sees exactly the arithmetic it would see alone and its
+    endpoint does not depend on the other problems of the batch; steps on
+    the stack of inverse Hessians run in place, a block of rows at a time.
 
-    Problem i's Hinv is the top-left dims[i] x dims[i] block of its (n, n)
-    slot, 0 elsewhere; its padded coordinates and gradient entries stay
-    exactly 0.  Every product over the coordinate axis (Hinv g, the dot
-    products and the BFGS update) runs per run of rows of equal dims, which
-    the widest-first order keeps contiguous, on that width alone, so every
-    problem sees exactly the arithmetic it would see alone and its endpoint
-    does not depend on the other problems of the batch.
-
-    Returns the final point (k, n), value (k,) and largest |g_j| (k,) of
-    each problem, with the points it scored (k,), the iterations it ran
-    (k,) and whether it stopped at its iteration cap (k,); the stack's own
-    iteration count is the largest of them.  A problem with dims[i] = 0
-    scores x0 once and stops at iteration 0.
+    Returns each problem's final point, value and largest |g_j|, the points
+    it scored, the iterations it ran and whether it stopped at its cap.  A
+    problem whose gradient is 0 scores x0 once and stops at iteration 0.
     """
     k, n = x0.shape
-    dims = np.asarray(dims, dtype=np.intp)
-    if np.any(dims[1:] > dims[:-1]):
-        raise ValueError("problems must come widest first")
-    evaluations = np.zeros(k, dtype=np.int64)
-    iterations = np.zeros(k, dtype=np.int64)
+    evaluations, iterations = np.zeros((2, k), dtype=np.int64)
     capped = np.zeros(k, dtype=bool)
     best_x, best_f, best_g = np.empty((k, n)), np.empty(k), np.empty(k)
-
     rows = np.arange(k)
 
     def score(X, at):
@@ -519,12 +494,11 @@ def _lockstep_bfgs(f, x0: np.ndarray, dims: np.ndarray, tol: np.ndarray,
     x = np.array(x0, dtype=float)
     fx, g, roundoff = score(x, rows)
     roundoff *= _ROUNDOFF
-    Hinv = np.zeros((k, n, n))
-    _reset(Hinv, np.ones(k, dtype=bool), dims)
+    eye = np.eye(n)
+    Hinv = np.tile(eye, (k, 1, 1))
     fresh = np.ones(k, dtype=bool)
     stalled = np.zeros(k, dtype=bool)
-    dim, tol, cap = dims, np.asarray(tol, dtype=float), np.asarray(max_iterations)
-    runs = _runs(dim)
+    tol, cap = np.asarray(tol, dtype=float), np.asarray(max_iterations)
     iteration = 0
     while True:
         gmax = np.abs(g).max(axis=1, initial=0.0)
@@ -539,23 +513,21 @@ def _lockstep_bfgs(f, x0: np.ndarray, dims: np.ndarray, tol: np.ndarray,
             # move the live rows of the inverse Hessians to the front of the
             # stack, a few at a time: a live row only moves to a lower index
             keep = np.flatnonzero(live)
-            for lo in range(0, keep.size, _COMPACT_ROWS):
-                moved = keep[lo:lo + _COMPACT_ROWS]
-                Hinv[lo:lo + moved.size] = Hinv[moved]
+            for at in _blocks(Hinv[:keep.size]):
+                Hinv[at] = Hinv[keep[at]]
             Hinv = Hinv[:keep.size]
-            rows, x, fx, g, roundoff, fresh, stalled, dim, tol, cap = (
-                v[live] for v in (rows, x, fx, g, roundoff, fresh, stalled, dim, tol, cap))
-            runs = _runs(dim)
+            rows, x, fx, g, roundoff, fresh, stalled, tol, cap = (
+                v[live] for v in (rows, x, fx, g, roundoff, fresh, stalled, tol, cap))
         if not rows.size:
             return best_x, best_f, best_g, evaluations, iterations, capped
         iteration += 1
 
-        p = np.zeros_like(g)
-        for lo, hi, w in runs:
-            np.add.reduce(Hinv[lo:hi, :w, :w] * g[lo:hi, None, :w], axis=2, out=p[lo:hi, :w])
+        p = np.empty_like(g)
+        for at in _blocks(Hinv):
+            np.add.reduce(Hinv[at] * g[at, None, :], axis=2, out=p[at])
         np.negative(p, out=p)
-        gp = _row_dots(g, p, runs)
-        steepest = -_row_dots(g, g, runs)
+        gp = np.add.reduce(g * p, axis=1)
+        steepest = -np.add.reduce(g * g, axis=1)
         x_old, g_old = x.copy(), g.copy()
         t = np.empty(rows.size)
         sd = fresh.copy()
@@ -566,7 +538,7 @@ def _lockstep_bfgs(f, x0: np.ndarray, dims: np.ndarray, tol: np.ndarray,
         retry = ~(gp < 0)
         while searching.any():
             if retry.any():
-                _reset(Hinv, retry, dim)
+                Hinv[retry] = eye
                 fresh |= retry
                 sd |= retry
                 p[retry], gp[retry] = -g[retry], steepest[retry]
@@ -590,77 +562,64 @@ def _lockstep_bfgs(f, x0: np.ndarray, dims: np.ndarray, tol: np.ndarray,
             searching &= ~give_up
             t = np.where(failed & ~retry & ~give_up, 0.5 * t, t)
         # the steps s and gradient changes y, 0 where a row did not move
-        _bfgs_update(Hinv, np.subtract(x, x_old, out=x_old), np.subtract(g, g_old, out=g_old),
-                     fresh, runs)
+        s, y = np.subtract(x, x_old, out=x_old), np.subtract(g, g_old, out=g_old)
+        for at in _blocks(Hinv):
+            _bfgs_update(Hinv[at], s[at], y[at], fresh[at])
 
 
 def minimize_batch(problems, configs) -> list[OracleResult]:
     """Direct numerical minimization of the distance to the free set for
-    several problems (rho, rdm, a) of one dimension, each with its own
+    several problems (rho, rdm, a) of one dimension d, each with its own
     OracleConfig, solved together.
 
-    Every restart of every problem is a row of one lockstep BFGS search,
-    whatever its r = dim Fix(E): problem i searches the first r_i - 1
-    coordinates of rows as wide as the largest r - 1 (see _lockstep_bfgs).
-    Rows are ordered widest first, so that each objective chunk is cut to
-    the width of its first row; results come back in input order, and
-    result i equals minimize_over_free_states(*problems[i], configs[i]) bit
-    for bit.
+    Every restart of every problem, whatever its r = dim Fix(E), is a row of
+    one lockstep BFGS search over the d^2 - 1 Gell-Mann coordinates (see
+    _lockstep_bfgs), started at Pi z for 0.1-scale Gaussian z drawn from
+    the config's seed and searching along the gradient projected by Pi,
+    the projector onto the map's free directions.  Result i equals
+    minimize_over_free_states(*problems[i], configs[i]) bit for bit.  A
+    state that is not d x d, or not a density matrix, is refused as
+    _free_state_objective refuses it.
     """
     problems = [(rho, rdm, validate_order(a)) for rho, rdm, a in problems]
     if len(configs) != len(problems):
         raise ValidationError(f"{len(problems)} problems but {len(configs)} configs")
     if not problems:
         return []
-    if len({rdm.dim for _, rdm, _ in problems}) != 1:
+    d = problems[0][1].dim
+    if any(rdm.dim != d for _, rdm, _ in problems):
         raise ValidationError("problems solved together must share one dimension")
-    # one basis per map, shared by every problem on it
+    gamma = _gell_mann(d)
+    # one basis and projector per map, shared by every problem on it
     by_map = {}
     for _, rdm, _ in problems:
         if id(rdm) not in by_map:
-            by_map[id(rdm)] = free_algebra_basis(rdm)
-    bases = [by_map[id(rdm)] for _, rdm, _ in problems]
-    order = sorted(range(len(problems)), key=lambda i: -len(bases[i]))
-    solved = _solve(*([seq[i] for i in order] for seq in (problems, bases, configs)))
-    results = [None] * len(problems)
-    for i, res in zip(order, solved):
-        results[i] = res
-    return results
-
-
-def _solve(problems, bases, configs) -> list[OracleResult]:
-    """One lockstep search over every restart of every problem, widest
-    problem first."""
-    dims = np.array([len(B) for B in bases])
+            basis = free_algebra_basis(rdm)
+            by_map[id(rdm)] = basis, _projector(basis, gamma)
+    bases, projectors = zip(*(by_map[id(rdm)] for _, rdm, _ in problems))
     objective = _free_state_objective(problems, bases)
     owner = np.repeat(np.arange(len(problems)), [c.restarts for c in configs])
     # seeded starts near the origin, where sigma is within a few percent of
-    # I/d, away from the flat region of near-singular states; zero past
-    # each problem's own coordinates
+    # I/d, away from the flat region of near-singular states
     first = np.cumsum([0] + [c.restarts for c in configs])
-    starts = np.zeros((owner.size, int(dims.max())))
-    for i, c in enumerate(configs):
-        starts[first[i]:first[i + 1], :dims[i]] = 0.1 * np.random.default_rng(
-            c.seed).standard_normal((c.restarts, dims[i]))
-
-    def f(X, rows):
-        return objective(X, owner[rows])
-
+    starts = np.empty((owner.size, len(gamma)))
+    for i, (c, projector) in enumerate(zip(configs, projectors)):
+        starts[first[i]:first[i + 1]] = 0.1 * np.random.default_rng(c.seed).standard_normal(
+            (c.restarts, len(gamma))) @ projector
     x, fx, grad_norm, evals, iters, capped = _lockstep_bfgs(
-        f, starts, dims[owner], np.array([configs[i].tol for i in owner]),
+        lambda X, rows: objective(X, owner[rows]), starts,
+        np.array([configs[i].tol for i in owner]),
         np.array([configs[i].max_iterations for i in owner]))
-    stack_iterations = int(iters.max())
 
     results = []
     for i, ((rho, rdm, a), basis) in enumerate(zip(problems, bases)):
         mine = np.arange(first[i], first[i + 1])
         finals = fx[mine]
         win = int(np.argmin(finals))
-        best_f = finals[win]
         # the search scored exp(H) / Tr exp(H); the reported minimizer is
         # its image under E, a fixed point by construction, scored afresh
-        sigma = _free_state(x[mine[win], :dims[i]], basis, rdm)
-        agreeing = int(np.count_nonzero(finals <= best_f + AGREEMENT_WINDOW))
+        sigma = _free_state(x[mine[win]], gamma, rdm)
+        agreeing = int(np.count_nonzero(finals <= finals[win] + AGREEMENT_WINDOW))
         value = tsallis_relative_entropy(rho, sigma, a)
         if value == math.inf:
             raise NoFiniteObjective(
@@ -671,7 +630,7 @@ def _solve(problems, bases, configs) -> list[OracleResult]:
             evaluations=int(evals[mine].sum()), iterations=int(iters[mine[win]]),
             stop_reason="iteration_cap" if capped[mine[win]] else "tolerance",
             cap_hits=int(capped[mine].sum()), free_dim=len(basis) + 1,
-            stack_iterations=stack_iterations, grad_norm=float(grad_norm[mine[win]])))
+            stack_iterations=int(iters.max()), grad_norm=float(grad_norm[mine[win]])))
     return results
 
 

@@ -82,6 +82,24 @@ def test_tsallis_disjoint_supports():
     assert math.isfinite(tsallis_relative_entropy(pure, flipped, 0.5))
 
 
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_tsallis_exact_next_to_a_singular_sigma(d):
+    """rho = |psi><psi| against sigma = (1 - w) |psi><psi| + w / (d - 1)
+    (I - |psi><psi|) at a > 1 reads ((1 - w)^((1 - a) / a) - 1) / (a - 1)
+    to 1e-12 for w down to 1e-10.  A product of the two matrix powers,
+    whose sigma^(1 - a) has entries of order 1 / w, lost about eps / w:
+    2.1e-8 at w = 1e-8 and 1.4e-6 at w = 1e-10, a = 2."""
+    rng = np.random.default_rng(900 + d)
+    for _ in range(3):
+        psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        pure = np.outer(psi, psi.conj()) / np.vdot(psi, psi).real
+        for w in (1e-2, 1e-4, 1e-6, 1e-8, 1e-10):
+            sigma = (1.0 - w) * pure + w / (d - 1) * (np.eye(d) - pure)
+            for a in (1.2, 1.5, 2.0):
+                exact = ((1.0 - w) ** ((1.0 - a) / a) - 1.0) / (a - 1.0)
+                assert abs(tsallis_relative_entropy(pure, sigma, a) - exact) <= 1e-12, (w, a)
+
+
 def test_tsallis_order_validation():
     with pytest.raises(ValidationError):
         tsallis_relative_entropy(PLUS, PLUS, 0.0)

@@ -7,16 +7,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rdmap import linalg, oracle
+from rdmap import channels
 from rdmap.channels import (
     MeasurementPartition,
+    QuantumChannel,
     ResourceDestroyingMap,
     cyclic_twirl,
     dephasing_map,
     lueders_map,
     mixing_map,
     modified_coarse_map,
+    twirling_map,
 )
-from rdmap.errors import CertificationError, NoFiniteObjective, ValidationError
+from rdmap.errors import (
+    CertificationError,
+    DimensionMismatch,
+    NoFiniteObjective,
+    TraceNotOne,
+    ValidationError,
+)
 from rdmap.measures import closed_form_measure, tsallis_relative_entropy
 from rdmap.oracle import (
     OracleConfig,
@@ -131,6 +140,14 @@ def _coordinates(M, basis):
     return np.einsum("jab,ab->j", basis.conj(), M).real
 
 
+def _gell_mann_coordinates(basis):
+    """C with C[j, i] the coordinate of basis[i] along the j-th Gell-Mann
+    matrix of its dimension: the search's coordinates of sum_i y_i basis[i]
+    are C y, and C C^T is the projector the search's gradient is taken
+    through."""
+    return np.einsum("jab,iab->ji", oracle._gell_mann(basis.shape[1]).conj(), basis).real
+
+
 def test_parameterize_zero_vector_gives_mixed():
     deph = dephasing_map(MeasurementPartition.singletons(2))
     assert np.array_equal(parameterize_free_state(np.zeros(1), deph), np.eye(2) / 2)
@@ -231,11 +248,12 @@ def test_random_coordinates_give_a_fixed_density_matrix(data):
 
 def test_fused_objective_matches_reference():
     """The search-path objective, scoring one stack of points across
-    several orders, and the public entropy agree to 1e-12.  Every third
-    point is moved until tau's smallest weight is below 1e-20 of its
-    largest, far under both support cuts, so the stack takes the masked
-    path; each point scored alone, a full-support one on the fast path,
-    gives the same bits, value and gradient."""
+    several orders, and the public entropy agree to 1e-12.  The points are
+    Gell-Mann coordinates of random combinations of the map's free basis.
+    Every third point is moved until tau's smallest weight is below 1e-20
+    of its largest, far under both support cuts, so the stack takes the
+    masked path; each point scored alone, a full-support one on the fast
+    path, gives the same bits, value and gradient."""
     rng = np.random.default_rng(42)
     orders = (0.3, 0.5, 0.8, 1.0, 1.2, 2.0)
     for d, rdm in ((2, dephasing_map(MeasurementPartition.singletons(2))),
@@ -245,16 +263,17 @@ def test_fused_objective_matches_reference():
         basis = free_algebra_basis(rdm)
         fused = _free_state_objective([(rho, rdm, a) for a in orders], [basis] * len(orders))
         rows = np.repeat(np.arange(len(orders)), 10)
-        X = rng.standard_normal((rows.size, len(basis)))
+        Y = rng.standard_normal((rows.size, len(basis)))
         tiny = np.arange(rows.size) % 3 == 0
-        for x in X[::3]:
+        for y in Y[::3]:
             # H's eigenprojectors lie in the algebra: moving its lowest
             # eigenvalue down by 60 leaves tau's other weights as they were
-            _, V = np.linalg.eigh(np.tensordot(x, basis, axes=1))
-            x -= 60.0 * _coordinates(np.outer(V[:, 0], V[:, 0].conj()), basis)
+            _, V = np.linalg.eigh(np.tensordot(y, basis, axes=1))
+            y -= 60.0 * _coordinates(np.outer(V[:, 0], V[:, 0].conj()), basis)
+        X = Y @ _gell_mann_coordinates(basis).T
         values, grads, _ = fused(X, rows)
-        for x, i, value, grad, small in zip(X, rows, values, grads, tiny):
-            direct = tsallis_relative_entropy(rho, parameterize_free_state(x, rdm), orders[i])
+        for x, y, i, value, grad, small in zip(X, Y, rows, values, grads, tiny):
+            direct = tsallis_relative_entropy(rho, parameterize_free_state(y, rdm), orders[i])
             if direct == math.inf:
                 assert value == math.inf
             else:
@@ -277,9 +296,11 @@ def _move_lowest_weight(x, basis, log_ratio):
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_objective_gradient_matches_central_differences(d):
-    """The analytic gradient agrees with central differences of the value to
-    1e-6, relative to the largest of the gradient, the value and 1e-3, at every
-    order of the grid and on maps with r from 2 to d^2: random points, and
+    """The analytic gradient, projected onto the map's free directions,
+    agrees with central differences of the value along the columns of that
+    projector to 1e-6, relative to the largest of the gradient, the value
+    and 1e-3, at every order of the grid and on maps with r from 2 to d^2:
+    Gell-Mann coordinates of random points of the algebra, and
     points whose smallest weight sits 100 times above or below its order's
     support cut (d eps for a < 1, 1e-12 from a = 1 on).  Below the cut at
     a >= 1 the state is given a kernel along the dropped weight, so the
@@ -293,31 +314,35 @@ def test_objective_gradient_matches_central_differences(d):
     step, worst = 1e-5, 0.0
     for rdm in maps:
         basis = free_algebra_basis(rdm)
+        C = _gell_mann_coordinates(basis)
+        # the search's directions: the columns of its projector
+        directions = C @ C.T
         for a in DEFAULT_A_GRID:
             cut = math.log(d * np.finfo(float).eps if a < 1.0 else linalg.SUPPORT_CUTOFF)
             points = [rng.standard_normal(len(basis)) for _ in range(2)]
             points += [_move_lowest_weight(rng.standard_normal(len(basis)), basis, cut + shift)
                        for shift in (math.log(100.0), -math.log(100.0))]
-            for k, x in enumerate(points):
+            for k, y in enumerate(points):
                 rho = linalg.random_density_matrix(d, d, seed=int(rng.integers(2**31)))
                 if k == 3 and a >= 1.0:
                     # rho without the direction of the dropped weight
-                    _, V = np.linalg.eigh(np.tensordot(x, basis, axes=1))
+                    _, V = np.linalg.eigh(np.tensordot(y, basis, axes=1))
                     drop = np.eye(d) - np.outer(V[:, 0], V[:, 0].conj())
                     rho = drop @ rho @ drop
                     rho /= np.trace(rho).real
                 f = _free_state_objective([(rho, rdm, a)], [basis])
+                x = C @ y
                 value, grad, _ = f(x[None], np.array([0]))
                 assert math.isfinite(value[0])
                 central = np.array([
                     (f((x + step * e)[None], np.array([0]))[0][0]
                      - f((x - step * e)[None], np.array([0]))[0][0]) / (2 * step)
-                    for e in np.eye(len(basis))])
+                    for e in directions])
                 err = (np.abs(grad[0] - central).max()
                        / max(np.abs(central).max(), abs(value[0]), 1e-3))
                 worst = max(worst, err)
                 assert err <= 1e-6, (rdm, a, k, err)
-            far = 80.0 * rng.standard_normal((3, len(basis)))
+            far = 80.0 * rng.standard_normal((3, len(basis))) @ C.T
             values, grads, _ = _free_state_objective([(rho, rdm, a)], [basis])(
                 far, np.zeros(3, dtype=np.intp))
             assert not np.isnan(values).any() and np.isfinite(grads).all()
@@ -427,8 +452,9 @@ def test_oracle_reaches_a_singular_minimizer(a):
     Seeded random pure states under the same two maps at d = 2, 3, searched
     with 20 restarts, stay above criterion 1's floor of -1e-7: the search
     can read below the true minimum when sigma* is singular, by round-off
-    in the objective near a singular sigma, and the worst seen is -5.5e-9
-    (d = 2, seed 3, a = 2)."""
+    near a singular sigma.  The worst seen was -5.5e-9 (d = 2, seed 3,
+    a = 2) while the reference entropy took sigma^(1-a) as a matrix, and
+    is -3.6e-15 since it sums over sigma's eigensystem."""
     psi = np.array([0.6, 0.8j])
     cases = ((np.outer(psi, psi.conj()), lueders_map(MeasurementPartition(2, [[0, 1]]))),
              (np.diag([1.0, 0.0]).astype(complex),
@@ -476,8 +502,9 @@ def test_quasi_newton_is_no_worse_than_nelder_mead():
     """Where Nelder-Mead also runs, the two searches agree.  On criterion-1
     problems of every family at d = 3 and 4 (trial 1 at a = 0.5 and 2, whose
     d = 4 batch holds the r = 16 identity map, and trial 0's r = 9 identity
-    map at d = 3), simplex_minimize on the same fused objective, from the
-    oracle's seeded start and restarted at its endpoint with a tenth of the
+    map at d = 3), simplex_minimize on the same fused objective, in the
+    r - 1 coordinates of the map's free_algebra_basis, from a seeded
+    0.1-scale start and restarted at its endpoint with a tenth of the
     step, ends no lower than the oracle by more than 1e-9.  Both winners
     are mapped through E and scored by tsallis_relative_entropy."""
     widths = []
@@ -489,9 +516,10 @@ def test_quasi_newton_is_no_worse_than_nelder_mead():
             basis = free_algebra_basis(rdm)
             widths.append(len(basis) + 1)
             fused = _free_state_objective([(rho, rdm, a)], [basis])
+            C = _gell_mann_coordinates(basis)
 
-            def f(x):
-                return fused(x[None], np.zeros(1, dtype=np.intp))[0][0]
+            def f(y):
+                return fused((C @ y)[None], np.zeros(1, dtype=np.intp))[0][0]
 
             start = 0.1 * np.random.default_rng(oseed).standard_normal(len(basis))
             budget = OracleConfig(restarts=1, max_iterations=4000, tol=1e-13)
@@ -507,7 +535,7 @@ def test_quasi_newton_is_no_worse_than_nelder_mead():
 def _mixed_r_batch():
     """Two restarts each of problems at d = 3 with r = 1, 2, 3 and 5 (the
     mixing map, the modified coarse map of two blocks, dephasing and a
-    Lueders map), widest neither first nor last."""
+    Lueders map), the largest r neither first nor last."""
     coarse = MeasurementPartition(3, [[0, 1], [2]])
     maps = [dephasing_map(MeasurementPartition.singletons(3)), mixing_map(3),
             lueders_map(coarse), modified_coarse_map(coarse)]
@@ -520,8 +548,8 @@ def _mixed_r_batch():
 
 def test_mixed_r_batch_runs_one_stack_per_pass(monkeypatch):
     """Every r shares one lockstep search, in one pass: one call, on a stack
-    as wide as the largest r - 1, and each winner reaches E as a point of
-    its own problem's length."""
+    of the d^2 - 1 = 8 Gell-Mann coordinates for the 16 restarts, and each
+    winner reaches E as a point of those coordinates."""
     problems, configs = _mixed_r_batch()
     stacks, points = [], []
     inner_search, inner_state = oracle._lockstep_bfgs, oracle._free_state
@@ -537,18 +565,17 @@ def test_mixed_r_batch_runs_one_stack_per_pass(monkeypatch):
     monkeypatch.setattr(oracle, "_lockstep_bfgs", search)
     monkeypatch.setattr(oracle, "_free_state", free_state)
     results = minimize_batch(problems, configs)
-    assert stacks == [(16, 4)]
+    assert stacks == [(16, 8)]
     assert [res.free_dim for res in results] == [3, 3, 1, 1, 5, 5, 2, 2]
-    assert sorted(shape for shape, _ in points) == sorted((res.free_dim - 1,) for res in results)
-    assert all(shape == (r,) for shape, r in points)
+    assert points == [((8,), 8)] * len(problems)
     assert all(abs(res.value - closed_form_measure(*p).value) <= 1e-6
                for p, res in zip(problems, results))
 
 
 def test_stack_allocates_at_most_twice_its_own_size(monkeypatch):
-    """The padded inverse-Hessian stack of the ten d = 4 theorem-1 trials
-    (350 problems x 15 x 15, 616 KiB) is built, compacted and updated in
-    place.  The peak traced inside the search stays within twice the
+    """The inverse-Hessian stack of the ten d = 4 theorem-1 trials (350
+    problems x 15 x 15, 616 KiB) is built, compacted and updated in place,
+    a block of rows at a time.  The peak traced inside the search stays within twice the
     stack's bytes plus 512 KiB, about one objective chunk's temporaries;
     between objective calls, where the search's own steps run, it stays
     below twice the stack, so no step holds a second copy of it."""
@@ -658,6 +685,43 @@ def test_closed_form_refuses_a_zero_trace_image(a):
     rho = np.diag([0.0, 1.0]).astype(complex)
     with pytest.raises(CertificationError, match="0.000e"):
         closed_form_measure(rho, _crush(), a)
+
+
+def test_oracle_refuses_a_state_that_does_not_fit():
+    """A 3 x 3 state on a d = 2 map is DimensionMismatch, and a state whose
+    trace is not 1 is TraceNotOne, as in closed_form_measure.  They once
+    failed inside numpy with a bare ValueError, and ran np.eye(2) to a
+    value of 1.0 and twice a state to 1.36."""
+    deph = dephasing_map(MeasurementPartition.singletons(2))
+    with pytest.raises(DimensionMismatch):
+        minimize_over_free_states(linalg.random_density_matrix(3, 3, seed=1), deph, 2.0, QUICK)
+    for state in (np.eye(2), 2.0 * linalg.random_density_matrix(2, 2, seed=1)):
+        with pytest.raises(TraceNotOne):
+            minimize_over_free_states(state, deph, 2.0, QUICK)
+
+
+def test_oracle_forms_no_superoperator(monkeypatch):
+    """Every built-in family at d = 2..4 and a Kraus-sum map (the Pauli
+    twirl at d = 2, a non-abelian group) are searched with the
+    superoperator out of reach: the oracle reads each map through apply
+    alone."""
+    paulis = [np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
+              np.diag([1.0, -1.0])]
+    pauli_twirl = twirling_map(paulis)
+    assert type(pauli_twirl.channel) is QuantumChannel
+    maps = [rdm for d in (2, 3, 4) for _, rdm in _families(d)[1]] + [pauli_twirl]
+
+    def refuse(*_):
+        raise AssertionError("the oracle formed a superoperator")
+
+    monkeypatch.setattr(channels, "kraus_to_superop", refuse)
+    monkeypatch.setattr(QuantumChannel, "superop", property(refuse))
+    for d in (2, 3, 4):
+        rho = linalg.random_density_matrix(d, d, seed=d)
+        problems = [(rho, rdm, a) for rdm in maps if rdm.dim == d for a in (0.5, 2.0)]
+        results = minimize_batch(problems, [QUICK] * len(problems))
+        for problem, res in zip(problems, results):
+            assert abs(res.value - closed_form_measure(*problem).value) <= 1e-6
 
 
 def test_batch_refuses_mixed_dimensions():
