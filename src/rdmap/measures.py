@@ -50,8 +50,9 @@ def validate_order(a: float) -> float:
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float:
-    """-sum lam ln lam over eigenvalues above 1e-12, in nats."""
-    return _entropy(linalg.eig_hermitian(rho).values)
+    """-sum lam ln lam over eigenvalues above 1e-12, in nats.  rho must be
+    PSD: NonHermitian above a 1e-10 residual, NotPSD below -1e-10."""
+    return _entropy(linalg.psd_spectrum(rho).values)
 
 
 def _entropy(values: np.ndarray) -> float:

@@ -7,10 +7,12 @@ commutant of the Kraus operators), so every full-rank free state is
 exp(H) / Tr exp(H) for a traceless Hermitian H in Fix(E): the traceless
 part of log sigma.  Every problem of dimension d searches the d^2 - 1 real
 coordinates of H in one fixed Hilbert-Schmidt-orthonormal basis, the
-generalized Gell-Mann matrices Gamma; its map supplies only the projector
-Pi onto the r - 1 free directions, r = dim Fix(E) (d - 1 for dephasing and
-the cyclic twirl, none for complete mixing), read off one batched `apply`
-(free_algebra_basis).  Starts and gradients are projected, so a search
+generalized Gell-Mann matrices Gamma, built once per dimension.  A map
+enters the search once, as its frame C (_frame): r - 1 orthonormal columns
+of Gell-Mann coordinates, r = dim Fix(E) (d - 1 for dephasing and the
+cyclic twirl, none for complete mixing), read off one batched `apply` of E
+to Gamma; the projector Pi = C C^T is formed from it where it is used.
+Starts and gradients are projected, so a search
 never leaves the algebra, and BFGS from a scaled identity takes the same
 steps in any orthonormal coordinates.  The objective is convex in sigma
 (Lieb 1973; Ando 1979), so the infimum over full-rank free states is the
@@ -124,36 +126,35 @@ def _gell_mann(d: int) -> np.ndarray:
     return gamma
 
 
-def free_algebra_basis(rdm: ResourceDestroyingMap) -> np.ndarray:
-    """A Hilbert-Schmidt-orthonormal basis of the traceless Hermitian part of
-    Fix(E), as an (r - 1, d, d) stack of Hermitian matrices, r = dim Fix(E).
+def _frame(rdm: ResourceDestroyingMap, gamma: np.ndarray) -> np.ndarray:
+    """The map's frame C, of shape (d^2 - 1, r - 1), r = dim Fix(E):
+    orthonormal columns of coordinates, in the Gell-Mann basis gamma, that
+    span the traceless Hermitian part of Fix(E).
 
-    With Gamma the Gell-Mann basis, P[k, j] = Re Tr Gamma_k E(Gamma_j) comes
-    from one batched `apply`.  For a certified map, E and its adjoint are
-    idempotent with the same range, so P is the orthogonal projector onto
-    the coordinates of the traceless Hermitian part of Fix(E) up to
-    round-off: the eigenvectors U of its symmetric part with eigenvalue
-    above 1/2 are coordinates of the basis, B_i = sum_j U[j, i] Gamma_j, and
-    together with I / sqrt(d) it spans Fix(E).
-    """
-    gamma = _gell_mann(rdm.dim)
+    P[k, j] = Re Tr Gamma_k E(Gamma_j) comes from one batched `apply`.  For
+    a certified map, E and its adjoint are idempotent with the same range,
+    so P is the projector Pi = C C^T up to round-off: C holds the
+    eigenvectors of its symmetric part with eigenvalue above 1/2."""
     P = np.tensordot(gamma.conj(), rdm.apply(gamma), axes=([1, 2], [1, 2])).real
     values, U = np.linalg.eigh((P + P.T) / 2)
-    basis = np.tensordot(U[:, values > 0.5].T, gamma, axes=1)
+    return U[:, values > 0.5]
+
+
+def free_algebra_basis(rdm: ResourceDestroyingMap) -> np.ndarray:
+    """A Hilbert-Schmidt-orthonormal basis of the traceless Hermitian part of
+    Fix(E), as an (r - 1, d, d) stack of Hermitian matrices, r = dim Fix(E):
+    B_i = sum_j C[j, i] Gamma_j for the map's frame C (_frame), which
+    together with I / sqrt(d) spans Fix(E)."""
+    gamma = _gell_mann(rdm.dim)
+    basis = np.tensordot(_frame(rdm, gamma).T, gamma, axes=1)
     # exactly Hermitian, so every real combination is too
     return (basis + basis.conj().transpose(0, 2, 1)) / 2
 
 
-def _projector(basis: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    """C C^T with C[j, i] = Re Tr(Gamma_j B_i): the orthogonal projector, in
-    the coordinates of the Gell-Mann basis Gamma, onto the span of an
-    orthonormal Hermitian basis B (0 for an empty one)."""
-    C = np.tensordot(gamma.conj(), basis, axes=([1, 2], [1, 2])).real
-    return C @ C.T
-
-
-def _free_state(x: np.ndarray, basis: np.ndarray, rdm: ResourceDestroyingMap) -> np.ndarray:
-    h, V = np.linalg.eigh(np.tensordot(x, basis, axes=1))
+def _free_state(x: np.ndarray, gamma: np.ndarray, rdm: ResourceDestroyingMap) -> np.ndarray:
+    """E(exp(H) / Tr exp(H)) for H = sum_j x_j Gamma_j, from one eigh of H
+    shifted by its largest eigenvalue."""
+    h, V = np.linalg.eigh(np.tensordot(x, gamma, axes=1))
     e = np.exp(h - h[-1])
     tau = (V * (e / e.sum())) @ V.conj().T
     return rdm.apply(tau)
@@ -164,17 +165,21 @@ def parameterize_free_state(x: np.ndarray, rdm: ResourceDestroyingMap) -> np.nda
     the channel.
 
     x holds the coordinates of a traceless Hermitian H = sum_j x_j B_j in
-    the basis B of free_algebra_basis(rdm); tau = exp(H) / Tr exp(H), from
-    one eigh of H shifted by its largest eigenvalue, and the output is
+    the basis B of free_algebra_basis(rdm): its Gell-Mann coordinates are
+    C x for the map's frame C.  tau = exp(H) / Tr exp(H), and the output is
     E(tau).  Unconstrained and onto the full-rank free states: sigma is
     reached at the coordinates of the traceless part of log sigma, and the
-    zero vector gives I/d.
+    zero vector gives I/d.  A vector of the wrong length, or with a NaN or
+    infinite entry, is a ValidationError.
     """
-    basis = free_algebra_basis(rdm)
+    gamma = _gell_mann(rdm.dim)
+    C = _frame(rdm, gamma)
     z = np.asarray(x, dtype=float).ravel()
-    if z.size != len(basis):
-        raise ValidationError(f"expected {len(basis)} parameters, got {z.size}")
-    return _free_state(z, basis, rdm)
+    if z.size != C.shape[1]:
+        raise ValidationError(f"expected {C.shape[1]} parameters, got {z.size}")
+    if not np.isfinite(z).all():
+        raise ValidationError("parameters must be finite")
+    return _free_state(C @ z, gamma, rdm)
 
 
 def simplex_minimize(f, x0: np.ndarray, config: OracleConfig,
@@ -229,26 +234,26 @@ def simplex_minimize(f, x0: np.ndarray, config: OracleConfig,
                 fs[1:] = [f(v) for v in verts[1:]]
 
 
-def _free_state_objective(problems, bases):
-    """Objective (X, rows) -> (values, gradients, terms) over a stack of
-    points, each scored for its own problem (rho, rdm, a): S~_a(rho | tau(x)),
+def _free_state_objective(problems):
+    """(objective, gamma, frames) for problems (rho, rdm, a) of one
+    dimension d: the Gell-Mann basis gamma, built once, each problem's
+    frame C (_frame), read once per distinct map and shared by its
+    problems, and the objective (X, rows) -> (values, gradients, terms) over
+    a stack of points, each scored for its own problem: S~_a(rho | tau(x)),
     its gradient in x projected onto that problem's algebra, and the
     magnitude of the terms the value is formed from, with
-    tau(x) = exp(H) / Tr exp(H), H = sum_j x_j Gamma_j over the Gell-Mann
-    basis Gamma of the problems' one dimension.
+    tau(x) = exp(H) / Tr exp(H), H = sum_j x_j Gamma_j.
 
-    bases[i] is an orthonormal basis B of the traceless Hermitian part of
-    problem i's Fix(E), such as its free_algebra_basis, and row i's gradient
-    is Pi times the full one, Pi the projector onto B (_projector):
-    df/dx_j = Re Tr(df/dH sum_k Pi_jk Gamma_k), that sum stored once per
-    distinct basis.  A state that is not d x d is DimensionMismatch; each
-    distinct one is decomposed once, by linalg.density_spectrum, which
-    refuses one that is not a density matrix.  Points are scored in chunks
-    that keep the gathered projected basis and powers of rho within
-    256 KiB.  For x in the span of Pi, tau is already free, and E is not
-    applied.  Hot path for the search: H from the coordinates in one
-    product, tau's spectrum and eigenvectors from one stacked eigh of H,
-    and the entropy from rho^a in that eigenbasis, not from matrix powers.
+    Row i's gradient is Pi times the full one, Pi = C C^T for its
+    problem's frame: df/dx_j = Re Tr(df/dH sum_k Pi_jk Gamma_k), that sum
+    stored once per distinct map.  A state that is not d x d is
+    DimensionMismatch; each distinct one is decomposed once, by
+    linalg.density_spectrum, which refuses one that is not a density
+    matrix.  Points are scored in chunks that keep the gathered projected
+    basis and powers of rho within 256 KiB.  For x in the span of Pi, tau
+    is already free, and E is not applied.  Hot path for the search: H from
+    the coordinates in one product, tau's spectrum and eigenvectors from
+    one stacked eigh of H, and the entropy from rho^a in that eigenbasis.
 
     With H = V diag(h) V+, w = softmax(h), Q = V+ rho^a V and c = 1 - a, the
     value at a != 1 is (T^(1/a) - 1) / (a - 1) with T = sum_i w_i^c Q_ii,
@@ -271,19 +276,22 @@ def _free_state_objective(problems, bases):
     the two together to 1e-12 and the fast path to the masked one bit for
     bit.  Every problem must have the same dimension.
     """
-    if len({B.shape[1:] for B in bases}) != 1:
-        raise ValidationError("problems scored together must share one dimension")
-    d = bases[0].shape[1]
+    d = problems[0][1].dim
+    if any(rdm.dim != d for _, rdm, _ in problems):
+        raise ValidationError("problems solved together must share one dimension")
     gamma = _gell_mann(d)
     n = len(gamma)
-    # the projected basis sum_k Pi_jk Gamma_k of each distinct basis once, as
-    # the (real, imaginary) entries of each matrix, and its slot per problem
-    distinct = {id(B): B for B in bases}
-    slot = {key: i for i, key in enumerate(distinct)}
-    projected = np.stack([np.tensordot(_projector(B, gamma), gamma, axes=1)
-                          for B in distinct.values()]).reshape(len(slot), n, d * d).view(float)
-    which = np.array([slot[id(B)] for B in bases])
-    gamma = gamma.reshape(n, d * d)
+    # the frame of each distinct map once, its projected basis
+    # sum_k Pi_jk Gamma_k as the (real, imaginary) entries of each matrix,
+    # and its slot per problem
+    maps = {id(rdm): rdm for _, rdm, _ in problems}
+    slot = {key: i for i, key in enumerate(maps)}
+    distinct = [_frame(rdm, gamma) for rdm in maps.values()]
+    projected = np.stack([np.tensordot(C @ C.T, gamma, axes=1)
+                          for C in distinct]).reshape(len(slot), n, d * d).view(float)
+    which = np.array([slot[id(rdm)] for _, rdm, _ in problems])
+    frames = [distinct[i] for i in which]
+    flat = gamma.reshape(n, d * d)
     a = np.array([float(a) for _, _, a in problems])
     one = a == 1.0
     # square-root factors R of rho and of rho^a (rho at a = 1), R R+ = rho
@@ -318,7 +326,7 @@ def _free_state_objective(problems, bases):
         m = len(X)
         # the terms x_j Gamma_j coordinate-major, so that the sum over j
         # runs along the outer axis, in order, as a row-by-row sum would
-        h, V = np.linalg.eigh(np.add.reduce(gamma[:, None, :] * X.T[:, :, None], axis=0)
+        h, V = np.linalg.eigh(np.add.reduce(flat[:, None, :] * X.T[:, :, None], axis=0)
                               .reshape(m, d, d))
         # the spectrum of tau and its log, ascending like h; the shift by
         # the largest eigenvalue keeps exp from overflowing.  Every power
@@ -400,7 +408,7 @@ def _free_state_objective(problems, bases):
         parts = [score(X[lo:lo + chunk], rows[lo:lo + chunk]) for lo in range(0, rows.size, chunk)]
         return tuple(np.concatenate(part) for part in zip(*parts))
 
-    return objective
+    return objective, gamma, frames
 
 
 def _bfgs_update(Hinv, s, y, fresh) -> None:
@@ -575,44 +583,33 @@ def minimize_batch(problems, configs) -> list[OracleResult]:
     Every restart of every problem, whatever its r = dim Fix(E), is a row of
     one lockstep BFGS search over the d^2 - 1 Gell-Mann coordinates (see
     _lockstep_bfgs), started at Pi z for 0.1-scale Gaussian z drawn from
-    the config's seed and searching along the gradient projected by Pi,
-    the projector onto the map's free directions.  Result i equals
-    minimize_over_free_states(*problems[i], configs[i]) bit for bit.  A
-    state that is not d x d, or not a density matrix, is refused as
-    _free_state_objective refuses it.
+    the config's seed and searching along the gradient projected by
+    Pi = C C^T, C the map's frame.  Result i equals
+    minimize_over_free_states(*problems[i], configs[i]) bit for bit.
+    _free_state_objective refuses a state that is not a d x d density
+    matrix, and problems of different dimensions.
     """
     problems = [(rho, rdm, validate_order(a)) for rho, rdm, a in problems]
     if len(configs) != len(problems):
         raise ValidationError(f"{len(problems)} problems but {len(configs)} configs")
     if not problems:
         return []
-    d = problems[0][1].dim
-    if any(rdm.dim != d for _, rdm, _ in problems):
-        raise ValidationError("problems solved together must share one dimension")
-    gamma = _gell_mann(d)
-    # one basis and projector per map, shared by every problem on it
-    by_map = {}
-    for _, rdm, _ in problems:
-        if id(rdm) not in by_map:
-            basis = free_algebra_basis(rdm)
-            by_map[id(rdm)] = basis, _projector(basis, gamma)
-    bases, projectors = zip(*(by_map[id(rdm)] for _, rdm, _ in problems))
-    objective = _free_state_objective(problems, bases)
+    objective, gamma, frames = _free_state_objective(problems)
     owner = np.repeat(np.arange(len(problems)), [c.restarts for c in configs])
     # seeded starts near the origin, where sigma is within a few percent of
     # I/d, away from the flat region of near-singular states
     first = np.cumsum([0] + [c.restarts for c in configs])
     starts = np.empty((owner.size, len(gamma)))
-    for i, (c, projector) in enumerate(zip(configs, projectors)):
+    for i, (c, C) in enumerate(zip(configs, frames)):
         starts[first[i]:first[i + 1]] = 0.1 * np.random.default_rng(c.seed).standard_normal(
-            (c.restarts, len(gamma))) @ projector
+            (c.restarts, len(gamma))) @ C @ C.T
     x, fx, grad_norm, evals, iters, capped = _lockstep_bfgs(
         lambda X, rows: objective(X, owner[rows]), starts,
         np.array([configs[i].tol for i in owner]),
         np.array([configs[i].max_iterations for i in owner]))
 
     results = []
-    for i, ((rho, rdm, a), basis) in enumerate(zip(problems, bases)):
+    for i, ((rho, rdm, a), C) in enumerate(zip(problems, frames)):
         mine = np.arange(first[i], first[i + 1])
         finals = fx[mine]
         win = int(np.argmin(finals))
@@ -629,7 +626,7 @@ def minimize_batch(problems, configs) -> list[OracleResult]:
             value=value, sigma_min=sigma, restarts_agreeing=agreeing,
             evaluations=int(evals[mine].sum()), iterations=int(iters[mine[win]]),
             stop_reason="iteration_cap" if capped[mine[win]] else "tolerance",
-            cap_hits=int(capped[mine].sum()), free_dim=len(basis) + 1,
+            cap_hits=int(capped[mine].sum()), free_dim=C.shape[1] + 1,
             stack_iterations=int(iters.max()), grad_norm=float(grad_norm[mine[win]])))
     return results
 

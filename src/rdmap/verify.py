@@ -42,16 +42,17 @@ SUITE_NAMES = ("theorem1", "axioms", "theorem2", "piani", "continuity")
 log = logging.getLogger("rdmap.verify")
 
 # theorem1 solves all trials of one dimension in one lockstep batch, one
-# stack of the d^2 - 1 Gell-Mann coordinates whatever each map's r, with one
-# restart per problem, OracleConfig's default iteration cap and ORACLE_TOL;
-# the acceptance run (50 trials) takes 2.3-4.0 s on a 2-vCPU VM against its
-# 300 s budget.  The quasi-Newton search converges in tens of iterations
-# (at most about a hundred per batch); mapping each winner through E and
-# scoring it again, one problem at a time, costs more than the search
-# itself.  ORACLE_TOL bounds the largest |df/dx_j| at which a search stops.
-# OracleConfig's default of 1e-10 scores 42 % more points on the
-# acceptance run (51,970 against 36,527) for no pass/fail change, and 771
-# of its 5,250 searches stop at the round-off of f instead (28 at 1e-8).
+# stack of the d^2 - 1 Gell-Mann coordinates whatever each map's r, each
+# map read once as its frame, with one restart per problem, OracleConfig's
+# default iteration cap and ORACLE_TOL; the acceptance run (50 trials)
+# takes 2.1-3.6 s on a 2-vCPU VM against its 300 s budget.  The
+# quasi-Newton search converges in tens of iterations (at most 87 per
+# batch); mapping each winner through E and scoring it again, one problem
+# at a time, costs more than the search itself.  ORACLE_TOL bounds the
+# largest |df/dx_j| at which a search stops.  OracleConfig's default of
+# 1e-10 scores 43 % more points on the acceptance run (52,230 against
+# 36,549) for no pass/fail change, and 774 of its 5,250 searches stop at
+# the round-off of f instead (34 at 1e-8).
 GAP_TOL = 1e-5
 ORACLE_TOL = 1e-8
 

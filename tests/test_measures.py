@@ -19,7 +19,7 @@ from rdmap.channels import (
     modified_coarse_map,
     twirling_map,
 )
-from rdmap.errors import CertificationError, InfiniteValue, ValidationError
+from rdmap.errors import CertificationError, InfiniteValue, NotPSD, ValidationError
 from rdmap.measures import (
     closed_form_measure,
     decomposition_identity_residual,
@@ -53,6 +53,14 @@ def test_von_neumann_entropy_values():
     assert von_neumann_entropy(np.eye(3) / 3) == pytest.approx(math.log(3), abs=1e-12)
     assert von_neumann_entropy(np.diag([0.5, 0.3, 0.2])) == pytest.approx(
         1.0296530140645735, abs=1e-12)
+
+
+def test_von_neumann_entropy_refuses_a_matrix_that_is_not_psd():
+    """diag(1, -0.5) once read -0.0.  An eigenvalue below -1e-10 is NotPSD,
+    as everywhere in linalg; a round-off negative still counts as 0."""
+    with pytest.raises(NotPSD):
+        von_neumann_entropy(np.diag([1.0, -0.5]))
+    assert von_neumann_entropy(np.diag([1.0, -1e-11])) == 0.0
 
 
 # ------------------------------------------------------------------ tsallis

@@ -140,14 +140,6 @@ def _coordinates(M, basis):
     return np.einsum("jab,ab->j", basis.conj(), M).real
 
 
-def _gell_mann_coordinates(basis):
-    """C with C[j, i] the coordinate of basis[i] along the j-th Gell-Mann
-    matrix of its dimension: the search's coordinates of sum_i y_i basis[i]
-    are C y, and C C^T is the projector the search's gradient is taken
-    through."""
-    return np.einsum("jab,iab->ji", oracle._gell_mann(basis.shape[1]).conj(), basis).real
-
-
 def test_parameterize_zero_vector_gives_mixed():
     deph = dephasing_map(MeasurementPartition.singletons(2))
     assert np.array_equal(parameterize_free_state(np.zeros(1), deph), np.eye(2) / 2)
@@ -186,6 +178,17 @@ def test_parameterize_rejects_wrong_length():
     for size in (0, 2, 3, 4, 7, 8):
         with pytest.raises(ValidationError):
             parameterize_free_state(np.zeros(size), deph)
+
+
+def test_parameterize_refuses_non_finite_coordinates():
+    """[nan] once gave an all-NaN "state" and [inf] a RuntimeWarning inside
+    numpy.  The largest finite coordinates still give a valid state."""
+    deph = dephasing_map(MeasurementPartition.singletons(2))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValidationError, match="parameters"):
+            parameterize_free_state(np.array([bad]), deph)
+    for big in (1e308, -1e308):
+        linalg.validate_density(parameterize_free_state(np.array([big]), deph))
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -261,7 +264,7 @@ def test_fused_objective_matches_reference():
                    (4, lueders_map(MeasurementPartition(4, [[0, 1, 2], [3]])))):
         rho = linalg.random_density_matrix(d, d, seed=d)
         basis = free_algebra_basis(rdm)
-        fused = _free_state_objective([(rho, rdm, a) for a in orders], [basis] * len(orders))
+        fused, _, (C, *_) = _free_state_objective([(rho, rdm, a) for a in orders])
         rows = np.repeat(np.arange(len(orders)), 10)
         Y = rng.standard_normal((rows.size, len(basis)))
         tiny = np.arange(rows.size) % 3 == 0
@@ -270,7 +273,7 @@ def test_fused_objective_matches_reference():
             # eigenvalue down by 60 leaves tau's other weights as they were
             _, V = np.linalg.eigh(np.tensordot(y, basis, axes=1))
             y -= 60.0 * _coordinates(np.outer(V[:, 0], V[:, 0].conj()), basis)
-        X = Y @ _gell_mann_coordinates(basis).T
+        X = Y @ C.T
         values, grads, _ = fused(X, rows)
         for x, y, i, value, grad, small in zip(X, Y, rows, values, grads, tiny):
             direct = tsallis_relative_entropy(rho, parameterize_free_state(y, rdm), orders[i])
@@ -314,9 +317,6 @@ def test_objective_gradient_matches_central_differences(d):
     step, worst = 1e-5, 0.0
     for rdm in maps:
         basis = free_algebra_basis(rdm)
-        C = _gell_mann_coordinates(basis)
-        # the search's directions: the columns of its projector
-        directions = C @ C.T
         for a in DEFAULT_A_GRID:
             cut = math.log(d * np.finfo(float).eps if a < 1.0 else linalg.SUPPORT_CUTOFF)
             points = [rng.standard_normal(len(basis)) for _ in range(2)]
@@ -330,21 +330,21 @@ def test_objective_gradient_matches_central_differences(d):
                     drop = np.eye(d) - np.outer(V[:, 0], V[:, 0].conj())
                     rho = drop @ rho @ drop
                     rho /= np.trace(rho).real
-                f = _free_state_objective([(rho, rdm, a)], [basis])
+                f, _, (C,) = _free_state_objective([(rho, rdm, a)])
                 x = C @ y
                 value, grad, _ = f(x[None], np.array([0]))
                 assert math.isfinite(value[0])
                 central = np.array([
                     (f((x + step * e)[None], np.array([0]))[0][0]
                      - f((x - step * e)[None], np.array([0]))[0][0]) / (2 * step)
-                    for e in directions])
+                    # the search's directions: the columns of its projector
+                    for e in C @ C.T])
                 err = (np.abs(grad[0] - central).max()
                        / max(np.abs(central).max(), abs(value[0]), 1e-3))
                 worst = max(worst, err)
                 assert err <= 1e-6, (rdm, a, k, err)
             far = 80.0 * rng.standard_normal((3, len(basis))) @ C.T
-            values, grads, _ = _free_state_objective([(rho, rdm, a)], [basis])(
-                far, np.zeros(3, dtype=np.intp))
+            values, grads, _ = f(far, np.zeros(3, dtype=np.intp))
             assert not np.isnan(values).any() and np.isfinite(grads).all()
     assert worst > 0.0
 
@@ -357,10 +357,9 @@ def test_objective_decomposes_each_distinct_state_once(count_decompositions):
     maps = (dephasing_map(MeasurementPartition.singletons(3)), cyclic_twirl(3), mixing_map(3))
     problems = [(state.copy(), rdm, a) for state in (rho, other) for rdm in maps
                 for a in (0.3, 1.0, 2.0)]
-    bases = [free_algebra_basis(rdm) for _, rdm, _ in problems]
     calls = count_decompositions(rho)
     seen_other = count_decompositions(other)
-    _free_state_objective(problems, bases)
+    _free_state_objective(problems)
     assert calls == ["eigh"] and seen_other == ["eigh"]
 
 
@@ -503,25 +502,24 @@ def test_quasi_newton_is_no_worse_than_nelder_mead():
     problems of every family at d = 3 and 4 (trial 1 at a = 0.5 and 2, whose
     d = 4 batch holds the r = 16 identity map, and trial 0's r = 9 identity
     map at d = 3), simplex_minimize on the same fused objective, in the
-    r - 1 coordinates of the map's free_algebra_basis, from a seeded
-    0.1-scale start and restarted at its endpoint with a tenth of the
-    step, ends no lower than the oracle by more than 1e-9.  Both winners
-    are mapped through E and scored by tsallis_relative_entropy."""
+    r - 1 coordinates of the map's frame C, through f(y) = objective(C y),
+    from a seeded 0.1-scale start and restarted at its endpoint with a
+    tenth of the step, ends no lower than the oracle by more than 1e-9.
+    Both winners are mapped through E and scored by
+    tsallis_relative_entropy."""
     widths = []
     for d in (3, 4):
         (*_, trial0), (*_, trial1) = theorem1_batches([d], DEFAULT_A_GRID, trials=2, seed=7)
         chosen = [p for p in trial1 if p[3] in (0.5, 2.0)]
         chosen += [p for p in trial0 if p[3] == 0.5 and d == 3 and p[0] == "lueders"]
         for name, rdm, rho, a, oseed in chosen:
-            basis = free_algebra_basis(rdm)
-            widths.append(len(basis) + 1)
-            fused = _free_state_objective([(rho, rdm, a)], [basis])
-            C = _gell_mann_coordinates(basis)
+            fused, _, (C,) = _free_state_objective([(rho, rdm, a)])
+            widths.append(C.shape[1] + 1)
 
             def f(y):
                 return fused((C @ y)[None], np.zeros(1, dtype=np.intp))[0][0]
 
-            start = 0.1 * np.random.default_rng(oseed).standard_normal(len(basis))
+            start = 0.1 * np.random.default_rng(oseed).standard_normal(C.shape[1])
             budget = OracleConfig(restarts=1, max_iterations=4000, tol=1e-13)
             x, _ = simplex_minimize(f, start, budget)
             x, _ = simplex_minimize(f, x, budget, initial_step=0.05)
@@ -572,6 +570,39 @@ def test_mixed_r_batch_runs_one_stack_per_pass(monkeypatch):
                for p, res in zip(problems, results))
 
 
+def test_one_gell_mann_frame_per_batch_and_one_apply_per_map(monkeypatch):
+    """One batch of several problems on each of four maps at d = 3
+    (dephasing, Lueders, the cyclic twirl and complete mixing) builds the
+    Gell-Mann matrices once and applies each map to that (8, 3, 3) stack
+    once: a map enters the search as one frame.  The batch once built them
+    2 + 4 times."""
+    d = 3
+    maps = [dephasing_map(MeasurementPartition.singletons(d)),
+            lueders_map(MeasurementPartition(d, [[0, 1], [2]])), cyclic_twirl(d), mixing_map(d)]
+    rho = linalg.random_density_matrix(d, d, seed=9)
+    problems = [(rho, rdm, a) for rdm in maps for a in (0.5, 1.0, 2.0)]
+    builds, stacks = [], []
+    inner_gell_mann, inner_apply = oracle._gell_mann, ResourceDestroyingMap.apply
+
+    def gell_mann(dim):
+        builds.append(dim)
+        return inner_gell_mann(dim)
+
+    def apply(self, X):
+        if np.shape(X) == (d * d - 1, d, d):
+            stacks.append(id(self))
+        return inner_apply(self, X)
+
+    monkeypatch.setattr(oracle, "_gell_mann", gell_mann)
+    monkeypatch.setattr(ResourceDestroyingMap, "apply", apply)
+    results = minimize_batch(problems, [QUICK] * len(problems))
+    assert builds == [d]
+    assert sorted(stacks) == sorted(id(rdm) for rdm in maps)
+    assert [res.free_dim for res in results] == [r for r in (3, 5, 3, 1) for _ in range(3)]
+    assert all(abs(res.value - closed_form_measure(*p).value) <= 1e-6
+               for p, res in zip(problems, results))
+
+
 def test_stack_allocates_at_most_twice_its_own_size(monkeypatch):
     """The inverse-Hessian stack of the ten d = 4 theorem-1 trials (350
     problems x 15 x 15, 616 KiB) is built, compacted and updated in place,
@@ -595,8 +626,8 @@ def test_stack_allocates_at_most_twice_its_own_size(monkeypatch):
         passes.append((k * n * n * 8, max(steps) - entry, max(calls) - entry))
         return out
 
-    def objective(problems, bases):
-        f = inner_objective(problems, bases)
+    def objective(problems):
+        f, *frames = inner_objective(problems)
 
         def traced(X, rows):
             steps.append(tracemalloc.get_traced_memory()[1])
@@ -605,7 +636,7 @@ def test_stack_allocates_at_most_twice_its_own_size(monkeypatch):
             tracemalloc.reset_peak()
             return out
 
-        return traced
+        return traced, *frames
 
     monkeypatch.setattr(oracle, "_lockstep_bfgs", search)
     monkeypatch.setattr(oracle, "_free_state_objective", objective)
@@ -631,14 +662,14 @@ def test_counters_report_the_work_done(monkeypatch):
     scored = []
     inner = oracle._free_state_objective
 
-    def counting(problems, bases):
-        objective = inner(problems, bases)
+    def counting(problems):
+        objective, *frames = inner(problems)
 
         def f(X, rows):
             scored.append(rows.size)
             return objective(X, rows)
 
-        return f
+        return f, *frames
 
     monkeypatch.setattr(oracle, "_free_state_objective", counting)
     rdm = dephasing_map(MeasurementPartition.singletons(2))
@@ -734,11 +765,11 @@ def test_batch_refuses_mixed_dimensions():
 
 
 def test_empty_batch_solves_nothing(monkeypatch):
-    # an empty batch is not a dimension mismatch, and builds no basis or
+    # an empty batch is not a dimension mismatch, and builds no frame or
     # objective; a length mismatch is still refused
     def refuse(*_):
         raise AssertionError("nothing to build for an empty batch")
-    monkeypatch.setattr(oracle, "free_algebra_basis", refuse)
+    monkeypatch.setattr(oracle, "_gell_mann", refuse)
     monkeypatch.setattr(oracle, "_free_state_objective", refuse)
     assert minimize_batch([], []) == []
     with pytest.raises(ValidationError, match="0 problems but 1 configs"):
