@@ -27,10 +27,13 @@ singleton or a traced block is a scalar, a weighted sum of |U|^2, the kept
 blocks of each size n > 1 are formed from U's rows and share one batched
 eigh, and a basis rotates the power out.
 
+Every list of operators, Kraus or group elements, is checked and stacked
+once, by `_operator_stack`, into one read-only complex (n, d, d) array;
+that stack is the Kraus representation everywhere (`kraus`).
 The d^2 x d^2 superoperator (column-major vectorization, column (a, b) is
 vec E(|a><b|), S = sum_i conj(K_i) (x) K_i) is the canonical representation
 for map equality, since Kraus decompositions are not unique.  Both it and a
-partition map's Kraus list are views built on first read.  Within the
+partition map's Kraus stack are views built on first read.  Within the
 library nothing reads `superop`: the oracle reads a map through `apply`
 alone, and only the certification of a Kraus sum forms S, once, without
 keeping it.  A partition map needs neither for certification or `apply`.
@@ -71,6 +74,29 @@ def kraus_to_superop(kraus: Sequence[np.ndarray]) -> np.ndarray:
     return S.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
 
 
+def _operator_stack(ops, name: str, dim: int | None = None) -> np.ndarray:
+    """ops as one read-only complex (n, d, d) stack, checked: no operator is
+    a ValidationError, anything but d x d matrices (d = dim when the wire
+    format declares one) a DimensionMismatch, a non-finite entry a
+    ValidationError, each naming the field `name`.  A read-only complex
+    stack, such as one this returned, passes through without a copy."""
+    K = ops
+    if not (isinstance(K, np.ndarray) and K.dtype == complex and not K.flags.writeable):
+        try:
+            K = np.array(K if isinstance(K, np.ndarray) else list(K), dtype=complex)
+        except ValueError:
+            raise DimensionMismatch(f"{name}: expected matrices of one size") from None
+        K.setflags(write=False)
+    if K.shape[:1] == (0,):
+        raise ValidationError(f"{name}: expected at least one matrix")
+    shape = "square" if dim is None else f"{dim}x{dim}"
+    if K.ndim != 3 or K.shape[1] != K.shape[2] or dim not in (None, K.shape[1]):
+        raise DimensionMismatch(f"{name}: expected {shape} matrices, got a stack of shape {K.shape}")
+    if not np.isfinite(K).all():
+        raise ValidationError(f"{name}: non-finite entries")
+    return K
+
+
 class QuantumChannel:
     """A completely positive map given by Kraus operators {K_i}.
 
@@ -82,21 +108,8 @@ class QuantumChannel:
     """
 
     def __init__(self, kraus: Iterable[np.ndarray]):
-        ops = tuple(np.array(K, dtype=complex) for K in kraus)
-        if not ops:
-            raise ValidationError("a channel needs at least one Kraus operator")
-        if ops[0].ndim != 2:
-            raise DimensionMismatch(f"Kraus operators must be matrices, got shape {ops[0].shape}")
-        d = ops[0].shape[0]
-        for K in ops:
-            if K.ndim != 2 or K.shape != (d, d):
-                raise DimensionMismatch(
-                    f"Kraus operators must all be {d}x{d}, got shape {K.shape}"
-                )
-        for K in ops:
-            K.setflags(write=False)
-        self._kraus = ops
-        self._dim = d
+        self._kraus = _operator_stack(kraus, "Kraus operators")
+        self._dim = self._kraus.shape[1]
         self._superop = None
 
     @property
@@ -104,7 +117,8 @@ class QuantumChannel:
         return self._dim
 
     @property
-    def kraus(self) -> tuple:
+    def kraus(self) -> np.ndarray:
+        """The Kraus operators, one read-only (n, d, d) stack."""
         return self._kraus
 
     @property
@@ -158,7 +172,7 @@ class QuantumChannel:
     def adjoint(self) -> "QuantumChannel":
         """The map with Kraus {K_i^dag}; unital iff self is trace preserving,
         trace preserving iff self is unital."""
-        return QuantumChannel([linalg.dagger(K) for K in self.kraus])
+        return QuantumChannel(linalg.dagger(self.kraus))
 
     def trace_preserving_residual(self) -> float:
         return _kraus_tp_residual(self.kraus)
@@ -174,7 +188,7 @@ class QuantumChannel:
 
 
 def _kraus_act(ops, A: np.ndarray) -> np.ndarray:
-    """sum_i K_i A K_i^dag over a Kraus list or an (n, d, d) stack."""
+    """sum_i K_i A K_i^dag over an (n, d, d) stack."""
     out = np.zeros_like(A)
     for K in ops:
         out += K @ A @ linalg.dagger(K)
@@ -182,7 +196,7 @@ def _kraus_act(ops, A: np.ndarray) -> np.ndarray:
 
 
 def _kraus_tp_residual(ops) -> float:
-    """||sum_i K_i^dag K_i - I||_F over a Kraus list or an (n, d, d) stack."""
+    """||sum_i K_i^dag K_i - I||_F over an (n, d, d) stack."""
     d = ops[0].shape[0]
     acc = np.zeros((d, d), dtype=complex)
     for K in ops:
@@ -203,8 +217,9 @@ class PartitionChannel(QuantumChannel):
     block averaging, O(d^2) per matrix; with a basis it is
     W P0(W^dag X W) W^dag, O(d^3), for P0 the same map in the computational
     basis.  `kraus` (projectors for kept blocks, |k><l| / sqrt(n_j) for
-    traced ones, conjugated by W) is built on first read, and `superop` from
-    it.
+    traced ones, conjugated by W, as one read-only stack) is built on first
+    read, and `superop` from it.  The basis is checked as an operator stack
+    (`_operator_stack`).
     """
 
     def __init__(self, partition: MeasurementPartition, traced: Sequence[bool],
@@ -238,10 +253,7 @@ class PartitionChannel(QuantumChannel):
         self._basis = None
         self._unitarity_defect = 0.0
         if basis is not None:
-            W = np.array(basis, dtype=complex)
-            if W.shape != (d, d):
-                raise DimensionMismatch(f"basis has shape {W.shape}, partition is of {d} indices")
-            W.setflags(write=False)
+            W = _operator_stack([basis], "basis", d)[0]
             self._basis = W
             self._unitarity_defect = linalg.frobenius(linalg.dagger(W) @ W - np.eye(d))
         self._kraus = None
@@ -250,7 +262,7 @@ class PartitionChannel(QuantumChannel):
         self._layout = None
 
     @property
-    def kraus(self) -> tuple:
+    def kraus(self) -> np.ndarray:
         if self._kraus is None:
             d = self._dim
             ops = []
@@ -267,7 +279,7 @@ class PartitionChannel(QuantumChannel):
             if self._basis is not None:
                 K = self._basis @ K @ linalg.dagger(self._basis)
             K.setflags(write=False)
-            self._kraus = tuple(K)
+            self._kraus = K
         return self._kraus
 
     def _act(self, A: np.ndarray) -> np.ndarray:
@@ -428,7 +440,7 @@ class ResourceDestroyingMap(QuantumChannel):
         return self._unitality_residual
 
     @property
-    def kraus(self) -> tuple:
+    def kraus(self) -> np.ndarray:
         return self.channel.kraus
 
     @property
@@ -459,16 +471,17 @@ def certify_rdm(channel: QuantumChannel, descriptor: dict | None = None) -> Reso
     map reads the same residuals off the blocks of its superoperator,
     without forming it, and bounds what its basis adds (see
     `PartitionChannel._residual_bounds`).  Raises ValidationError,
-    NotIdempotent or NotUnital with the measured residual.
+    NotIdempotent or NotUnital with the measured residual; a NaN residual
+    fails its gate.
     """
     tp = channel.trace_preserving_residual()
-    if tp > TRACE_PRESERVING_TOL:
+    if not tp <= TRACE_PRESERVING_TOL:
         raise ValidationError(f"trace-preservation residual {tp:.3e} exceeds {TRACE_PRESERVING_TOL:.0e}")
     idem = channel._idempotency_residual()
-    if idem > IDEMPOTENCY_TOL:
+    if not idem <= IDEMPOTENCY_TOL:
         raise NotIdempotent(f"||S^2 - S|| = {idem:.3e} exceeds {IDEMPOTENCY_TOL:.0e}")
     unital = channel.unitality_residual()
-    if unital > UNITALITY_TOL:
+    if not unital <= UNITALITY_TOL:
         raise NotUnital(f"||E(I) - I|| = {unital:.3e} exceeds {UNITALITY_TOL:.0e}")
     return ResourceDestroyingMap(channel, idem, unital, descriptor)
 
@@ -577,29 +590,6 @@ def modified_coarse_map(partition: MeasurementPartition) -> ResourceDestroyingMa
     return _partition_map("modified", partition, traced=True)
 
 
-def _match_up_to_phase(target: np.ndarray, candidates: np.ndarray, tol: float) -> bool:
-    """Whether target equals one of the (n, d, d) candidates up to a phase."""
-    # every overlap Tr(U^dag target) = vdot(U, target) in one product
-    overlaps = np.conj(candidates.reshape(len(candidates), -1) @ np.conj(target.reshape(-1)))
-    for i in np.flatnonzero(np.abs(overlaps) >= 1e-12):
-        phase = overlaps[i] / abs(overlaps[i])
-        if linalg.frobenius(target - phase * candidates[i]) <= tol:
-            return True
-    return False
-
-
-def _check_group(group: np.ndarray) -> None:
-    """Raise NotAGroup unless the (n, d, d) unitaries are closed under
-    products and inverses up to phase, checked on the matrices themselves
-    (n^2 products)."""
-    for U in group:
-        for V in group:
-            if not _match_up_to_phase(U @ V, group, GROUP_CLOSURE_TOL):
-                raise NotAGroup("set is not closed under products")
-        if not _match_up_to_phase(linalg.dagger(U), group, GROUP_CLOSURE_TOL):
-            raise NotAGroup("set is not closed under inverses")
-
-
 def _joint_eigenbasis(K: np.ndarray) -> tuple:
     """(W, lam, off, norms) for an (n, d, d) stack: W the eigenvectors of the
     Hermitian combination H = sum_k c_k K_k + h.c. with fixed pseudo-random
@@ -701,46 +691,52 @@ def _eigenbasis_form(K: np.ndarray) -> tuple:
     return channel, lam, err
 
 
-def _closed_on_diagonals(u: np.ndarray, err: np.ndarray, w: float) -> bool:
-    """Whether unitaries U_g are closed under products and inverses up to
-    phase within GROUP_CLOSURE_TOL, read off their eigenvalues u[g] in a
-    basis W: err[g] >= ||U_g - V_g||_F for V_g = W diag(u_g) W^dag, and
-    w = ||W^dag W - I||_F.  True only when that is certain; False sends the
-    caller to the check on the matrices themselves.
+def _check_closure(table: np.ndarray, err: np.ndarray, w: float) -> None:
+    """Raise NotAGroup unless unitaries U_g are closed under products and
+    inverses up to phase within GROUP_CLOSURE_TOL, read off the rows of an
+    (n, m, k, k) table: row g is U_g as m diagonal blocks of size k.  Either
+    the eigenvalues u_g of U_g in a basis W, as d blocks of 1 x 1, with
+    err[g] >= ||U_g - V_g||_F for V_g = W diag(u_g) W^dag and
+    w = ||W^dag W - I||_F; or U_g itself, one d x d block, with err = 0 and
+    w = 0.
 
-    With W^dag W = I + F, ||V_g||_op <= (1 + w) max|u_g| = v_g and
+    With W^dag W = I + F, ||V_g||_op <= (1 + w) t_g = v_g for t_g the
+    largest Frobenius norm of row g's blocks, and
     ||U_h||_op <= sqrt(1 + UNITARY_TOL) = s,
 
-      ||U_g U_h - phi U_m||_F <= (1 + w)(||u_g u_h - phi u_m|| + max|u_g| max|u_h| w)
+      ||U_g U_h - phi U_m||_F <= (1 + w)(||u_g u_h - phi u_m|| + t_g t_h w)
                                  + s err_g + v_g err_h + err_m,
-      ||U_g^dag - phi U_m||_F <= (1 + w) ||conj(u_g) - phi u_m|| + err_g + err_m.
+      ||U_g^dag - phi U_m||_F <= (1 + w) ||u_g^dag - phi u_m|| + err_g + err_m,
 
-    m and phi come from the largest overlap <u_m, target>: the rows of one
-    (n^2, d) x (d, n) product, against the n^2 matrix products of the direct
-    check.
+    products and adjoints taken blockwise.  m and phi come from the largest
+    overlap <u_m, target>: the rows of one (n^2, m k^2) x (m k^2, n) product,
+    a few g at a time.
     """
-    n, d = u.shape
+    flat = table.reshape(len(table), -1)
+    n, width = flat.shape
     g = 1.0 + w
-    top = np.abs(u).max(axis=1)
+    top = np.linalg.norm(table, axis=(2, 3)).max(axis=1)
     s = np.sqrt(1.0 + UNITARY_TOL)
 
     def within(targets, slack):
-        overlaps = targets @ u.conj().T
+        overlaps = targets @ flat.conj().T
         best = np.abs(overlaps).argmax(axis=1)
         phase = np.exp(1j * np.angle(overlaps[np.arange(len(targets)), best]))
-        miss = np.linalg.norm(targets - phase[:, None] * u[best], axis=1)
+        miss = np.linalg.norm(targets - phase[:, None] * flat[best], axis=1)
         return bool(np.all(g * miss + slack + err[best] <= GROUP_CLOSURE_TOL))
 
-    # the products u_g u_h for a few g at a time, at most 2^12 complex
+    # the products U_g U_h for a few g at a time, at most 2^12 complex
     # entries (64 KiB) per array
-    step = max(1, 2**12 // (n * d))
+    step = max(1, 2**12 // (n * width))
     for start in range(0, n, step):
         rows = slice(start, start + step)
-        products = (u[rows, None, :] * u[None, :, :]).reshape(-1, d)
+        # blockwise U_g U_h; einsum skips matmul's per-block cost on 1 x 1 blocks
+        products = np.einsum("gmij,hmjk->ghmik", table[rows], table).reshape(-1, width)
         slack = g * np.outer(top[rows], top) * w + s * err[rows, None] + g * np.outer(top[rows], err)
         if not within(products, slack.reshape(-1)):
-            return False
-    return within(u.conj(), err)
+            raise NotAGroup("set is not closed under products")
+    if not within(linalg.dagger(table).reshape(n, -1), err):
+        raise NotAGroup("set is not closed under inverses")
 
 
 def twirling_map(unitaries: Iterable[np.ndarray]) -> ResourceDestroyingMap:
@@ -752,32 +748,24 @@ def twirling_map(unitaries: Iterable[np.ndarray]) -> ResourceDestroyingMap:
 
     A twirl over an abelian group is built as a Lueders map in the group's
     joint eigenbasis and its closure checked on the eigenvalues
-    (`_eigenbasis_form`, `_closed_on_diagonals`): O(n d^3 + n^3 d) for n
+    (`_eigenbasis_form`, `_check_closure`): O(n d^3 + n^3 d) for n
     elements, no superoperator.  Non-abelian groups, and any case whose
-    measured representation error is too large, take the Kraus sum and the
-    n^2 matrix products.
+    measured representation error is too large, take the Kraus sum, and
+    closure is checked on the matrices, by the same chunked overlap
+    products: O(n^2 d^3 + n^3 d^2).
     """
-    ops = [np.asarray(U, dtype=complex) for U in unitaries]
-    if not ops:
-        raise ValidationError("twirling needs at least one unitary")
-    if ops[0].ndim != 2:
-        raise DimensionMismatch(f"unitaries must be matrices, got shape {ops[0].shape}")
-    d = ops[0].shape[0]
-    for U in ops:
-        if U.shape != (d, d):
-            raise DimensionMismatch(f"unitaries must all be {d}x{d}, got {U.shape}")
-        res = linalg.frobenius(linalg.dagger(U) @ U - np.eye(d))
-        if res > UNITARY_TOL:
-            raise NotUnitary(f"||U^dag U - I|| = {res:.3e} exceeds {UNITARY_TOL:.0e}")
-    n = len(ops)
-    group = np.stack(ops)
-    group.setflags(write=False)
-    del ops  # the stack holds them now
+    group = _operator_stack(unitaries, "unitaries")
+    n, d, _ = group.shape
+    res = np.linalg.norm(linalg.dagger(group) @ group - np.eye(d), axis=(1, 2))
+    if not (res <= UNITARY_TOL).all():
+        raise NotUnitary(f"||U^dag U - I|| = {res.max():.3e} exceeds {UNITARY_TOL:.0e}")
     K = group / np.sqrt(n)
+    K.setflags(write=False)
     form, lam, err = _eigenbasis_form(K)
-    if form is None or not _closed_on_diagonals(np.sqrt(n) * lam, np.sqrt(n) * err,
-                                                 form._unitarity_defect):
-        _check_group(group)
+    if form is None:
+        _check_closure(group[:, None], np.zeros(n), 0.0)
+    else:
+        _check_closure(np.sqrt(n) * lam[:, :, None, None], np.sqrt(n) * err, form._unitarity_defect)
     desc = {"type": "twirl", "dim": d, "unitaries": group}
     return certify_rdm(form if form is not None else QuantumChannel(K), desc)
 
@@ -800,14 +788,6 @@ def cyclic_twirl(d: int) -> ResourceDestroyingMap:
     """Twirl over the cyclic shift group {C^k}; dephasing in the Fourier basis."""
     d = linalg.as_count(d, "cyclic twirl dim", 1)
     return twirling_map(cyclic_shift(d, k) for k in range(d))
-
-
-def _check_declared_dim(d: int, ops) -> None:
-    for M in ops:
-        if M.shape != (d, d):
-            raise DimensionMismatch(
-                f"map declares dim {d} but holds a {M.shape[0]}x{M.shape[1]} operator"
-            )
 
 
 def map_from_json(obj: dict) -> ResourceDestroyingMap:
@@ -835,18 +815,13 @@ def map_from_json(obj: dict) -> ResourceDestroyingMap:
                    "modified": modified_coarse_map}[kind]
         return builder(partition)
     if kind == "twirl":
-        unitaries = [linalg.matrix_from_json(u) for u in obj["unitaries"]]
-        _check_declared_dim(d, unitaries)
-        return twirling_map(unitaries)
+        return twirling_map(_operator_stack(
+            [linalg.matrix_from_json(u) for u in obj["unitaries"]], "unitaries", d))
     if kind == "mixing":
         return mixing_map(d)
     if kind == "kraus":
-        ops = [linalg.matrix_from_json(k) for k in obj["operators"]]
-        _check_declared_dim(d, ops)
-        if not ops:
-            raise ValidationError("map type 'kraus' needs at least one operator")
-        K = np.stack(ops)
-        K.setflags(write=False)
+        K = _operator_stack([linalg.matrix_from_json(k) for k in obj["operators"]],
+                            "operators", d)
         form = _eigenbasis_form(K)[0]
         desc = {"type": "kraus", "dim": d, "operators": K}
         return certify_rdm(form if form is not None else QuantumChannel(K), desc)

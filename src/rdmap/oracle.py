@@ -153,9 +153,12 @@ def free_algebra_basis(rdm: ResourceDestroyingMap) -> np.ndarray:
 
 def _free_state(x: np.ndarray, gamma: np.ndarray, rdm: ResourceDestroyingMap) -> np.ndarray:
     """E(exp(H) / Tr exp(H)) for H = sum_j x_j Gamma_j, from one eigh of H
-    shifted by its largest eigenvalue."""
+    shifted by its largest eigenvalue.  An eigenvalue more than the float
+    range below the largest has weight exactly 0; when the largest
+    overflows to +inf, the eigenvalues at +inf share the weight."""
     h, V = np.linalg.eigh(np.tensordot(x, gamma, axes=1))
-    e = np.exp(h - h[-1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = np.exp(np.where(h == h[-1], 0.0, h - h[-1]))
     tau = (V * (e / e.sum())) @ V.conj().T
     return rdm.apply(tau)
 

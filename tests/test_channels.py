@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rdmap import linalg
+from rdmap import channels, linalg
 from rdmap.channels import (
     MeasurementPartition,
     PartitionChannel,
@@ -29,6 +29,7 @@ from rdmap.errors import (
     NotFineGrained,
     NotIdempotent,
     NotPSD,
+    NotUnital,
     NotUnitary,
     ValidationError,
 )
@@ -209,6 +210,45 @@ def test_certify_rejects_non_trace_preserving():
         certify_rdm(QuantumChannel([0.5 * np.eye(2)]))
 
 
+def test_certify_refuses_non_unital_maps():
+    # {|0><0|, |0><1|} is trace preserving and idempotent (every state goes
+    # to |0><0|), but E(I) = 2|0><0|
+    ops = [np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([[0.0, 1.0], [0.0, 0.0]])]
+    with pytest.raises(NotUnital):
+        certify_rdm(QuantumChannel(ops))
+
+
+def test_non_finite_operators_never_certify():
+    # both once returned certified maps with NaN residuals: NaN > tol is
+    # false, so NaN passed every gate
+    with pytest.raises(ValidationError, match="Kraus operators: non-finite"):
+        certify_rdm(QuantumChannel([np.full((2, 2), np.nan)]))
+    with pytest.raises(ValidationError, match="basis: non-finite"):
+        certify_rdm(PartitionChannel(MeasurementPartition.singletons(2), [False, False],
+                                     np.full((2, 2), np.nan)))
+
+
+@pytest.mark.parametrize("method, error", [
+    ("trace_preserving_residual", ValidationError),
+    ("_idempotency_residual", NotIdempotent),
+    ("unitality_residual", NotUnital),
+])
+def test_a_nan_residual_fails_its_gate(method, error):
+    class NaNResidual(QuantumChannel):
+        pass
+    setattr(NaNResidual, method, lambda self: float("nan"))
+    with pytest.raises(error, match="nan"):
+        certify_rdm(NaNResidual([np.eye(2)]))
+
+
+def test_a_nan_unitarity_residual_fails_its_gate():
+    # U^dag U overflows to inf - inf = NaN; the parent went on to the
+    # closure check and failed there, with NotAGroup
+    U = 1e200 * np.array([[1.0, 1.0], [1.0, -1.0]])
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NotUnitary, match="nan"):
+        twirling_map([np.eye(2), U])
+
+
 def test_certified_maps_carry_residuals():
     rdm = dephasing_map(MeasurementPartition.singletons(2))
     assert rdm.idempotency_residual <= 1e-9
@@ -329,6 +369,69 @@ def test_non_commuting_kraus_input_still_certifies():
     rdm = map_from_json(kraus_json(ops))
     assert not isinstance(rdm.channel, PartitionChannel)
     assert superop_distance(rdm, certify_rdm(QuantumChannel(ops))) <= 1e-12
+
+
+def clifford_group():
+    """The 24 single-qubit Clifford unitaries, up to phase, generated by
+    the Hadamard and phase gates."""
+    gens = (np.array([[1, 1], [1, -1]]) / np.sqrt(2), np.diag([1, 1j]))
+    group = [np.eye(2, dtype=complex)]
+    for U in group:  # grows while it is read: a breadth-first closure
+        for G in gens:
+            V = G @ U
+            if all(abs(abs(np.vdot(W, V)) - 2) > 1e-9 for W in group):
+                group.append(V)
+    return group
+
+
+def test_kraus_is_one_read_only_stack_on_every_route():
+    Y = 1j * X @ Z
+    V = random_unitary(3, np.random.default_rng(14))
+    ops = conjugated(V, modified_coarse_map(MeasurementPartition(3, [[0, 2], [1]])).kraus)
+    kraus_input = map_from_json(kraus_json(ops))
+    assert not isinstance(kraus_input.channel, PartitionChannel)
+    routes = {"list": QuantumChannel(ops), "stack": QuantumChannel(np.stack(ops)),
+              "partition view": lueders_map(MeasurementPartition(3, [[0, 1], [2]])),
+              "Pauli twirl": twirling_map([np.eye(2), X, Y, Z]), "Kraus input": kraus_input}
+    for name, channel in routes.items():
+        K = channel.kraus
+        assert type(K) is np.ndarray and K.dtype == complex, name
+        assert K.ndim == 3 and K.shape[1:] == (channel.dim, channel.dim), name
+        assert not K.flags.writeable, name
+        assert QuantumChannel(K).kraus is K, name  # checked, not copied
+    assert len(routes["Pauli twirl"].kraus) == 4
+    assert kraus_input.kraus is kraus_input.descriptor["operators"]
+
+
+def test_clifford_twirl_is_complete_mixing():
+    group = clifford_group()
+    assert len(group) == 24
+    tw = twirling_map(group)
+    assert not isinstance(tw.channel, PartitionChannel)
+    assert superop_distance(tw, mixing_map(2)) <= 1e-12
+
+
+def test_non_abelian_set_that_is_not_a_group(monkeypatch):
+    # X Z is not in {I, X, Z} up to phase; X and Z do not commute, so the
+    # closure check reads the matrices themselves
+    tables = []
+    inner = channels._check_closure
+    monkeypatch.setattr(channels, "_check_closure",
+                        lambda table, err, w: tables.append(table.shape) or inner(table, err, w))
+    with pytest.raises(NotAGroup):
+        twirling_map([np.eye(2), X, Z])
+    assert tables == [(3, 1, 2, 2)]
+
+
+@pytest.mark.parametrize("build, field", [
+    (QuantumChannel, "Kraus operators"),
+    (twirling_map, "unitaries"),
+    (lambda ops: map_from_json({"type": "kraus", "dim": 2, "operators": ops}), "operators"),
+    (lambda ops: map_from_json({"type": "twirl", "dim": 2, "unitaries": ops}), "unitaries"),
+])
+def test_an_empty_operator_list_names_its_field(build, field):
+    with pytest.raises(ValidationError, match=f"^{field}: expected at least one"):
+        build([])
 
 
 def test_commuting_set_that_is_not_a_group():

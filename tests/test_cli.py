@@ -188,6 +188,16 @@ def test_measure_uncertified_map_exits_3(files, capsys):
     assert capsys.readouterr().err.startswith("error: NotIdempotent:")
 
 
+def test_measure_non_unital_map_exits_3(files, capsys):
+    # {|0><0|, |0><1|}: trace preserving and idempotent, but E(I) = 2|0><0|
+    path = files["tmp"] / "reset.json"
+    path.write_text(json.dumps({"type": "kraus", "dim": 2, "operators": [
+        {"re": [[1, 0], [0, 0]], "im": [[0, 0], [0, 0]]},
+        {"re": [[0, 1], [0, 0]], "im": [[0, 0], [0, 0]]}]}))
+    assert main(["measure", "--state", files["plus"], "--map", str(path), "--a", "1"]) == 3
+    assert capsys.readouterr().err.startswith("error: NotUnital:")
+
+
 def test_measure_map_dim_mismatch_exits_2(files, capsys):
     bad = files["tmp"] / "bad_dim.json"
     bad.write_text(json.dumps({"type": "kraus", "dim": 3, "operators": [

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -189,6 +190,25 @@ def test_parameterize_refuses_non_finite_coordinates():
             parameterize_free_state(np.array([bad]), deph)
     for big in (1e308, -1e308):
         linalg.validate_density(parameterize_free_state(np.array([big]), deph))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_free_state_of_a_spectrum_wider_than_the_float_range(d):
+    """Every sign pattern of +-1e308 coordinates (a seeded 256 of them above
+    8 coordinates) on every built-in family and the one-block Lueders map
+    gives a free state, with no RuntimeWarning.  Once H's eigenvalues
+    spread past the float range, h - h[-1] overflowed, and once the
+    largest eigenvalue itself overflowed, inf - inf gave a NaN state."""
+    rng = np.random.default_rng(d)
+    maps = _families(d)[1] + [("one block", lueders_map(MeasurementPartition.single_block(d)))]
+    for name, rdm in maps:
+        k = free_algebra_basis(rdm).shape[0]
+        signs = (np.array(list(itertools.product((-1.0, 1.0), repeat=k))) if k <= 8
+                 else rng.choice((-1.0, 1.0), size=(256, k)))
+        for s in signs:
+            sigma = parameterize_free_state(1e308 * s, rdm)
+            linalg.validate_density(sigma)
+            assert np.abs(rdm.apply(sigma) - sigma).max() <= 1e-12, (name, s)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
