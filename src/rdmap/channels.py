@@ -233,15 +233,19 @@ class PartitionChannel(QuantumChannel):
         diag = [i for block, t in zip(partition.blocks, traced) if t for i in block]
         label = np.empty(d, dtype=int)
         avg = np.zeros((len(diag), len(diag)))
+        starts, owner = [], []
         at = 0
         for j, (block, t) in enumerate(zip(partition.blocks, traced)):
             label[list(block)] = j
             if t:
                 n = len(block)
                 avg[at:at + n, at:at + n] = 1.0 / n
+                owner += [len(starts)] * n
+                starts.append(at)
                 at += n
         kept = ~np.array(traced)[label]
-        keep = ((label[:, None] == label) & kept[:, None]).astype(float)
+        # complex, so that _block_act's product casts nothing
+        keep = ((label[:, None] == label) & kept[:, None]).astype(complex)
         keep.setflags(write=False)
         avg.setflags(write=False)
         self.partition = partition
@@ -250,6 +254,11 @@ class PartitionChannel(QuantumChannel):
         self._keep = keep
         self._diag = np.array(diag, dtype=int)
         self._avg = avg
+        # _block_act's view of the traced blocks: the flattened positions of
+        # their diagonals, where each block starts among them, and per
+        # traced index its block and that block's 1 / n (avg's diagonal)
+        self._segments = (self._diag * (d + 1), np.array(starts, dtype=int),
+                          np.array(owner, dtype=int), avg.diagonal())
         self._basis = None
         self._unitarity_defect = 0.0
         if basis is not None:
@@ -290,11 +299,18 @@ class PartitionChannel(QuantumChannel):
         return W @ self._block_act(Wh @ A @ W) @ Wh
 
     def _block_act(self, A: np.ndarray) -> np.ndarray:
-        """P0: the map in the computational basis."""
-        out = A * self._keep
+        """P0: the map in the computational basis.  Each traced block's
+        diagonal is replaced by its mean, a sum over the block times 1 / n,
+        so that a matrix's image does not depend on the stack it comes in:
+        as a product with avg, BLAS rounded one (n, k) x (k, k) product
+        differently as n changed."""
+        # C order, so that the flattened view below writes into out
+        out = np.multiply(A, self._keep, order="C")
         if self._diag.size:
-            i = self._diag
-            out[..., i, i] = A[..., i, i] @ self._avg
+            at, starts, block, inv = self._segments
+            flat = A.shape[:-2] + (self._dim * self._dim,)
+            sums = np.add.reduceat(A.reshape(flat).take(at, axis=-1), starts, axis=-1)
+            out.reshape(flat)[..., at] = sums.take(block, axis=-1) * inv
         return out
 
     def _spectral_layout(self) -> tuple:

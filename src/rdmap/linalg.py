@@ -46,11 +46,13 @@ def frobenius(M: np.ndarray) -> float:
     return math.sqrt(np.vdot(M, M).real)
 
 
-def as_complex_matrix(M) -> np.ndarray:
-    """Coerce to a square complex128 array with finite entries."""
+def as_complex_matrix(M, ndim: int = 2) -> np.ndarray:
+    """Coerce to a square complex128 array with finite entries: one matrix,
+    or with ndim=3 an (n, d, d) stack of them."""
     A = np.asarray(M, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {A.shape}")
+    if A.ndim != ndim or A.shape[-1] != A.shape[-2]:
+        what = "a square matrix" if ndim == 2 else "a stack of square matrices"
+        raise ValueError(f"expected {what}, got shape {A.shape}")
     if not np.isfinite(A).all():
         raise ValueError("matrix has non-finite entries")
     return A
@@ -58,6 +60,14 @@ def as_complex_matrix(M) -> np.ndarray:
 
 def hermiticity_residual(M: np.ndarray) -> float:
     return frobenius(M - dagger(M))
+
+
+def hermiticity_residuals(A: np.ndarray) -> np.ndarray:
+    """||M - M^dag||_F of each matrix of an (n, d, d) stack; +inf, with no
+    warning, where the squares overflow."""
+    D = A - dagger(A)
+    with np.errstate(over="ignore"):
+        return np.sqrt((D.real * D.real + D.imag * D.imag).sum(axis=(1, 2)))
 
 
 def eig_hermitian(M: np.ndarray) -> Eigensystem:
@@ -120,6 +130,17 @@ def psd_spectrum(M: np.ndarray) -> Eigensystem:
     return _clipped_spectrum(as_complex_matrix(M))
 
 
+def psd_spectra(A: np.ndarray) -> Eigensystem:
+    """`psd_spectrum` of every matrix of a coerced (n, d, d) stack, from one
+    stacked eigh, as (n, d) values and (n, d, d) vectors: NonHermitian or
+    NotPSD, with the worst residual, when any matrix fails."""
+    residual = hermiticity_residuals(A).max(initial=0.0)
+    if residual > HERMITIAN_TOL:
+        raise NonHermitian(f"Hermiticity residual {residual:.3e} exceeds {HERMITIAN_TOL:.0e}")
+    values, vectors = np.linalg.eigh(A)
+    return Eigensystem(clip_spectrum(values), vectors)
+
+
 def spectral_power(spectrum: Eigensystem, p: float) -> np.ndarray:
     """`matrix_power` from an already clipped eigensystem."""
     values, vectors = spectrum
@@ -139,6 +160,18 @@ def power_values(values: np.ndarray, p: float) -> np.ndarray:
     if p > 0 and top > 1.0 and top ** p == math.inf:
         raise OverflowError(f"{top!r} ** {p!r} overflows")
     cut = values.size * _EPS * top if p > 0 else SUPPORT_CUTOFF * top
+    return np.power(values, p, out=np.zeros(values.shape), where=values > cut)
+
+
+def row_powers(values: np.ndarray, p: float) -> np.ndarray:
+    """`power_values` of each row of an (n, d) stack of eigenvalues, each
+    row under its own lambda_max; one call on every row, so that every row
+    takes numpy's power along the same path for the one exponent p."""
+    top = np.maximum(values.max(axis=1, keepdims=True), 0.0)
+    high = float(top.max(initial=0.0))
+    if p > 0 and high > 1.0 and high ** p == math.inf:
+        raise OverflowError(f"{high!r} ** {p!r} overflows")
+    cut = (values.shape[1] * _EPS if p > 0 else SUPPORT_CUTOFF) * top
     return np.power(values, p, out=np.zeros(values.shape), where=values > cut)
 
 

@@ -60,47 +60,81 @@ def _entropy(values: np.ndarray) -> float:
     return float(-np.sum(w * np.log(w)))
 
 
-def _support_leak(rho: np.ndarray, spectrum: linalg.Eigensystem) -> float:
-    """Weight of rho outside the support of sigma, given sigma's clipped
-    eigensystem: the eigenvectors whose eigenvalues pass the support cut
-    span that support."""
-    values, vectors = spectrum
-    K = vectors[:, linalg.power_values(values, 0.0) > 0.0]
-    return float(np.trace(rho).real - np.trace(linalg.dagger(K) @ rho @ K).real)
-
-
 def tsallis_relative_entropy(rho: np.ndarray, sigma: np.ndarray, a: float) -> float:
     """S~_a(rho|sigma), the Tsallis relative entropy of order a in (0, 2].
 
     a != 1: ((Tr rho^a sigma^{1-a})^{1/a} - 1)/(a - 1), with sigma^{1-a} the
     support pseudo-power when 1 - a < 0.  a = 1: Tr rho (ln rho - ln sigma)
     with 0 ln 0 = 0.  Returns +inf when a >= 1 and supp(rho) is not contained
-    in supp(sigma); always finite for a < 1.
+    in supp(sigma); always finite for a < 1.  A one-row call of
+    `tsallis_relative_entropies`, which holds the computation.
+    """
+    return float(tsallis_relative_entropies([rho], [sigma], [a])[0])
 
-    One eigh of sigma serves the support check and the power.  At a != 1
-    the trace is taken as T = sum_i w_i^{1-a} ||R^dag v_i||^2, with (w_i, v_i)
-    the eigensystem of sigma and R R^dag = rho^a, under matrix_power's cut
+
+def tsallis_relative_entropies(rhos, sigmas, orders) -> np.ndarray:
+    """S~_a(rho_i|sigma_i) at order a_i (see `tsallis_relative_entropy`) for
+    every row of two (n, d, d) stacks at once.  Each row equals the
+    one-row call bit for bit, whatever the other rows hold.
+
+    Every order goes through validate_order; states that are not square
+    stacks of one shape, or hold a non-finite entry, are a ValueError or
+    DimensionMismatch, and a matrix that is not PSD is NonHermitian or
+    NotPSD, as for one state.  One stacked eigh of the sigmas and one of
+    the rhos serve the support check and the powers.  At a != 1 the trace
+    is taken as T = sum_i w_i^{1-a} ||R^dag v_i||^2, with (w_i, v_i) the
+    eigensystem of sigma and R R^dag = rho^a, under matrix_power's cut
     rules: each term is a weight times a sum of squares, so a tiny w_i next
     to a singular sigma costs no more than its own round-off, where a
     product of the two matrix powers loses about eps / w_min at a > 1.
+    Rows are grouped by order, so that every power call has one exponent;
+    every sum is a reduce within its row.  This shares no code with the
+    oracle's fused objective, so a rescore by it checks the search.
     """
-    a = validate_order(a)
-    A = linalg.as_complex_matrix(rho)
-    B = linalg.as_complex_matrix(sigma)
+    grid = [validate_order(a) for a in orders]
+    orders = np.array(grid)
+    A = linalg.as_complex_matrix(rhos, 3)
+    B = linalg.as_complex_matrix(sigmas, 3)
     if A.shape != B.shape:
-        raise DimensionMismatch(f"states have shapes {A.shape} and {B.shape}")
-    spectrum = linalg.psd_spectrum(B)
-    if a >= 1.0 and _support_leak(A, spectrum) > SUPPORT_LEAK_TOL:
-        return math.inf
-    if a == 1.0:
-        la = linalg.matrix_log(A)
-        lb = linalg.spectral_log(spectrum)
-        return float(np.trace(A @ (la - lb)).real)
-    p, V = linalg.psd_spectrum(A)
-    M = linalg.dagger(V * np.sqrt(linalg.power_values(p, a))) @ spectrum.vectors
-    norms = (M.real ** 2 + M.imag ** 2).sum(axis=0)
-    T = max(float(linalg.power_values(spectrum.values, 1.0 - a) @ norms), 0.0)
-    return (T ** (1.0 / a) - 1.0) / (a - 1.0)
+        raise DimensionMismatch(f"states have shapes {A.shape[1:]} and {B.shape[1:]}")
+    if orders.shape != (len(A),):
+        raise ValidationError(f"{len(A)} pairs of states but {orders.size} orders")
+    out = np.empty(len(A))
+    if not len(A):
+        return out
+    sigma_values, sigma_vectors = linalg.psd_spectra(B)
+    rho_values, rho_vectors = linalg.psd_spectra(A)
+    for a in dict.fromkeys(grid):
+        rows = np.flatnonzero(orders == a)
+        w, U = sigma_values[rows], sigma_vectors[rows]
+        if a == 1.0:
+            ln = _logs(rho_values[rows], rho_vectors[rows]) - _logs(w, U)
+            out[rows] = np.trace(A[rows] @ ln, axis1=1, axis2=2).real
+        else:
+            R = rho_vectors[rows] * np.sqrt(linalg.row_powers(rho_values[rows], a))[:, None, :]
+            M = linalg.dagger(R) @ U
+            norms = (M.real * M.real + M.imag * M.imag).sum(axis=1)
+            T = np.maximum((linalg.row_powers(w, 1.0 - a) * norms).sum(axis=1), 0.0)
+            out[rows] = (T ** (1.0 / a) - 1.0) / (a - 1.0)
+    # from a = 1 on, +inf where the weight of rho outside the support of
+    # sigma, the span of the eigenvectors whose eigenvalues pass the support
+    # cut, exceeds the tolerance
+    high = orders >= 1.0
+    if high.any():
+        w, U = sigma_values[high], sigma_vectors[high]
+        kept = w > linalg.SUPPORT_CUTOFF * w[:, -1:]
+        inside = (linalg.dagger(U) @ A[high] @ U).diagonal(axis1=1, axis2=2).real
+        leak = np.trace(A[high], axis1=1, axis2=2).real - np.where(kept, inside, 0.0).sum(axis=1)
+        out[np.flatnonzero(high)[leak > SUPPORT_LEAK_TOL]] = math.inf
+    return out
+
+
+def _logs(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """`linalg.spectral_log` of each eigensystem of a clipped, ascending
+    (n, d) stack: the log of every eigenvalue above 1e-12 lambda_max."""
+    pos = values > linalg.SUPPORT_CUTOFF * values[:, -1:]
+    f = np.log(values, out=np.zeros(values.shape), where=pos)
+    return (vectors * f[:, None, :]) @ linalg.dagger(vectors)
 
 
 @dataclass

@@ -19,12 +19,14 @@ steps in any orthonormal coordinates.  The objective is convex in sigma
 minimum over all of them.  exp(H) / Tr exp(H) is itself free, so the
 search scores it directly, value and gradient from the one eigh of H; the
 gradient is the Daleckii-Krein derivative of the objective in H's
-eigenbasis (Bhatia, Matrix Analysis, 1997, ch. V).  Only the winner is
-mapped through E, which makes the reported minimizer a fixed point by
-construction, and scored again by tsallis_relative_entropy.  This module
-never evaluates the closed form, and the search shares no code with it:
-callers take the gap themselves, and agreement between the two is
-evidence, not circularity.
+eigenbasis (Bhatia, Matrix Analysis, 1997, ch. V).  Only the winners are
+mapped through E, which makes each reported minimizer a fixed point by
+construction, and scored again by the stacked reference
+tsallis_relative_entropies: every winner of a batch in one stack, with one
+`apply` per distinct map and one rescoring call.  This module never
+evaluates the closed form, and the search shares no code with it: callers
+take the gap themselves, and agreement between the two is evidence, not
+circularity.
 
 minimize_batch solves many problems of one dimension together: every
 restart of every problem, whatever its r, is a row of one stack that one
@@ -46,7 +48,7 @@ import numpy as np
 from . import linalg
 from .channels import ResourceDestroyingMap
 from .errors import DimensionMismatch, NoFiniteObjective, ValidationError
-from .measures import SUPPORT_LEAK_TOL, tsallis_relative_entropy, validate_order
+from .measures import SUPPORT_LEAK_TOL, tsallis_relative_entropies, validate_order
 
 AGREEMENT_WINDOW = 1e-6
 
@@ -151,16 +153,39 @@ def free_algebra_basis(rdm: ResourceDestroyingMap) -> np.ndarray:
     return (basis + basis.conj().transpose(0, 2, 1)) / 2
 
 
-def _free_state(x: np.ndarray, gamma: np.ndarray, rdm: ResourceDestroyingMap) -> np.ndarray:
-    """E(exp(H) / Tr exp(H)) for H = sum_j x_j Gamma_j, from one eigh of H
-    shifted by its largest eigenvalue.  An eigenvalue more than the float
-    range below the largest has weight exactly 0; when the largest
-    overflows to +inf, the eigenvalues at +inf share the weight."""
-    h, V = np.linalg.eigh(np.tensordot(x, gamma, axes=1))
+def _hamiltonians(X: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """H = sum_j x_j Gamma_j for each row x of X, as an (m, d, d) stack.
+    The terms x_j Gamma_j are laid out coordinate-major, so that the sum
+    over j runs along the outer axis, in order, as a row-by-row sum would:
+    a row's H does not depend on the stack it comes in.  Rows are summed in
+    chunks whose terms take at most 256 KiB."""
+    n, d = gamma.shape[:2]
+    terms = gamma.reshape(n, 1, d * d)
+    H = np.empty((len(X), d * d), dtype=complex)
+    step = max(1, 2**18 // (16 * d * d * n))
+    for lo in range(0, len(X), step):
+        np.add.reduce(terms * X[lo:lo + step].T[:, :, None], axis=0, out=H[lo:lo + step])
+    return H.reshape(len(X), d, d)
+
+
+def _free_state(X: np.ndarray, gamma: np.ndarray, maps) -> np.ndarray:
+    """E_i(exp(H_i) / Tr exp(H_i)) for each row of X, H_i from its Gell-Mann
+    coordinates (_hamiltonians) and E_i the row's map in maps: one stacked
+    eigh, each spectrum shifted by its largest eigenvalue, and one `apply`
+    per distinct map, on the stack of its rows.  An eigenvalue more than
+    the float range below the largest has weight exactly 0; when the
+    largest overflows to +inf, the eigenvalues at +inf share the weight."""
+    h, V = np.linalg.eigh(_hamiltonians(X, gamma))
+    top = h[:, -1:]
     with np.errstate(over="ignore", invalid="ignore"):
-        e = np.exp(np.where(h == h[-1], 0.0, h - h[-1]))
-    tau = (V * (e / e.sum())) @ V.conj().T
-    return rdm.apply(tau)
+        e = np.exp(np.where(h == top, 0.0, h - top))
+    tau = (V * (e / e.sum(axis=1, keepdims=True))[:, None, :]) @ linalg.dagger(V)
+    rows = {}
+    for i, rdm in enumerate(maps):
+        rows.setdefault(id(rdm), (rdm, []))[1].append(i)
+    for rdm, mine in rows.values():
+        tau[mine] = rdm.apply(tau[mine])
+    return tau
 
 
 def parameterize_free_state(x: np.ndarray, rdm: ResourceDestroyingMap) -> np.ndarray:
@@ -182,7 +207,7 @@ def parameterize_free_state(x: np.ndarray, rdm: ResourceDestroyingMap) -> np.nda
         raise ValidationError(f"expected {C.shape[1]} parameters, got {z.size}")
     if not np.isfinite(z).all():
         raise ValidationError("parameters must be finite")
-    return _free_state(C @ z, gamma, rdm)
+    return _free_state((C @ z)[None], gamma, [rdm])[0]
 
 
 def simplex_minimize(f, x0: np.ndarray, config: OracleConfig,
@@ -255,8 +280,9 @@ def _free_state_objective(problems):
     matrix.  Points are scored in chunks that keep the gathered projected
     basis and powers of rho within 256 KiB.  For x in the span of Pi, tau
     is already free, and E is not applied.  Hot path for the search: H from
-    the coordinates in one product, tau's spectrum and eigenvectors from
-    one stacked eigh of H, and the entropy from rho^a in that eigenbasis.
+    the coordinates in one ordered sum (_hamiltonians), tau's spectrum and
+    eigenvectors from one stacked eigh of H, and the entropy from rho^a in
+    that eigenbasis.
 
     With H = V diag(h) V+, w = softmax(h), Q = V+ rho^a V and c = 1 - a, the
     value at a != 1 is (T^(1/a) - 1) / (a - 1) with T = sum_i w_i^c Q_ii,
@@ -294,7 +320,6 @@ def _free_state_objective(problems):
                           for C in distinct]).reshape(len(slot), n, d * d).view(float)
     which = np.array([slot[id(rdm)] for _, rdm, _ in problems])
     frames = [distinct[i] for i in which]
-    flat = gamma.reshape(n, d * d)
     a = np.array([float(a) for _, _, a in problems])
     one = a == 1.0
     # square-root factors R of rho and of rho^a (rho at a = 1), R R+ = rho
@@ -327,10 +352,7 @@ def _free_state_objective(problems):
 
     def score(X, rows):
         m = len(X)
-        # the terms x_j Gamma_j coordinate-major, so that the sum over j
-        # runs along the outer axis, in order, as a row-by-row sum would
-        h, V = np.linalg.eigh(np.add.reduce(flat[:, None, :] * X.T[:, :, None], axis=0)
-                              .reshape(m, d, d))
+        h, V = np.linalg.eigh(_hamiltonians(X, gamma))
         # the spectrum of tau and its log, ascending like h; the shift by
         # the largest eigenvalue keeps exp from overflowing.  Every power
         # below is exp(p ln): numpy's power rounds a row differently when
@@ -587,10 +609,16 @@ def minimize_batch(problems, configs) -> list[OracleResult]:
     one lockstep BFGS search over the d^2 - 1 Gell-Mann coordinates (see
     _lockstep_bfgs), started at Pi z for 0.1-scale Gaussian z drawn from
     the config's seed and searching along the gradient projected by
-    Pi = C C^T, C the map's frame.  Result i equals
+    Pi = C C^T, C the map's frame.  Then every problem's winning restart
+    is mapped through its E and scored afresh, all together: one stacked
+    eigh forms the winners' exp(H) / Tr exp(H) (_free_state), each distinct
+    map is applied once to the stack of its own winners, and one call of
+    tsallis_relative_entropies rescores them all.  Each of these steps
+    treats a row alike in any stack, so result i equals
     minimize_over_free_states(*problems[i], configs[i]) bit for bit.
     _free_state_objective refuses a state that is not a d x d density
-    matrix, and problems of different dimensions.
+    matrix, and problems of different dimensions; a winner that scores
+    +inf is NoFiniteObjective, naming its order.
     """
     problems = [(rho, rdm, validate_order(a)) for rho, rdm, a in problems]
     if len(configs) != len(problems):
@@ -611,26 +639,28 @@ def minimize_batch(problems, configs) -> list[OracleResult]:
         np.array([configs[i].tol for i in owner]),
         np.array([configs[i].max_iterations for i in owner]))
 
-    results = []
-    for i, ((rho, rdm, a), C) in enumerate(zip(problems, frames)):
-        mine = np.arange(first[i], first[i + 1])
-        finals = fx[mine]
-        win = int(np.argmin(finals))
-        # the search scored exp(H) / Tr exp(H); the reported minimizer is
-        # its image under E, a fixed point by construction, scored afresh
-        sigma = _free_state(x[mine[win]], gamma, rdm)
-        agreeing = int(np.count_nonzero(finals <= finals[win] + AGREEMENT_WINDOW))
-        value = tsallis_relative_entropy(rho, sigma, a)
+    # each problem's winning restart; the search scored exp(H) / Tr exp(H),
+    # and the reported minimizer is its image under E, a fixed point by
+    # construction, scored afresh, every winner in one stack
+    wins = np.array([lo + int(np.argmin(fx[lo:hi])) for lo, hi in zip(first[:-1], first[1:])])
+    sigmas = _free_state(x[wins], gamma, [rdm for _, rdm, _ in problems])
+    values = tsallis_relative_entropies([rho for rho, _, _ in problems], sigmas,
+                                        [a for _, _, a in problems])
+    for (_, _, a), value in zip(problems, values):
         if value == math.inf:
             raise NoFiniteObjective(
                 f"objective is +inf at the image of the best point found (a={a}); "
                 "support pathology in the free set")
+    results = []
+    for i, (C, win) in enumerate(zip(frames, wins)):
+        mine = slice(first[i], first[i + 1])
         results.append(OracleResult(
-            value=value, sigma_min=sigma, restarts_agreeing=agreeing,
-            evaluations=int(evals[mine].sum()), iterations=int(iters[mine[win]]),
-            stop_reason="iteration_cap" if capped[mine[win]] else "tolerance",
+            value=float(values[i]), sigma_min=sigmas[i],
+            restarts_agreeing=int(np.count_nonzero(fx[mine] <= fx[win] + AGREEMENT_WINDOW)),
+            evaluations=int(evals[mine].sum()), iterations=int(iters[win]),
+            stop_reason="iteration_cap" if capped[win] else "tolerance",
             cap_hits=int(capped[mine].sum()), free_dim=C.shape[1] + 1,
-            stack_iterations=int(iters.max()), grad_norm=float(grad_norm[mine[win]])))
+            stack_iterations=int(iters.max()), grad_norm=float(grad_norm[win])))
     return results
 
 
@@ -640,7 +670,7 @@ def minimize_over_free_states(rho: np.ndarray, rdm: ResourceDestroyingMap,
 
     Runs the quasi-Newton search from `restarts` seeded random starts,
     advanced together by minimize_batch.  The winning point is mapped
-    through E and re-evaluated through tsallis_relative_entropy (not the
+    through E and re-evaluated through tsallis_relative_entropies (not the
     fused objective); the closed form is not evaluated, so the gap to it is
     the caller's to take.  restarts_agreeing counts restarts whose best
     value landed within 1e-6 of the winner, making flaky convergence

@@ -45,10 +45,12 @@ log = logging.getLogger("rdmap.verify")
 # stack of the d^2 - 1 Gell-Mann coordinates whatever each map's r, each
 # map read once as its frame, with one restart per problem, OracleConfig's
 # default iteration cap and ORACLE_TOL; the acceptance run (50 trials)
-# takes 2.1-3.6 s on a 2-vCPU VM against its 300 s budget.  The
+# takes 1.3-2.3 s on a 2-vCPU VM against its 300 s budget.  The
 # quasi-Newton search converges in tens of iterations (at most 87 per
-# batch); mapping each winner through E and scoring it again, one problem
-# at a time, costs more than the search itself.  ORACLE_TOL bounds the
+# batch).  What follows it runs once per dimension, each step on one
+# stack: the winners are mapped through E, rescored and density-checked.
+# Only the closed forms run one problem at a time, each dimension's before
+# its search, one call per record.  ORACLE_TOL bounds the
 # largest |df/dx_j| at which a search stops.  OracleConfig's default of
 # 1e-10 scores 43 % more points on the acceptance run (52,230 against
 # 36,549) for no pass/fail change, and 774 of its 5,250 searches stop at
@@ -153,12 +155,19 @@ def _builtin_families(d: int, rng):
     ]
 
 
-def _density_ok(M: np.ndarray) -> bool:
-    try:
-        linalg.validate_density(M)
-        return True
-    except ValidationError:
-        return False
+def _density_ok(stack) -> np.ndarray:
+    """For each matrix of an (n, d, d) stack, whether `linalg.validate_density`
+    would pass it, from one stacked eigvalsh: finite entries, Hermiticity
+    residual at most 1e-10, smallest eigenvalue at least -1e-10 and trace
+    within 1e-10 of 1.  A matrix with a NaN or infinite entry is False, and
+    is replaced by I before the eigvalsh."""
+    M = np.asarray(stack, dtype=complex)
+    finite = np.isfinite(M).all(axis=(1, 2))
+    M = np.where(finite[:, None, None], M, np.eye(M.shape[-1]))
+    lowest = np.linalg.eigvalsh(M)[:, 0]
+    trace = np.trace(M, axis1=1, axis2=2)
+    return (finite & (linalg.hermiticity_residuals(M) <= linalg.HERMITIAN_TOL)
+            & (lowest >= -linalg.PSD_TOL) & (np.abs(trace - 1.0) <= linalg.TRACE_TOL))
 
 
 def theorem1_batches(dims, a_grid, trials: int, seed: int):
@@ -219,7 +228,8 @@ def suite_theorem1(dims, a_grid, trials: int, seed: int,
             [OracleConfig(restarts=1, tol=ORACLE_TOL, seed=oseed)
              for _, (*_, oseed) in group])
         t_solve = time.perf_counter() - t_solve
-        for (i, (name, _, _, a, _)), rep, res in zip(group, reports, results):
+        sigma_ok = _density_ok([rep.sigma_star for rep in reports])
+        for (i, (name, _, _, a, _)), rep, res, ok in zip(group, reports, results, sigma_ok):
             t, s = batches[i][:2]
             gap = res.value - rep.value
             records[i].append({
@@ -235,7 +245,7 @@ def suite_theorem1(dims, a_grid, trials: int, seed: int,
                 "stop_reason": res.stop_reason,
                 "cap_hits": res.cap_hits,
                 "oracle_grad": res.grad_norm,
-                "sigma_ok": _density_ok(rep.sigma_star),
+                "sigma_ok": bool(ok),
                 "sigma_fp_residual": rep.fixed_point_residual,
                 "violation": abs(gap) - tol,
             })

@@ -336,6 +336,37 @@ def test_partition_maps_match_kraus_sum_reference():
                 assert rdm.trace_preserving_residual() >= ref.trace_preserving_residual() - 1e-15
 
 
+def test_apply_to_a_stack_is_apply_to_each_matrix_alone():
+    """The image of a matrix does not depend on the stack it comes in: for
+    every family at d = 2..8, in the computational basis and in a random
+    one, and for a map that stays a Kraus sum, apply on a stack of five
+    equals apply on each matrix alone and on each one-matrix stack, bit for
+    bit.  The block average of the traced diagonal once took one (5, k) x
+    (k, k) product, whose rows round differently from a (1, k) x (k, k)
+    one."""
+    rng = np.random.default_rng(23)
+    Y = 1j * X @ Z
+    maps = [twirling_map([np.eye(2), X, Y, Z])]
+    for d in range(2, 9):
+        coarse = random_partition(d, rng, coarse=True)
+        part = random_partition(d, rng)
+        traced = rng.integers(0, 2, len(part.blocks))
+        W = random_unitary(d, rng)
+        maps += [dephasing_map(MeasurementPartition.singletons(d)), lueders_map(coarse),
+                 modified_coarse_map(coarse), cyclic_twirl(d), mixing_map(d),
+                 certify_rdm(PartitionChannel(part, traced)),
+                 certify_rdm(PartitionChannel(part, traced, W)),
+                 certify_rdm(PartitionChannel(coarse, [True] * len(coarse.blocks), W))]
+    assert not isinstance(maps[0].channel, PartitionChannel)
+    for rdm in maps:
+        d = rdm.dim
+        stack = rng.standard_normal((5, d, d)) + 1j * rng.standard_normal((5, d, d))
+        image = rdm.apply(stack)
+        for j in range(len(stack)):
+            assert np.array_equal(image[j], rdm.apply(stack[j])), (d, j)
+            assert np.array_equal(image[j], rdm.apply(stack[j:j + 1])[0]), (d, j)
+
+
 def test_partition_map_certifies_and_applies_without_superoperator():
     # a d^2 x d^2 complex array at d = 32 is 16 MiB
     d = 32

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,12 +20,20 @@ from rdmap.channels import (
     modified_coarse_map,
     twirling_map,
 )
-from rdmap.errors import CertificationError, InfiniteValue, NotPSD, ValidationError
+from rdmap.errors import (
+    CertificationError,
+    DimensionMismatch,
+    InfiniteValue,
+    NonHermitian,
+    NotPSD,
+    ValidationError,
+)
 from rdmap.measures import (
     closed_form_measure,
     decomposition_identity_residual,
     report_from_json,
     report_to_json,
+    tsallis_relative_entropies,
     tsallis_relative_entropy,
     von_neumann_entropy,
     validate_order,
@@ -106,6 +115,75 @@ def test_tsallis_exact_next_to_a_singular_sigma(d):
             for a in (1.2, 1.5, 2.0):
                 exact = ((1.0 - w) ** ((1.0 - a) / a) - 1.0) / (a - 1.0)
                 assert abs(tsallis_relative_entropy(pure, sigma, a) - exact) <= 1e-12, (w, a)
+
+
+def _mixed_rows(d, rng):
+    """(rho, sigma, a, leaks) rows of one dimension, shuffled: rho of rank 1, 2
+    and d against a full-rank sigma at all 7 orders, a full-rank rho against
+    a pure sigma (support leaks, +inf from a = 1 on), and the pure state
+    against the near-singular sigma of
+    test_tsallis_exact_next_to_a_singular_sigma at a > 1."""
+    rows = []
+    seed = int(rng.integers(2**31))
+    sigma = linalg.random_density_matrix(d, d, seed=seed)
+    pure_sigma = linalg.random_density_matrix(d, 1, seed=seed + 1)
+    for rank in sorted({1, 2, d}):
+        rho = linalg.random_density_matrix(d, rank, seed=seed + 2 + rank)
+        rows += [(rho, sigma, a, False) for a in A_GRID]
+    rows += [(sigma, pure_sigma, a, True) for a in A_GRID]
+    psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    pure = np.outer(psi, psi.conj()) / np.vdot(psi, psi).real
+    for w in (1e-2, 1e-6, 1e-10):
+        near = (1.0 - w) * pure + w / (d - 1) * (np.eye(d) - pure)
+        rows += [(pure, near, a, False) for a in (1.2, 1.5, 2.0)]
+    return [rows[i] for i in rng.permutation(len(rows))]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 8])
+def test_tsallis_stack_equals_each_call(d):
+    """One stacked call over rows of every kind (all 7 orders interleaved,
+    ranks 1, 2 and d, support leaks and a near-singular sigma) gives each
+    row's one-state value bit for bit, +inf exactly where the support leaks
+    from a = 1 on, and no RuntimeWarning."""
+    rows = _mixed_rows(d, np.random.default_rng(60 + d))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = tsallis_relative_entropies(*list(zip(*rows))[:3])
+    assert values.shape == (len(rows),)
+    for (rho, sigma, a, leaks), value in zip(rows, values):
+        assert value == tsallis_relative_entropy(rho, sigma, a), (a, leaks)
+        assert (value == math.inf) == (leaks and a >= 1.0)
+        assert not math.isnan(value)
+
+
+def test_tsallis_stack_refuses_a_bad_row_as_one_call_would():
+    """A bad row among good ones raises what the one-state call raises on
+    it: a NaN or infinite entry is a ValueError, a non-Hermitian or non-PSD
+    matrix NonHermitian or NotPSD, an order outside (0, 2] a
+    ValidationError.  States of two shapes are DimensionMismatch, and a
+    count of orders that is not the count of pairs a ValidationError."""
+    rho = linalg.random_density_matrix(3, 3, seed=41)
+    sigma = linalg.random_density_matrix(3, 3, seed=42)
+    skew = np.zeros((3, 3), dtype=complex)
+    skew[0, 1] = 1e-3
+    bad = [(np.where(np.eye(3) == 1, np.nan, rho), sigma, 0.5, ValueError),
+           (rho, np.where(np.eye(3) == 1, np.inf, sigma), 2.0, ValueError),
+           (rho, sigma + skew, 1.0, NonHermitian),
+           (rho + skew, sigma, 1.5, NonHermitian),
+           (np.diag([1.5, -0.5, 0.0]), sigma, 0.5, NotPSD),
+           (rho, np.diag([1.5, -0.5, 0.0]), 2.0, NotPSD),
+           (rho, sigma, 2.5, ValidationError),
+           (rho, sigma, True, ValidationError)]
+    for brho, bsigma, ba, error in bad:
+        with pytest.raises(error) as one:
+            tsallis_relative_entropy(brho, bsigma, ba)
+        with pytest.raises(error) as stacked:
+            tsallis_relative_entropies([rho, brho, rho], [sigma, bsigma, sigma], [1.0, ba, 0.5])
+        assert type(stacked.value) is type(one.value)
+    with pytest.raises(DimensionMismatch):
+        tsallis_relative_entropies([rho], [np.eye(2) / 2], [0.5])
+    with pytest.raises(ValidationError, match="2 pairs of states but 1 orders"):
+        tsallis_relative_entropies([rho, rho], [sigma, sigma], [0.5])
 
 
 def test_tsallis_order_validation():

@@ -566,8 +566,9 @@ def _mixed_r_batch():
 
 def test_mixed_r_batch_runs_one_stack_per_pass(monkeypatch):
     """Every r shares one lockstep search, in one pass: one call, on a stack
-    of the d^2 - 1 = 8 Gell-Mann coordinates for the 16 restarts, and each
-    winner reaches E as a point of those coordinates."""
+    of the d^2 - 1 = 8 Gell-Mann coordinates for the 16 restarts, and the
+    winners reach E together, in one call on the (8, 8) stack of their
+    points in those coordinates."""
     problems, configs = _mixed_r_batch()
     stacks, points = [], []
     inner_search, inner_state = oracle._lockstep_bfgs, oracle._free_state
@@ -576,18 +577,50 @@ def test_mixed_r_batch_runs_one_stack_per_pass(monkeypatch):
         stacks.append(x0.shape)
         return inner_search(f, x0, *args)
 
-    def free_state(x, basis, rdm):
-        points.append((x.shape, len(basis)))
-        return inner_state(x, basis, rdm)
+    def free_state(X, basis, maps):
+        points.append((X.shape, len(basis)))
+        return inner_state(X, basis, maps)
 
     monkeypatch.setattr(oracle, "_lockstep_bfgs", search)
     monkeypatch.setattr(oracle, "_free_state", free_state)
     results = minimize_batch(problems, configs)
     assert stacks == [(16, 8)]
     assert [res.free_dim for res in results] == [3, 3, 1, 1, 5, 5, 2, 2]
-    assert points == [((8,), 8)] * len(problems)
+    assert points == [((8, 8), 8)]
     assert all(abs(res.value - closed_form_measure(*p).value) <= 1e-6
                for p, res in zip(problems, results))
+
+
+def test_winners_are_mapped_and_rescored_in_one_stack(monkeypatch):
+    """After the search, each distinct map is applied once, to the stack of
+    its own problems' winners, and the batch is rescored in one stacked
+    call on all of them: 8 problems on 4 maps make 4 applies of (2, 3, 3)
+    and one rescoring of 8 rows, with the problems' own states and orders.
+    Each value is that call's row, and also the one-problem reference's."""
+    problems, configs = _mixed_r_batch()
+    applied, rescored = [], []
+    inner_apply, inner_rescore = ResourceDestroyingMap.apply, oracle.tsallis_relative_entropies
+
+    def apply(self, X):
+        if np.shape(X)[0] != 8:  # not the Gell-Mann stack that reads the frame
+            applied.append((id(self), np.shape(X)))
+        return inner_apply(self, X)
+
+    def rescore(rhos, sigmas, orders):
+        values = inner_rescore(rhos, sigmas, orders)
+        rescored.append((np.shape(sigmas), list(orders), values))
+        return values
+
+    monkeypatch.setattr(ResourceDestroyingMap, "apply", apply)
+    monkeypatch.setattr(oracle, "tsallis_relative_entropies", rescore)
+    results = minimize_batch(problems, configs)
+    maps = list({id(rdm): None for _, rdm, _ in problems})
+    assert sorted(applied) == sorted((key, (2, 3, 3)) for key in maps)
+    assert len(rescored) == 1
+    shape, orders, values = rescored[0]
+    assert shape == (8, 3, 3) and orders == [a for *_, a in problems]
+    for (rho, _, a), res, value in zip(problems, results, values):
+        assert res.value == value == tsallis_relative_entropy(rho, res.sigma_min, a)
 
 
 def test_one_gell_mann_frame_per_batch_and_one_apply_per_map(monkeypatch):
@@ -729,6 +762,19 @@ def test_oracle_flags_all_infinite_objective():
     with pytest.raises(NoFiniteObjective):
         minimize_batch([(rho, _crush(), 1.5)],
                        [OracleConfig(restarts=2, max_iterations=50, tol=1e-6, seed=0)])
+
+
+def test_infinite_winner_in_a_batch_names_its_order():
+    """The batch is rescored in one stacked call; a problem whose winner
+    scores +inf still raises NoFiniteObjective naming its order, while the
+    problems around it score finite values."""
+    rho = np.diag([0.0, 1.0]).astype(complex)
+    deph = dephasing_map(MeasurementPartition.singletons(2))
+    config = OracleConfig(restarts=2, max_iterations=50, tol=1e-6, seed=0)
+    with pytest.raises(NoFiniteObjective, match=r"\(a=1\.5\)"):
+        minimize_batch([(rho, deph, 0.5), (rho, _crush(), 1.5), (rho, deph, 2.0)], [config] * 3)
+    assert all(math.isfinite(res.value)
+               for res in minimize_batch([(rho, deph, 0.5), (rho, deph, 2.0)], [config] * 2))
 
 
 @pytest.mark.parametrize("a", [0.5, 1.0, 1.5])

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rdmap import linalg, verify
 from rdmap.errors import ValidationError
 from rdmap.measures import closed_form_measure
 from rdmap.oracle import OracleConfig, minimize_batch
@@ -100,7 +101,7 @@ def test_theorem1_cross_trial_batches_change_no_record():
                 "evaluations": res.evaluations, "iterations": res.iterations,
                 "stop_reason": res.stop_reason, "cap_hits": res.cap_hits,
                 "oracle_grad": res.grad_norm,
-                "sigma_ok": _density_ok(r.sigma_star),
+                "sigma_ok": bool(_density_ok([r.sigma_star])[0]),
                 "sigma_fp_residual": r.fixed_point_residual,
                 "violation": abs(res.value - r.value) - GAP_TOL,
             })
@@ -110,6 +111,61 @@ def test_theorem1_cross_trial_batches_change_no_record():
         assert list(got) == list(want)
         for key in want:
             assert got[key] == want[key], (key, got, want)
+
+
+def test_theorem1_times_each_problem_from_its_closed_form(monkeypatch):
+    """The benchmark marks each theorem-1 problem's start at its call of
+    verify.closed_form_measure: one call per record, in record order, and
+    every call of a dimension before that dimension's one minimize_batch."""
+    events = []
+    inner_closed, inner_solve = verify.closed_form_measure, verify.minimize_batch
+
+    def closed(rho, rdm, a):
+        events.append(("closed", rdm.dim, a))
+        return inner_closed(rho, rdm, a)
+
+    def solve(problems, configs):
+        events.append(("solve", problems[0][1].dim, len(problems)))
+        return inner_solve(problems, configs)
+
+    monkeypatch.setattr(verify, "closed_form_measure", closed)
+    monkeypatch.setattr(verify, "minimize_batch", solve)
+    rep = suite_theorem1([2, 3], SMALL_GRID, trials=2, seed=7)
+    n = 2 * 5 * len(SMALL_GRID)
+    assert len(rep.records) == 2 * n
+    want = []
+    for d in (2, 3):
+        want += [("closed", d, r["a"]) for r in rep.records if r["dim"] == d]
+        want.append(("solve", d, n))
+    assert events == want
+
+
+def test_density_check_of_a_stack():
+    """One stacked check keeps validate_density's thresholds (Hermiticity
+    residual 1e-10, smallest eigenvalue -1e-10, trace 1e-10): a valid state
+    passes, one failure of each kind fails, on either side of each
+    threshold as validate_density decides, and a matrix with a NaN or an
+    infinite entry is False where validate_density raises a bare
+    ValueError."""
+    rho = linalg.random_density_matrix(3, 3, seed=5)
+    skew = np.zeros((3, 3), dtype=complex)
+    skew[0, 1] = 1.0
+    stack = [rho,
+             rho + 5e-11 * skew, rho + 2e-10 * skew,
+             np.diag([1.0 + 5e-11, -5e-11, 0.0]), np.diag([1.0 + 2e-10, -2e-10, 0.0]),
+             rho + np.diag([5e-11, 0.0, 0.0]), rho + np.diag([2e-10, 0.0, 0.0]),
+             np.where(np.eye(3) == 1, np.nan, rho), np.where(np.eye(3) == 1, np.inf, rho)]
+    ok = _density_ok(np.stack(stack))
+    assert ok.tolist() == [True, True, False, True, False, True, False, False, False]
+    for M, verdict in zip(stack[:7], ok):
+        try:
+            linalg.validate_density(M)
+            assert verdict
+        except ValidationError:
+            assert not verdict
+    for M in stack[7:]:
+        with pytest.raises(ValueError):
+            linalg.validate_density(M)
 
 
 def test_theorem1_one_budget_converges_on_every_problem():
