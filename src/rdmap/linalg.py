@@ -59,15 +59,16 @@ def as_complex_matrix(M, ndim: int = 2) -> np.ndarray:
 
 
 def hermiticity_residual(M: np.ndarray) -> float:
-    return frobenius(M - dagger(M))
+    """||M - M^dag||_F of a matrix; of an (n, d, d) stack, the largest."""
+    return float(np.maximum.reduce(hermiticity_residuals(M), axis=None, initial=0.0))
 
 
 def hermiticity_residuals(A: np.ndarray) -> np.ndarray:
-    """||M - M^dag||_F of each matrix of an (n, d, d) stack; +inf, with no
-    warning, where the squares overflow."""
+    """||M - M^dag||_F of a matrix, or of each matrix of an (n, d, d) stack,
+    from one sum of conj(x) x over its entries; +inf, with no warning, where
+    that sum overflows."""
     D = A - dagger(A)
-    with np.errstate(over="ignore"):
-        return np.sqrt((D.real * D.real + D.imag * D.imag).sum(axis=(1, 2)))
+    return np.sqrt(np.einsum("...ij,...ij->...", D.conj(), D).real)
 
 
 def eig_hermitian(M: np.ndarray) -> Eigensystem:
@@ -80,7 +81,9 @@ def eig_hermitian(M: np.ndarray) -> Eigensystem:
 
 
 def _eigh(A: np.ndarray) -> Eigensystem:
-    """`eig_hermitian` of an array that `as_complex_matrix` already returned."""
+    """`eig_hermitian` of an array that `as_complex_matrix` already returned:
+    one matrix, or an (n, d, d) stack from one stacked eigh, NonHermitian
+    naming the worst residual when any matrix fails."""
     residual = hermiticity_residual(A)
     if residual > HERMITIAN_TOL:
         raise NonHermitian(f"Hermiticity residual {residual:.3e} exceeds {HERMITIAN_TOL:.0e}")
@@ -98,8 +101,9 @@ def clip_spectrum(values: np.ndarray) -> np.ndarray:
 
 
 def _clipped_spectrum(A: np.ndarray) -> Eigensystem:
-    """Eigensystem of a coerced array with round-off negatives clipped to 0;
-    NotPSD below -1e-10."""
+    """Eigensystem of a coerced matrix, or of each matrix of a coerced
+    (n, d, d) stack as (n, d) values and (n, d, d) vectors, with round-off
+    negatives clipped to 0; NotPSD below -1e-10."""
     values, vectors = _eigh(A)
     return Eigensystem(clip_spectrum(values), vectors)
 
@@ -130,17 +134,6 @@ def psd_spectrum(M: np.ndarray) -> Eigensystem:
     return _clipped_spectrum(as_complex_matrix(M))
 
 
-def psd_spectra(A: np.ndarray) -> Eigensystem:
-    """`psd_spectrum` of every matrix of a coerced (n, d, d) stack, from one
-    stacked eigh, as (n, d) values and (n, d, d) vectors: NonHermitian or
-    NotPSD, with the worst residual, when any matrix fails."""
-    residual = hermiticity_residuals(A).max(initial=0.0)
-    if residual > HERMITIAN_TOL:
-        raise NonHermitian(f"Hermiticity residual {residual:.3e} exceeds {HERMITIAN_TOL:.0e}")
-    values, vectors = np.linalg.eigh(A)
-    return Eigensystem(clip_spectrum(values), vectors)
-
-
 def spectral_power(spectrum: Eigensystem, p: float) -> np.ndarray:
     """`matrix_power` from an already clipped eigensystem."""
     values, vectors = spectrum
@@ -148,30 +141,23 @@ def spectral_power(spectrum: Eigensystem, p: float) -> np.ndarray:
 
 
 def power_values(values: np.ndarray, p: float) -> np.ndarray:
-    """`matrix_power`'s map on the clipped eigenvalues of one matrix, all of
-    them, in any order: values ** p, with 0 for the eigenvalues that p > 0
-    takes as round-off (at or below d * eps * lambda_max, d = values.size)
-    and that p <= 0 takes as outside the support (at or below 1e-12 *
-    lambda_max).  Raises OverflowError, before numpy would warn, when
-    lambda_max ** p overflows, as it does when p > 0 is so large that an
-    eigenvalue just above 1 leaves the float range."""
-    top = max(float(values.max()), 0.0)
+    """`matrix_power`'s map on clipped eigenvalues, in any order along the
+    last axis: one matrix's (d,) or a stack's (n, d), each row under its own
+    lambda_max and every row through one numpy power for the one exponent
+    p.  values ** p, with 0 for the eigenvalues that p > 0 takes as
+    round-off (at or below d * eps * lambda_max) and that p <= 0 takes as
+    outside the support (at or below 1e-12 * lambda_max).  Raises
+    OverflowError, before numpy would warn, when the largest lambda_max **
+    p overflows, as it does when p > 0 is so large that an eigenvalue just
+    above 1 leaves the float range."""
+    high = float(np.maximum.reduce(values, axis=None, initial=0.0))
+    # lambda_max of each row, a scalar for one matrix
+    top = high if values.ndim == 1 else np.maximum.reduce(values, axis=-1, keepdims=True,
+                                                           initial=0.0)
     # a Python float power raises OverflowError itself unless p is inf
-    if p > 0 and top > 1.0 and top ** p == math.inf:
-        raise OverflowError(f"{top!r} ** {p!r} overflows")
-    cut = values.size * _EPS * top if p > 0 else SUPPORT_CUTOFF * top
-    return np.power(values, p, out=np.zeros(values.shape), where=values > cut)
-
-
-def row_powers(values: np.ndarray, p: float) -> np.ndarray:
-    """`power_values` of each row of an (n, d) stack of eigenvalues, each
-    row under its own lambda_max; one call on every row, so that every row
-    takes numpy's power along the same path for the one exponent p."""
-    top = np.maximum(values.max(axis=1, keepdims=True), 0.0)
-    high = float(top.max(initial=0.0))
     if p > 0 and high > 1.0 and high ** p == math.inf:
         raise OverflowError(f"{high!r} ** {p!r} overflows")
-    cut = (values.shape[1] * _EPS if p > 0 else SUPPORT_CUTOFF) * top
+    cut = values.shape[-1] * _EPS * top if p > 0 else SUPPORT_CUTOFF * top
     return np.power(values, p, out=np.zeros(values.shape), where=values > cut)
 
 
@@ -182,14 +168,14 @@ def matrix_log(M: np.ndarray) -> np.ndarray:
 
 def spectral_log(spectrum: Eigensystem) -> np.ndarray:
     """`matrix_log` from an already clipped eigensystem, eigenvalues
-    ascending: the log of every eigenvalue above 1e-12 * lambda_max, 0 on
-    the rest."""
+    ascending, of one matrix or of each of an (n, d, d) stack: the log of
+    every eigenvalue above 1e-12 * lambda_max, 0 on the rest."""
     values, vectors = spectrum
-    cut = SUPPORT_CUTOFF * max(float(values[-1]), 0.0)
+    cut = SUPPORT_CUTOFF * np.maximum(values[..., -1:], 0.0)
     out = np.zeros_like(values)
     pos = values > cut
     out[pos] = np.log(values[pos])
-    return (vectors * out) @ dagger(vectors)
+    return (vectors * out[..., None, :]) @ dagger(vectors)
 
 
 def support_projector(M: np.ndarray) -> np.ndarray:
@@ -266,6 +252,25 @@ def density_spectrum(A: np.ndarray) -> Eigensystem:
         part.flags.writeable = False
     _last_spectrum = (A.dtype, A.shape, key, spectrum)
     return spectrum
+
+
+def density_ok(stack) -> np.ndarray:
+    """For each matrix of an (n, d, d) stack, whether `validate_density`
+    would pass it, from one stacked eigvalsh: finite entries, Hermiticity
+    residual at most 1e-10, smallest eigenvalue at least -1e-10 and trace
+    within 1e-10 of 1, the tolerances `density_spectrum` raises on.  A
+    matrix with a NaN or infinite entry, where `validate_density` raises a
+    ValueError, is False, and is replaced by I before the eigvalsh.  An
+    empty stack gives an empty array."""
+    M = np.asarray(stack, dtype=complex)
+    if not M.size:
+        return np.zeros(len(M), dtype=bool)
+    finite = np.isfinite(M).all(axis=(1, 2))
+    M = np.where(finite[:, None, None], M, np.eye(M.shape[-1]))
+    lowest = np.linalg.eigvalsh(M)[:, 0]
+    trace = np.trace(M, axis1=1, axis2=2)
+    return (finite & (hermiticity_residuals(M) <= HERMITIAN_TOL)
+            & (lowest >= -PSD_TOL) & (np.abs(trace - 1.0) <= TRACE_TOL))
 
 
 def _check_trace(A: np.ndarray) -> None:

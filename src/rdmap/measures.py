@@ -102,19 +102,20 @@ def tsallis_relative_entropies(rhos, sigmas, orders) -> np.ndarray:
     out = np.empty(len(A))
     if not len(A):
         return out
-    sigma_values, sigma_vectors = linalg.psd_spectra(B)
-    rho_values, rho_vectors = linalg.psd_spectra(A)
+    sigma_values, sigma_vectors = linalg._clipped_spectrum(B)
+    rho_values, rho_vectors = linalg._clipped_spectrum(A)
     for a in dict.fromkeys(grid):
         rows = np.flatnonzero(orders == a)
         w, U = sigma_values[rows], sigma_vectors[rows]
         if a == 1.0:
-            ln = _logs(rho_values[rows], rho_vectors[rows]) - _logs(w, U)
+            ln = (linalg.spectral_log((rho_values[rows], rho_vectors[rows]))
+                  - linalg.spectral_log((w, U)))
             out[rows] = np.trace(A[rows] @ ln, axis1=1, axis2=2).real
         else:
-            R = rho_vectors[rows] * np.sqrt(linalg.row_powers(rho_values[rows], a))[:, None, :]
+            R = rho_vectors[rows] * np.sqrt(linalg.power_values(rho_values[rows], a))[:, None, :]
             M = linalg.dagger(R) @ U
             norms = (M.real * M.real + M.imag * M.imag).sum(axis=1)
-            T = np.maximum((linalg.row_powers(w, 1.0 - a) * norms).sum(axis=1), 0.0)
+            T = np.maximum((linalg.power_values(w, 1.0 - a) * norms).sum(axis=1), 0.0)
             out[rows] = (T ** (1.0 / a) - 1.0) / (a - 1.0)
     # from a = 1 on, +inf where the weight of rho outside the support of
     # sigma, the span of the eigenvectors whose eigenvalues pass the support
@@ -122,19 +123,11 @@ def tsallis_relative_entropies(rhos, sigmas, orders) -> np.ndarray:
     high = orders >= 1.0
     if high.any():
         w, U = sigma_values[high], sigma_vectors[high]
-        kept = w > linalg.SUPPORT_CUTOFF * w[:, -1:]
+        kept = linalg.power_values(w, 0.0) > 0
         inside = (linalg.dagger(U) @ A[high] @ U).diagonal(axis1=1, axis2=2).real
         leak = np.trace(A[high], axis1=1, axis2=2).real - np.where(kept, inside, 0.0).sum(axis=1)
         out[np.flatnonzero(high)[leak > SUPPORT_LEAK_TOL]] = math.inf
     return out
-
-
-def _logs(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """`linalg.spectral_log` of each eigensystem of a clipped, ascending
-    (n, d) stack: the log of every eigenvalue above 1e-12 lambda_max."""
-    pos = values > linalg.SUPPORT_CUTOFF * values[:, -1:]
-    f = np.log(values, out=np.zeros(values.shape), where=pos)
-    return (vectors * f[:, None, :]) @ linalg.dagger(vectors)
 
 
 @dataclass

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rdmap import linalg
-from rdmap.errors import BadRank, NonHermitian, NotPSD, TraceNotOne
+from rdmap.errors import BadRank, NonHermitian, NotPSD, TraceNotOne, ValidationError
 
 
 def test_eig_hermitian_rank_one_projector():
@@ -121,6 +121,32 @@ def test_power_values_is_the_masked_power():
             want = np.zeros(n)
             want[values > cut] = values[values > cut] ** p
             assert linalg.power_values(values, p).tobytes() == want.tobytes()
+
+
+def test_spectral_maps_of_a_stack_are_each_matrix_alone():
+    """power_values, spectral_log and the Hermiticity residual of an
+    (n, d) or (n, d, d) stack equal the one-matrix calls row by row, bit
+    for bit, each row under its own lambda_max, and the residual of a stack
+    is its largest."""
+    rng = np.random.default_rng(8)
+    for d in (1, 2, 3, 4, 8):
+        states = [linalg.random_density_matrix(d, rank, seed=int(rng.integers(2**31)))
+                  for rank in sorted({1, max(1, d // 2), d})]
+        states += [1e-3 * states[-1], np.zeros((d, d), dtype=complex)]
+        states[-1][0, 0] = 1.0
+        stack = np.stack(states)
+        values, vectors = linalg._clipped_spectrum(stack)
+        for p in (1 / 0.3, 2.0, 1.0, 0.5, 0.0, -0.7):
+            rows = linalg.power_values(values, p)
+            for i in range(len(stack)):
+                assert rows[i].tobytes() == linalg.power_values(values[i], p).tobytes()
+        logs = linalg.spectral_log((values, vectors))
+        for i in range(len(stack)):
+            assert logs[i].tobytes() == linalg.spectral_log((values[i], vectors[i])).tobytes()
+        skew = stack + 1e-9j * rng.standard_normal(stack.shape)
+        residuals = linalg.hermiticity_residuals(skew)
+        assert [float(r) for r in residuals] == [linalg.hermiticity_residual(M) for M in skew]
+        assert linalg.hermiticity_residual(skew) == residuals.max()
 
 
 def test_frobenius_is_the_norm():
@@ -289,6 +315,36 @@ def test_density_spectrum_under_threads():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
+
+
+def test_density_check_of_a_stack():
+    """One stacked check keeps validate_density's thresholds (Hermiticity
+    residual 1e-10, smallest eigenvalue -1e-10, trace 1e-10): a valid state
+    passes, one failure of each kind fails, on either side of each
+    threshold as validate_density decides, and a matrix with a NaN or an
+    infinite entry is False where validate_density raises a bare
+    ValueError."""
+    rho = linalg.random_density_matrix(3, 3, seed=5)
+    skew = np.zeros((3, 3), dtype=complex)
+    skew[0, 1] = 1.0
+    stack = [rho,
+             rho + 5e-11 * skew, rho + 2e-10 * skew,
+             np.diag([1.0 + 5e-11, -5e-11, 0.0]), np.diag([1.0 + 2e-10, -2e-10, 0.0]),
+             rho + np.diag([5e-11, 0.0, 0.0]), rho + np.diag([2e-10, 0.0, 0.0]),
+             np.where(np.eye(3) == 1, np.nan, rho), np.where(np.eye(3) == 1, np.inf, rho)]
+    ok = linalg.density_ok(np.stack(stack))
+    assert ok.tolist() == [True, True, False, True, False, True, False, False, False]
+    for M, verdict in zip(stack[:7], ok):
+        try:
+            linalg.validate_density(M)
+            assert verdict
+        except ValidationError:
+            assert not verdict
+    for M in stack[7:]:
+        with pytest.raises(ValueError):
+            linalg.validate_density(M)
+    for empty in ([], np.zeros((0, 3, 3))):
+        assert linalg.density_ok(empty).shape == (0,)
 
 
 def test_random_hermitian_is_hermitian():

@@ -16,7 +16,6 @@ from rdmap.verify import (
     GAP_TOL,
     ORACLE_TOL,
     SUITE_NAMES,
-    _density_ok,
     random_partition,
     run_suite,
     suite_axioms,
@@ -101,7 +100,7 @@ def test_theorem1_cross_trial_batches_change_no_record():
                 "evaluations": res.evaluations, "iterations": res.iterations,
                 "stop_reason": res.stop_reason, "cap_hits": res.cap_hits,
                 "oracle_grad": res.grad_norm,
-                "sigma_ok": bool(_density_ok([r.sigma_star])[0]),
+                "sigma_ok": bool(linalg.density_ok([r.sigma_star])[0]),
                 "sigma_fp_residual": r.fixed_point_residual,
                 "violation": abs(res.value - r.value) - GAP_TOL,
             })
@@ -140,32 +139,9 @@ def test_theorem1_times_each_problem_from_its_closed_form(monkeypatch):
     assert events == want
 
 
-def test_density_check_of_a_stack():
-    """One stacked check keeps validate_density's thresholds (Hermiticity
-    residual 1e-10, smallest eigenvalue -1e-10, trace 1e-10): a valid state
-    passes, one failure of each kind fails, on either side of each
-    threshold as validate_density decides, and a matrix with a NaN or an
-    infinite entry is False where validate_density raises a bare
-    ValueError."""
-    rho = linalg.random_density_matrix(3, 3, seed=5)
-    skew = np.zeros((3, 3), dtype=complex)
-    skew[0, 1] = 1.0
-    stack = [rho,
-             rho + 5e-11 * skew, rho + 2e-10 * skew,
-             np.diag([1.0 + 5e-11, -5e-11, 0.0]), np.diag([1.0 + 2e-10, -2e-10, 0.0]),
-             rho + np.diag([5e-11, 0.0, 0.0]), rho + np.diag([2e-10, 0.0, 0.0]),
-             np.where(np.eye(3) == 1, np.nan, rho), np.where(np.eye(3) == 1, np.inf, rho)]
-    ok = _density_ok(np.stack(stack))
-    assert ok.tolist() == [True, True, False, True, False, True, False, False, False]
-    for M, verdict in zip(stack[:7], ok):
-        try:
-            linalg.validate_density(M)
-            assert verdict
-        except ValidationError:
-            assert not verdict
-    for M in stack[7:]:
-        with pytest.raises(ValueError):
-            linalg.validate_density(M)
+def test_theorem1_with_an_empty_order_grid_has_no_records():
+    rep = suite_theorem1([2, 3], [], trials=1, seed=0)
+    assert rep.records == []
 
 
 def test_theorem1_one_budget_converges_on_every_problem():
