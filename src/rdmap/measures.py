@@ -104,8 +104,10 @@ def tsallis_relative_entropies(rhos, sigmas, orders) -> np.ndarray:
         return out
     sigma_values, sigma_vectors = linalg._clipped_spectrum(B)
     rho_values, rho_vectors = linalg._clipped_spectrum(A)
-    for a in dict.fromkeys(grid):
-        rows = np.flatnonzero(orders == a)
+    distinct = dict.fromkeys(grid)
+    for a in distinct:
+        # one order takes every row as it is, with no gathered copy
+        rows = np.flatnonzero(orders == a) if len(distinct) > 1 else slice(None)
         w, U = sigma_values[rows], sigma_vectors[rows]
         if a == 1.0:
             ln = (linalg.spectral_log((rho_values[rows], rho_vectors[rows]))
@@ -122,10 +124,11 @@ def tsallis_relative_entropies(rhos, sigmas, orders) -> np.ndarray:
     # cut, exceeds the tolerance
     high = orders >= 1.0
     if high.any():
-        w, U = sigma_values[high], sigma_vectors[high]
+        at = slice(None) if high.all() else high
+        w, U, rho = sigma_values[at], sigma_vectors[at], A[at]
         kept = linalg.power_values(w, 0.0) > 0
-        inside = (linalg.dagger(U) @ A[high] @ U).diagonal(axis1=1, axis2=2).real
-        leak = np.trace(A[high], axis1=1, axis2=2).real - np.where(kept, inside, 0.0).sum(axis=1)
+        inside = (linalg.dagger(U) @ rho @ U).diagonal(axis1=1, axis2=2).real
+        leak = np.trace(rho, axis1=1, axis2=2).real - np.where(kept, inside, 0.0).sum(axis=1)
         out[np.flatnonzero(high)[leak > SUPPORT_LEAK_TOL]] = math.inf
     return out
 

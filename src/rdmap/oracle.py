@@ -8,13 +8,13 @@ exp(H) / Tr exp(H) for a traceless Hermitian H in Fix(E): the traceless
 part of log sigma.  Every problem of dimension d searches the d^2 - 1 real
 coordinates of H in one fixed Hilbert-Schmidt-orthonormal basis, the
 generalized Gell-Mann matrices Gamma, built once per dimension.  A map
-enters the search once, as its frame C (_frame): r - 1 orthonormal columns
+enters the search once, as its frame C (_frames): r - 1 orthonormal columns
 of Gell-Mann coordinates, r = dim Fix(E) (d - 1 for dephasing and the
 cyclic twirl, none for complete mixing), read off one batched `apply` of E
-to Gamma; the projector Pi = C C^T is formed from it where it is used.
-Starts and gradients are projected, so a search
-never leaves the algebra, and BFGS from a scaled identity takes the same
-steps in any orthonormal coordinates.  The objective is convex in sigma
+to Gamma and one eigh stacked over the maps of a batch; the projector
+Pi = C C^T is formed from it where it is used.  Starts and gradients are
+projected, so a search never leaves the algebra, and BFGS from a scaled
+identity takes the same steps in any orthonormal coordinates.  The objective is convex in sigma
 (Lieb 1973; Ando 1979), so the infimum over full-rank free states is the
 minimum over all of them.  exp(H) / Tr exp(H) is itself free, so the
 search scores it directly, value and gradient from the one eigh of H; the
@@ -31,8 +31,8 @@ circularity.
 minimize_batch solves many problems of one dimension together: every
 restart of every problem, whatever its r, is a row of one stack that one
 lockstep BFGS search (Nocedal & Wright, Numerical Optimization, 2006,
-ch. 6) advances, one objective call per iteration and per backtracking
-step.  Each result is bit-identical to solving its problem alone.
+ch. 3 and 6) advances, one objective call per trial point of its slowest
+row.  Each result is bit-identical to solving its problem alone.
 simplex_minimize, a derivative-free Nelder-Mead, is kept as an
 independent reference search.
 """
@@ -96,7 +96,8 @@ class OracleResult:
     dim Fix(E); the search ran along r - 1 free directions (none at r = 1,
     where each restart scores I/d, the only free state, once and stops at
     iteration 0).  stack_iterations is the iteration count of the lockstep
-    stack the problem was solved in: the most any of its rows ran."""
+    stack the problem was solved in: the most any of its rows ran, and
+    stack_calls the objective calls it made, the most points a row scored."""
 
     value: float
     sigma_min: np.ndarray
@@ -107,6 +108,7 @@ class OracleResult:
     cap_hits: int
     free_dim: int
     stack_iterations: int
+    stack_calls: int
     grad_norm: float
 
 
@@ -128,27 +130,28 @@ def _gell_mann(d: int) -> np.ndarray:
     return gamma
 
 
-def _frame(rdm: ResourceDestroyingMap, gamma: np.ndarray) -> np.ndarray:
-    """The map's frame C, of shape (d^2 - 1, r - 1), r = dim Fix(E):
+def _frames(maps, gamma: np.ndarray) -> list[np.ndarray]:
+    """Each map's frame C, of shape (d^2 - 1, r - 1), r = dim Fix(E):
     orthonormal columns of coordinates, in the Gell-Mann basis gamma, that
     span the traceless Hermitian part of Fix(E).
 
-    P[k, j] = Re Tr Gamma_k E(Gamma_j) comes from one batched `apply`.  For
-    a certified map, E and its adjoint are idempotent with the same range,
-    so P is the projector Pi = C C^T up to round-off: C holds the
-    eigenvectors of its symmetric part with eigenvalue above 1/2."""
-    P = np.tensordot(gamma.conj(), rdm.apply(gamma), axes=([1, 2], [1, 2])).real
-    values, U = np.linalg.eigh((P + P.T) / 2)
-    return U[:, values > 0.5]
+    P[k, j] = Re Tr Gamma_k E(Gamma_j) comes from one batched `apply` per
+    map.  For a certified map, E and its adjoint are idempotent with the
+    same range, so P is the projector Pi = C C^T up to round-off: C holds
+    the eigenvectors of its symmetric part above 1/2, one eigh for all."""
+    P = np.stack([np.tensordot(gamma.conj(), rdm.apply(gamma), axes=([1, 2], [1, 2])).real
+                  for rdm in maps])
+    values, U = np.linalg.eigh((P + P.transpose(0, 2, 1)) / 2)
+    return [u[:, v > 0.5] for v, u in zip(values, U)]
 
 
 def free_algebra_basis(rdm: ResourceDestroyingMap) -> np.ndarray:
     """A Hilbert-Schmidt-orthonormal basis of the traceless Hermitian part of
     Fix(E), as an (r - 1, d, d) stack of Hermitian matrices, r = dim Fix(E):
-    B_i = sum_j C[j, i] Gamma_j for the map's frame C (_frame), which
+    B_i = sum_j C[j, i] Gamma_j for the map's frame C (_frames), which
     together with I / sqrt(d) spans Fix(E)."""
     gamma = _gell_mann(rdm.dim)
-    basis = np.tensordot(_frame(rdm, gamma).T, gamma, axes=1)
+    basis = np.tensordot(_frames([rdm], gamma)[0].T, gamma, axes=1)
     # exactly Hermitian, so every real combination is too
     return (basis + basis.conj().transpose(0, 2, 1)) / 2
 
@@ -201,7 +204,7 @@ def parameterize_free_state(x: np.ndarray, rdm: ResourceDestroyingMap) -> np.nda
     infinite entry, is a ValidationError.
     """
     gamma = _gell_mann(rdm.dim)
-    C = _frame(rdm, gamma)
+    [C] = _frames([rdm], gamma)
     z = np.asarray(x, dtype=float).ravel()
     if z.size != C.shape[1]:
         raise ValidationError(f"expected {C.shape[1]} parameters, got {z.size}")
@@ -265,7 +268,7 @@ def simplex_minimize(f, x0: np.ndarray, config: OracleConfig,
 def _free_state_objective(problems):
     """(objective, gamma, frames) for problems (rho, rdm, a) of one
     dimension d: the Gell-Mann basis gamma, built once, each problem's
-    frame C (_frame), read once per distinct map and shared by its
+    frame C (_frames), read once per distinct map and shared by its
     problems, and the objective (X, rows) -> (values, gradients, terms) over
     a stack of points, each scored for its own problem: S~_a(rho | tau(x)),
     its gradient in x projected onto that problem's algebra, and the
@@ -277,8 +280,8 @@ def _free_state_objective(problems):
     stored once per distinct map.  A state that is not d x d is
     DimensionMismatch; each distinct one is decomposed once, by
     linalg.density_spectrum, which refuses one that is not a density
-    matrix.  Points are scored in chunks that keep the gathered projected
-    basis and powers of rho within 256 KiB.  For x in the span of Pi, tau
+    matrix, and raised to each order once.  Points are scored in chunks
+    that keep the gathered projected basis and powers of rho within 256 KiB.  For x in the span of Pi, tau
     is already free, and E is not applied.  Hot path for the search: H from
     the coordinates in one ordered sum (_hamiltonians), tau's spectrum and
     eigenvectors from one stacked eigh of H, and the entropy from rho^a in
@@ -308,6 +311,9 @@ def _free_state_objective(problems):
     d = problems[0][1].dim
     if any(rdm.dim != d for _, rdm, _ in problems):
         raise ValidationError("problems solved together must share one dimension")
+    for rho, _, _ in problems:
+        if np.shape(rho) != (d, d):
+            raise DimensionMismatch(f"state has shape {np.shape(rho)}, maps act on {d}x{d}")
     gamma = _gell_mann(d)
     n = len(gamma)
     # the frame of each distinct map once, its projected basis
@@ -315,7 +321,7 @@ def _free_state_objective(problems):
     # and its slot per problem
     maps = {id(rdm): rdm for _, rdm, _ in problems}
     slot = {key: i for i, key in enumerate(maps)}
-    distinct = [_frame(rdm, gamma) for rdm in maps.values()]
+    distinct = _frames(maps.values(), gamma)
     projected = np.stack([np.tensordot(C @ C.T, gamma, axes=1)
                           for C in distinct]).reshape(len(slot), n, d * d).view(float)
     which = np.array([slot[id(rdm)] for _, rdm, _ in problems])
@@ -323,24 +329,21 @@ def _free_state_objective(problems):
     a = np.array([float(a) for _, _, a in problems])
     one = a == 1.0
     # square-root factors R of rho and of rho^a (rho at a = 1), R R+ = rho
-    # or rho^a, filled in place, from one checked eigensystem per distinct
-    # rho: the weights of rho^a in any basis are sums of squares, never
-    # below 0
+    # or rho^a, and Tr rho ln rho, per distinct state (by its bytes) and
+    # order, gathered by index: rho^a's weights are sums of squares, >= 0
+    rhos = np.array([rho for rho, _, _ in problems], dtype=complex)
+    seen = {}
+    index = np.array([seen.setdefault(rho.tobytes(), len(seen)) for rho in rhos])
+    firsts = np.unique(index, return_index=True)[1]
+    values, vectors = map(np.stack, zip(*(linalg.density_spectrum(linalg.as_complex_matrix(rho))
+                                          for rho in rhos[firsts])))
     R = np.empty((2, len(problems), d, d), dtype=complex)
-    rho_ln_rho = np.zeros(len(problems))
-    spectra = {}
-    for i, (rho, _, ai) in enumerate(problems):
-        if np.shape(rho) != (d, d):
-            raise DimensionMismatch(f"state has shape {np.shape(rho)}, maps act on {d}x{d}")
-        R[0, i] = rho
-        key = R[0, i].tobytes()
-        if key not in spectra:
-            spectra[key] = linalg.density_spectrum(linalg.as_complex_matrix(R[0, i]))
-        values, vectors = spectra[key]
-        if ai == 1.0:
-            rho_ln_rho[i] = np.trace(R[0, i] @ linalg.spectral_log(spectra[key])).real
-        R[0, i] = vectors * np.sqrt(values)
-        R[1, i] = R[0, i] if ai == 1.0 else vectors * np.sqrt(linalg.power_values(values, ai))
+    R[0] = R[1] = (vectors * np.sqrt(values)[:, None, :])[index]
+    for order in dict.fromkeys(ai for _, _, ai in problems if ai != 1.0):
+        mine = a == order
+        R[1, mine] = (vectors * np.sqrt(linalg.power_values(values, order))[:, None, :])[index[mine]]
+    logs = np.trace(rhos[firsts] @ linalg.spectral_log((values, vectors)), axis1=1, axis2=2).real
+    rho_ln_rho = np.where(one, logs[index], 0.0)
     # per problem: a < 1, a = 1, 1 - a, 1 / a, the denominator a - 1 (1 at
     # a = 1), Tr rho ln rho at a = 1 (0 otherwise), the cut on tau's
     # weights relative to the largest (matrix_power's round-off level
@@ -430,6 +433,8 @@ def _free_state_objective(problems):
     chunk = max(1, 2**18 // (16 * d * d * n + R[:, 0].nbytes))
 
     def objective(X: np.ndarray, rows: np.ndarray):
+        if rows.size <= chunk:
+            return score(X, rows)
         parts = [score(X[lo:lo + chunk], rows[lo:lo + chunk]) for lo in range(0, rows.size, chunk)]
         return tuple(np.concatenate(part) for part in zip(*parts))
 
@@ -497,18 +502,21 @@ def _lockstep_bfgs(f, x0: np.ndarray, tol: np.ndarray, max_iterations: np.ndarra
     it searches that subspace as it would in its own coordinates.
 
     Each iteration steps along p = -Hinv g from t = min(1, 5 / max|p_j|),
-    halving t until f(x + t p) <= f(x) + 1e-4 t g.p; each round of trial
-    points is one call of f for every problem still searching.  A
-    quasi-Newton direction that fails 8 halvings, or is no descent
-    direction, is replaced by -g with Hinv reset to the identity; a
-    steepest-descent search halves until it succeeds or its predicted
-    decrease -t g.p is within the round-off of f(x), where the problem
-    stops.  A problem also stops once its largest |g_j| is at most tol[i],
-    and at its iteration cap.  Every product over the coordinate axis
+    halving t until f(x + t p) <= f(x) + 1e-4 t g.p.  A quasi-Newton
+    direction that fails 8 halvings, or is no descent direction, is
+    replaced by -g with Hinv reset to the identity; a steepest-descent
+    search halves until it succeeds or its predicted decrease -t g.p is
+    within the round-off of f(x), where the problem stops.  A problem also
+    stops once its largest |g_j| is at most tol[i], and at its iteration
+    cap.  Each problem runs its own line search, and each call of f scores
+    one trial point of every problem still searching: one whose point
+    passes takes its BFGS update and begins its next iteration or stops,
+    the others halve or turn to -g, so the stack makes as many calls as its
+    slowest problem scores points.  Every product over the coordinate axis
     (Hinv g, the dot products and the BFGS update) is a reduce per row, so
     every problem sees exactly the arithmetic it would see alone and its
     endpoint does not depend on the other problems of the batch; steps on
-    the stack of inverse Hessians run in place, a block of rows at a time.
+    the stack of inverse Hessians run a block of rows at a time.
 
     Returns each problem's final point, value and largest |g_j|, the points
     it scored, the iterations it ran and whether it stopped at its cap.  A
@@ -516,88 +524,77 @@ def _lockstep_bfgs(f, x0: np.ndarray, tol: np.ndarray, max_iterations: np.ndarra
     """
     k, n = x0.shape
     evaluations, iterations = np.zeros((2, k), dtype=np.int64)
-    capped = np.zeros(k, dtype=bool)
     best_x, best_f, best_g = np.empty((k, n)), np.empty(k), np.empty(k)
-    rows = np.arange(k)
-
-    def score(X, at):
-        evaluations[rows[at]] += 1
-        return f(X, rows[at])
-
-    x = np.array(x0, dtype=float)
-    fx, g, roundoff = score(x, rows)
-    roundoff *= _ROUNDOFF
+    rows, x = np.arange(k), np.array(x0, dtype=float)
+    fx, g, roundoff = f(x, rows)
+    calls, roundoff = 1, roundoff * _ROUNDOFF
     eye = np.eye(n)
     Hinv = np.tile(eye, (k, 1, 1))
-    fresh = np.ones(k, dtype=bool)
-    stalled = np.zeros(k, dtype=bool)
+    # per row: the step t along p, g.p, the halvings, the iteration, and
+    # whether p is -g (sd) and Hinv the identity (fresh)
+    p, t, gp = np.empty((k, n)), np.empty(k), np.empty(k)
+    halvings, iteration = np.zeros((2, k), dtype=np.int64)
+    fresh, ended = np.ones((2, k), dtype=bool)
+    capped, sd, stalled, retry = np.zeros((4, k), dtype=bool)
     tol, cap = np.asarray(tol, dtype=float), np.asarray(max_iterations)
-    iteration = 0
+
+    def turn(moved, s, y):
+        # BFGS updates by the steps s and gradient changes y, then p = -Hinv g
+        for at in _blocks(Hinv[:moved.size]):
+            mine = moved[at]
+            H, renewed = Hinv[mine], fresh[mine]
+            _bfgs_update(H, s[at], y[at], renewed)
+            p[mine] = -np.add.reduce(H * g[mine, None, :], axis=2)
+            Hinv[mine], fresh[mine] = H, renewed
+
+    turn(rows, *np.zeros((2, k, n)))  # no step yet: p = -Hinv g with Hinv = I
     while True:
+        # a row whose line search ended stops once converged or stalled, or at its cap
         gmax = np.abs(g).max(axis=1, initial=0.0)
         converged = (gmax <= tol) | stalled
-        done = converged | (iteration >= cap)
+        done = ended & (converged | (iteration >= cap))
         if done.any():
             ids = rows[done]
             best_x[ids], best_f[ids], best_g[ids] = x[done], fx[done], gmax[done]
-            iterations[ids] = iteration
-            capped[ids] = ~converged[done]
-            live = ~done
-            # move the live rows of the inverse Hessians to the front of the
-            # stack, a few at a time: a live row only moves to a lower index
-            keep = np.flatnonzero(live)
+            evaluations[ids], iterations[ids], capped[ids] = calls, iteration[done], ~converged[done]
+            # move the live rows of Hinv forward, a block at a time, in place
+            keep = np.flatnonzero(~done)
             for at in _blocks(Hinv[:keep.size]):
                 Hinv[at] = Hinv[keep[at]]
             Hinv = Hinv[:keep.size]
-            rows, x, fx, g, roundoff, fresh, stalled, tol, cap = (
-                v[live] for v in (rows, x, fx, g, roundoff, fresh, stalled, tol, cap))
+            rows, x, fx, g, roundoff, p, t, gp, halvings, iteration, fresh, ended, sd, retry, \
+                tol, cap = (v[keep] for v in (rows, x, fx, g, roundoff, p, t, gp, halvings,
+                                              iteration, fresh, ended, sd, retry, tol, cap))
         if not rows.size:
             return best_x, best_f, best_g, evaluations, iterations, capped
-        iteration += 1
-
-        p = np.empty_like(g)
-        for at in _blocks(Hinv):
-            np.add.reduce(Hinv[at] * g[at, None, :], axis=2, out=p[at])
-        np.negative(p, out=p)
-        gp = np.add.reduce(g * p, axis=1)
-        steepest = -np.add.reduce(g * g, axis=1)
-        x_old, g_old = x.copy(), g.copy()
-        t = np.empty(rows.size)
-        sd = fresh.copy()
-        halvings = np.zeros(rows.size, dtype=np.int64)
-        searching = np.ones(rows.size, dtype=bool)
-        begin = searching.copy()
-        # a direction that does not descend is replaced by -g at once
-        retry = ~(gp < 0)
-        while searching.any():
-            if retry.any():
-                Hinv[retry] = eye
-                fresh |= retry
-                sd |= retry
-                p[retry], gp[retry] = -g[retry], steepest[retry]
-                halvings[retry] = 0
-                begin |= retry
-            t[begin] = np.minimum(1.0, _MAX_STEP / np.abs(p[begin]).max(axis=1))
-            begin[:] = False
-            at = np.flatnonzero(searching)
-            X = x[at] + t[at, None] * p[at]
-            ft, gt, terms = score(X, at)
-            ok = ft <= fx[at] + _ARMIJO * t[at] * gp[at]
-            won = at[ok]
-            x[won], fx[won], g[won], roundoff[won] = X[ok], ft[ok], gt[ok], _ROUNDOFF * terms[ok]
-            searching[won] = False
-            failed = np.zeros(rows.size, dtype=bool)
-            failed[at[~ok]] = True
-            halvings[failed] += 1
-            retry = failed & ~sd & (halvings > _HALVINGS)
-            give_up = failed & sd & (-t * gp <= roundoff)
-            stalled |= give_up
-            searching &= ~give_up
-            t = np.where(failed & ~retry & ~give_up, 0.5 * t, t)
-        # the steps s and gradient changes y, 0 where a row did not move
-        s, y = np.subtract(x, x_old, out=x_old), np.subtract(g, g_old, out=g_old)
-        for at in _blocks(Hinv):
-            _bfgs_update(Hinv[at], s[at], y[at], fresh[at])
+        # the other rows whose search ended begin their next iteration; a
+        # direction that does not descend, or a quasi-Newton direction that
+        # failed its halvings, is replaced by -g with Hinv reset
+        gp = np.where(ended, np.add.reduce(g * p, axis=1), gp)
+        iteration += ended
+        sd = np.where(ended, fresh, sd)
+        halvings[ended] = 0
+        retry |= ended & ~(gp < 0)
+        if retry.any():
+            Hinv[retry], fresh[retry], sd[retry], halvings[retry] = eye, True, True, 0
+            p[retry] = -g[retry]
+            gp[retry] = -np.add.reduce(g[retry] * g[retry], axis=1)
+        begin = ended | retry
+        t[begin] = np.minimum(1.0, _MAX_STEP / np.abs(p[begin]).max(axis=1))
+        X = x + t[:, None] * p
+        ft, gt, terms = f(X, rows)
+        calls += 1
+        ended = ft <= fx + _ARMIJO * t * gp
+        won = np.flatnonzero(ended)
+        s, y = X[won] - x[won], gt[won] - g[won]
+        x[won], fx[won], g[won], roundoff[won] = X[won], ft[won], gt[won], _ROUNDOFF * terms[won]
+        turn(won, s, y)
+        failed = ~ended
+        halvings += failed
+        retry = failed & ~sd & (halvings > _HALVINGS)
+        stalled = failed & sd & (-t * gp <= roundoff)
+        t[failed & ~retry & ~stalled] *= 0.5
+        ended |= stalled
 
 
 def minimize_batch(problems, configs) -> list[OracleResult]:
@@ -606,13 +603,15 @@ def minimize_batch(problems, configs) -> list[OracleResult]:
     OracleConfig, solved together.
 
     Every restart of every problem, whatever its r = dim Fix(E), is a row of
-    one lockstep BFGS search over the d^2 - 1 Gell-Mann coordinates (see
-    _lockstep_bfgs), started at Pi z for 0.1-scale Gaussian z drawn from
-    the config's seed and searching along the gradient projected by
-    Pi = C C^T, C the map's frame.  Then every problem's winning restart
-    is mapped through its E and scored afresh, all together: one stacked
-    eigh forms the winners' exp(H) / Tr exp(H) (_free_state), each distinct
-    map is applied once to the stack of its own winners, and one call of
+    one lockstep BFGS search over the d^2 - 1 Gell-Mann coordinates, each
+    objective call scoring one trial point of every row still searching
+    (_lockstep_bfgs; each result's stack_calls counts the calls).  A row
+    starts at Pi z for 0.1-scale Gaussian z drawn from the config's seed
+    and searches along the gradient projected by Pi = C C^T, C the map's
+    frame.  Then every problem's winning restart is mapped through its E
+    and scored afresh, all together: one stacked eigh forms the winners'
+    exp(H) / Tr exp(H) (_free_state), each distinct map is applied once to
+    the stack of its own winners, and one call of
     tsallis_relative_entropies rescores them all.  Each of these steps
     treats a row alike in any stack, so result i equals
     minimize_over_free_states(*problems[i], configs[i]) bit for bit.
@@ -660,7 +659,8 @@ def minimize_batch(problems, configs) -> list[OracleResult]:
             evaluations=int(evals[mine].sum()), iterations=int(iters[win]),
             stop_reason="iteration_cap" if capped[win] else "tolerance",
             cap_hits=int(capped[mine].sum()), free_dim=C.shape[1] + 1,
-            stack_iterations=int(iters.max()), grad_norm=float(grad_norm[win])))
+            stack_iterations=int(iters.max()), stack_calls=int(evals.max()),
+            grad_norm=float(grad_norm[win])))
     return results
 
 

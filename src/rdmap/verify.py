@@ -45,10 +45,12 @@ log = logging.getLogger("rdmap.verify")
 # stack of the d^2 - 1 Gell-Mann coordinates whatever each map's r, each
 # map read once as its frame, with one restart per problem, OracleConfig's
 # default iteration cap and ORACLE_TOL; the acceptance run (50 trials)
-# takes 1.3-2.5 s on a 2-vCPU VM against its 300 s budget.  The
+# takes 0.9-1.1 s on a 2-vCPU VM against its 300 s budget.  The
 # quasi-Newton search converges in tens of iterations (at most 87 per
-# batch).  What follows it runs once per dimension, each step on one
-# stack: the winners are mapped through E, rescored and density-checked.
+# batch), and each objective call scores one trial point of every row
+# still searching (at most 98 calls per batch).  What follows it runs once
+# per dimension, each step on one stack: the winners are mapped through E,
+# rescored and density-checked.
 # Only the closed forms run one problem at a time, each dimension's before
 # its search, one call per record.  ORACLE_TOL bounds the
 # largest |df/dx_j| at which a search stops.  OracleConfig's default of
@@ -142,16 +144,24 @@ def _free_unitary(name: str, d: int, rng, partition) -> np.ndarray:
     raise ValidationError(f"no free-unitary family for map {name!r}")
 
 
-def _builtin_families(d: int, rng):
+def _builtin_families(d: int, rng, fixed=None):
     """The five built-in map families; Lueders and modified share one random
-    coarse partition so their trials are directly comparable."""
+    coarse partition so their trials are directly comparable.  Dephasing,
+    the cyclic twirl and complete mixing depend on d alone: they are built
+    once per d into the dict `fixed`, which a suite keeps for one call, and
+    shared by every trial that passes it."""
     coarse = random_partition(d, rng, coarse=True)
+    fixed = {} if fixed is None else fixed
+    if d not in fixed:
+        fixed[d] = (dephasing_map(MeasurementPartition.singletons(d)), cyclic_twirl(d),
+                    mixing_map(d))
+    dephasing, twirl, mixing = fixed[d]
     return coarse, [
-        ("dephasing", dephasing_map(MeasurementPartition.singletons(d))),
+        ("dephasing", dephasing),
         ("lueders", lueders_map(coarse)),
         ("modified", modified_coarse_map(coarse)),
-        ("twirl", cyclic_twirl(d)),
-        ("mixing", mixing_map(d)),
+        ("twirl", twirl),
+        ("mixing", mixing),
     ]
 
 
@@ -164,13 +174,15 @@ def theorem1_batches(dims, a_grid, trials: int, seed: int):
     image under the map, so fixed points (where both sides must vanish) are
     always exercised.  All draws come from the trial's generator in a fixed
     order, so a batch does not depend on how its problems are solved.
+    The maps that depend on d alone are shared by every trial.
     """
+    fixed = {}
     for t in range(trials):
         s = seed + t
         rng = np.random.default_rng(s)
         for d in dims:
             rho_base = linalg.random_density_matrix(d, d, seed=int(rng.integers(2**31)))
-            _, families = _builtin_families(d, rng)
+            _, families = _builtin_families(d, rng, fixed)
             problems = []
             for name, rdm in families:
                 rho = rdm.apply(rho_base) if t % 10 == 0 else rho_base
@@ -192,9 +204,9 @@ def suite_theorem1(dims, a_grid, trials: int, seed: int,
     oracle_grad, the largest |df/dx_j| the search stopped at.  Each
     dimension logs one INFO line: problem count, solve time, cap hits, the
     stack's iterations, the points its line searches scored (every point
-    but the starts), the points scored per map family (the sum of its
-    records' evaluations) and the problem count per free dimension r (the
-    oracle searches r - 1 real parameters)."""
+    but the starts), the stack's objective calls, the points scored per map
+    family (the sum of its records' evaluations) and the problem count per
+    free dimension r (the oracle searches r - 1 real parameters)."""
     dims = [linalg.as_integer(d, "dims") for d in dims]
     trials, seed = linalg.as_count(trials, "trials", 1), linalg.as_count(seed, "seed", 0)
     if not set(dims) <= {2, 3, 4}:
@@ -241,10 +253,12 @@ def suite_theorem1(dims, a_grid, trials: int, seed: int,
         for (_, (name, *_)), res in zip(group, results):
             points[name] += res.evaluations
         log.info("theorem1 d=%d: %d problems solved in %.2f s, %d cap hits, "
-                 "%d stack iterations, %d line-search points; points scored per map: %s; "
+                 "%d stack iterations, %d line-search points; %d objective calls; "
+                 "points scored per map: %s; "
                  "problems per free dimension r (r - 1 parameters): %s",
                  d, len(group), t_solve, sum(res.cap_hits for res in results),
                  results[0].stack_iterations, sum(points.values()) - len(group),
+                 results[0].stack_calls,
                  ", ".join(f"{name}: {n}" for name, n in points.items()),
                  ", ".join(f"r={r}: {per_r[r]}" for r in sorted(per_r)))
     return _finish("theorem1", trials, [r for batch in records for r in batch], t0)
@@ -256,13 +270,13 @@ def suite_axioms(trials: int, seed: int, tol: float = 1e-9) -> SuiteReport:
     unitary, and a random mixture of free unitaries)."""
     trials, seed = linalg.as_count(trials, "trials", 1), linalg.as_count(seed, "seed", 0)
     t0 = time.perf_counter()
-    records = []
+    records, fixed = [], {}
     for t in range(trials):
         s = seed + t
         rng = np.random.default_rng(s)
         d = 2 + t % 3
         a = DEFAULT_A_GRID[t % len(DEFAULT_A_GRID)]
-        coarse, families = _builtin_families(d, rng)
+        coarse, families = _builtin_families(d, rng, fixed)
         name, rdm = families[t % len(families)]
         common = {"trial": t, "seed": s, "dim": d, "map": name, "a": a}
 
@@ -389,12 +403,12 @@ def suite_continuity_a1(trials: int, seed: int, tol: float = 1e-3) -> SuiteRepor
     three values are ~0."""
     trials, seed = linalg.as_count(trials, "trials", 1), linalg.as_count(seed, "seed", 0)
     t0 = time.perf_counter()
-    records = []
+    records, fixed = [], {}
     for t in range(trials):
         s = seed + t
         rng = np.random.default_rng(s)
         d = 2 + t % 2
-        _, families = _builtin_families(d, rng)
+        _, families = _builtin_families(d, rng, fixed)
         name, rdm = families[t % len(families)]
         rho = linalg.random_density_matrix(d, d, seed=int(rng.integers(2**31)))
         if t % 4 == 0:

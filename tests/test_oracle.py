@@ -747,6 +747,36 @@ def test_counters_report_the_work_done(monkeypatch):
     assert loose.grad_norm <= 1e-6
 
 
+def test_each_objective_call_advances_every_live_row(monkeypatch):
+    """Every row runs its own line search, so each objective call scores
+    one trial point of every row still searching: on the 70 d = 3 problems
+    of theorem-1 trials 0 and 1, one restart each, the stack makes as many
+    calls as its slowest row scores points, and the calls score every
+    point of every row once.  A line search run in lockstep, each round
+    waiting for the slowest row's halvings, made 25 calls for 20 points."""
+    calls = []
+    inner = oracle._free_state_objective
+
+    def counting(problems):
+        objective, *frames = inner(problems)
+
+        def f(X, rows):
+            calls.append(rows.size)
+            return objective(X, rows)
+
+        return f, *frames
+
+    monkeypatch.setattr(oracle, "_free_state_objective", counting)
+    problems = [p for *_, batch in theorem1_batches([3], DEFAULT_A_GRID, 2, 7) for p in batch]
+    results = minimize_batch([(rho, rdm, a) for _, rdm, rho, a, _ in problems],
+                             [OracleConfig(restarts=1, tol=ORACLE_TOL, seed=oseed)
+                              for *_, oseed in problems])
+    assert len(results) == 70
+    assert len(calls) == max(res.evaluations for res in results)
+    assert sum(calls) == sum(res.evaluations for res in results)
+    assert all(res.stack_calls == len(calls) for res in results)
+
+
 def _crush():
     """A map built by hand (skipping certification) that sends everything to
     a multiple of |0><0|; it is not trace preserving on |1><1|."""
