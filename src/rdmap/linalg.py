@@ -108,13 +108,6 @@ def _clipped_spectrum(A: np.ndarray) -> Eigensystem:
     return Eigensystem(clip_spectrum(values), vectors)
 
 
-def roundoff_level(values: np.ndarray) -> np.ndarray:
-    """eigh's round-off level d * eps * lambda_max for ascending eigenvalues
-    along the last axis, with a trailing axis so that it broadcasts against
-    them.  A computed eigenvalue at or below it is indistinguishable from 0."""
-    return values.shape[-1] * _EPS * np.maximum(values[..., -1:], 0.0)
-
-
 def matrix_power(M: np.ndarray, p: float) -> np.ndarray:
     """Spectral power M^p of a PSD matrix.
 

@@ -31,7 +31,6 @@ from . import linalg
 from .channels import ResourceDestroyingMap
 from .errors import CertificationError, DimensionMismatch, InfiniteValue, ValidationError
 
-ENTROPY_CUTOFF = 1e-12
 SUPPORT_LEAK_TOL = 1e-10
 FIXED_POINT_TOL = 1e-8
 
@@ -50,13 +49,14 @@ def validate_order(a: float) -> float:
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float:
-    """-sum lam ln lam over eigenvalues above 1e-12, in nats.  rho must be
-    PSD: NonHermitian above a 1e-10 residual, NotPSD below -1e-10."""
+    """-sum lam ln lam over the eigenvalues that matrix_log keeps, those
+    above 1e-12 * lambda_max, in nats.  rho must be PSD: NonHermitian above
+    a 1e-10 residual, NotPSD below -1e-10."""
     return _entropy(linalg.psd_spectrum(rho).values)
 
 
 def _entropy(values: np.ndarray) -> float:
-    w = values[values > ENTROPY_CUTOFF]
+    w = values[linalg.power_values(values, 0.0) > 0]
     return float(-np.sum(w * np.log(w)))
 
 
@@ -163,7 +163,7 @@ def _power_is_projector(values: np.ndarray, a: float) -> bool:
     every one of them has p^a == 1.0.  The true rho^a then differs from the
     projector by O(a ln p), which rounding has lost.  A pure state is its
     own support projector, so nothing is lost for it."""
-    live = values[values > linalg.roundoff_level(values)]
+    live = values[linalg.power_values(values, 1.0) > 0]
     return live.size > 1 and bool(np.all(live ** a == 1.0))
 
 

@@ -19,14 +19,17 @@ identity takes the same steps in any orthonormal coordinates.  The objective is 
 minimum over all of them.  exp(H) / Tr exp(H) is itself free, so the
 search scores it directly, value and gradient from the one eigh of H; the
 gradient is the Daleckii-Krein derivative of the objective in H's
-eigenbasis (Bhatia, Matrix Analysis, 1997, ch. V).  Only the winners are
-mapped through E, which makes each reported minimizer a fixed point by
-construction, and scored again by the stacked reference
-tsallis_relative_entropies: every winner of a batch in one stack, with one
-`apply` per distinct map and one rescoring call.  This module never
-evaluates the closed form, and the search shares no code with it: callers
-take the gap themselves, and agreement between the two is evidence, not
-circularity.
+eigenbasis (Bhatia, Matrix Analysis, 1997, ch. V).  Every point is scored
+with the one set of formulas, exact for the full-rank states the search
+visits, so the search cuts no weight and draws no support barrier: the
+round-off decisions of linalg and measures apply only to reported values.
+Only the winners are mapped through E, which makes each reported
+minimizer a fixed point by construction, and scored again by the stacked
+reference tsallis_relative_entropies: every winner of a batch in one
+stack, with one `apply` per distinct map and one rescoring call.  This
+module never evaluates the closed form, and the search shares no code with
+it: callers take the gap themselves, and agreement between the two is
+evidence, not circularity.
 
 minimize_batch solves many problems of one dimension together: every
 restart of every problem, whatever its r, is a row of one stack that one
@@ -48,7 +51,7 @@ import numpy as np
 from . import linalg
 from .channels import ResourceDestroyingMap
 from .errors import DimensionMismatch, NoFiniteObjective, ValidationError
-from .measures import SUPPORT_LEAK_TOL, tsallis_relative_entropies, validate_order
+from .measures import tsallis_relative_entropies, validate_order
 
 AGREEMENT_WINDOW = 1e-6
 
@@ -281,8 +284,9 @@ def _free_state_objective(problems):
     DimensionMismatch; each distinct one is decomposed once, by
     linalg.density_spectrum, which refuses one that is not a density
     matrix, and raised to each order once.  Points are scored in chunks
-    that keep the gathered projected basis and powers of rho within 256 KiB.  For x in the span of Pi, tau
-    is already free, and E is not applied.  Hot path for the search: H from
+    that keep the gathered projected basis and square roots of rho^a within
+    256 KiB.  For x in the span of Pi, tau is already free, and E is not
+    applied.  Hot path for the search: H from
     the coordinates in one ordered sum (_hamiltonians), tau's spectrum and
     eigenvectors from one stacked eigh of H, and the entropy from rho^a in
     that eigenbasis.
@@ -295,18 +299,16 @@ def _free_state_objective(problems):
     overflows nor cancels.  At a = 1 the value is Tr rho ln rho -
     sum_i Q_ii ln w_i and its derivative in H is tau - rho.
 
-    When every row of a chunk has full support, its smallest weight above
-    its cut (matrix_power's round-off level d * eps * w_max for a < 1,
-    SUPPORT_CUTOFF * w_max from a = 1 on), the chunk takes the fast path:
-    every mask would be all true and the support leak 0, so it sums the
-    same terms in the same order with no mask and no sandwich of rho, as
-    nearly every chunk of the theorem-1 suite does.  Otherwise masks select
-    the a < 1, a = 1 and a > 1 branches and the +inf support barrier; the
-    gradient drops the weights the value drops, as the derivative at a fixed
-    mask, and is 0 at +inf.  Mirrors tsallis_relative_entropy's support
-    conventions and matrix_power's round-off rule exactly; a unit test pins
-    the two together to 1e-12 and the fast path to the masked one bit for
-    bit.  Every problem must have the same dimension.
+    Every point is scored with these formulas.  They are exact for the
+    full-rank tau the search visits, however small its smallest weight, so
+    no weight is cut and no point is barred for a support it lacks: support
+    cuts apply only where a value is reported, when
+    tsallis_relative_entropies rescores the winners.  At a > 1, far from
+    any minimizer, w^c can overflow; such a point scores +inf with a zero
+    gradient and fails its line search.  A unit test pins the value to
+    tsallis_relative_entropy to 1e-12 and to S~_a taken straight from
+    eigh(H) where tau's smallest weight is below 1e-20 of its largest.
+    Every problem must have the same dimension.
     """
     d = problems[0][1].dim
     if any(rdm.dim != d for _, rdm, _ in problems):
@@ -328,29 +330,24 @@ def _free_state_objective(problems):
     frames = [distinct[i] for i in which]
     a = np.array([float(a) for _, _, a in problems])
     one = a == 1.0
-    # square-root factors R of rho and of rho^a (rho at a = 1), R R+ = rho
-    # or rho^a, and Tr rho ln rho, per distinct state (by its bytes) and
-    # order, gathered by index: rho^a's weights are sums of squares, >= 0
+    # square-root factors R of rho^a (rho at a = 1), R R+ = rho^a, and
+    # Tr rho ln rho, per distinct state (by its bytes) and order, gathered
+    # by index: rho^a's weights are sums of squares, >= 0
     rhos = np.array([rho for rho, _, _ in problems], dtype=complex)
     seen = {}
     index = np.array([seen.setdefault(rho.tobytes(), len(seen)) for rho in rhos])
     firsts = np.unique(index, return_index=True)[1]
     values, vectors = map(np.stack, zip(*(linalg.density_spectrum(linalg.as_complex_matrix(rho))
                                           for rho in rhos[firsts])))
-    R = np.empty((2, len(problems), d, d), dtype=complex)
-    R[0] = R[1] = (vectors * np.sqrt(values)[:, None, :])[index]
+    R = (vectors * np.sqrt(values)[:, None, :])[index]
     for order in dict.fromkeys(ai for _, _, ai in problems if ai != 1.0):
         mine = a == order
-        R[1, mine] = (vectors * np.sqrt(linalg.power_values(values, order))[:, None, :])[index[mine]]
+        R[mine] = (vectors * np.sqrt(linalg.power_values(values, order))[:, None, :])[index[mine]]
     logs = np.trace(rhos[firsts] @ linalg.spectral_log((values, vectors)), axis1=1, axis2=2).real
     rho_ln_rho = np.where(one, logs[index], 0.0)
-    # per problem: a < 1, a = 1, 1 - a, 1 / a, the denominator a - 1 (1 at
-    # a = 1), Tr rho ln rho at a = 1 (0 otherwise), the cut on tau's
-    # weights relative to the largest (matrix_power's round-off level
-    # d * eps below a = 1, SUPPORT_CUTOFF from a = 1 on), and a
-    params = np.stack([a < 1.0, one, 1.0 - a, 1.0 / a, np.where(one, 1.0, a - 1.0), rho_ln_rho,
-                       np.where(a < 1.0, d * np.finfo(float).eps, linalg.SUPPORT_CUTOFF), a],
-                      axis=1)
+    # per problem: a = 1, 1 - a, 1 / a, the denominator a - 1 (1 at a = 1),
+    # Tr rho ln rho at a = 1 (0 otherwise), and a
+    params = np.stack([one, 1.0 - a, 1.0 / a, np.where(one, 1.0, a - 1.0), rho_ln_rho, a], axis=1)
     diag = np.arange(d)
 
     def score(X, rows):
@@ -366,71 +363,49 @@ def _free_state_objective(problems):
         total = e.sum(axis=1, keepdims=True)
         w = e / total
         lw = hs - np.log(total)
-        lt1, r1, expo, inv_a, den, base, cut, order = params[rows].T
+        r1, expo, inv_a, den, base, order = params[rows].T
         Vh = V.conj().transpose(0, 2, 1)
-        M = Vh @ R[1, rows]
+        M = Vh @ R[rows]
         Q = M @ M.conj().transpose(0, 2, 1)
         qm = Q.diagonal(axis1=1, axis2=2).real
-        keep = None
-        if (w[:, 0] > cut * w[:, -1]).all():
-            # full support: every weight, the smallest first, passes its
-            # row's cut, so every mask below is all true and the leak is 0
-            lw_kept = lw
+        # w^c overflows only at a > 1, far from any minimizer; where it
+        # meets a weight Q_ii of exactly 0 the sum is NaN, and the point
+        # scores +inf, which fails its line search
+        with np.errstate(over="ignore", invalid="ignore"):
             wc = np.exp(expo[:, None] * lw)
             T = (wc * qm).sum(axis=1)
-            mass = qm.sum(axis=1)
-        else:
-            pos = w > linalg.SUPPORT_CUTOFF * w[:, -1:]
-            M = Vh @ R[0, rows]
-            leak = np.where(pos, 0.0, (M.real * M.real + M.imag * M.imag).sum(axis=2)).sum(axis=1)
-            keep = np.where(lt1[:, None] > 0, w > linalg.roundoff_level(w), pos)
-            lw_kept = np.where(pos, lw, 0.0)
-            # w^c of a dropped weight is taken as 0, and never formed: it
-            # could overflow
-            wc = np.where(keep, np.exp(expo[:, None] * np.where(keep, lw, 0.0)), 0.0)
-            T = np.where(keep, wc * qm, 0.0).sum(axis=1)
-            mass = np.where(pos, qm, 0.0).sum(axis=1)
-            # the function of h whose divided differences pair a kept weight
-            # with a dropped one: w^c (ln w at a = 1) where kept, 0 where not
-            kept_f = np.where(r1[:, None] > 0, lw_kept, wc)
-        ln = (qm * lw_kept).sum(axis=1)
-        Tg = np.where(T > 0, T, 1.0)
-        Ta = np.where(T > 0, np.exp(inv_a * np.log(Tg)), 0.0)
-        out = np.where(r1 > 0, base - ln, (Ta - 1.0) / den)
-        if keep is not None:
-            out[(lt1 == 0) & (leak > SUPPORT_LEAK_TOL)] = math.inf
+            T[np.isnan(T)] = math.inf
+            ln = (qm * lw).sum(axis=1)
+            Tg = np.where(T > 0, T, 1.0)
+            Ta = np.where(T > 0, np.exp(inv_a * np.log(Tg)), 0.0)
+            out = np.where(r1 > 0, base - ln, (Ta - 1.0) / den)
 
-        # divided differences L of h -> w^c (all ones at a = 1), the stable
-        # form for two kept weights
-        dh = h[:, :, None] - h[:, None, :]
-        u = -np.abs(expo[:, None, None] * dh)
-        L = np.divide(np.expm1(u), u, out=np.ones_like(u), where=u < 0)
-        L *= expo[:, None, None] * np.maximum(wc[:, :, None], wc[:, None, :])
-        L[r1 > 0] = 1.0
-        if keep is not None:
-            both = keep[:, :, None] & keep[:, None, :]
-            mixed = np.divide(kept_f[:, :, None] - kept_f[:, None, :], dh,
-                              out=np.zeros_like(dh), where=~both & (dh != 0))
-            L = np.where(both, L, mixed)
-        # df/dH in H's eigenbasis: kappa Q o L + kappa (a - 1) T diag(w)
-        # with kappa = df/dT = T^(1/a - 1) / (a (a - 1)) at a != 1;
-        # -Q o L + (sum of kept Q_ii) diag(w) at a = 1
-        kappa = np.where(r1 > 0, -1.0, Ta / (Tg * order * den))
-        G = Q * (kappa[:, None, None] * L)
-        G[:, diag, diag] += np.where(r1 > 0, mass, kappa * den * T)[:, None] * w
-        G = (V @ G @ Vh).reshape(m, d * d)
-        # Re Tr(G P_j) is the real dot product of their entries, P_j and G
-        # both Hermitian
-        grad = np.add.reduce(projected[which[rows]] * G.view(float)[:, None, :], axis=2)
+            # divided differences L of h -> w^c (all ones at a = 1), in a
+            # form that neither overflows nor cancels
+            dh = h[:, :, None] - h[:, None, :]
+            u = -np.abs(expo[:, None, None] * dh)
+            L = np.divide(np.expm1(u), u, out=np.ones_like(u), where=u < 0)
+            L *= expo[:, None, None] * np.maximum(wc[:, :, None], wc[:, None, :])
+            L[r1 > 0] = 1.0
+            # df/dH in H's eigenbasis: kappa Q o L + kappa (a - 1) T diag(w)
+            # with kappa = df/dT = T^(1/a - 1) / (a (a - 1)) at a != 1;
+            # -Q o L + (sum of Q_ii) diag(w) at a = 1
+            kappa = np.where(r1 > 0, -1.0, Ta / (Tg * order * den))
+            G = Q * (kappa[:, None, None] * L)
+            G[:, diag, diag] += np.where(r1 > 0, qm.sum(axis=1), kappa * den * T)[:, None] * w
+            G = (V @ G @ Vh).reshape(m, d * d)
+            # Re Tr(G P_j) is the real dot product of their entries, P_j and G
+            # both Hermitian
+            grad = np.add.reduce(projected[which[rows]] * G.view(float)[:, None, :], axis=2)
+            # the magnitude of the terms f is formed from: each weight Q_ii of
+            # rho^a is known to about eps, and enters f times w_i^c df/dT (times
+            # ln w_i at a = 1), besides T^(1/a) / (a - 1), known to about eps
+            terms = np.where(r1 > 0, np.abs(base) + np.abs(lw).sum(axis=1),
+                             Ta / np.abs(den) + np.abs(kappa) * wc.sum(axis=1))
         grad[~np.isfinite(out)] = 0.0
-        # the magnitude of the terms f is formed from: each weight Q_ii of
-        # rho^a is known to about eps, and enters f times w_i^c df/dT (times
-        # ln w_i at a = 1), besides T^(1/a) / (a - 1), known to about eps
-        terms = np.where(r1 > 0, np.abs(base) + np.abs(lw_kept).sum(axis=1),
-                         Ta / np.abs(den) + np.abs(kappa) * wc.sum(axis=1))
         return out, grad, terms
 
-    chunk = max(1, 2**18 // (16 * d * d * n + R[:, 0].nbytes))
+    chunk = max(1, 2**18 // (16 * d * d * (n + 1)))
 
     def objective(X: np.ndarray, rows: np.ndarray):
         if rows.size <= chunk:
@@ -531,11 +506,11 @@ def _lockstep_bfgs(f, x0: np.ndarray, tol: np.ndarray, max_iterations: np.ndarra
     eye = np.eye(n)
     Hinv = np.tile(eye, (k, 1, 1))
     # per row: the step t along p, g.p, the halvings, the iteration, and
-    # whether p is -g (sd) and Hinv the identity (fresh)
+    # whether Hinv is the identity (fresh), so that p is -g
     p, t, gp = np.empty((k, n)), np.empty(k), np.empty(k)
     halvings, iteration = np.zeros((2, k), dtype=np.int64)
     fresh, ended = np.ones((2, k), dtype=bool)
-    capped, sd, stalled, retry = np.zeros((4, k), dtype=bool)
+    capped, stalled, retry = np.zeros((3, k), dtype=bool)
     tol, cap = np.asarray(tol, dtype=float), np.asarray(max_iterations)
 
     def turn(moved, s, y):
@@ -562,9 +537,9 @@ def _lockstep_bfgs(f, x0: np.ndarray, tol: np.ndarray, max_iterations: np.ndarra
             for at in _blocks(Hinv[:keep.size]):
                 Hinv[at] = Hinv[keep[at]]
             Hinv = Hinv[:keep.size]
-            rows, x, fx, g, roundoff, p, t, gp, halvings, iteration, fresh, ended, sd, retry, \
+            rows, x, fx, g, roundoff, p, t, gp, halvings, iteration, fresh, ended, retry, \
                 tol, cap = (v[keep] for v in (rows, x, fx, g, roundoff, p, t, gp, halvings,
-                                              iteration, fresh, ended, sd, retry, tol, cap))
+                                              iteration, fresh, ended, retry, tol, cap))
         if not rows.size:
             return best_x, best_f, best_g, evaluations, iterations, capped
         # the other rows whose search ended begin their next iteration; a
@@ -572,11 +547,10 @@ def _lockstep_bfgs(f, x0: np.ndarray, tol: np.ndarray, max_iterations: np.ndarra
         # failed its halvings, is replaced by -g with Hinv reset
         gp = np.where(ended, np.add.reduce(g * p, axis=1), gp)
         iteration += ended
-        sd = np.where(ended, fresh, sd)
         halvings[ended] = 0
         retry |= ended & ~(gp < 0)
         if retry.any():
-            Hinv[retry], fresh[retry], sd[retry], halvings[retry] = eye, True, True, 0
+            Hinv[retry], fresh[retry], halvings[retry] = eye, True, 0
             p[retry] = -g[retry]
             gp[retry] = -np.add.reduce(g[retry] * g[retry], axis=1)
         begin = ended | retry
@@ -589,10 +563,12 @@ def _lockstep_bfgs(f, x0: np.ndarray, tol: np.ndarray, max_iterations: np.ndarra
         s, y = X[won] - x[won], gt[won] - g[won]
         x[won], fx[won], g[won], roundoff[won] = X[won], ft[won], gt[won], _ROUNDOFF * terms[won]
         turn(won, s, y)
+        # a failed row's p was formed from its Hinv as it stands, so fresh
+        # says whether the row searches along -g
         failed = ~ended
         halvings += failed
-        retry = failed & ~sd & (halvings > _HALVINGS)
-        stalled = failed & sd & (-t * gp <= roundoff)
+        retry = failed & ~fresh & (halvings > _HALVINGS)
+        stalled = failed & fresh & (-t * gp <= roundoff)
         t[failed & ~retry & ~stalled] *= 0.5
         ended |= stalled
 

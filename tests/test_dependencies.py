@@ -27,3 +27,16 @@ def test_numpy_is_the_only_runtime_dependency():
     foreign = [f"{path.name}:{line}: {name}" for path in modules for line, name in _imports(path)
                if name != "numpy" and name not in sys.stdlib_module_names]
     assert not foreign
+
+
+def test_oracle_names_no_support_cut():
+    """The oracle scores every point it searches with one set of formulas,
+    exact for the full-rank states exp(H) / Tr exp(H) it visits, and leaves
+    every support cut to the reference entropy that rescores its winners.
+    So oracle.py names none of linalg's cut and round-off level or the
+    reference's leak tolerance: as a variable, an attribute, an import or a
+    definition."""
+    path = PACKAGE / "oracle.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    named = {getattr(node, field, None) for node in ast.walk(tree) for field in ("id", "attr", "name")}
+    assert not named & {"SUPPORT_CUTOFF", "SUPPORT_LEAK_TOL", "roundoff_level"}

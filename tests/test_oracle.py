@@ -269,14 +269,31 @@ def test_random_coordinates_give_a_fixed_density_matrix(data):
     assert linalg.frobenius(rdm.apply(tau) - tau) <= 1e-10, name
 
 
+def _entropy_from_hamiltonian(rho, H, a):
+    """S~_a(rho | tau) for tau = exp(H) / Tr exp(H), straight from eigh(H)
+    with no support cut: with weights w_i and eigenvectors v_i of tau,
+    Tr rho^a tau^(1-a) = sum_i w_i^(1-a) <v_i|rho^a|v_i>, and at a = 1 the
+    value is Tr rho ln rho - sum_i <v_i|rho|v_i> ln w_i, for full-rank rho."""
+    h, V = np.linalg.eigh(H)
+    ln_w = h - h[-1] - np.log(np.exp(h - h[-1]).sum())
+    p, U = np.linalg.eigh(rho)
+    power = (U * (p if a == 1.0 else p ** a)) @ U.conj().T
+    q = np.sum(V.conj() * (power @ V), axis=0).real
+    if a == 1.0:
+        return float(np.sum(p * np.log(p)) - q @ ln_w)
+    return float(((np.exp((1.0 - a) * ln_w) @ q) ** (1.0 / a) - 1.0) / (a - 1.0))
+
+
 def test_fused_objective_matches_reference():
     """The search-path objective, scoring one stack of points across
     several orders, and the public entropy agree to 1e-12.  The points are
     Gell-Mann coordinates of random combinations of the map's free basis.
     Every third point is moved until tau's smallest weight is below 1e-20
-    of its largest, far under both support cuts, so the stack takes the
-    masked path; each point scored alone, a full-support one on the fast
-    path, gives the same bits, value and gradient."""
+    of its largest, far under both of the reference's support cuts; the
+    objective scores such a full-rank tau with the same formulas, so its
+    value is finite and within 1e-12 * max(1, |v|) of S~_a(rho | tau) taken
+    from eigh(H) with no cut.  Each point scored alone gives the same bits,
+    value and gradient."""
     rng = np.random.default_rng(42)
     orders = (0.3, 0.5, 0.8, 1.0, 1.2, 2.0)
     for d, rdm in ((2, dephasing_map(MeasurementPartition.singletons(2))),
@@ -296,14 +313,16 @@ def test_fused_objective_matches_reference():
         X = Y @ C.T
         values, grads, _ = fused(X, rows)
         for x, y, i, value, grad, small in zip(X, Y, rows, values, grads, tiny):
-            direct = tsallis_relative_entropy(rho, parameterize_free_state(y, rdm), orders[i])
-            if direct == math.inf:
-                assert value == math.inf
+            if small:
+                H = np.tensordot(y, basis, axes=1)
+                h = np.linalg.eigvalsh(H)
+                assert h[0] - h[-1] < math.log(1e-20)
+                direct = _entropy_from_hamiltonian(rho, H, orders[i])
+                assert math.isfinite(value)
+                assert abs(value - direct) <= 1e-12 * max(1.0, abs(direct))
             else:
+                direct = tsallis_relative_entropy(rho, parameterize_free_state(y, rdm), orders[i])
                 assert value == pytest.approx(direct, abs=1e-12)
-            # rho has full rank, so a support that misses a direction of
-            # it is +inf from a = 1 on
-            assert (value == math.inf) == (small and orders[i] >= 1.0)
             alone, alone_grad, _ = fused(x[None], np.array([i]))
             assert alone.view(np.int64) == value.view(np.int64)
             assert np.array_equal(alone_grad[0].view(np.int64), grad.view(np.int64))
@@ -323,12 +342,12 @@ def test_objective_gradient_matches_central_differences(d):
     agrees with central differences of the value along the columns of that
     projector to 1e-6, relative to the largest of the gradient, the value
     and 1e-3, at every order of the grid and on maps with r from 2 to d^2:
-    Gell-Mann coordinates of random points of the algebra, and
-    points whose smallest weight sits 100 times above or below its order's
-    support cut (d eps for a < 1, 1e-12 from a = 1 on).  Below the cut at
-    a >= 1 the state is given a kernel along the dropped weight, so the
-    masked value is finite.  Far points, whose smallest weights underflow,
-    score without a RuntimeWarning."""
+    Gell-Mann coordinates of random points of the algebra, and points whose
+    smallest weight sits 100 times above or below the support cut the
+    reference entropy applies at its order (d eps for a < 1, 1e-12 from
+    a = 1 on), which the objective scores with the same formulas as any
+    other full-rank tau; every state has full rank.  Far points, whose
+    smallest weights underflow, score without a RuntimeWarning."""
     rng = np.random.default_rng(70 + d)
     maps = [dephasing_map(MeasurementPartition.singletons(d)), cyclic_twirl(d),
             modified_coarse_map(MeasurementPartition(d, [list(range(d - 1)), [d - 1]])),
@@ -344,12 +363,6 @@ def test_objective_gradient_matches_central_differences(d):
                        for shift in (math.log(100.0), -math.log(100.0))]
             for k, y in enumerate(points):
                 rho = linalg.random_density_matrix(d, d, seed=int(rng.integers(2**31)))
-                if k == 3 and a >= 1.0:
-                    # rho without the direction of the dropped weight
-                    _, V = np.linalg.eigh(np.tensordot(y, basis, axes=1))
-                    drop = np.eye(d) - np.outer(V[:, 0], V[:, 0].conj())
-                    rho = drop @ rho @ drop
-                    rho /= np.trace(rho).real
                 f, _, (C,) = _free_state_objective([(rho, rdm, a)])
                 x = C @ y
                 value, grad, _ = f(x[None], np.array([0]))
@@ -367,6 +380,21 @@ def test_objective_gradient_matches_central_differences(d):
             values, grads, _ = f(far, np.zeros(3, dtype=np.intp))
             assert not np.isnan(values).any() and np.isfinite(grads).all()
     assert worst > 0.0
+
+
+def test_objective_scores_an_overflowing_point_as_inf():
+    """At a > 1, w^(1-a) of a weight far below the float range overflows;
+    where rho has exactly no weight there, the term is inf * 0.  Such a
+    point scores +inf with a zero gradient, so it fails its line search,
+    and never a finite value below the true minimum 0."""
+    rho = np.diag([0.0, 1.0]).astype(complex)
+    f, gamma, _ = _free_state_objective([(rho, dephasing_map(MeasurementPartition.singletons(2)),
+                                          2.0)])
+    # the last Gell-Mann matrix is diag(1, -1) / sqrt(2): tau's empty weight is e^-1000
+    x = np.zeros(len(gamma))
+    x[-1] = -1000.0 / math.sqrt(2.0)
+    value, grad, _ = f(x[None], np.array([0]))
+    assert value[0] == math.inf and not grad.any()
 
 
 def test_objective_decomposes_each_distinct_state_once(count_decompositions):
@@ -469,11 +497,13 @@ def test_oracle_reaches_a_singular_minimizer(a):
     |0><0| under dephasing.
 
     Seeded random pure states under the same two maps at d = 2, 3, searched
-    with 20 restarts, stay above criterion 1's floor of -1e-7: the search
-    can read below the true minimum when sigma* is singular, by round-off
-    near a singular sigma.  The worst seen was -5.5e-9 (d = 2, seed 3,
-    a = 2) while the reference entropy took sigma^(1-a) as a matrix, and
-    is -3.6e-15 since it sums over sigma's eigensystem."""
+    with 20 restarts, stay above criterion 1's floor of -1e-7: a value can
+    read below the true minimum when sigma* is singular, by the round-off
+    of the rescoring near a singular sigma.  The worst seen was -5.5e-9
+    (d = 2, seed 3, a = 2) while the reference entropy took sigma^(1-a) as
+    a matrix, and is -3.6e-15 since it sums over sigma's eigensystem.  The
+    search itself scores every full-rank tau exactly, with no support cut,
+    so it cannot read below the minimum by dropping weights."""
     psi = np.array([0.6, 0.8j])
     cases = ((np.outer(psi, psi.conj()), lueders_map(MeasurementPartition(2, [[0, 1]]))),
              (np.diag([1.0, 0.0]).astype(complex),
@@ -488,6 +518,26 @@ def test_oracle_reaches_a_singular_minimizer(a):
                     dephasing_map(MeasurementPartition.singletons(d))):
             res = minimize_over_free_states(rho, rdm, a, OracleConfig(seed=1))
             assert res.value - closed_form_measure(rho, rdm, a).value >= -1e-7
+
+
+def test_oracle_stays_finite_next_to_a_singular_minimizer():
+    """Rank-2 and rank-3 states at d = 4 under the one-block Lueders map
+    (the identity, sigma* = rho), with the default budget.  An objective
+    that dropped tau's weights below the support cut inside the search could
+    drive them to 1e-231 while rho kept 1e-10 there, read below the true
+    minimum 0, and leave a winner that the reference scores +inf:
+    NoFiniteObjective on valid input.  Every value is finite and within
+    1e-9 of the closed form, and none lies more than 1e-12 below it."""
+    rdm = lueders_map(MeasurementPartition(4, [[0, 1, 2, 3]]))
+    cases = ((2, 0, 1.2), (2, 1, 1.0), (2, 2, 1.0), (3, 1, 1.0), (3, 2, 1.0), (3, 3, 1.0),
+             (3, 3, 1.2))
+    problems = [(linalg.random_density_matrix(4, rank, seed=400 + 10 * rank + s), rdm, a)
+                for rank, s, a in cases]
+    results = minimize_batch(problems, [OracleConfig(seed=s) for _, s, _ in cases])
+    for (rho, _, a), res in zip(problems, results):
+        gap = res.value - closed_form_measure(rho, rdm, a).value
+        assert math.isfinite(res.value)
+        assert -1e-12 <= gap <= 1e-9, (a, gap)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
