@@ -52,7 +52,6 @@ from .oracle import (
     OracleResult,
     minimize_batch,
     minimize_over_free_states,
-    parameterize_free_state,
     simplex_minimize,
 )
 from .verify import (

@@ -303,12 +303,19 @@ def as_count(value, what: str, least: int) -> int:
 
 def matrix_from_json(obj: dict) -> np.ndarray:
     """Decode the {"re", "im"} wire format back into a complex matrix, with
-    entries of magnitude at most WIRE_ENTRY_MAX."""
+    entries of magnitude at most WIRE_ENTRY_MAX.  Entries must be numbers:
+    a part whose inferred dtype is text, bool or object (a JSON string,
+    true/false, null, or an integer beyond the float range) is a ValueError,
+    decided from the dtype, with no walk over the entries."""
     try:
-        re = np.asarray(obj["re"], dtype=float)
-        im = np.asarray(obj["im"], dtype=float)
+        parts = {key: np.asarray(obj[key]) for key in ("re", "im")}
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed matrix object: {exc}") from None
+    for key, part in parts.items():
+        if part.dtype.kind in "USOb":
+            raise ValueError(f"malformed matrix object: {key!r} entries must be numbers, "
+                             f"got dtype {part.dtype}")
+    re, im = (part.astype(float, copy=False) for part in parts.values())
     if re.shape != im.shape:
         raise ValueError(f"re/im shapes differ: {re.shape} vs {im.shape}")
     # set the parts instead of forming re + 1j * im, whose 0 * inf for an

@@ -4,29 +4,24 @@ Minimizes S~_a(rho|sigma) over sigma in Fix(E) by a quasi-Newton search on
 an unconstrained parameterization of the fixed points.  For a unital,
 trace-preserving, idempotent E, Fix(E) is a unital *-algebra (the
 commutant of the Kraus operators), so every full-rank free state is
-exp(H) / Tr exp(H) for a traceless Hermitian H in Fix(E): the traceless
-part of log sigma.  Every problem of dimension d searches the d^2 - 1 real
-coordinates of H in one fixed Hilbert-Schmidt-orthonormal basis, the
-generalized Gell-Mann matrices Gamma, built once per dimension.  A map
-enters the search once, as its frame C (_frames): r - 1 orthonormal columns
-of Gell-Mann coordinates, r = dim Fix(E) (d - 1 for dephasing and the
-cyclic twirl, none for complete mixing), read off one batched `apply` of E
-to Gamma and one eigh stacked over the maps of a batch; the projector
-Pi = C C^T is formed from it where it is used.  Starts and gradients are
-projected, so a search never leaves the algebra, and BFGS from a scaled
-identity takes the same steps in any orthonormal coordinates.  The objective is convex in sigma
-(Lieb 1973; Ando 1979), so the infimum over full-rank free states is the
-minimum over all of them.  exp(H) / Tr exp(H) is itself free, so the
-search scores it directly, value and gradient from the one eigh of H; the
-gradient is the Daleckii-Krein derivative of the objective in H's
-eigenbasis (Bhatia, Matrix Analysis, 1997, ch. V).  Every point is scored
-with the one set of formulas, exact for the full-rank states the search
-visits, so the search cuts no weight and draws no support barrier: the
-round-off decisions of linalg and measures apply only to reported values.
-Only the winners are mapped through E, which makes each reported
-minimizer a fixed point by construction, and scored again by the stacked
-reference tsallis_relative_entropies: every winner of a batch in one
-stack, with one `apply` per distinct map and one rescoring call.  This
+exp(H) / Tr exp(H) for a traceless Hermitian H in Fix(E), the traceless
+part of log sigma; the objective is convex in sigma (Lieb 1973; Ando
+1979), so the infimum over these is the minimum over all free states.
+Every problem of dimension d searches the d^2 - 1 coordinates of H in the
+generalized Gell-Mann basis, read and written by index, so no basis is
+built.  A certified E is the Hilbert-Schmidt-orthogonal projection onto
+Fix(E), so a map enters the search only through `_act`: a start is the
+coordinates of E(H), and a gradient those of E(df/dH).  A search thus
+never leaves the algebra, and BFGS from a scaled identity takes the same
+steps in any orthonormal coordinates of it.  exp(H) / Tr exp(H) is then
+free, so the search scores it directly, value and gradient from the one
+eigh of H, the gradient the Daleckii-Krein derivative in H's eigenbasis
+(Bhatia, Matrix Analysis, 1997, ch. V), with one set of formulas exact
+for the full-rank states the search visits: it cuts no weight and draws
+no support barrier, and the round-off decisions of linalg and measures
+apply only to reported values.  Only the winners are mapped through E,
+which makes each reported minimizer a fixed point by construction, and
+scored again by the stacked reference tsallis_relative_entropies.  This
 module never evaluates the closed form, and the search shares no code with
 it: callers take the gap themselves, and agreement between the two is
 evidence, not circularity.
@@ -42,6 +37,7 @@ independent reference search.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -115,73 +111,80 @@ class OracleResult:
     grad_norm: float
 
 
-def _gell_mann(d: int) -> np.ndarray:
-    """The generalized Gell-Mann matrices, normalized: a fixed
-    Hilbert-Schmidt-orthonormal basis of the traceless Hermitian d x d
-    matrices, as a (d^2 - 1, d, d) stack.  (|j><k| + |k><j|) / sqrt(2) and
-    (i|k><j| - i|j><k|) / sqrt(2) for each j < k, then
-    (sum_{j<l} |j><j| - l |l><l|) / sqrt(l (l + 1)) for l = 1, ..., d - 1."""
+@functools.cache
+def _layout(d: int) -> tuple:
+    """(pairs, signs, diag, l, 1 / sqrt(l (l + 1))), l = 1, ..., d - 1, built
+    once per d.  Per off-diagonal coordinate, pairs holds its two floats in
+    a flattened d x d complex matrix, Re H_jk and Re H_kj (j < k in numpy's
+    triu order), then Im H_kj and Im H_jk, the second with the coordinate's
+    sign in signs; diag holds the positions of Re H_jj."""
     j, k = np.triu_indices(d, 1)
-    pairs = np.arange(j.size)
-    gamma = np.zeros((d * d - 1, d, d), dtype=complex)
-    s = math.sqrt(0.5)
-    gamma[pairs, j, k], gamma[pairs, k, j] = s, s
-    gamma[j.size + pairs, j, k], gamma[j.size + pairs, k, j] = -1j * s, 1j * s
-    for l in range(1, d):
-        diag = np.r_[np.ones(l), -l] / math.sqrt(l * l + l)
-        gamma[2 * j.size + l - 1, range(l + 1), range(l + 1)] = diag
-    return gamma
+    jk, kj = 2 * (d * j + k), 2 * (d * k + j)
+    l = np.arange(1, d)
+    layout = (np.array([np.r_[jk, kj + 1], np.r_[kj, jk + 1]]), np.repeat([1.0, -1.0], j.size),
+              2 * (d + 1) * np.arange(d), l, 1.0 / np.sqrt(l * (l + 1)))
+    for part in layout:  # shared by every caller
+        part.setflags(write=False)
+    return layout
 
 
-def _frames(maps, gamma: np.ndarray) -> list[np.ndarray]:
-    """Each map's frame C, of shape (d^2 - 1, r - 1), r = dim Fix(E):
-    orthonormal columns of coordinates, in the Gell-Mann basis gamma, that
-    span the traceless Hermitian part of Fix(E).
-
-    P[k, j] = Re Tr Gamma_k E(Gamma_j) comes from one batched `apply` per
-    map.  For a certified map, E and its adjoint are idempotent with the
-    same range, so P is the projector Pi = C C^T up to round-off: C holds
-    the eigenvectors of its symmetric part above 1/2, one eigh for all."""
-    P = np.stack([np.tensordot(gamma.conj(), rdm.apply(gamma), axes=([1, 2], [1, 2])).real
-                  for rdm in maps])
-    values, U = np.linalg.eigh((P + P.transpose(0, 2, 1)) / 2)
-    return [u[:, v > 0.5] for v, u in zip(values, U)]
-
-
-def free_algebra_basis(rdm: ResourceDestroyingMap) -> np.ndarray:
-    """A Hilbert-Schmidt-orthonormal basis of the traceless Hermitian part of
-    Fix(E), as an (r - 1, d, d) stack of Hermitian matrices, r = dim Fix(E):
-    B_i = sum_j C[j, i] Gamma_j for the map's frame C (_frames), which
-    together with I / sqrt(d) spans Fix(E)."""
-    gamma = _gell_mann(rdm.dim)
-    basis = np.tensordot(_frames([rdm], gamma)[0].T, gamma, axes=1)
-    # exactly Hermitian, so every real combination is too
-    return (basis + basis.conj().transpose(0, 2, 1)) / 2
+def _hermitian(X: np.ndarray, d: int) -> np.ndarray:
+    """H = sum_j x_j Gamma_j for each row x of X, as an (m, d, d) stack, for
+    the generalized Gell-Mann matrices Gamma, normalized to a
+    Hilbert-Schmidt-orthonormal basis of the traceless Hermitian matrices:
+    (|j><k| + |k><j|) / sqrt(2) and (i|k><j| - i|j><k|) / sqrt(2) for each
+    j < k, then (sum_{j<l} |j><j| - l |l><l|) / sqrt(l (l + 1)) for
+    l = 1, ..., d - 1.  Each entry is set by index (_layout), so no basis is
+    built, and a row's H does not depend on the stack it comes in."""
+    pairs, signs, diag, l, norm = _layout(d)
+    n = signs.size
+    H = np.zeros((len(X), 2 * d * d))
+    H[:, pairs[0]] = math.sqrt(0.5) * X[:, :n]
+    H[:, pairs[1]] = H[:, pairs[0]] * signs
+    # H_jj = sum_{l > j} c_l - j c_j with c_l = y_l / sqrt(l (l + 1)), the
+    # sum over l a running sum from the end
+    c = X[:, n:] * norm
+    H[:, diag[:-1]] = np.cumsum(c[:, ::-1], axis=1)[:, ::-1]
+    H[:, diag[1:]] -= l * c
+    return H.view(complex).reshape(len(X), d, d)
 
 
-def _hamiltonians(X: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    """H = sum_j x_j Gamma_j for each row x of X, as an (m, d, d) stack.
-    The terms x_j Gamma_j are laid out coordinate-major, so that the sum
-    over j runs along the outer axis, in order, as a row-by-row sum would:
-    a row's H does not depend on the stack it comes in.  Rows are summed in
-    chunks whose terms take at most 256 KiB."""
-    n, d = gamma.shape[:2]
-    terms = gamma.reshape(n, 1, d * d)
-    H = np.empty((len(X), d * d), dtype=complex)
-    step = max(1, 2**18 // (16 * d * d * n))
-    for lo in range(0, len(X), step):
-        np.add.reduce(terms * X[lo:lo + step].T[:, :, None], axis=0, out=H[lo:lo + step])
-    return H.reshape(len(X), d, d)
+def _coordinates(M: np.ndarray) -> np.ndarray:
+    """Re Tr(Gamma_j M) for each matrix M of an (m, d, d) stack, Gamma in
+    the order of _hermitian: the coordinates of a traceless Hermitian M, and
+    of any M those of its traceless Hermitian part.  Off the diagonal they
+    are (Re M_jk + Re M_kj) / sqrt(2) and (Im M_kj - Im M_jk) / sqrt(2), on
+    it (sum_{j<l} M_jj - l M_ll) / sqrt(l (l + 1)) with the sum a running
+    one, so a multiple of I has coordinates exactly 0 at d <= 4."""
+    m, d = len(M), M.shape[-1]
+    pairs, signs, diag, l, norm = _layout(d)
+    F = np.ascontiguousarray(M, dtype=complex).reshape(m, d * d).view(float)
+    re = F[:, diag]
+    return np.concatenate([math.sqrt(0.5) * (F[:, pairs[0]] + F[:, pairs[1]] * signs),
+                           (np.cumsum(re, axis=1)[:, :-1] - l * re[:, 1:]) * norm], axis=1)
 
 
-def _free_state(X: np.ndarray, gamma: np.ndarray, maps) -> np.ndarray:
+def _free_dim(rdm: ResourceDestroyingMap) -> int:
+    """r = dim Fix(E): the trace sum_ab Re E(|a><b|)_ab of E as a linear
+    map, which is its rank since E is idempotent.  One `_act` per b, on the
+    stack of the d units |a><b|, so that no d^4 stack is formed."""
+    d = rdm.dim
+    units, trace = np.zeros((d, d, d), dtype=complex), 0.0
+    for b in range(d):
+        units[:, :, b] = np.eye(d)
+        trace += np.trace(rdm._act(units)[:, :, b]).real
+        units[:, :, b] = 0.0
+    return round(trace)
+
+
+def _free_state(X: np.ndarray, maps) -> np.ndarray:
     """E_i(exp(H_i) / Tr exp(H_i)) for each row of X, H_i from its Gell-Mann
-    coordinates (_hamiltonians) and E_i the row's map in maps: one stacked
+    coordinates (_hermitian) and E_i the row's map in maps: one stacked
     eigh, each spectrum shifted by its largest eigenvalue, and one `apply`
     per distinct map, on the stack of its rows.  An eigenvalue more than
     the float range below the largest has weight exactly 0; when the
     largest overflows to +inf, the eigenvalues at +inf share the weight."""
-    h, V = np.linalg.eigh(_hamiltonians(X, gamma))
+    h, V = np.linalg.eigh(_hermitian(X, maps[0].dim))
     top = h[:, -1:]
     with np.errstate(over="ignore", invalid="ignore"):
         e = np.exp(np.where(h == top, 0.0, h - top))
@@ -192,28 +195,6 @@ def _free_state(X: np.ndarray, gamma: np.ndarray, maps) -> np.ndarray:
     for rdm, mine in rows.values():
         tau[mine] = rdm.apply(tau[mine])
     return tau
-
-
-def parameterize_free_state(x: np.ndarray, rdm: ResourceDestroyingMap) -> np.ndarray:
-    """Map a real vector of length r - 1, r = dim Fix(E), to a fixed point of
-    the channel.
-
-    x holds the coordinates of a traceless Hermitian H = sum_j x_j B_j in
-    the basis B of free_algebra_basis(rdm): its Gell-Mann coordinates are
-    C x for the map's frame C.  tau = exp(H) / Tr exp(H), and the output is
-    E(tau).  Unconstrained and onto the full-rank free states: sigma is
-    reached at the coordinates of the traceless part of log sigma, and the
-    zero vector gives I/d.  A vector of the wrong length, or with a NaN or
-    infinite entry, is a ValidationError.
-    """
-    gamma = _gell_mann(rdm.dim)
-    [C] = _frames([rdm], gamma)
-    z = np.asarray(x, dtype=float).ravel()
-    if z.size != C.shape[1]:
-        raise ValidationError(f"expected {C.shape[1]} parameters, got {z.size}")
-    if not np.isfinite(z).all():
-        raise ValidationError("parameters must be finite")
-    return _free_state((C @ z)[None], gamma, [rdm])[0]
 
 
 def simplex_minimize(f, x0: np.ndarray, config: OracleConfig,
@@ -269,27 +250,21 @@ def simplex_minimize(f, x0: np.ndarray, config: OracleConfig,
 
 
 def _free_state_objective(problems):
-    """(objective, gamma, frames) for problems (rho, rdm, a) of one
-    dimension d: the Gell-Mann basis gamma, built once, each problem's
-    frame C (_frames), read once per distinct map and shared by its
-    problems, and the objective (X, rows) -> (values, gradients, terms) over
-    a stack of points, each scored for its own problem: S~_a(rho | tau(x)),
-    its gradient in x projected onto that problem's algebra, and the
-    magnitude of the terms the value is formed from, with
-    tau(x) = exp(H) / Tr exp(H), H = sum_j x_j Gamma_j.
-
-    Row i's gradient is Pi times the full one, Pi = C C^T for its
-    problem's frame: df/dx_j = Re Tr(df/dH sum_k Pi_jk Gamma_k), that sum
-    stored once per distinct map.  A state that is not d x d is
+    """(objective, project, free_dims) for problems (rho, rdm, a) of one
+    dimension d.  objective(X, rows) -> (values, gradients, terms) scores
+    each point x of X, in the Gell-Mann coordinates of _hermitian, for
+    problem rows[i]: S~_a(rho | tau) with tau = exp(H) / Tr exp(H), which is
+    free for x in the algebra, so E is not applied to it; the coordinates of
+    E(df/dH), its gradient along the algebra, as a certified E is
+    the Hilbert-Schmidt-orthogonal projection onto Fix(E); and the
+    magnitude of the terms the value is formed from.  project(M, rows) gives
+    the coordinates of E_i(M_i), E_i the map of problem rows[i]: one `_act`
+    per distinct map among the rows, on the stack of its rows, found by a
+    stable sort of their map slots.  free_dims holds each problem's r
+    (_free_dim), read once per distinct map.  A state that is not d x d is
     DimensionMismatch; each distinct one is decomposed once, by
     linalg.density_spectrum, which refuses one that is not a density
-    matrix, and raised to each order once.  Points are scored in chunks
-    that keep the gathered projected basis and square roots of rho^a within
-    256 KiB.  For x in the span of Pi, tau is already free, and E is not
-    applied.  Hot path for the search: H from
-    the coordinates in one ordered sum (_hamiltonians), tau's spectrum and
-    eigenvectors from one stacked eigh of H, and the entropy from rho^a in
-    that eigenbasis.
+    matrix, and raised to each order once.
 
     With H = V diag(h) V+, w = softmax(h), Q = V+ rho^a V and c = 1 - a, the
     value at a != 1 is (T^(1/a) - 1) / (a - 1) with T = sum_i w_i^c Q_ii,
@@ -308,7 +283,6 @@ def _free_state_objective(problems):
     gradient and fails its line search.  A unit test pins the value to
     tsallis_relative_entropy to 1e-12 and to S~_a taken straight from
     eigh(H) where tau's smallest weight is below 1e-20 of its largest.
-    Every problem must have the same dimension.
     """
     d = problems[0][1].dim
     if any(rdm.dim != d for _, rdm, _ in problems):
@@ -316,18 +290,11 @@ def _free_state_objective(problems):
     for rho, _, _ in problems:
         if np.shape(rho) != (d, d):
             raise DimensionMismatch(f"state has shape {np.shape(rho)}, maps act on {d}x{d}")
-    gamma = _gell_mann(d)
-    n = len(gamma)
-    # the frame of each distinct map once, its projected basis
-    # sum_k Pi_jk Gamma_k as the (real, imaginary) entries of each matrix,
-    # and its slot per problem
-    maps = {id(rdm): rdm for _, rdm, _ in problems}
-    slot = {key: i for i, key in enumerate(maps)}
-    distinct = _frames(maps.values(), gamma)
-    projected = np.stack([np.tensordot(C @ C.T, gamma, axes=1)
-                          for C in distinct]).reshape(len(slot), n, d * d).view(float)
+    # each distinct map once, its free dimension, and its slot per problem
+    maps = list({id(rdm): rdm for _, rdm, _ in problems}.values())
+    slot = {id(rdm): i for i, rdm in enumerate(maps)}
     which = np.array([slot[id(rdm)] for _, rdm, _ in problems])
-    frames = [distinct[i] for i in which]
+    free_dims = np.array([_free_dim(rdm) for rdm in maps])[which]
     a = np.array([float(a) for _, _, a in problems])
     one = a == 1.0
     # square-root factors R of rho^a (rho at a = 1), R R+ = rho^a, and
@@ -350,9 +317,17 @@ def _free_state_objective(problems):
     params = np.stack([one, 1.0 - a, 1.0 / a, np.where(one, 1.0, a - 1.0), rho_ln_rho, a], axis=1)
     diag = np.arange(d)
 
-    def score(X, rows):
-        m = len(X)
-        h, V = np.linalg.eigh(_hamiltonians(X, gamma))
+    def project(M, rows):
+        order = np.argsort(which[rows], kind="stable")
+        slots = which[rows[order]]
+        cuts = (np.flatnonzero(slots[1:] != slots[:-1]) + 1).tolist()
+        image = M[order]
+        for lo, hi in zip([0] + cuts, cuts + [len(slots)]):
+            image[lo:hi] = maps[slots[lo]]._act(image[lo:hi])
+        return _coordinates(image)[np.argsort(order)]
+
+    def objective(X, rows):
+        h, V = np.linalg.eigh(_hermitian(X, d))
         # the spectrum of tau and its log, ascending like h; the shift by
         # the largest eigenvalue keeps exp from overflowing.  Every power
         # below is exp(p ln): numpy's power rounds a row differently when
@@ -393,27 +368,15 @@ def _free_state_objective(problems):
             kappa = np.where(r1 > 0, -1.0, Ta / (Tg * order * den))
             G = Q * (kappa[:, None, None] * L)
             G[:, diag, diag] += np.where(r1 > 0, qm.sum(axis=1), kappa * den * T)[:, None] * w
-            G = (V @ G @ Vh).reshape(m, d * d)
-            # Re Tr(G P_j) is the real dot product of their entries, P_j and G
-            # both Hermitian
-            grad = np.add.reduce(projected[which[rows]] * G.view(float)[:, None, :], axis=2)
             # the magnitude of the terms f is formed from: each weight Q_ii of
             # rho^a is known to about eps, and enters f times w_i^c df/dT (times
             # ln w_i at a = 1), besides T^(1/a) / (a - 1), known to about eps
             terms = np.where(r1 > 0, np.abs(base) + np.abs(lw).sum(axis=1),
                              Ta / np.abs(den) + np.abs(kappa) * wc.sum(axis=1))
-        grad[~np.isfinite(out)] = 0.0
-        return out, grad, terms
+        G[~np.isfinite(out)] = 0.0
+        return out, project(V @ G @ Vh, rows), terms
 
-    chunk = max(1, 2**18 // (16 * d * d * (n + 1)))
-
-    def objective(X: np.ndarray, rows: np.ndarray):
-        if rows.size <= chunk:
-            return score(X, rows)
-        parts = [score(X[lo:lo + chunk], rows[lo:lo + chunk]) for lo in range(0, rows.size, chunk)]
-        return tuple(np.concatenate(part) for part in zip(*parts))
-
-    return objective, gamma, frames
+    return objective, project, free_dims
 
 
 def _bfgs_update(Hinv, s, y, fresh) -> None:
@@ -582,33 +545,30 @@ def minimize_batch(problems, configs) -> list[OracleResult]:
     one lockstep BFGS search over the d^2 - 1 Gell-Mann coordinates, each
     objective call scoring one trial point of every row still searching
     (_lockstep_bfgs; each result's stack_calls counts the calls).  A row
-    starts at Pi z for 0.1-scale Gaussian z drawn from the config's seed
-    and searches along the gradient projected by Pi = C C^T, C the map's
-    frame.  Then every problem's winning restart is mapped through its E
-    and scored afresh, all together: one stacked eigh forms the winners'
-    exp(H) / Tr exp(H) (_free_state), each distinct map is applied once to
-    the stack of its own winners, and one call of
-    tsallis_relative_entropies rescores them all.  Each of these steps
-    treats a row alike in any stack, so result i equals
-    minimize_over_free_states(*problems[i], configs[i]) bit for bit.
-    _free_state_objective refuses a state that is not a d x d density
-    matrix, and problems of different dimensions; a winner that scores
-    +inf is NoFiniteObjective, naming its order.
+    starts at the coordinates of E(H(0.1 z)) for Gaussian z drawn from the
+    config's seed, H(x) = sum_j x_j Gamma_j, and searches along those of
+    E(df/dH).  Then the winners are mapped through E (_free_state, one
+    `apply` per distinct map) and rescored by one call of
+    tsallis_relative_entropies.  Each step treats a row alike in any stack,
+    so result i equals minimize_over_free_states(*problems[i], configs[i])
+    bit for bit.  _free_state_objective refuses a state that is not a d x d
+    density matrix, and problems of different dimensions; a winner that
+    scores +inf is NoFiniteObjective, naming its order.
     """
     problems = [(rho, rdm, validate_order(a)) for rho, rdm, a in problems]
     if len(configs) != len(problems):
         raise ValidationError(f"{len(problems)} problems but {len(configs)} configs")
     if not problems:
         return []
-    objective, gamma, frames = _free_state_objective(problems)
+    objective, project, free_dims = _free_state_objective(problems)
+    d = problems[0][1].dim
     owner = np.repeat(np.arange(len(problems)), [c.restarts for c in configs])
     # seeded starts near the origin, where sigma is within a few percent of
     # I/d, away from the flat region of near-singular states
     first = np.cumsum([0] + [c.restarts for c in configs])
-    starts = np.empty((owner.size, len(gamma)))
-    for i, (c, C) in enumerate(zip(configs, frames)):
-        starts[first[i]:first[i + 1]] = 0.1 * np.random.default_rng(c.seed).standard_normal(
-            (c.restarts, len(gamma))) @ C @ C.T
+    z = np.concatenate([np.random.default_rng(c.seed).standard_normal((c.restarts, d * d - 1))
+                        for c in configs])
+    starts = project(_hermitian(0.1 * z, d), owner)
     x, fx, grad_norm, evals, iters, capped = _lockstep_bfgs(
         lambda X, rows: objective(X, owner[rows]), starts,
         np.array([configs[i].tol for i in owner]),
@@ -618,7 +578,7 @@ def minimize_batch(problems, configs) -> list[OracleResult]:
     # and the reported minimizer is its image under E, a fixed point by
     # construction, scored afresh, every winner in one stack
     wins = np.array([lo + int(np.argmin(fx[lo:hi])) for lo, hi in zip(first[:-1], first[1:])])
-    sigmas = _free_state(x[wins], gamma, [rdm for _, rdm, _ in problems])
+    sigmas = _free_state(x[wins], [rdm for _, rdm, _ in problems])
     values = tsallis_relative_entropies([rho for rho, _, _ in problems], sigmas,
                                         [a for _, _, a in problems])
     for (_, _, a), value in zip(problems, values):
@@ -627,14 +587,14 @@ def minimize_batch(problems, configs) -> list[OracleResult]:
                 f"objective is +inf at the image of the best point found (a={a}); "
                 "support pathology in the free set")
     results = []
-    for i, (C, win) in enumerate(zip(frames, wins)):
+    for i, (r, win) in enumerate(zip(free_dims, wins)):
         mine = slice(first[i], first[i + 1])
         results.append(OracleResult(
             value=float(values[i]), sigma_min=sigmas[i],
             restarts_agreeing=int(np.count_nonzero(fx[mine] <= fx[win] + AGREEMENT_WINDOW)),
             evaluations=int(evals[mine].sum()), iterations=int(iters[win]),
             stop_reason="iteration_cap" if capped[win] else "tolerance",
-            cap_hits=int(capped[mine].sum()), free_dim=C.shape[1] + 1,
+            cap_hits=int(capped[mine].sum()), free_dim=int(r),
             stack_iterations=int(iters.max()), stack_calls=int(evals.max()),
             grad_norm=float(grad_norm[win])))
     return results

@@ -43,20 +43,21 @@ log = logging.getLogger("rdmap.verify")
 
 # theorem1 solves all trials of one dimension in one lockstep batch, one
 # stack of the d^2 - 1 Gell-Mann coordinates whatever each map's r, each
-# map read once as its frame, with one restart per problem, OracleConfig's
+# map entering the search only through its `_act` (the coordinates of
+# E(df/dH) are the gradient), with one restart per problem, OracleConfig's
 # default iteration cap and ORACLE_TOL; the acceptance run (50 trials)
-# takes 0.9-1.1 s on a 2-vCPU VM against its 300 s budget.  The
-# quasi-Newton search converges in tens of iterations (at most 87 per
+# takes about 1 s on a 2-vCPU VM against its 300 s budget.  The
+# quasi-Newton search converges in tens of iterations (at most 89 per
 # batch), and each objective call scores one trial point of every row
-# still searching (at most 98 calls per batch).  What follows it runs once
+# still searching (at most 92 calls per batch).  What follows it runs once
 # per dimension, each step on one stack: the winners are mapped through E,
 # rescored and density-checked.
 # Only the closed forms run one problem at a time, each dimension's before
 # its search, one call per record.  ORACLE_TOL bounds the
 # largest |df/dx_j| at which a search stops.  OracleConfig's default of
-# 1e-10 scores 43 % more points on the acceptance run (52,230 against
-# 36,549) for no pass/fail change, and 774 of its 5,250 searches stop at
-# the round-off of f instead (34 at 1e-8).
+# 1e-10 scores 43 % more points on the acceptance run (52,169 against
+# 36,545) for no pass/fail change, and 767 of its 5,250 searches stop at
+# the round-off of f instead (36 at 1e-8).
 GAP_TOL = 1e-5
 ORACLE_TOL = 1e-8
 
@@ -206,7 +207,8 @@ def suite_theorem1(dims, a_grid, trials: int, seed: int,
     stack's iterations, the points its line searches scored (every point
     but the starts), the stack's objective calls, the points scored per map
     family (the sum of its records' evaluations) and the problem count per
-    free dimension r (the oracle searches r - 1 real parameters)."""
+    free dimension r (the search moves along the r - 1 free directions of
+    its d^2 - 1 coordinates)."""
     dims = [linalg.as_integer(d, "dims") for d in dims]
     trials, seed = linalg.as_count(trials, "trials", 1), linalg.as_count(seed, "seed", 0)
     if not set(dims) <= {2, 3, 4}:
@@ -432,7 +434,8 @@ def run_suite(name: str, dims=None, a_grid=None, trials: int | None = None,
     number, not a bool, finite and >= 0.  Each suite also takes only
     integral dims and a seed >= 0: an integral float counts as its int, and
     a bool, a fraction, a string or a smaller value is a ValidationError
-    naming the field."""
+    naming the field.  axioms, piani and continuity draw their own
+    dimensions, so dims given to one of them is a ValidationError too."""
     if name not in SUITE_NAMES:
         raise ValidationError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
     if trials is not None:
@@ -440,6 +443,9 @@ def run_suite(name: str, dims=None, a_grid=None, trials: int | None = None,
     if tol is not None and (isinstance(tol, bool) or not isinstance(tol, numbers.Real)
                             or not 0 <= tol < math.inf):
         raise ValidationError(f"tol must be a finite real number >= 0, got {tol!r:.60}")
+    if dims is not None and name in ("axioms", "piani", "continuity"):
+        raise ValidationError(f"dims does not apply to the {name} suite, which draws "
+                              f"its own dimensions; got {dims!r:.60}")
     grid = list(a_grid) if a_grid else list(DEFAULT_A_GRID)
     kw = {} if tol is None else {"tol": tol}
     if name == "theorem1":

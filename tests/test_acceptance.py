@@ -2,7 +2,7 @@
 
 One test per numbered criterion; `pytest -v` therefore reads as a
 checklist, one pass/fail line each.  Criteria 1 and 3 share a single
-theorem-1 suite run (the expensive part, 2.3-4.0 s on a 2-vCPU VM), built
+theorem-1 suite run (the expensive part, 0.9-1.9 s on a 2-vCPU VM), built
 once per module.  Every loop is seeded, so a failure here reproduces
 exactly.
 """

@@ -113,6 +113,15 @@ def test_measure_invalid_state_exits_2(files, capsys):
     assert err.count("\n") == 1
 
 
+def test_measure_state_of_text_entries_exits_2(files, capsys):
+    """A state whose entries are JSON strings once measured with exit 0."""
+    path = files["tmp"] / "text.json"
+    path.write_text(json.dumps({"re": [["0.5", "0"], ["0", "0.5"]], "im": [[0, 0], [0, 0]]}))
+    assert main(["measure", "--state", str(path), "--map", files["deph"], "--a", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "must be numbers" in captured.err
+
+
 def test_measure_tiny_order_exits_2_naming_the_order(files, capsys):
     """At a = 1e-20 the 1/a-th power underflows; the certified map is not to
     blame, so the exit code is 2, not 3."""
@@ -352,6 +361,13 @@ def test_verify_csv_records(files, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0].startswith("trial,seed,dim,a")
     assert len(lines) == 4
+
+
+def test_verify_dims_on_a_suite_that_draws_its_own_exits_2(capsys):
+    """piani once ran d = 3 and exited 0 when asked for --dims 5."""
+    assert main(["verify", "piani", "--dims", "5", "--trials", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "ValidationError: dims" in captured.err
 
 
 def test_verify_unknown_suite_exits_2(capsys):

@@ -383,3 +383,21 @@ def test_matrix_json_malformed():
         linalg.matrix_from_json({"re": [[1.0]], "im": [[0.0, 0.0]]})
     with pytest.raises(ValueError):
         linalg.matrix_from_json({"re": [[1.0, 0.0]], "im": [[0.0, 0.0]]})
+
+
+@pytest.mark.parametrize("re, im", [
+    ([["0.5", "0"], ["0", "0.5"]], [[0, 0], [0, 0]]),
+    ([[0.5, 0], [0, 0.5]], [["0", "0"], ["0", "0"]]),
+    ([[True, False], [False, True]], [[False, False], [False, False]]),
+    ([[0.5, None], [None, 0.5]], [[0, 0], [0, 0]]),
+    ([[10**400, 0], [0, 0.5]], [[0, 0], [0, 0]]),
+])
+def test_matrix_json_refuses_entries_that_are_not_numbers(re, im):
+    """JSON strings were parsed as numbers, so a state of "0.5" entries
+    measured, and an all-true/false matrix decoded to I; null and an
+    integer beyond the float range are refused with them.  The verdict
+    comes from numpy's inferred dtype, not from a walk over the entries."""
+    with pytest.raises(ValueError, match="must be numbers"):
+        linalg.matrix_from_json({"re": re, "im": im})
+    assert np.array_equal(linalg.matrix_from_json({"re": [[1, 0], [0, 0]], "im": [[0, 0], [0, 0]]}),
+                          np.diag([1.0, 0.0]))

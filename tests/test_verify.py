@@ -303,6 +303,14 @@ def test_run_suite_refuses_malformed_arguments(kwargs, field):
         run_suite(a_grid=SMALL_GRID, **kwargs)
 
 
+@pytest.mark.parametrize("name", ["axioms", "piani", "continuity"])
+def test_run_suite_refuses_dims_a_suite_does_not_read(name):
+    """These suites draw their own dimensions; run_suite("axioms",
+    dims=[9]) once ran d = 2 and reported no error."""
+    with pytest.raises(ValidationError, match="dims"):
+        run_suite(name, dims=[9], trials=1, seed=0)
+
+
 def test_suites_refuse_malformed_arguments_when_called_directly():
     with pytest.raises(ValidationError, match="dims"):
         suite_theorem2([3.7], SMALL_GRID, trials=1, seed=0)
