@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -27,6 +28,8 @@ SUPPORT_CUTOFF = 1e-12
 #: anything far above would overflow the checks that refuse it
 WIRE_ENTRY_MAX = 1e6
 _EPS = np.finfo(float).eps
+#: the types of a bool entry: a JSON true/false, or a numpy bool among numbers
+_BOOL_TYPES = frozenset((bool, np.bool_))
 
 
 class Eigensystem(NamedTuple):
@@ -143,10 +146,13 @@ def power_values(values: np.ndarray, p: float) -> np.ndarray:
     OverflowError, before numpy would warn, when the largest lambda_max **
     p overflows, as it does when p > 0 is so large that an eigenvalue just
     above 1 leaves the float range."""
-    high = float(np.maximum.reduce(values, axis=None, initial=0.0))
-    # lambda_max of each row, a scalar for one matrix
-    top = high if values.ndim == 1 else np.maximum.reduce(values, axis=-1, keepdims=True,
-                                                           initial=0.0)
+    # lambda_max of each row, a scalar for one matrix, from one reduction
+    # over the entries; the largest of a stack is read off the rows' own
+    if values.ndim == 1:
+        top = high = float(np.maximum.reduce(values, initial=0.0))
+    else:
+        top = np.maximum.reduce(values, axis=-1, keepdims=True, initial=0.0)
+        high = float(np.maximum.reduce(top, axis=None, initial=0.0))
     # a Python float power raises OverflowError itself unless p is inf
     if p > 0 and high > 1.0 and high ** p == math.inf:
         raise OverflowError(f"{high!r} ** {p!r} overflows")
@@ -306,7 +312,10 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     entries of magnitude at most WIRE_ENTRY_MAX.  Entries must be numbers:
     a part whose inferred dtype is text, bool or object (a JSON string,
     true/false, null, or an integer beyond the float range) is a ValueError,
-    decided from the dtype, with no walk over the entries."""
+    decided from the dtype.  So is a bool among numbers, which numpy infers
+    as the number 1 or 0: only a square matrix with a part equal to 0 or 1
+    somewhere is walked, by C iterators over the types of its entries, so
+    a dense unitary costs no walk."""
     try:
         parts = {key: np.asarray(obj[key]) for key in ("re", "im")}
     except (KeyError, TypeError, ValueError) as exc:
@@ -323,6 +332,12 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     z = re.astype(complex)
     z.imag = im
     A = as_complex_matrix(z)
+    flat = A.view(float)
+    if ((flat == 0) | (flat == 1)).any():
+        for key in parts:
+            if not _BOOL_TYPES.isdisjoint(map(type, chain.from_iterable(obj[key]))):
+                raise ValueError(f"malformed matrix object: {key!r} entries must be numbers, "
+                                 f"got a bool")
     if A.size and np.abs(A).max() > WIRE_ENTRY_MAX:
         raise ValidationError(
             f"matrix entry of magnitude {np.abs(A).max():.3e} exceeds {WIRE_ENTRY_MAX:.0e}")

@@ -1,4 +1,6 @@
 import json
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -643,6 +645,168 @@ def test_spectral_image_in_a_basis_is_the_block_path_rotated(seed):
         values0, X0 = plain.spectral_image(linalg.dagger(W) @ V, w, 1.0 / a)
         assert np.array_equal(values, values0)
         assert np.array_equal(X, W @ X0 @ linalg.dagger(W))
+
+
+# ------------------------------------------------------ a map's frame of a state
+
+def frame_maps(d, rng):
+    """spectral_channels, an abelian twirl in a random basis and the
+    Kraus-sum channel certified where S @ S is cheap: every partition
+    family, both routes to a partition map with a basis, and the dense
+    path, which keeps no frame."""
+    maps = spectral_channels(d, rng)
+    twirl = twirling_map(conjugated(random_unitary(d, rng), [cyclic_shift(d, k) for k in range(d)]))
+    assert isinstance(twirl.channel, PartitionChannel) and twirl.channel._basis is not None
+    if d <= 8:
+        maps[-1] = certify_rdm(maps[-1])
+    return maps[:-1] + [twirl, maps[-1]]
+
+
+def clear_frame(rdm):
+    channel = getattr(rdm, "channel", rdm)
+    if isinstance(channel, PartitionChannel):
+        channel._frame = None
+
+
+def cold(rho, rdm, a, monkeypatch):
+    """closed_form_measure with nothing remembered: no state's spectrum and
+    no frame."""
+    monkeypatch.setattr(linalg, "_last_spectrum", None)
+    clear_frame(rdm)
+    return closed_form_measure(rho, rdm, a)
+
+
+def same_bits(got, want) -> bool:
+    """Value, N, sigma* and residual equal bit for bit."""
+    return all(np.asarray(x).tobytes() == np.asarray(y).tobytes() for x, y in (
+        (got.value, want.value), (got.N, want.N), (got.sigma_star, want.sigma_star),
+        (got.fixed_point_residual, want.fixed_point_residual)))
+
+
+def one_ulp(rho):
+    nudged = rho.copy()
+    nudged[0, 0] = np.nextafter(rho[0, 0].real, 1.0)
+    return nudged
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 8, 16, 32, 64])
+def test_sweep_on_a_frame_is_a_call_without_one(d):
+    """Every order of a sweep, on states of rank 1, 2 and d, with the grid
+    ascending, descending and with a = 1 first, equals bit for bit the call
+    made with the map's frame cleared."""
+    rng = np.random.default_rng(700 + d)
+    grids = (A_GRID, A_GRID[::-1], (1.0,) + tuple(a for a in A_GRID if a != 1.0))
+    for rdm in frame_maps(d, rng):
+        for rank in sorted({1, 2, d}):
+            rho = linalg.random_density_matrix(d, rank, seed=int(rng.integers(2**31)))
+            for grid in grids:
+                clear_frame(rdm)
+                warm = [closed_form_measure(rho, rdm, a) for a in grid]
+                for a, got in zip(grid, warm):
+                    clear_frame(rdm)
+                    assert same_bits(got, closed_form_measure(rho, rdm, a)), (d, rank, a)
+
+
+def test_sweep_builds_one_frame_per_state_and_map(monkeypatch):
+    """A 7-order sweep reads each partition map's frame of the state once;
+    the state one ulp away reads it once more."""
+    builds = []
+    inner = PartitionChannel._read_frame
+
+    def counted(self, V):
+        builds.append(self)
+        return inner(self, V)
+    monkeypatch.setattr(PartitionChannel, "_read_frame", counted)
+    monkeypatch.setattr(linalg, "_last_spectrum", None)
+    for d in (2, 4, 8):
+        rng = np.random.default_rng(720 + d)
+        rho = linalg.random_density_matrix(d, d, seed=d)
+        for rdm in frame_maps(d, rng)[:-1]:
+            builds.clear()
+            for state in (rho, one_ulp(rho)):
+                for a in A_GRID:
+                    closed_form_measure(state, rdm, a)
+                assert builds == [rdm.channel] * (1 if state is rho else 2)
+
+
+def test_frame_follows_the_state(monkeypatch):
+    """No call reads a stale frame: the state one ulp away, an array
+    mutated in place between orders, two maps alternating on one state and
+    two states alternating on one map each equal a cold call bit for bit."""
+    for d in (2, 3, 8):
+        rng = np.random.default_rng(740 + d)
+        maps = frame_maps(d, rng)
+        rho, other = (linalg.random_density_matrix(d, d, seed=seed) for seed in (d, d + 1))
+        want = {}
+        for i, rdm in enumerate(maps):
+            for k, state in enumerate((rho, one_ulp(rho), other)):
+                for a in A_GRID:
+                    want[i, k, a] = cold(state, rdm, a, monkeypatch)
+        for i, rdm in enumerate(maps):
+            for a in A_GRID:
+                assert same_bits(closed_form_measure(rho, rdm, a), want[i, 0, a])
+                assert same_bits(closed_form_measure(one_ulp(rho), rdm, a), want[i, 1, a])
+            A = rho.copy()
+            for j, a in enumerate(A_GRID):
+                k = 2 * (j % 2)
+                A[...] = (rho, None, other)[k]
+                assert same_bits(closed_form_measure(A, rdm, a), want[i, k, a])
+            for a in A_GRID:
+                for k, state in ((0, rho), (2, other)):
+                    assert same_bits(closed_form_measure(state, rdm, a), want[i, k, a])
+        for a in A_GRID:
+            for i, rdm in enumerate(maps):
+                assert same_bits(closed_form_measure(rho, rdm, a), want[i, 0, a])
+
+
+def test_spectral_image_never_reads_a_frame_of_a_mutated_eigensystem():
+    """spectral_image wraps V in a fresh tuple on every call, so a writeable
+    V mutated in place between calls gets the image of its new entries."""
+    for d in (2, 4, 8):
+        rng = np.random.default_rng(760 + d)
+        V, p = eigensystem(linalg.random_density_matrix(d, d, seed=d))
+        V2, _ = eigensystem(linalg.random_density_matrix(d, d, seed=d + 1))
+        for E in frame_maps(d, rng):
+            for q in (1.0, 0.5):
+                mutable = V.copy()
+                E.spectral_image(mutable, p, q)
+                mutable[...] = V2
+                got = E.spectral_image(mutable, p, q)
+                clear_frame(E)
+                for x, y in zip(got, E.spectral_image(V2.copy(), p, q)):
+                    assert x.tobytes() == y.tobytes()
+
+
+def test_one_map_shared_by_threads_that_sweep_their_own_states(monkeypatch):
+    """Two threads sweep their own states on one map, many times, with a
+    short switch interval; every result equals its cold reference bit for
+    bit."""
+    d = 4
+    rng = np.random.default_rng(780)
+    rdm = lueders_map(random_partition(d, rng, coarse=True))
+    states = [linalg.random_density_matrix(d, d, seed=40 + i) for i in range(2)]
+    refs = {(i, a): cold(rho, rdm, a, monkeypatch)
+            for i, rho in enumerate(states) for a in A_GRID}
+    wrong = []
+
+    def work(i):
+        for _ in range(150):
+            for a in A_GRID:
+                if not same_bits(closed_form_measure(states[i], rdm, a), refs[i, a]):
+                    wrong.append((i, a))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(states))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
 
 
 @settings(max_examples=40)

@@ -279,6 +279,24 @@ def test_measure_malformed_json_exits_2(files, capsys):
                  "--a", "1"]) == 2
 
 
+def test_a_bool_among_numbers_exits_2(files, capsys):
+    """A JSON true or false beside numbers, in a state or in a Kraus
+    operator, decoded as 1 or 0 and measured with exit 0; it is malformed
+    input."""
+    state = files["tmp"] / "bool_state.json"
+    state.write_text('{"re": [[true, 0.0], [0.0, 0]], "im": [[0, 0], [0, 0]]}')
+    assert main(["measure", "--state", str(state), "--map", files["deph"], "--a", "0.5"]) == 2
+    assert "got a bool" in capsys.readouterr().err
+    kraus = files["tmp"] / "bool_kraus.json"
+    kraus.write_text('{"type": "kraus", "dim": 2, "operators": ['
+                     '{"re": [[1, 0], [0, false]], "im": [[0, 0], [0, 0]]}, '
+                     '{"re": [[0, 0], [0, 1]], "im": [[0, 0], [0, 0]]}]}')
+    for command in (["measure", "--a", "0.5"], ["sweep", "--a-grid", "0.5,2"]):
+        assert main([command[0], "--state", files["plus"], "--map", str(kraus),
+                     *command[1:]]) == 2
+        assert "got a bool" in capsys.readouterr().err
+
+
 def test_measure_bad_order_exits_2(files, capsys):
     assert main(["measure", "--state", files["plus"], "--map", files["deph"],
                  "--a", "2.5"]) == 2

@@ -401,3 +401,25 @@ def test_matrix_json_refuses_entries_that_are_not_numbers(re, im):
         linalg.matrix_from_json({"re": re, "im": im})
     assert np.array_equal(linalg.matrix_from_json({"re": [[1, 0], [0, 0]], "im": [[0, 0], [0, 0]]}),
                           np.diag([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("re, im", [
+    ([[True, 0.0], [0.0, 0]], [[0, 0], [0, 0]]),
+    ([[0.5, 0], [0, 0.5]], [[0, False], [0.0, 0]]),
+    ([[1, 0], [0, 0]], [[0, np.False_], [0, 0]]),
+])
+def test_matrix_json_refuses_a_bool_among_numbers(re, im):
+    """numpy infers a number, 1 or 0, for a bool that shares a part with
+    numbers, so [[true, 0.0], [0.0, 0]] decoded to diag(1, 0).  A ragged or
+    1-D part that holds a bool keeps the error its numbers alone get."""
+    with pytest.raises(ValueError, match="got a bool"):
+        linalg.matrix_from_json({"re": re, "im": im})
+    for part in ([[True, 0.0], [0.0]], [True, 0.0]):
+        numbers = [[float(x) for x in row] if isinstance(row, list) else float(row)
+                   for row in part]
+        errors = []
+        for entries in (part, numbers):
+            with pytest.raises(ValueError) as info:
+                linalg.matrix_from_json({"re": entries, "im": numbers})
+            errors.append(str(info.value))
+        assert errors[0] == errors[1] and "bool" not in errors[0]
