@@ -139,18 +139,16 @@ def _write_out(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _parse_floats(s: str):
+def _parse_list(s: str, kind) -> list:
+    """The entries of a comma-separated list of kind (int or float), blanks
+    skipped; a list with no entry is a ValidationError, as is a bad one."""
     try:
-        return [float(v) for v in s.split(",") if v.strip()]
+        values = [kind(v) for v in s.split(",") if v.strip()]
     except ValueError:
-        raise ValidationError(f"expected comma-separated floats, got {s!r}") from None
-
-
-def _parse_ints(s: str):
-    try:
-        return [int(v) for v in s.split(",") if v.strip()]
-    except ValueError:
-        raise ValidationError(f"expected comma-separated integers, got {s!r}") from None
+        values = []
+    if not values:
+        raise ValidationError(f"expected comma-separated {kind.__name__}s, got {s!r}")
+    return values
 
 
 def _load_map(path: str, d: int):
@@ -201,7 +199,7 @@ def cmd_sweep(args) -> int:
     rho = linalg.validate_density(linalg.matrix_from_json(_load_json(args.state)))
     rdm = _load_map(args.map, rho.shape[0])
     rows = []
-    for a in sweep_grid(_parse_floats(args.a_grid)):
+    for a in sweep_grid(_parse_list(args.a_grid, float)):
         rep = measures.closed_form_measure(rho, rdm, a)
         rows.append({"a": a, "value": rep.value, "N": rep.N})
     if args.output == "json":
@@ -215,8 +213,8 @@ def cmd_sweep(args) -> int:
 def cmd_verify(args) -> int:
     report = verify.run_suite(
         args.suite,
-        dims=_parse_ints(args.dims) if args.dims else None,
-        a_grid=_parse_floats(args.a_grid) if args.a_grid else None,
+        dims=None if args.dims is None else _parse_list(args.dims, int),
+        a_grid=None if args.a_grid is None else _parse_list(args.a_grid, float),
         trials=args.trials,
         seed=args.seed,
         tol=args.tol,

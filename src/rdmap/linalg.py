@@ -168,11 +168,11 @@ def matrix_log(M: np.ndarray) -> np.ndarray:
 def spectral_log(spectrum: Eigensystem) -> np.ndarray:
     """`matrix_log` from an already clipped eigensystem, eigenvalues
     ascending, of one matrix or of each of an (n, d, d) stack: the log of
-    every eigenvalue above 1e-12 * lambda_max, 0 on the rest."""
+    every eigenvalue above 1e-12 * lambda_max, 0 on the rest: the support
+    that power_values keeps at p = 0."""
     values, vectors = spectrum
-    cut = SUPPORT_CUTOFF * np.maximum(values[..., -1:], 0.0)
     out = np.zeros_like(values)
-    pos = values > cut
+    pos = power_values(values, 0.0) > 0
     out[pos] = np.log(values[pos])
     return (vectors * out[..., None, :]) @ dagger(vectors)
 

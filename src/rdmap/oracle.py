@@ -26,11 +26,12 @@ module never evaluates the closed form, and the search shares no code with
 it: callers take the gap themselves, and agreement between the two is
 evidence, not circularity.
 
-minimize_batch solves many problems of one dimension together: every
-restart of every problem, whatever its r, is a row of one stack that one
-lockstep BFGS search (Nocedal & Wright, Numerical Optimization, 2006,
-ch. 3 and 6) advances, one objective call per trial point of its slowest
-row.  Each result is bit-identical to solving its problem alone.
+minimize_batch solves many problems of one dimension together under one
+budget, each from its own seed: every restart of every problem, whatever
+its r, is a row of one stack that one lockstep BFGS search (Nocedal &
+Wright, Numerical Optimization, 2006, ch. 3 and 6) advances, one
+objective call per trial point of its slowest row.  Each result is
+bit-identical to solving its problem alone.
 simplex_minimize, a derivative-free Nelder-Mead, is kept as an
 independent reference search.
 """
@@ -55,7 +56,8 @@ AGREEMENT_WINDOW = 1e-6
 @dataclass
 class OracleConfig:
     """Search budget: seeded random restarts, per-restart iteration cap, and
-    the gradient tolerance that stops the search.
+    the gradient tolerance that stops the search.  minimize_batch gives a
+    whole batch one config, and its seed to every problem given none.
 
     A restart stops on "tolerance" once the largest |df/dx_j| of its point
     is at most tol, or once a backtracking line search fails, after a
@@ -427,14 +429,13 @@ def _blocks(Hinv: np.ndarray) -> list[slice]:
     return [slice(lo, min(lo + step, len(Hinv))) for lo in range(0, len(Hinv), step)]
 
 
-def _lockstep_bfgs(f, x0: np.ndarray, tol: np.ndarray, max_iterations: np.ndarray):
+def _lockstep_bfgs(f, x0: np.ndarray, tol: float, max_iterations: int):
     """BFGS with Armijo backtracking on k independent problems advanced in
-    lockstep, one stack of k rows of n coordinates.
+    lockstep, one stack of k rows of n coordinates, under one budget.
 
-    x0 is (k, n); tol and max_iterations are per-problem arrays of length
-    k.  f(X, rows) returns, at the points X (m, n), row i belonging to
-    problem rows[i], the values (m,), the gradients (m, n) and the
-    magnitude (m,) of the terms each value is formed from, whose eps-th
+    x0 is (k, n).  f(X, rows) returns, at the points X (m, n), row i
+    belonging to problem rows[i], the values (m,), the gradients (m, n) and
+    the magnitude (m,) of the terms each value is formed from, whose eps-th
     part is taken as its round-off; rows come in ascending order.  A
     problem that starts in a subspace and whose gradient f projects onto
     it searches that subspace as it would in its own coordinates.
@@ -445,9 +446,9 @@ def _lockstep_bfgs(f, x0: np.ndarray, tol: np.ndarray, max_iterations: np.ndarra
     replaced by -g with Hinv reset to the identity; a steepest-descent
     search halves until it succeeds or its predicted decrease -t g.p is
     within the round-off of f(x), where the problem stops.  A problem also
-    stops once its largest |g_j| is at most tol[i], and at its iteration
-    cap.  Each problem runs its own line search, and each call of f scores
-    one trial point of every problem still searching: one whose point
+    stops once its largest |g_j| is at most tol, and at max_iterations.
+    Each problem runs its own line search, and each call of f scores one
+    trial point of every problem still searching: one whose point
     passes takes its BFGS update and begins its next iteration or stops,
     the others halve or turn to -g, so the stack makes as many calls as its
     slowest problem scores points.  Every product over the coordinate axis
@@ -474,7 +475,6 @@ def _lockstep_bfgs(f, x0: np.ndarray, tol: np.ndarray, max_iterations: np.ndarra
     halvings, iteration = np.zeros((2, k), dtype=np.int64)
     fresh, ended = np.ones((2, k), dtype=bool)
     capped, stalled, retry = np.zeros((3, k), dtype=bool)
-    tol, cap = np.asarray(tol, dtype=float), np.asarray(max_iterations)
 
     def turn(moved, s, y):
         # BFGS updates by the steps s and gradient changes y, then p = -Hinv g
@@ -490,7 +490,7 @@ def _lockstep_bfgs(f, x0: np.ndarray, tol: np.ndarray, max_iterations: np.ndarra
         # a row whose line search ended stops once converged or stalled, or at its cap
         gmax = np.abs(g).max(axis=1, initial=0.0)
         converged = (gmax <= tol) | stalled
-        done = ended & (converged | (iteration >= cap))
+        done = ended & (converged | (iteration >= max_iterations))
         if done.any():
             ids = rows[done]
             best_x[ids], best_f[ids], best_g[ids] = x[done], fx[done], gmax[done]
@@ -500,9 +500,9 @@ def _lockstep_bfgs(f, x0: np.ndarray, tol: np.ndarray, max_iterations: np.ndarra
             for at in _blocks(Hinv[:keep.size]):
                 Hinv[at] = Hinv[keep[at]]
             Hinv = Hinv[:keep.size]
-            rows, x, fx, g, roundoff, p, t, gp, halvings, iteration, fresh, ended, retry, \
-                tol, cap = (v[keep] for v in (rows, x, fx, g, roundoff, p, t, gp, halvings,
-                                              iteration, fresh, ended, retry, tol, cap))
+            rows, x, fx, g, roundoff, p, t, gp, halvings, iteration, fresh, ended, retry = (
+                v[keep] for v in (rows, x, fx, g, roundoff, p, t, gp, halvings, iteration,
+                                  fresh, ended, retry))
         if not rows.size:
             return best_x, best_f, best_g, evaluations, iterations, capped
         # the other rows whose search ended begin their next iteration; a
@@ -536,48 +536,53 @@ def _lockstep_bfgs(f, x0: np.ndarray, tol: np.ndarray, max_iterations: np.ndarra
         ended |= stalled
 
 
-def minimize_batch(problems, configs) -> list[OracleResult]:
+def minimize_batch(problems, config: OracleConfig | None = None,
+                   seeds=None) -> list[OracleResult]:
     """Direct numerical minimization of the distance to the free set for
-    several problems (rho, rdm, a) of one dimension d, each with its own
-    OracleConfig, solved together.
-
+    several problems (rho, rdm, a) of one dimension d, solved together
+    under one budget, config's restarts, max_iterations and tol
+    (OracleConfig() when None).  seeds[i], an integer >= 0, seeds problem
+    i's restarts, and config.seed every problem's when seeds is None; a
+    seeds list of another length than problems is a ValidationError.
     Every restart of every problem, whatever its r = dim Fix(E), is a row of
     one lockstep BFGS search over the d^2 - 1 Gell-Mann coordinates, each
     objective call scoring one trial point of every row still searching
     (_lockstep_bfgs; each result's stack_calls counts the calls).  A row
-    starts at the coordinates of E(H(0.1 z)) for Gaussian z drawn from the
-    config's seed, H(x) = sum_j x_j Gamma_j, and searches along those of
-    E(df/dH).  Then the winners are mapped through E (_free_state, one
-    `apply` per distinct map) and rescored by one call of
+    starts at the coordinates of E(H(0.1 z)) for Gaussian z drawn from its
+    problem's seed, H(x) = sum_j x_j Gamma_j, and searches along those of
+    E(df/dH).  The winners are mapped through E (_free_state, one `apply`
+    per distinct map) and rescored by one call of
     tsallis_relative_entropies.  Each step treats a row alike in any stack,
-    so result i equals minimize_over_free_states(*problems[i], configs[i])
-    bit for bit.  _free_state_objective refuses a state that is not a d x d
-    density matrix, and problems of different dimensions; a winner that
-    scores +inf is NoFiniteObjective, naming its order.
+    so result i equals minimize_over_free_states(*problems[i],
+    replace(config, seed=seeds[i])) bit for bit.  _free_state_objective
+    refuses a state that is not a d x d density matrix, and problems of
+    different dimensions; a winner that scores +inf is NoFiniteObjective,
+    naming its order.
     """
     problems = [(rho, rdm, validate_order(a)) for rho, rdm, a in problems]
-    if len(configs) != len(problems):
-        raise ValidationError(f"{len(problems)} problems but {len(configs)} configs")
+    config = OracleConfig() if config is None else config
+    seeds = ([config.seed] * len(problems) if seeds is None
+             else [linalg.as_count(s, "seed", 0) for s in seeds])
+    if len(seeds) != len(problems):
+        raise ValidationError(f"{len(problems)} problems but {len(seeds)} seeds")
     if not problems:
         return []
     objective, project, free_dims = _free_state_objective(problems)
-    d = problems[0][1].dim
-    owner = np.repeat(np.arange(len(problems)), [c.restarts for c in configs])
+    d, P, R = problems[0][1].dim, len(problems), config.restarts
+    owner = np.repeat(np.arange(P), R)
     # seeded starts near the origin, where sigma is within a few percent of
     # I/d, away from the flat region of near-singular states
-    first = np.cumsum([0] + [c.restarts for c in configs])
-    z = np.concatenate([np.random.default_rng(c.seed).standard_normal((c.restarts, d * d - 1))
-                        for c in configs])
+    z = np.concatenate([np.random.default_rng(s).standard_normal((R, d * d - 1)) for s in seeds])
     starts = project(_hermitian(0.1 * z, d), owner)
     x, fx, grad_norm, evals, iters, capped = _lockstep_bfgs(
-        lambda X, rows: objective(X, owner[rows]), starts,
-        np.array([configs[i].tol for i in owner]),
-        np.array([configs[i].max_iterations for i in owner]))
+        lambda X, rows: objective(X, owner[rows]), starts, config.tol, config.max_iterations)
 
-    # each problem's winning restart; the search scored exp(H) / Tr exp(H),
-    # and the reported minimizer is its image under E, a fixed point by
-    # construction, scored afresh, every winner in one stack
-    wins = np.array([lo + int(np.argmin(fx[lo:hi])) for lo, hi in zip(first[:-1], first[1:])])
+    # each problem's winning restart, its restarts being row i of each
+    # (P, R) reshape; the search scored exp(H) / Tr exp(H), and the reported
+    # minimizer is its image under E, a fixed point by construction, scored
+    # afresh, every winner in one stack
+    F, counts, caps = fx.reshape(P, R), evals.reshape(P, R), capped.reshape(P, R)
+    wins = np.arange(P) * R + np.argmin(F, axis=1)
     sigmas = _free_state(x[wins], [rdm for _, rdm, _ in problems])
     values = tsallis_relative_entropies([rho for rho, _, _ in problems], sigmas,
                                         [a for _, _, a in problems])
@@ -586,30 +591,24 @@ def minimize_batch(problems, configs) -> list[OracleResult]:
             raise NoFiniteObjective(
                 f"objective is +inf at the image of the best point found (a={a}); "
                 "support pathology in the free set")
-    results = []
-    for i, (r, win) in enumerate(zip(free_dims, wins)):
-        mine = slice(first[i], first[i + 1])
-        results.append(OracleResult(
-            value=float(values[i]), sigma_min=sigmas[i],
-            restarts_agreeing=int(np.count_nonzero(fx[mine] <= fx[win] + AGREEMENT_WINDOW)),
-            evaluations=int(evals[mine].sum()), iterations=int(iters[win]),
-            stop_reason="iteration_cap" if capped[win] else "tolerance",
-            cap_hits=int(capped[mine].sum()), free_dim=int(r),
-            stack_iterations=int(iters.max()), stack_calls=int(evals.max()),
-            grad_norm=float(grad_norm[win])))
-    return results
+    agreeing = np.count_nonzero(F <= fx[wins, None] + AGREEMENT_WINDOW, axis=1)
+    return [OracleResult(
+        value=float(values[i]), sigma_min=sigmas[i], restarts_agreeing=int(agreeing[i]),
+        evaluations=int(counts[i].sum()), iterations=int(iters[win]),
+        stop_reason="iteration_cap" if capped[win] else "tolerance",
+        cap_hits=int(caps[i].sum()), free_dim=int(free_dims[i]),
+        stack_iterations=int(iters.max()), stack_calls=int(evals.max()),
+        grad_norm=float(grad_norm[win])) for i, win in enumerate(wins)]
 
 
 def minimize_over_free_states(rho: np.ndarray, rdm: ResourceDestroyingMap,
                               a: float, config: OracleConfig | None = None) -> OracleResult:
-    """Direct numerical minimization of the distance to the free set.
-
-    Runs the quasi-Newton search from `restarts` seeded random starts,
-    advanced together by minimize_batch.  The winning point is mapped
-    through E and re-evaluated through tsallis_relative_entropies (not the
-    fused objective); the closed form is not evaluated, so the gap to it is
-    the caller's to take.  restarts_agreeing counts restarts whose best
-    value landed within 1e-6 of the winner, making flaky convergence
-    visible.
+    """Direct numerical minimization of the distance to the free set: the
+    minimize_batch of one problem, its `restarts` seeded starts advanced
+    together.  The winning point is mapped through E and re-evaluated
+    through tsallis_relative_entropies (not the fused objective); the closed
+    form is not evaluated, so the gap to it is the caller's to take.
+    restarts_agreeing counts restarts whose best value landed within 1e-6
+    of the winner, making flaky convergence visible.
     """
-    return minimize_batch([(rho, rdm, a)], [OracleConfig() if config is None else config])[0]
+    return minimize_batch([(rho, rdm, a)], config)[0]

@@ -44,10 +44,12 @@ log = logging.getLogger("rdmap.verify")
 # theorem1 solves all trials of one dimension in one lockstep batch, one
 # stack of the d^2 - 1 Gell-Mann coordinates whatever each map's r, each
 # map entering the search only through its `_act` (the coordinates of
-# E(df/dH) are the gradient), with one restart per problem, OracleConfig's
-# default iteration cap and ORACLE_TOL; the acceptance run (50 trials)
-# takes about 1 s on a 2-vCPU VM against its 300 s budget.  The
-# quasi-Newton search converges in tens of iterations (at most 89 per
+# E(df/dH) are the gradient).  Every problem of a call shares one
+# budget, OracleConfig(restarts=1, tol=ORACLE_TOL) with its default
+# iteration cap, and keeps its own seed.  The acceptance run (d = 2..4,
+# 50 trials) takes about 1 s on a 2-vCPU VM against its 300 s budget, and
+# 50 trials at one of d = 5..8 take 0.8-1.8 s at 59-121 MiB peak RSS.  The
+# quasi-Newton search converges in tens of iterations (at d <= 4 at most 89 per
 # batch), and each objective call scores one trial point of every row
 # still searching (at most 92 calls per batch).  What follows it runs once
 # per dimension, each step on one stack: the winners are mapped through E,
@@ -195,9 +197,12 @@ def theorem1_batches(dims, a_grid, trials: int, seed: int):
 def suite_theorem1(dims, a_grid, trials: int, seed: int,
                    tol: float = GAP_TOL) -> SuiteReport:
     """Closed form vs oracle on random states, every built-in map, the full
-    a grid (see theorem1_batches).  The oracle solves the problems of every
-    trial of one dimension together, whatever their free dimension r, in
-    one lockstep quasi-Newton search, one restart each at ORACLE_TOL.  Each
+    a grid (see theorem1_batches), at d = 2..8.  The oracle solves the
+    problems of every trial of one dimension together, whatever their free
+    dimension r, in one lockstep quasi-Newton search under the one budget
+    OracleConfig(restarts=1, tol=ORACLE_TOL), each from its own seed.  d >= 9
+    is refused: each row's dense (d^2 - 1)^2 inverse Hessian would make a
+    50-trial batch at d = 16 hold about 0.9 GB.  Each
     order goes through measures.validate_order, so a bool or a string is a
     ValidationError, not a number.  Records come in trial, dim, map, a order
     and carry the minimizer's density-validation verdict, fixed-point
@@ -211,10 +216,12 @@ def suite_theorem1(dims, a_grid, trials: int, seed: int,
     its d^2 - 1 coordinates)."""
     dims = [linalg.as_integer(d, "dims") for d in dims]
     trials, seed = linalg.as_count(trials, "trials", 1), linalg.as_count(seed, "seed", 0)
-    if not set(dims) <= {2, 3, 4}:
-        raise ValidationError(f"oracle-backed dims are limited to 2..4, got {dims}")
+    if not set(dims) <= set(range(2, 9)):
+        raise ValidationError(f"oracle-backed dims are limited to 2..8, where each search row's "
+                              f"dense (d^2 - 1)^2 inverse Hessian stays small; got {dims}")
     a_grid = [validate_order(a) for a in a_grid]
     t0 = time.perf_counter()
+    budget = OracleConfig(restarts=1, tol=ORACLE_TOL)
     batches = list(theorem1_batches(dims, a_grid, trials, seed))
     records = [[] for _ in batches]
     for d in dict.fromkeys(dims):  # each dimension once, in order
@@ -224,10 +231,8 @@ def suite_theorem1(dims, a_grid, trials: int, seed: int,
             continue
         reports = [closed_form_measure(rho, rdm, a) for _, (_, rdm, rho, a, _) in group]
         t_solve = time.perf_counter()
-        results = minimize_batch(
-            [(rho, rdm, a) for _, (_, rdm, rho, a, _) in group],
-            [OracleConfig(restarts=1, tol=ORACLE_TOL, seed=oseed)
-             for _, (*_, oseed) in group])
+        results = minimize_batch([(rho, rdm, a) for _, (_, rdm, rho, a, _) in group], budget,
+                                 [oseed for _, (*_, oseed) in group])
         t_solve = time.perf_counter() - t_solve
         sigma_ok = linalg.density_ok([rep.sigma_star for rep in reports])
         for (i, (name, _, _, a, _)), rep, res, ok in zip(group, reports, results, sigma_ok):
@@ -429,9 +434,11 @@ def suite_continuity_a1(trials: int, seed: int, tol: float = 1e-3) -> SuiteRepor
 def run_suite(name: str, dims=None, a_grid=None, trials: int | None = None,
               seed: int = 0, tol: float | None = None) -> SuiteReport:
     """Dispatch by suite name with per-suite defaults matching the
-    acceptance runs.  trials=None and tol=None select the suite's default;
-    any other trials must be an integer >= 1 and any other tol a real
-    number, not a bool, finite and >= 0.  Each suite also takes only
+    acceptance runs.  dims=None, a_grid=None, trials=None and tol=None
+    select the suite's default, and nothing else does: an empty dims or
+    a_grid runs no dimension or no order.  Any other trials must be an
+    integer >= 1 and any other tol a real number, not a bool, finite and
+    >= 0.  Each suite also takes only
     integral dims and a seed >= 0: an integral float counts as its int, and
     a bool, a fraction, a string or a smaller value is a ValidationError
     naming the field.  axioms, piani and continuity draw their own
@@ -446,14 +453,15 @@ def run_suite(name: str, dims=None, a_grid=None, trials: int | None = None,
     if dims is not None and name in ("axioms", "piani", "continuity"):
         raise ValidationError(f"dims does not apply to the {name} suite, which draws "
                               f"its own dimensions; got {dims!r:.60}")
-    grid = list(a_grid) if a_grid else list(DEFAULT_A_GRID)
+    grid = list(DEFAULT_A_GRID) if a_grid is None else list(a_grid)
     kw = {} if tol is None else {"tol": tol}
     if name == "theorem1":
-        return suite_theorem1(dims or [2, 3, 4], grid, trials or 50, seed, **kw)
+        return suite_theorem1([2, 3, 4] if dims is None else dims, grid, trials or 50, seed, **kw)
     if name == "axioms":
         return suite_axioms(trials or 200, seed, **kw)
     if name == "theorem2":
-        return suite_theorem2(dims or [3, 4, 5, 6], grid, trials or 200, seed, **kw)
+        return suite_theorem2([3, 4, 5, 6] if dims is None else dims, grid, trials or 200, seed,
+                              **kw)
     if name == "piani":
         return suite_piani_demo(trials or 200, seed, **kw)
     return suite_continuity_a1(trials or 100, seed, **kw)

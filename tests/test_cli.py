@@ -388,6 +388,20 @@ def test_verify_dims_on_a_suite_that_draws_its_own_exits_2(capsys):
     assert captured.out == "" and "ValidationError: dims" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "theorem1", "--dims", ",", "--a-grid", ",", "--trials", "1"],
+    ["verify", "theorem1", "--dims", "", "--trials", "1"],
+    ["verify", "theorem2", "--a-grid", " , ", "--trials", "1"],
+])
+def test_verify_list_with_no_entry_exits_2(argv, capsys):
+    """A --dims or --a-grid with no entry is malformed, not a request for the
+    suite's default: theorem1 with both empty once ran 105 default records
+    and exited 0."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "expected comma-separated" in captured.err
+
+
 def test_verify_unknown_suite_exits_2(capsys):
     assert main(["verify", "nosuch"]) == 2
     assert "unknown suite" in capsys.readouterr().err

@@ -123,6 +123,28 @@ def test_power_values_is_the_masked_power():
             assert linalg.power_values(values, p).tobytes() == want.tobytes()
 
 
+def test_spectral_log_keeps_the_support_of_power_values():
+    """spectral_log takes the log exactly on the eigenvalues that
+    power_values keeps at p = 0, those above 1e-12 * lambda_max, and 0 on
+    the rest, for one spectrum and for a stack: zeros, spectra down to
+    1e-20 and eigenvalues at the cut itself."""
+    rng = np.random.default_rng(12)
+    for _ in range(300):
+        n, d = int(rng.integers(1, 5)), int(rng.integers(1, 9))
+        values = 10.0 ** rng.uniform(-20, 0, size=(n, d))
+        values[rng.random((n, d)) < 0.2] = 0.0
+        values[0, 0] = linalg.SUPPORT_CUTOFF * values[0].max()
+        values = np.sort(values, axis=-1)
+        vectors = np.broadcast_to(np.eye(d, dtype=complex), (n, d, d))
+        keep = linalg.power_values(values, 0.0) > 0
+        for logs, mask, w in ((linalg.spectral_log((values, vectors)), keep, values),
+                              (linalg.spectral_log((values[0], vectors[0]))[None], keep[:1],
+                               values[:1])):
+            diag = np.diagonal(logs, axis1=-2, axis2=-1).real
+            assert np.array_equal(diag[mask], np.log(w[mask]))
+            assert not diag[~mask].any()
+
+
 def test_spectral_maps_of_a_stack_are_each_matrix_alone():
     """power_values, spectral_log and the Hermiticity residual of an
     (n, d) or (n, d, d) stack equal the one-matrix calls row by row, bit

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -599,7 +600,7 @@ def test_oracle_stays_finite_next_to_a_singular_minimizer():
              (3, 3, 1.2))
     problems = [(linalg.random_density_matrix(4, rank, seed=400 + 10 * rank + s), rdm, a)
                 for rank, s, a in cases]
-    results = minimize_batch(problems, [OracleConfig(seed=s) for _, s, _ in cases])
+    results = minimize_batch(problems, OracleConfig(), [s for _, s, _ in cases])
     for (rho, _, a), res in zip(problems, results):
         gap = res.value - closed_form_measure(rho, rdm, a).value
         assert math.isfinite(res.value)
@@ -626,8 +627,8 @@ def test_rank_deficient_sweep_stays_finite_and_attains(d):
              for rdm in maps for rank in range(1, d + 1) for s in range(4)
              for a in DEFAULT_A_GRID]
     assert len(cases) == 4 * d * 4 * len(DEFAULT_A_GRID)
-    results = minimize_batch([(rho, rdm, a) for rho, rdm, a, _ in cases],
-                             [OracleConfig(seed=s) for *_, s in cases])
+    results = minimize_batch([(rho, rdm, a) for rho, rdm, a, _ in cases], OracleConfig(),
+                             [s for *_, s in cases])
     for (rho, rdm, a, s), res in zip(cases, results):
         gap = res.value - closed_form_measure(rho, rdm, a).value
         assert -1e-12 <= gap <= 1e-9, (rdm, np.linalg.matrix_rank(rho), s, a, gap)
@@ -643,13 +644,13 @@ def test_batch_matches_each_problem_alone(d):
     batches = list(theorem1_batches([d], DEFAULT_A_GRID, trials=2, seed=7))
     assert [len(problems) for *_, problems in batches] == [35, 35]
     problems = [p for *_, batch in batches for p in batch]
-    configs = [OracleConfig(restarts=1, tol=ORACLE_TOL, seed=oseed)
-               for *_, oseed in problems]
-    together = minimize_batch([(rho, rdm, a) for _, rdm, rho, a, _ in problems], configs)
+    config = OracleConfig(restarts=1, tol=ORACLE_TOL)
+    seeds = [oseed for *_, oseed in problems]
+    together = minimize_batch([(rho, rdm, a) for _, rdm, rho, a, _ in problems], config, seeds)
     if d == 4:
         assert {res.free_dim for res in together} >= {1, 16}
-    for (_, rdm, rho, a, _), config, res in zip(problems, configs, together):
-        alone = minimize_over_free_states(rho, rdm, a, config)
+    for (_, rdm, rho, a, _), seed, res in zip(problems, seeds, together):
+        alone = minimize_over_free_states(rho, rdm, a, dataclasses.replace(config, seed=seed))
         assert np.array_equal(res.sigma_min, alone.sigma_min)
         assert res.value == alone.value
         assert res.restarts_agreeing == alone.restarts_agreeing
@@ -704,9 +705,7 @@ def _mixed_r_batch():
             lueders_map(coarse), modified_coarse_map(coarse)]
     rho = linalg.random_density_matrix(3, 3, seed=4)
     problems = [(rho, rdm, a) for rdm in maps for a in (0.5, 2.0)]
-    configs = [OracleConfig(restarts=2, max_iterations=400, tol=1e-9, seed=s)
-               for s in range(len(problems))]
-    return problems, configs
+    return problems, OracleConfig(restarts=2, max_iterations=400, tol=1e-9), range(len(problems))
 
 
 def test_mixed_r_batch_runs_one_stack_per_pass(monkeypatch):
@@ -714,7 +713,7 @@ def test_mixed_r_batch_runs_one_stack_per_pass(monkeypatch):
     of the d^2 - 1 = 8 Gell-Mann coordinates for the 16 restarts, and the
     winners reach E together, in one call on the (8, 8) stack of their
     points in those coordinates."""
-    problems, configs = _mixed_r_batch()
+    problems, config, seeds = _mixed_r_batch()
     stacks, points = [], []
     inner_search, inner_state = oracle._lockstep_bfgs, oracle._free_state
 
@@ -728,7 +727,7 @@ def test_mixed_r_batch_runs_one_stack_per_pass(monkeypatch):
 
     monkeypatch.setattr(oracle, "_lockstep_bfgs", search)
     monkeypatch.setattr(oracle, "_free_state", free_state)
-    results = minimize_batch(problems, configs)
+    results = minimize_batch(problems, config, seeds)
     assert stacks == [(16, 8)]
     assert [res.free_dim for res in results] == [3, 3, 1, 1, 5, 5, 2, 2]
     assert points == [(8, 8)]
@@ -742,7 +741,7 @@ def test_winners_are_mapped_and_rescored_in_one_stack(monkeypatch):
     call on all of them: 8 problems on 4 maps make 4 applies of (2, 3, 3)
     and one rescoring of 8 rows, with the problems' own states and orders.
     Each value is that call's row, and also the one-problem reference's."""
-    problems, configs = _mixed_r_batch()
+    problems, config, seeds = _mixed_r_batch()
     applied, rescored = [], []
     inner_apply, inner_rescore = ResourceDestroyingMap.apply, oracle.tsallis_relative_entropies
 
@@ -757,7 +756,7 @@ def test_winners_are_mapped_and_rescored_in_one_stack(monkeypatch):
 
     monkeypatch.setattr(ResourceDestroyingMap, "apply", apply)
     monkeypatch.setattr(oracle, "tsallis_relative_entropies", rescore)
-    results = minimize_batch(problems, configs)
+    results = minimize_batch(problems, config, seeds)
     maps = list({id(rdm): None for _, rdm, _ in problems})
     assert sorted(applied) == sorted((key, (2, 3, 3)) for key in maps)
     assert len(rescored) == 1
@@ -802,7 +801,7 @@ def test_one_act_per_live_map_per_objective_call(monkeypatch):
 
     monkeypatch.setattr(ResourceDestroyingMap, "_act", act)
     monkeypatch.setattr(oracle, "_free_state_objective", objective)
-    results = minimize_batch(problems, [QUICK] * len(problems))
+    results = minimize_batch(problems, QUICK)
     assert len(calls) > 1
     for seen, live in calls:
         assert seen == live
@@ -851,8 +850,7 @@ def test_stack_allocates_at_most_twice_its_own_size(monkeypatch):
     tracemalloc.start()
     try:
         minimize_batch([(rho, rdm, a) for _, rdm, rho, a, _ in problems],
-                       [OracleConfig(restarts=1, tol=ORACLE_TOL, seed=oseed)
-                        for *_, oseed in problems])
+                       OracleConfig(restarts=1, tol=ORACLE_TOL), [oseed for *_, oseed in problems])
     finally:
         tracemalloc.stop()
     assert len(passes) == 1
@@ -924,8 +922,8 @@ def test_each_objective_call_advances_every_live_row(monkeypatch):
     monkeypatch.setattr(oracle, "_free_state_objective", counting)
     problems = [p for *_, batch in theorem1_batches([3], DEFAULT_A_GRID, 2, 7) for p in batch]
     results = minimize_batch([(rho, rdm, a) for _, rdm, rho, a, _ in problems],
-                             [OracleConfig(restarts=1, tol=ORACLE_TOL, seed=oseed)
-                              for *_, oseed in problems])
+                             OracleConfig(restarts=1, tol=ORACLE_TOL),
+                             [oseed for *_, oseed in problems])
     assert len(results) == 70
     assert len(calls) == max(res.evaluations for res in results)
     assert sum(calls) == sum(res.evaluations for res in results)
@@ -946,7 +944,7 @@ def test_oracle_flags_all_infinite_objective():
     rho = np.diag([0.0, 1.0]).astype(complex)
     with pytest.raises(NoFiniteObjective):
         minimize_batch([(rho, _crush(), 1.5)],
-                       [OracleConfig(restarts=2, max_iterations=50, tol=1e-6, seed=0)])
+                       OracleConfig(restarts=2, max_iterations=50, tol=1e-6, seed=0))
 
 
 def test_infinite_winner_in_a_batch_names_its_order():
@@ -957,9 +955,9 @@ def test_infinite_winner_in_a_batch_names_its_order():
     deph = dephasing_map(MeasurementPartition.singletons(2))
     config = OracleConfig(restarts=2, max_iterations=50, tol=1e-6, seed=0)
     with pytest.raises(NoFiniteObjective, match=r"\(a=1\.5\)"):
-        minimize_batch([(rho, deph, 0.5), (rho, _crush(), 1.5), (rho, deph, 2.0)], [config] * 3)
+        minimize_batch([(rho, deph, 0.5), (rho, _crush(), 1.5), (rho, deph, 2.0)], config)
     assert all(math.isfinite(res.value)
-               for res in minimize_batch([(rho, deph, 0.5), (rho, deph, 2.0)], [config] * 2))
+               for res in minimize_batch([(rho, deph, 0.5), (rho, deph, 2.0)], config))
 
 
 @pytest.mark.parametrize("a", [0.5, 1.0, 1.5])
@@ -1001,7 +999,7 @@ def test_oracle_forms_no_superoperator(monkeypatch):
     for d in (2, 3, 4):
         rho = linalg.random_density_matrix(d, d, seed=d)
         problems = [(rho, rdm, a) for rdm in maps if rdm.dim == d for a in (0.5, 2.0)]
-        results = minimize_batch(problems, [QUICK] * len(problems))
+        results = minimize_batch(problems, QUICK)
         for problem, res in zip(problems, results):
             assert abs(res.value - closed_form_measure(*problem).value) <= 1e-6
 
@@ -1012,7 +1010,7 @@ def test_batch_refuses_mixed_dimensions():
     problems = [(np.eye(d, dtype=complex) / d, dephasing_map(MeasurementPartition.singletons(d)),
                  2.0) for d in (2, 3)]
     with pytest.raises(ValidationError):
-        minimize_batch(problems, [QUICK, QUICK])
+        minimize_batch(problems, QUICK)
 
 
 def test_empty_batch_solves_nothing(monkeypatch):
@@ -1022,6 +1020,52 @@ def test_empty_batch_solves_nothing(monkeypatch):
         raise AssertionError("nothing to build for an empty batch")
     monkeypatch.setattr(oracle, "_hermitian", refuse)
     monkeypatch.setattr(oracle, "_free_state_objective", refuse)
-    assert minimize_batch([], []) == []
-    with pytest.raises(ValidationError, match="0 problems but 1 configs"):
-        minimize_batch([], [QUICK])
+    assert minimize_batch([], QUICK) == minimize_batch([], QUICK, []) == []
+    with pytest.raises(ValidationError, match="0 problems but 1 seeds"):
+        minimize_batch([], QUICK, [0])
+
+
+def test_batch_refuses_seeds_of_another_length():
+    """One seed per problem: a seeds list of another length is refused
+    before any search, and leaving seeds out gives every problem
+    config.seed."""
+    deph = dephasing_map(MeasurementPartition.singletons(2))
+    rho = linalg.random_density_matrix(2, 2, seed=5)
+    problems = [(rho, deph, 0.5), (rho, deph, 2.0)]
+    for seeds in ([3], [3, 4, 5]):
+        with pytest.raises(ValidationError, match=f"2 problems but {len(seeds)} seeds"):
+            minimize_batch(problems, QUICK, seeds)
+    default = minimize_batch(problems, QUICK)
+    given = minimize_batch(problems, QUICK, [QUICK.seed] * 2)
+    assert [res.value for res in default] == [res.value for res in given]
+
+
+@pytest.mark.parametrize("seed", [True, -1, 1.5, "3"])
+def test_batch_refuses_a_seed_that_is_no_count(seed):
+    deph = dephasing_map(MeasurementPartition.singletons(2))
+    rho = linalg.random_density_matrix(2, 2, seed=5)
+    with pytest.raises(ValidationError, match="seed must be"):
+        minimize_batch([(rho, deph, 0.5), (rho, deph, 2.0)], QUICK, [0, seed])
+
+
+def test_search_runs_under_one_scalar_budget(monkeypatch):
+    """The lockstep search gets the batch's tol and max_iterations as two
+    numbers, not arrays of one entry per row, and each problem's R
+    restarts start from its own seed: a problem's result does not change
+    with the seeds of the others."""
+    problems, config, seeds = _mixed_r_batch()
+    budgets = []
+    inner = oracle._lockstep_bfgs
+
+    def search(f, x0, *budget):
+        budgets.append(budget)
+        return inner(f, x0, *budget)
+
+    monkeypatch.setattr(oracle, "_lockstep_bfgs", search)
+    results = minimize_batch(problems, config, seeds)
+    assert budgets == [(config.tol, config.max_iterations)]
+    assert all(type(v) in (int, float) for v in budgets[0])
+    moved = minimize_batch(problems, config, [s + 100 * (i % 2) for i, s in enumerate(seeds)])
+    for i, (res, other) in enumerate(zip(results, moved)):
+        if i % 2 == 0:
+            assert res.value == other.value and np.array_equal(res.sigma_min, other.sigma_min)

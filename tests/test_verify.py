@@ -69,7 +69,7 @@ def test_theorem1_fixed_point_trials_vanish():
 
 def test_theorem1_rejects_large_dims():
     with pytest.raises(ValidationError):
-        suite_theorem1([5], SMALL_GRID, trials=1, seed=0)
+        suite_theorem1([9], SMALL_GRID, trials=1, seed=0)
 
 
 def test_theorem1_deterministic_records():
@@ -89,8 +89,7 @@ def test_theorem1_cross_trial_batches_change_no_record():
         reports = [closed_form_measure(rho, rdm, a) for _, rdm, rho, a, _ in problems]
         results = minimize_batch(
             [(rho, rdm, a) for _, rdm, rho, a, _ in problems],
-            [OracleConfig(restarts=1, tol=ORACLE_TOL, seed=oseed)
-             for *_, oseed in problems])
+            OracleConfig(restarts=1, tol=ORACLE_TOL), [oseed for *_, oseed in problems])
         for (name, _, _, a, _), r, res in zip(problems, reports, results):
             expected.append({
                 "trial": t, "seed": s, "dim": d, "map": name, "a": a,
@@ -123,9 +122,9 @@ def test_theorem1_times_each_problem_from_its_closed_form(monkeypatch):
         events.append(("closed", rdm.dim, a))
         return inner_closed(rho, rdm, a)
 
-    def solve(problems, configs):
+    def solve(problems, config, seeds):
         events.append(("solve", problems[0][1].dim, len(problems)))
-        return inner_solve(problems, configs)
+        return inner_solve(problems, config, seeds)
 
     monkeypatch.setattr(verify, "closed_form_measure", closed)
     monkeypatch.setattr(verify, "minimize_batch", solve)
@@ -341,3 +340,61 @@ def test_default_grid_spans_both_branches():
     assert min(DEFAULT_A_GRID) > 0
     assert max(DEFAULT_A_GRID) == 2.0
     assert 1.0 in DEFAULT_A_GRID
+
+
+def test_theorem1_checks_dims_above_4():
+    """The oracle-backed suite reaches d = 8: at d = 5, 6 and 8 every record
+    passes, no search hits its cap, and every winner stopped on
+    tolerance."""
+    rep = suite_theorem1([5, 6, 8], DEFAULT_A_GRID, trials=2, seed=7)
+    assert len(rep.records) == 2 * 3 * 5 * len(DEFAULT_A_GRID)
+    assert {r["dim"] for r in rep.records} == {5, 6, 8}
+    assert rep.failures == 0
+    assert sum(r["cap_hits"] for r in rep.records) == 0
+    assert {r["stop_reason"] for r in rep.records} == {"tolerance"}
+
+
+def test_theorem1_names_why_it_refuses_dims_above_8():
+    with pytest.raises(ValidationError, match=r"2\.\.8.*inverse Hessian"):
+        suite_theorem1([2, 9], SMALL_GRID, trials=1, seed=0)
+
+
+def test_theorem1_builds_one_oracle_config_per_call(monkeypatch):
+    """Every problem of every dimension is solved under one budget: the
+    suite builds one OracleConfig per call, however many problems it
+    poses, and hands each problem its own seed."""
+    built, seeds = [], []
+    inner_config, inner_solve = verify.OracleConfig, verify.minimize_batch
+
+    def config(*args, **kwargs):
+        built.append(inner_config(*args, **kwargs))
+        return built[-1]
+
+    def solve(problems, budget, oseeds):
+        assert budget is built[0]
+        seeds.extend(oseeds)
+        return inner_solve(problems, budget, oseeds)
+
+    monkeypatch.setattr(verify, "OracleConfig", config)
+    monkeypatch.setattr(verify, "minimize_batch", solve)
+    rep = suite_theorem1([2, 3], SMALL_GRID, trials=2, seed=7)
+    assert len(built) == 1
+    assert (built[0].restarts, built[0].tol) == (1, ORACLE_TOL)
+    assert len(seeds) == len(rep.records) == 2 * 2 * 5 * len(SMALL_GRID)
+    want = [oseed for d in (2, 3) for _, _, dim, problems
+            in theorem1_batches([2, 3], SMALL_GRID, 2, 7) if dim == d
+            for *_, oseed in problems]
+    assert seeds == want
+
+
+def test_run_suite_takes_an_empty_list_as_given():
+    """Only None selects a suite's default dims or order grid: an empty list
+    poses no problem.  theorem1 with both empty once ran 105 records of the
+    default d = 2, 3, 4 and grid."""
+    rep = run_suite("theorem1", dims=[], a_grid=[], trials=1)
+    assert (rep.records, rep.failures) == ([], 0)
+    assert run_suite("theorem1", dims=[2], a_grid=[], trials=1).records == []
+    assert run_suite("theorem1", dims=[], trials=1).records == []
+    rep = run_suite("theorem2", dims=[3], a_grid=[], trials=2)
+    assert [r["kind"] for r in rep.records] == ["compose", "compose"]
+    assert run_suite("theorem2", dims=[], trials=1).records == []
