@@ -2,7 +2,9 @@
 
 Two representations share the `QuantumChannel` interface.  A Kraus sum,
 rho -> sum_i K_i rho K_i^dag, holds what nothing cheaper fits: twirls over
-non-abelian groups and Kraus input whose operators do not commute.  Every
+non-abelian groups and Kraus input whose operators do not commute.  It
+applies as two products per chunk of its operators, (n d, d) @ rho and
+(d, n d) @ (n d, d), not as a loop over them (`_kraus_act`).  Every
 other map is a `PartitionChannel`: the trace-preserving conditional
 expectation onto the block algebra of a partition of an orthonormal basis,
 where each block either keeps its diagonal block or traces it out.  The
@@ -25,11 +27,13 @@ and E(Z) densely and diagonalizes E(Z).  A partition map's E(Z) is block
 diagonal in its basis W, so it reads the image off U = W^dag V, one d x d
 product, on one path for every basis: a kept singleton or a traced block is
 a scalar, a weighted sum of |U|^2, the kept blocks of each size n > 1 are
-formed from U's rows and share one batched eigh, and a basis rotates the
-power out.  |U|^2 and the blocks' rows do not depend on w, so a partition
-map keeps them as its frame of one eigensystem: one entry, keyed on the
-identity of the eigensystem object and replaced by one assignment when
-another comes.  A sweep over orders on one state reads it once, since
+formed from U's rows and share one batched eigh, one `put` writes the
+power, and a basis rotates it out with the W^dag kept since construction.
+|U|^2, the blocks' rows and, for the closed form's weights p^a
+(`_power_weights`), the eigenvalues that every positive power keeps do not
+depend on w, so a partition map keeps them as its frame of one
+eigensystem: one entry, keyed on the identity of the eigensystem object
+and replaced by one assignment when another comes.  A sweep over orders on one state reads it once, since
 `density_spectrum` hands every order the same object; another state, or
 the same array changed in place, brings another object.
 
@@ -169,6 +173,11 @@ class QuantumChannel:
         w = linalg.clip_spectrum(w)
         return self._spectral_image(linalg.Eigensystem(w, linalg.as_complex_matrix(V)), w, p)
 
+    def _power_weights(self, spectrum: linalg.Eigensystem, a: float) -> np.ndarray:
+        """The eigenvalues of rho^a, for a > 0, from rho's clipped
+        eigensystem: `linalg.power_values(spectrum.values, a)`."""
+        return linalg.power_values(spectrum.values, a)
+
     def _spectral_image(self, spectrum: linalg.Eigensystem, w: np.ndarray, p: float) -> tuple:
         """`spectral_image` of arguments it has already checked, V given as
         spectrum.vectors.  Here E(Z) is formed densely and diagonalized,
@@ -196,19 +205,40 @@ class QuantumChannel:
         return linalg.frobenius(self.apply(np.eye(self.dim, dtype=complex)) - np.eye(self.dim))
 
 
-def _kraus_act(ops, A: np.ndarray) -> np.ndarray:
-    """sum_i K_i A K_i^dag over an (n, d, d) stack."""
+def _chunks(n: int, size: int) -> list:
+    """Slices of an n-operator stack, a few operators at a time: as many as
+    keep a chunk within 2^13 complex entries (128 KiB) when each operator
+    brings `size` of them, and at least one."""
+    step = max(1, 2**13 // max(size, 1))
+    return [slice(start, start + step) for start in range(0, n, step)]
+
+
+def _kraus_act(ops: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """sum_i K_i A K_i^dag over an (n, d, d) stack, for one matrix A or a
+    (..., d, d) stack of them, as two products per chunk of operators: the
+    (m d, d) rows of the chunk times A give every K_i A, laid side by side
+    as (d, m d), times the (m d, d) rows of the K_i^dag.  Chunks
+    (`_chunks`) keep the K_i A of one matrix within 128 KiB: unchunked,
+    384 operators at d = 32 ran slower than one product per operator."""
+    n, d, _ = ops.shape
+    lead = A.shape[:-2]
     out = np.zeros_like(A)
-    for K in ops:
-        out += K @ A @ linalg.dagger(K)
+    for rows in _chunks(n, A.size):
+        K = ops[rows]
+        m = len(K)
+        KA = (K.reshape(m * d, d) @ A).reshape(lead + (m, d, d))
+        out += KA.swapaxes(-3, -2).reshape(lead + (d, m * d)) @ linalg.dagger(K).reshape(m * d, d)
     return out
 
 
-def _kraus_tp_residual(ops) -> float:
-    """||sum_i K_i^dag K_i - I||_F over an (n, d, d) stack."""
-    d = ops[0].shape[0]
+def _kraus_tp_residual(ops: np.ndarray) -> float:
+    """||sum_i K_i^dag K_i - I||_F over an (n, d, d) stack: per chunk of
+    operators (`_chunks`), one (d, m d) x (m d, d) product of the chunk's
+    stacked rows."""
+    n, d, _ = ops.shape
     acc = np.zeros((d, d), dtype=complex)
-    for K in ops:
+    for rows in _chunks(n, d * d):
+        K = ops[rows].reshape(-1, d)
         acc += linalg.dagger(K) @ K
     return linalg.frobenius(acc - np.eye(d))
 
@@ -268,12 +298,15 @@ class PartitionChannel(QuantumChannel):
         # traced index its block and that block's 1 / n (avg's diagonal)
         self._segments = (self._diag * (d + 1), np.array(starts, dtype=int),
                           np.array(owner, dtype=int), avg.diagonal())
-        self._basis = None
+        # the basis W and, contiguous, its conjugate transpose
+        self._basis = self._basis_h = None
         self._unitarity_defect = 0.0
         if basis is not None:
             W = _operator_stack([basis], "basis", d)[0]
-            self._basis = W
-            self._unitarity_defect = linalg.frobenius(linalg.dagger(W) @ W - np.eye(d))
+            Wh = np.ascontiguousarray(linalg.dagger(W))
+            Wh.setflags(write=False)
+            self._basis, self._basis_h = W, Wh
+            self._unitarity_defect = linalg.frobenius(Wh @ W - np.eye(d))
         self._kraus = None
         self._superop = None
         self._residuals = None
@@ -296,13 +329,14 @@ class PartitionChannel(QuantumChannel):
                 ops.append(K)
             K = np.concatenate(ops)
             if self._basis is not None:
-                K = self._basis @ K @ linalg.dagger(self._basis)
+                K = self._basis @ K @ self._basis_h
             K.setflags(write=False)
             self._kraus = K
         return self._kraus
 
     def _act(self, A: np.ndarray) -> np.ndarray:
-        """E(A) for a (..., d, d) stack, W P0(W^dag A W) W^dag with a basis.
+        """E(A) for a (..., d, d) stack, W P0(W^dag A W) W^dag with a basis,
+        W^dag the contiguous copy kept since construction.
         The four products stay stacked matmuls, one BLAS call per matrix.
         2-d products over the whole stack, (d, d) @ (d, n d) on the left and
         (n d, d) @ (d, d) on the right, are 1.2-4 times faster at 14-70 rows
@@ -314,8 +348,7 @@ class PartitionChannel(QuantumChannel):
         records stay bit-identical, so neither layout is taken."""
         if self._basis is None:
             return self._block_act(A)
-        W = self._basis
-        Wh = linalg.dagger(W)
+        W, Wh = self._basis, self._basis_h
         return W @ self._block_act(Wh @ A @ W) @ Wh
 
     def _block_act(self, A: np.ndarray) -> np.ndarray:
@@ -334,13 +367,14 @@ class PartitionChannel(QuantumChannel):
         return out
 
     def _spectral_layout(self) -> tuple:
-        """(scalar_rows, scalar_at, block_rows, block_at), built on first use.
-        scalar_rows lists the indices whose eigenvalue is a scalar (the kept
-        singletons, then the traced indices in the order of `_avg`), and
-        scalar_at their diagonal positions in a flattened d x d matrix; per
-        size n > 1, block_rows is the (m, n) array of the m kept blocks of
-        that size and block_at the (m, n, n) positions of their entries
-        (take and put are cheaper than 2-d fancy indexing)."""
+        """(scalar_rows, block_rows, at), built on first use.  scalar_rows
+        lists the indices whose eigenvalue is a scalar (the kept singletons,
+        then the traced indices in the order of `_avg`); per size n > 1,
+        block_rows holds the (m, n) array of the m kept blocks of that size;
+        at lists the positions, in a flattened d x d matrix, of the scalars'
+        diagonal entries and then of every block's entries, size by size,
+        block by block, row-major, so that one `put` writes E(Z)^p in U's
+        frame (take and put are cheaper than 2-d fancy indexing)."""
         if self._layout is None:
             d = self._dim
             kept = [b for b, t in zip(self.partition.blocks, self.traced) if not t]
@@ -348,8 +382,9 @@ class PartitionChannel(QuantumChannel):
             sizes = sorted({len(b) for b in kept if len(b) > 1})
             groups = tuple(np.array([b for b in kept if len(b) == n]) for n in sizes)
             scalars = np.concatenate([singles, self._diag])
-            self._layout = (scalars, scalars * (d + 1), groups,
-                            tuple(i[:, :, None] * d + i[:, None, :] for i in groups))
+            at = np.concatenate([scalars * (d + 1)]
+                                + [(i[:, :, None] * d + i[:, None, :]).ravel() for i in groups])
+            self._layout = (scalars, groups, at)
         return self._layout
 
     def _read_frame(self, V: np.ndarray) -> tuple:
@@ -358,15 +393,33 @@ class PartitionChannel(QuantumChannel):
         moduli of U's scalar rows, one (k, d) real array; stacks holds, per
         size n > 1 of the kept blocks, the (m, n, d) stack R of their rows
         of U and its conjugate transpose."""
-        W = self._basis
-        U = V if W is None else linalg.dagger(W) @ V
-        scalar_rows, _, block_rows, _ = self._spectral_layout()
+        U = V if self._basis is None else self._basis_h @ V
+        scalar_rows, block_rows, _ = self._spectral_layout()
         R = U.take(scalar_rows, axis=0)
         stacks = []
         for rows in block_rows:
             B = U.take(rows, axis=0)
             stacks.append((B, linalg.dagger(B)))
         return R.real * R.real + R.imag * R.imag, tuple(stacks)
+
+    def _frame_of(self, spectrum: linalg.Eigensystem) -> tuple:
+        """The frame entry (spectrum, live, S, stacks) of this spectrum,
+        read on a miss: live marks the eigenvalues that
+        `linalg.power_values` keeps for every p > 0 (those above
+        d * eps * lambda_max), and S and stacks come from `_read_frame`."""
+        frame = self._frame
+        if frame is None or frame[0] is not spectrum:
+            live = linalg.power_values(spectrum.values, 1.0) > 0
+            frame = self._frame = (spectrum, live) + self._read_frame(spectrum.vectors)
+        return frame
+
+    def _power_weights(self, spectrum: linalg.Eigensystem, a: float) -> np.ndarray:
+        """`QuantumChannel._power_weights` bit for bit, as one numpy power
+        masked by the frame's support of rho, which does not depend on a.
+        The eigenvalues of a state lie in [0, 1 + 1e-10], so a in (0, 2]
+        cannot overflow."""
+        live = self._frame_of(spectrum)[1]
+        return np.power(spectrum.values, a, out=np.zeros(live.shape), where=live)
 
     def _spectral_image(self, spectrum: linalg.Eigensystem, w: np.ndarray, p: float) -> tuple:
         """(values, X): the clipped eigenvalues of E(Z) and X = E(Z)^p for
@@ -376,55 +429,59 @@ class PartitionChannel(QuantumChannel):
         |U_i|^2 . w, and a traced block the average of those over its rows;
         both are non-negative by construction, so they need no clip.  The
         kept blocks of each size n > 1, (U_I w) U_I^dag, are formed and
-        diagonalized together, in one batched eigh, and their eigenvalues
-        clipped.  values lists the scalars first, then each block's
-        eigenvalues, not sorted; `linalg.matrix_power`'s round-off rule
-        applies to all of them at once.  The power is scattered back in U's
-        frame and rotated out: a basis costs one d x d product in and two
+        diagonalized together, in one batched eigh per size, and the
+        eigenvalues of every block are clipped in one call.  values lists
+        the scalars first, then each block's eigenvalues, not sorted;
+        `linalg.matrix_power`'s round-off rule applies to all of them at
+        once.  The power is written into U's frame by one `put`, at the
+        positions `_spectral_layout` fixed, and rotated out with the W^dag
+        kept since construction: a basis costs one d x d product in and two
         out (one, (W f) W^dag, when every eigenvalue is a scalar),
         O(d^2 + sum n^2 d) besides.
 
         What does not depend on w, |U_S|^2 and the kept blocks' rows of U
-        (`_read_frame`), is the map's frame of this spectrum: one entry,
-        keyed on the identity of the spectrum object and replaced by one
-        assignment.  The read-only `Eigensystem` that
-        `linalg.density_spectrum` returns for a state is the same object
-        for as long as that state is its entry, so a sweep over orders on
-        one state reads the frame once; another state, or the same array
-        mutated in place, comes with another object and builds its own.
-        `spectral_image` wraps its arguments in a fresh tuple, so it never
-        reads an old frame.  The entry holds the spectrum it was read from,
-        so its identity cannot pass to another object while the entry
-        lives; threads that share a map at worst read a frame again.
+        (`_read_frame`), and rho's support mask for `_power_weights`, is the
+        map's frame of this spectrum (`_frame_of`): one entry, keyed on the
+        identity of the spectrum object and replaced by one assignment.  The
+        read-only `Eigensystem` that `linalg.density_spectrum` returns for a
+        state is the same object for as long as that state is its entry, so
+        a sweep over orders on one state reads the frame once; another
+        state, or the same array mutated in place, comes with another object
+        and builds its own.  `spectral_image` wraps its arguments in a fresh
+        tuple, so it never reads an old frame.  The entry holds the spectrum
+        it was read from, so its identity cannot pass to another object
+        while the entry lives; threads that share a map at worst read a
+        frame again.
         """
-        frame = self._frame
-        if frame is None or frame[0] is not spectrum:
-            frame = self._frame = (spectrum,) + self._read_frame(spectrum.vectors)
-        _, S, stacks = frame
+        _, _, S, stacks = self._frame_of(spectrum)
         diag = S @ w
         t = self._diag.size
         if t:
             diag[-t:] = diag[-t:] @ self._avg
+        scalar_rows, _, at = self._spectral_layout()
+        if not stacks:
+            f = linalg.power_values(diag, p)
+            if self._basis is not None:
+                g = np.empty(self._dim)
+                g.put(scalar_rows, f)
+                return diag, (self._basis * g) @ self._basis_h
+            X = np.zeros((self._dim, self._dim), dtype=complex)
+            X.put(at, f)
+            return diag, X
         spectra = [np.linalg.eigh((R * w) @ Rh) for R, Rh in stacks]
-        values = (np.concatenate([diag] + [linalg.clip_spectrum(e.ravel()) for e, _ in spectra])
-                  if spectra else diag)
+        k = diag.size
+        values = np.concatenate([diag] + [e.ravel() for e, _ in spectra])
+        values[k:] = linalg.clip_spectrum(values[k:])
         f = linalg.power_values(values, p)
-        scalar_rows, scalar_at, _, block_at = self._spectral_layout()
-        W = self._basis
-        d = self._dim
-        if W is not None and not spectra:
-            g = np.empty(d)
-            g.put(scalar_rows, f)
-            return values, (W * g) @ linalg.dagger(W)
-        X = np.zeros((d, d), dtype=complex)
-        k = scalar_at.size
-        X.put(scalar_at, f[:k])
-        for at, (_, Q) in zip(block_at, spectra):
-            m, n = at.shape[:2]
-            X.put(at, (Q * f[k:k + m * n].reshape(m, 1, n)) @ linalg.dagger(Q))
+        parts = [f[:k]]
+        for _, Q in spectra:
+            m, n = Q.shape[:2]
+            parts.append(((Q * f[k:k + m * n].reshape(m, 1, n)) @ linalg.dagger(Q)).ravel())
             k += m * n
-        if W is not None:
-            X = W @ X @ linalg.dagger(W)
+        X = np.zeros((self._dim, self._dim), dtype=complex)
+        X.put(at, np.concatenate(parts))
+        if self._basis is not None:
+            X = self._basis @ X @ self._basis_h
         return values, X
 
     def _block_residuals(self) -> tuple:
@@ -683,10 +740,7 @@ def _joint_eigenbasis(K: np.ndarray) -> tuple:
     off = np.empty(n)
     norms = np.empty(n)
     i = np.arange(d)
-    # a few operators at a time, at most 2^13 complex entries (128 KiB)
-    step = max(1, 2**13 // (d * d))
-    for start in range(0, n, step):
-        rows = slice(start, start + step)
+    for rows in _chunks(n, d * d):
         norms[rows] = np.linalg.norm(K[rows], axis=(1, 2))
         T = Wh @ K[rows] @ W
         lam[rows] = T[:, i, i]

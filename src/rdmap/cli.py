@@ -7,8 +7,10 @@
 Exit codes: 0 success / suite passed, 2 input or validation problem,
 3 certification failure (map not idempotent or not unital, or a suite with
 failures), 1 internal error.  Output is byte-stable for fixed inputs and
-seed: floats are printed in scientific notation with 12 significant digits
-and +inf prints as the literal "inf".
+seed: floats are printed in scientific notation with 12 significant digits,
++inf prints as the literal "inf" and -inf as "-inf" (a JSON string, a bare
+CSV cell), so a report's worst violation of -inf, which means that no
+record carried one, keeps its sign; NaN prints as "inf".
 
 The argparse parser is built once per process, by the first `main` call,
 and every later call reuses it (`build_parser` is cached): building it
@@ -38,9 +40,9 @@ from .errors import CertificationError, DimensionMismatch, ValidationError
 def fmt_float(x: float) -> str:
     # + 0.0 turns -0.0 into 0.0, so the sign of a zero never reaches the output
     x = float(x) + 0.0
-    if math.isinf(x) or math.isnan(x):
-        return "inf"
-    return f"{x:.11e}"
+    if math.isfinite(x):
+        return f"{x:.11e}"
+    return "-inf" if x == -math.inf else "inf"
 
 
 def _json_scalar(v) -> str:
@@ -52,9 +54,7 @@ def _json_scalar(v) -> str:
         return str(int(v))
     if isinstance(v, (float, np.floating)):
         x = float(v)
-        if math.isinf(x) or math.isnan(x):
-            return '"inf"'
-        return fmt_float(x)
+        return fmt_float(x) if math.isfinite(x) else f'"{fmt_float(x)}"'
     if isinstance(v, str):
         return json.dumps(v)
     raise TypeError(f"cannot serialize {type(v).__name__}")
@@ -80,8 +80,8 @@ def render_json(obj, indent: int = 0) -> str:
             return "[]"
         if all(type(v) is float for v in obj):
             # a row of matrix_to_json: _json_scalar's float branch, inlined
-            return "[" + ", ".join([f"{x + 0.0:.11e}" if math.isfinite(x) else '"inf"'
-                                    for x in obj]) + "]"
+            return "[" + ", ".join([f"{x + 0.0:.11e}" if math.isfinite(x)
+                                    else f'"{fmt_float(x)}"' for x in obj]) + "]"
         if _is_scalar_list(obj):
             return "[" + ", ".join(_json_scalar(v) for v in obj) + "]"
         items = [f"{inner}{render_json(v, indent + 1)}" for v in obj]

@@ -201,55 +201,67 @@ def random_hermitian(d: int, seed: int) -> np.ndarray:
 
 
 def validate_density(M) -> np.ndarray:
-    """Check the density-matrix invariants and return the coerced matrix.
+    """Check the density-matrix invariants and return the coerced matrix,
+    complex128 (the input itself when it already is one).
 
-    Raises NonHermitian, NotPSD or TraceNotOne naming the violated invariant
+    Raises ValueError for anything but a square matrix of finite entries,
+    then NonHermitian, NotPSD or TraceNotOne naming the violated invariant
     and the measured residual.  The checks are `density_spectrum`'s, so a
     state validated here is not decomposed again by a closed form that
     follows on the same array.
     """
-    A = as_complex_matrix(M)
+    A = np.asarray(M, dtype=complex)
     density_spectrum(A)
     return A
 
 
 #: the last state `density_spectrum` validated, as one tuple
-#: (dtype, shape, bytes, clipped eigensystem), replaced by a single assignment
+#: (shape, bytes, clipped eigensystem), replaced by a single assignment
 _last_spectrum = None
 
 
-def density_spectrum(A: np.ndarray) -> Eigensystem:
-    """The density-matrix checks and the clipped eigensystem of an array that
-    `as_complex_matrix` already returned, on one eigh.
+def density_spectrum(M) -> Eigensystem:
+    """The density-matrix checks and the clipped eigensystem of a state,
+    given as any array-like, on one eigh.
 
-    The checks run in this order: Hermiticity residual above 1e-10
-    (NonHermitian), minimum eigenvalue below -1e-10 (NotPSD), trace off 1 by
-    more than 1e-10 (TraceNotOne).  Round-off negatives are then clipped
-    to 0.
+    The memo is read first.  One entry is remembered: the shape and exact
+    bytes, after `np.asarray(M, dtype=complex)`, of the last state that
+    passed, with its eigensystem.  A byte-identical state of the same shape
+    (a sweep over orders on one state, a closed form after the CLI's
+    validation, or a nested-list copy) gets the stored `Eigensystem` object
+    back from one copy and one compare of its bytes, O(d^2), with no other
+    check, since only a state that passed them is stored.  Any other array,
+    one that differs by a single ulp or by the sign of a zero, holds a NaN,
+    has the same bytes in another shape, or is the same array mutated in
+    place, is checked and decomposed again and then replaces the entry.
 
-    One entry is remembered: the dtype, shape and exact bytes of the last
-    array that passed, with its eigensystem.  A byte-identical array (a
-    sweep over orders on one state, or a closed form after the CLI's
-    validation) gets the stored eigensystem back without an eigh; any other
-    array, one that differs by a single ulp or by the sign of a zero, or the
-    same array mutated in place, is checked and decomposed again and then
-    replaces the entry.  Every call copies the array's bytes once to compare
-    them, O(d^2), so a miss costs that much more than the eigh alone.
+    A miss runs the checks in this order: not a square matrix, or a
+    non-finite entry (ValueError, as `as_complex_matrix` words it);
+    Hermiticity residual above 1e-10 (NonHermitian); the first of eigh's
+    ascending eigenvalues below -1e-10 (NotPSD); trace off 1 by more than
+    1e-10 (TraceNotOne).  Round-off negatives are then clipped to 0.
     Errors are never stored.  The returned values and vectors are
     read-only, since every caller of an entry shares them.  The entry is one
     tuple read once and swapped by a single assignment, so threads at worst
     decompose again; none can see another state's eigensystem.
     """
     global _last_spectrum
+    A = np.asarray(M, dtype=complex)
     key = A.tobytes()
     entry = _last_spectrum
-    if entry is not None and entry[:3] == (A.dtype, A.shape, key):
-        return entry[3]
-    spectrum = _clipped_spectrum(A)
-    _check_trace(A)
+    if entry is not None and entry[0] == A.shape and entry[1] == key:
+        return entry[2]
+    A = as_complex_matrix(A)
+    values, vectors = _eigh(A)
+    if values[0] < -PSD_TOL:
+        raise NotPSD(f"minimum eigenvalue {values[0]:.3e} below -{PSD_TOL:.0e}")
+    tr = complex(A.trace())
+    if abs(tr - 1.0) > TRACE_TOL:
+        raise TraceNotOne(f"trace deviates from 1 by {abs(tr - 1.0):.3e}")
+    spectrum = Eigensystem(np.maximum(values, 0.0), vectors)
     for part in spectrum:
         part.flags.writeable = False
-    _last_spectrum = (A.dtype, A.shape, key, spectrum)
+    _last_spectrum = (A.shape, key, spectrum)
     return spectrum
 
 
@@ -270,12 +282,6 @@ def density_ok(stack) -> np.ndarray:
     trace = np.trace(M, axis1=1, axis2=2)
     return (finite & (hermiticity_residuals(M) <= HERMITIAN_TOL)
             & (lowest >= -PSD_TOL) & (np.abs(trace - 1.0) <= TRACE_TOL))
-
-
-def _check_trace(A: np.ndarray) -> None:
-    tr = complex(np.trace(A))
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise TraceNotOne(f"trace deviates from 1 by {abs(tr - 1.0):.3e}")
 
 
 def matrix_to_json(M: np.ndarray) -> dict:

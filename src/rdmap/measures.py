@@ -12,8 +12,9 @@ S(E(rho)) - S(rho) with sigma* = E(rho).  Entropies are in nats.
 E(rho^a) is block diagonal in the map's own basis, so a partition map takes
 the 1/a-th power, and at a = 1 the spectrum of E(rho) and sigma* = E(rho),
 block by block, straight from rho's eigensystem V diag(p) V^dag
-(`QuantumChannel.spectral_image`), and what does not depend on a is read
-once per state, as the map's frame of that eigensystem.  For coherence this
+(`QuantumChannel.spectral_image`), and what does not depend on a, rho's
+support for the weights p^a included, is read once per state, as the map's
+frame of that eigensystem.  For coherence this
 is Zhao et al.'s Tsallis measure, N = sum_i <i|rho^a|i>^{1/a} with
 <i|rho^a|i> = sum_j |V_ij|^2 p_j^a, a sum over the diagonal.  The
 round-off rule is global: an eigenvalue of E(rho^a) at or below
@@ -40,7 +41,10 @@ def validate_order(a: float) -> float:
     """Tsallis order: a real number in (0, 2], a = 1 handled as the limiting
     branch.  A bool, a string or any other non-real value is a
     ValidationError naming the order, as is one outside the range; numpy
-    real scalars are accepted."""
+    real scalars are accepted.  A Python float in (0, 2], the common case,
+    is returned as it is, before any other test."""
+    if type(a) is float and 0.0 < a <= 2.0:
+        return a
     if isinstance(a, bool) or not isinstance(a, numbers.Real):
         raise ValidationError(f"order a must be a real number, got {a!r:.60}")
     a = float(a)
@@ -172,27 +176,31 @@ def closed_form_measure(rho: np.ndarray, rdm: ResourceDestroyingMap, a: float) -
     """Distance from rho to Fix(E) without optimization.
 
     Evaluates the closed form: rho^a, the 1/a-th power of its image under
-    E, and a trace.  rho is coerced and checked once, and one
-    eigendecomposition V diag(p) V^dag of rho serves its validation, rho^a
-    and S(rho).  That eigendecomposition comes from
-    `linalg.density_spectrum`, which remembers the last state it
-    validated: consecutive calls on a byte-identical rho (a sweep over
-    orders, or a call after `validate_density` on the same array)
-    decompose it once, and any other rho is decomposed afresh, with
-    bit-identical results either way.  rho^a is never formed as a d x d
-    matrix: the map's `_spectral_image` takes the already checked
+    E, and a trace.  rho, any array-like, goes straight to
+    `linalg.density_spectrum`, which checks it and returns the one
+    eigendecomposition V diag(p) V^dag that serves its validation, rho^a
+    and S(rho).  It remembers the last state it validated and reads that
+    memo first: consecutive calls on a byte-identical rho (a sweep over
+    orders, a nested-list copy, or a call after `validate_density` on the
+    same array) cost one compare of its bytes after the first, and any
+    other rho is checked and decomposed afresh, with bit-identical results
+    either way.  The map is used through its certified channel, whose
+    `_spectral_image` and `_act` are called directly.  rho^a is never
+    formed as a d x d matrix: `_spectral_image` takes the already checked
     eigensystem, as the `Eigensystem` object `density_spectrum` returned,
-    with the weights `linalg.power_values(p, a)`, and returns the 1/a-th
-    power of E(rho^a).  A partition map takes it on its blocks, with no
-    d x d eigh, and other maps on the dense image.  A partition map reads
-    its frame of rho (U = W^dag V, |U_S|^2 and the kept blocks' rows of U,
-    none of which depend on a) once per eigensystem object: the frame is
-    one entry on the map, keyed on that object's identity and replaced by
-    one assignment, so it lives until the map meets another eigensystem.
+    with the weights p^a (`_power_weights`, `linalg.power_values(p, a)` bit
+    for bit), and returns the 1/a-th power of E(rho^a).  A partition map
+    takes it on its blocks, with no d x d eigh, and other maps on the dense
+    image.  A partition map reads its frame of rho (U = W^dag V, |U_S|^2,
+    the kept blocks' rows of U and rho's support for positive powers, none
+    of which depend on a) once per eigensystem object: the frame is one
+    entry on the map, keyed on that object's identity and replaced by one
+    assignment, so it lives until the map meets another eigensystem.
     Since `density_spectrum` returns the same object for as long as rho is
-    its entry, orders 2 to 7 of a sweep pay only the weights, the block
-    eighs, the two powers and the residual; a call on any other state
-    builds the frame afresh, bit for bit the same.  At a = 1 one
+    its entry, orders 2 to 7 of a sweep pay only the byte compare, one
+    masked power for the weights, the block eighs, the power of the image
+    and the residual; a call on any other state builds the frame afresh,
+    bit for bit the same.  At a = 1 one
     call on (V, p) applies E once and gives both the spectrum of E(rho),
     for S(E(rho)), and sigma* = E(rho), rebuilt from that spectrum.
     Either way an eigenvalue at or below d * eps * lambda_max,
@@ -216,21 +224,23 @@ def closed_form_measure(rho: np.ndarray, rdm: ResourceDestroyingMap, a: float) -
     stability at |a - 1| < 1e-6 must request a = 1 explicitly.
     """
     a = validate_order(a)
-    A = linalg.as_complex_matrix(rho)
-    spectrum = linalg.density_spectrum(A)
-    if A.shape[0] != rdm.dim:
+    spectrum = linalg.density_spectrum(rho)
+    d = spectrum.values.shape[0]
+    if d != rdm.dim:
         raise DimensionMismatch(
-            f"state dimension {A.shape[0]} does not match map dimension {rdm.dim}"
+            f"state dimension {d} does not match map dimension {rdm.dim}"
         )
+    # the certified channel, called without the wrapper; a bare channel as it is
+    channel = getattr(rdm, "channel", rdm)
     if a == 1.0:
-        mu, sigma_star = rdm._spectral_image(spectrum, spectrum.values, 1.0)
+        mu, sigma_star = channel._spectral_image(spectrum, spectrum.values, 1.0)
         _check_image_trace(float(sigma_star.trace().real), a)
         value = _entropy(mu) - _entropy(spectrum.values)
         N = 1.0
     else:
         try:
-            _, X = rdm._spectral_image(spectrum, linalg.power_values(spectrum.values, a),
-                                       1.0 / a)
+            _, X = channel._spectral_image(spectrum, channel._power_weights(spectrum, a),
+                                           1.0 / a)
         except OverflowError:
             raise ValidationError(
                 f"order a = {a:g} is too small: an eigenvalue of E(rho^a) rounds "
@@ -250,7 +260,7 @@ def closed_form_measure(rho: np.ndarray, rdm: ResourceDestroyingMap, a: float) -
                 f"has p^a == 1.0, so rho^a rounds to its support projector and no digit "
                 f"of the order survives")
         sigma_star = X / N
-    residual = linalg.frobenius(rdm._act(sigma_star) - sigma_star)
+    residual = linalg.frobenius(channel._act(sigma_star) - sigma_star)
     return MeasureReport(value=value, a=a, N=N, sigma_star=sigma_star,
                          fixed_point_residual=residual)
 

@@ -306,7 +306,7 @@ def _free_state_objective(problems):
     seen = {}
     index = np.array([seen.setdefault(rho.tobytes(), len(seen)) for rho in rhos])
     firsts = np.unique(index, return_index=True)[1]
-    values, vectors = map(np.stack, zip(*(linalg.density_spectrum(linalg.as_complex_matrix(rho))
+    values, vectors = map(np.stack, zip(*(linalg.density_spectrum(rho)
                                           for rho in rhos[firsts])))
     R = (vectors * np.sqrt(values)[:, None, :])[index]
     for order in dict.fromkeys(ai for _, _, ai in problems if ai != 1.0):

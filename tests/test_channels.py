@@ -291,6 +291,24 @@ def kraus_json(ops):
             "operators": [linalg.matrix_to_json(K) for K in ops]}
 
 
+@pytest.mark.parametrize("d, n", [(2, 4), (4, 16), (8, 64), (16, 96), (32, 20)])
+def test_kraus_sum_in_chunks_matches_one_product_per_operator(d, n):
+    """sum_i K_i A K_i^dag, for one matrix and a (2, 3, d, d) stack, and
+    sum_i K_i^dag K_i, formed over chunks of the operator stack, equal one
+    pair of products per operator to 1e-14 relative, on either side of a
+    chunk boundary (32 operators at d = 16, 8 at d = 32)."""
+    rng = np.random.default_rng(90 + d)
+    K = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
+    for A in (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)),
+              rng.standard_normal((2, 3, d, d)) + 1j * rng.standard_normal((2, 3, d, d))):
+        want = sum(k @ A @ k.conj().T for k in K)
+        got = channels._kraus_act(K, A)
+        assert got.shape == A.shape
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    tp = sum(k.conj().T @ k for k in K) - np.eye(d)
+    assert abs(channels._kraus_tp_residual(K) - np.linalg.norm(tp)) <= 1e-14 * np.linalg.norm(tp)
+
+
 def test_partition_maps_match_kraus_sum_reference():
     """Mask-and-average apply, the superoperator view and the certification
     residuals equal those of the same map certified as a Kraus sum.  Abelian

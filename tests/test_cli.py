@@ -449,6 +449,27 @@ def test_render_helpers_stable():
     assert "inf" in text
 
 
+def test_negative_infinity_keeps_its_sign():
+    """-inf prints as "-inf": a JSON string, through the scalar and the
+    float-row paths, and a bare CSV cell; +inf stays "inf"."""
+    assert fmt_float(-math.inf) == "-inf"
+    assert _json_scalar(-math.inf) == '"-inf"' and _json_scalar(np.float64(-math.inf)) == '"-inf"'
+    text = render_json({"worst": -math.inf, "row": [1.0, -math.inf, math.inf],
+                        "mixed": [1, -math.inf]})
+    assert json.loads(text) == {"worst": "-inf", "row": [1.0, "-inf", "inf"],
+                                "mixed": [1, "-inf"]}
+    assert render_csv([{"a": -math.inf, "b": math.inf}]) == "a,b\n-inf,inf\n"
+
+
+def test_report_with_no_violation_prints_minus_inf(capsys):
+    """Piani's one record at a = 0.3 is not counted, so the report's worst
+    violation is -inf, and the CLI prints it with its sign."""
+    assert main(["verify", "piani", "--trials", "1", "--seed", "0"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["failures"] == 0
+    assert payload["worst_violation"] == "-inf"
+
+
 def test_parser_is_built_once_per_process(files, capsys):
     cli.build_parser.cache_clear()
     for a in ("0.5", "1", "2", "0.5"):

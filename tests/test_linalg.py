@@ -291,6 +291,44 @@ def test_density_spectrum_never_stores_an_error(monkeypatch):
     assert linalg.density_spectrum(rho) is first
 
 
+def test_density_spectrum_reads_its_memo_before_any_check(monkeypatch):
+    """The memo is keyed on shape and bytes after coercion to complex: a
+    nested-list copy of the stored state gets the same Eigensystem object
+    back with no eigh; the same bytes in another shape, or a copy with a
+    NaN, still raise the ValueError of a cold call; a copy one ulp away is
+    decomposed again."""
+    monkeypatch.setattr(linalg, "_last_spectrum", None)
+    d = 3
+    rho = linalg.random_density_matrix(d, d, seed=27)
+    first = linalg.density_spectrum(rho)
+    eighs = []
+    inner = np.linalg.eigh
+
+    def counted(M, *args, **kwargs):
+        eighs.append(M)
+        return inner(M, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    assert linalg.density_spectrum(rho.tolist()) is first
+    assert linalg.validate_density(rho.tolist()).tobytes() == rho.tobytes()
+    for view in (rho.ravel(), rho.reshape(1, d * d)):
+        assert view.tobytes() == rho.tobytes()
+        with pytest.raises(ValueError, match="expected a square matrix"):
+            linalg.density_spectrum(view)
+        with pytest.raises(ValueError, match="expected a square matrix"):
+            linalg.validate_density(view)
+    bad = rho.copy()
+    bad[1, 2] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        linalg.density_spectrum(bad)
+    assert eighs == []
+    assert linalg.density_spectrum(rho) is first
+    nudged = rho.copy()
+    nudged[0, 0] = np.nextafter(rho[0, 0].real, 1.0)
+    again = linalg.density_spectrum(nudged)
+    assert len(eighs) == 1 and again is not first
+    assert _same_bits(again, linalg._clipped_spectrum(nudged))
+
+
 def test_density_spectrum_returns_read_only_arrays():
     values, vectors = linalg.density_spectrum(linalg.random_density_matrix(3, 3, seed=25))
     for part in (values, vectors):

@@ -433,6 +433,47 @@ def test_sweep_decomposes_the_state_once(count_decompositions):
     assert calls == ["eigh"]
 
 
+def test_sweep_calls_eigh_once_per_state_and_per_order_block_size(monkeypatch):
+    """Every numpy eigh of a 7-order sweep on one state, counted: one, of
+    the state, for dephasing, modified, mixing and an abelian twirl; for a
+    Lueders map one more per order and kept block size."""
+    d = 8
+    rng = np.random.default_rng(46)
+    coarse = MeasurementPartition(d, [[0, 3, 5, 6], [1, 7], [2, 4]])
+    scalar = [dephasing_map(MeasurementPartition.singletons(d)),
+              modified_coarse_map(coarse), mixing_map(d), cyclic_twirl(d)]
+    blocks = [(lueders_map(coarse), 2),
+              (lueders_map(MeasurementPartition(d, [[0, 1], [2, 3], [4], [5, 6, 7]])), 2),
+              (lueders_map(MeasurementPartition.single_block(d)), 1)]
+    calls = []
+    inner = np.linalg.eigh
+
+    def counted(M, *args, **kwargs):
+        calls.append(np.shape(M))
+        return inner(M, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    for rdm, sizes in [(m, 0) for m in scalar] + blocks:
+        monkeypatch.setattr(linalg, "_last_spectrum", None)
+        rho = linalg.random_density_matrix(d, d, seed=int(rng.integers(2**31)))
+        calls.clear()
+        for a in A_GRID:
+            closed_form_measure(rho, rdm, a)
+        assert calls[0] == (d, d)
+        assert len(calls) == 1 + sizes * len(A_GRID), rdm.descriptor["type"]
+
+
+def test_order_check_returns_a_float_in_range_as_it_is():
+    """A Python float in (0, 2] comes back as the same object; every other
+    input is checked as before."""
+    for a in (0.5, 2.0, 1.0, 5e-324):
+        assert validate_order(a) is a
+    got = validate_order(np.float64(0.5))
+    assert type(got) is float and got == 0.5
+    for a in (True, "0.5", math.nan, 0.0, -0.5, 2.0000001, math.inf):
+        with pytest.raises(ValidationError):
+            validate_order(a)
+
+
 def test_tiny_order_blames_the_order_not_the_map():
     """At a = 1e-20 the 1/a-th power of E(rho^a) underflows to zero trace.
     That is the order's fault: a ValidationError naming it, not a
