@@ -52,6 +52,7 @@ Channels are immutable once built.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -403,22 +404,28 @@ class PartitionChannel(QuantumChannel):
         return R.real * R.real + R.imag * R.imag, tuple(stacks)
 
     def _frame_of(self, spectrum: linalg.Eigensystem) -> tuple:
-        """The frame entry (spectrum, live, S, stacks) of this spectrum,
-        read on a miss: live marks the eigenvalues that
+        """The frame entry (spectrum, live, top, S, stacks) of this
+        spectrum, read on a miss: live marks the eigenvalues that
         `linalg.power_values` keeps for every p > 0 (those above
-        d * eps * lambda_max), and S and stacks come from `_read_frame`."""
+        d * eps * lambda_max), top is lambda_max, and S and stacks come
+        from `_read_frame`."""
         frame = self._frame
         if frame is None or frame[0] is not spectrum:
-            live = linalg.power_values(spectrum.values, 1.0) > 0
-            frame = self._frame = (spectrum, live) + self._read_frame(spectrum.vectors)
+            values = spectrum.values
+            live = linalg.power_values(values, 1.0) > 0
+            frame = self._frame = ((spectrum, live, float(values.max()))
+                                   + self._read_frame(spectrum.vectors))
         return frame
 
     def _power_weights(self, spectrum: linalg.Eigensystem, a: float) -> np.ndarray:
         """`QuantumChannel._power_weights` bit for bit, as one numpy power
         masked by the frame's support of rho, which does not depend on a.
-        The eigenvalues of a state lie in [0, 1 + 1e-10], so a in (0, 2]
-        cannot overflow."""
-        live = self._frame_of(spectrum)[1]
+        An order whose lambda_max ** a overflows, which no state's spectrum
+        meets at a <= 2, goes to `linalg.power_values` to raise its
+        OverflowError."""
+        _, live, top = self._frame_of(spectrum)[:3]
+        if top > 1.0 and top ** a == math.inf:
+            return linalg.power_values(spectrum.values, a)
         return np.power(spectrum.values, a, out=np.zeros(live.shape), where=live)
 
     def _spectral_image(self, spectrum: linalg.Eigensystem, w: np.ndarray, p: float) -> tuple:
@@ -453,7 +460,7 @@ class PartitionChannel(QuantumChannel):
         while the entry lives; threads that share a map at worst read a
         frame again.
         """
-        _, _, S, stacks = self._frame_of(spectrum)
+        _, _, _, S, stacks = self._frame_of(spectrum)
         diag = S @ w
         t = self._diag.size
         if t:
@@ -580,6 +587,9 @@ class ResourceDestroyingMap(QuantumChannel):
     def _spectral_image(self, spectrum: linalg.Eigensystem, w: np.ndarray, p: float) -> tuple:
         """(values, E(Z)^p) from the certified channel's own _spectral_image."""
         return self.channel._spectral_image(spectrum, w, p)
+
+    def _power_weights(self, spectrum: linalg.Eigensystem, a: float) -> np.ndarray:
+        return self.channel._power_weights(spectrum, a)
 
     def trace_preserving_residual(self) -> float:
         return self.channel.trace_preserving_residual()

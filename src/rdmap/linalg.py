@@ -237,10 +237,9 @@ def density_spectrum(M) -> Eigensystem:
 
     A miss runs the checks in this order: not a square matrix, or a
     non-finite entry (ValueError, as `as_complex_matrix` words it);
-    Hermiticity residual above 1e-10 (NonHermitian); the first of eigh's
-    ascending eigenvalues below -1e-10 (NotPSD); trace off 1 by more than
-    1e-10 (TraceNotOne).  Round-off negatives are then clipped to 0.
-    Errors are never stored.  The returned values and vectors are
+    Hermiticity residual above 1e-10 (NonHermitian); minimum eigenvalue
+    below -1e-10 (NotPSD); trace off 1 by more than 1e-10 (TraceNotOne).
+    Round-off negatives are then clipped to 0.  Errors are never stored.  The returned values and vectors are
     read-only, since every caller of an entry shares them.  The entry is one
     tuple read once and swapped by a single assignment, so threads at worst
     decompose again; none can see another state's eigensystem.
@@ -252,13 +251,8 @@ def density_spectrum(M) -> Eigensystem:
     if entry is not None and entry[0] == A.shape and entry[1] == key:
         return entry[2]
     A = as_complex_matrix(A)
-    values, vectors = _eigh(A)
-    if values[0] < -PSD_TOL:
-        raise NotPSD(f"minimum eigenvalue {values[0]:.3e} below -{PSD_TOL:.0e}")
-    tr = complex(A.trace())
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise TraceNotOne(f"trace deviates from 1 by {abs(tr - 1.0):.3e}")
-    spectrum = Eigensystem(np.maximum(values, 0.0), vectors)
+    spectrum = _clipped_spectrum(A)
+    _check_trace(A)
     for part in spectrum:
         part.flags.writeable = False
     _last_spectrum = (A.shape, key, spectrum)
@@ -282,6 +276,12 @@ def density_ok(stack) -> np.ndarray:
     trace = np.trace(M, axis1=1, axis2=2)
     return (finite & (hermiticity_residuals(M) <= HERMITIAN_TOL)
             & (lowest >= -PSD_TOL) & (np.abs(trace - 1.0) <= TRACE_TOL))
+
+
+def _check_trace(A: np.ndarray) -> None:
+    tr = complex(np.trace(A))
+    if abs(tr - 1.0) > TRACE_TOL:
+        raise TraceNotOne(f"trace deviates from 1 by {abs(tr - 1.0):.3e}")
 
 
 def matrix_to_json(M: np.ndarray) -> dict:

@@ -41,10 +41,7 @@ def validate_order(a: float) -> float:
     """Tsallis order: a real number in (0, 2], a = 1 handled as the limiting
     branch.  A bool, a string or any other non-real value is a
     ValidationError naming the order, as is one outside the range; numpy
-    real scalars are accepted.  A Python float in (0, 2], the common case,
-    is returned as it is, before any other test."""
-    if type(a) is float and 0.0 < a <= 2.0:
-        return a
+    real scalars are accepted."""
     if isinstance(a, bool) or not isinstance(a, numbers.Real):
         raise ValidationError(f"order a must be a real number, got {a!r:.60}")
     a = float(a)
@@ -184,9 +181,8 @@ def closed_form_measure(rho: np.ndarray, rdm: ResourceDestroyingMap, a: float) -
     orders, a nested-list copy, or a call after `validate_density` on the
     same array) cost one compare of its bytes after the first, and any
     other rho is checked and decomposed afresh, with bit-identical results
-    either way.  The map is used through its certified channel, whose
-    `_spectral_image` and `_act` are called directly.  rho^a is never
-    formed as a d x d matrix: `_spectral_image` takes the already checked
+    either way.  rho^a is never formed as a d x d matrix: the map's
+    `_spectral_image` takes the already checked
     eigensystem, as the `Eigensystem` object `density_spectrum` returned,
     with the weights p^a (`_power_weights`, `linalg.power_values(p, a)` bit
     for bit), and returns the 1/a-th power of E(rho^a).  A partition map
@@ -230,17 +226,14 @@ def closed_form_measure(rho: np.ndarray, rdm: ResourceDestroyingMap, a: float) -
         raise DimensionMismatch(
             f"state dimension {d} does not match map dimension {rdm.dim}"
         )
-    # the certified channel, called without the wrapper; a bare channel as it is
-    channel = getattr(rdm, "channel", rdm)
     if a == 1.0:
-        mu, sigma_star = channel._spectral_image(spectrum, spectrum.values, 1.0)
+        mu, sigma_star = rdm._spectral_image(spectrum, spectrum.values, 1.0)
         _check_image_trace(float(sigma_star.trace().real), a)
         value = _entropy(mu) - _entropy(spectrum.values)
         N = 1.0
     else:
         try:
-            _, X = channel._spectral_image(spectrum, channel._power_weights(spectrum, a),
-                                           1.0 / a)
+            _, X = rdm._spectral_image(spectrum, rdm._power_weights(spectrum, a), 1.0 / a)
         except OverflowError:
             raise ValidationError(
                 f"order a = {a:g} is too small: an eigenvalue of E(rho^a) rounds "
@@ -260,7 +253,7 @@ def closed_form_measure(rho: np.ndarray, rdm: ResourceDestroyingMap, a: float) -
                 f"has p^a == 1.0, so rho^a rounds to its support projector and no digit "
                 f"of the order survives")
         sigma_star = X / N
-    residual = linalg.frobenius(channel._act(sigma_star) - sigma_star)
+    residual = linalg.frobenius(rdm._act(sigma_star) - sigma_star)
     return MeasureReport(value=value, a=a, N=N, sigma_star=sigma_star,
                          fixed_point_residual=residual)
 

@@ -795,6 +795,37 @@ def test_spectral_image_never_reads_a_frame_of_a_mutated_eigensystem():
                     assert x.tobytes() == y.tobytes()
 
 
+def test_power_weights_are_power_values_bit_for_bit(monkeypatch):
+    """A certified map's weights p^a, read through its frame's support mask
+    when it is a partition map, equal `linalg.power_values` bit for bit at
+    ranks 1, 2 and d, and the closed form reaches the partition map's own
+    weights through the certified wrapper.  A spectrum whose lambda_max ** a
+    overflows raises OverflowError, as power_values does."""
+    inner = PartitionChannel._power_weights
+    reached = []
+    monkeypatch.setattr(PartitionChannel, "_power_weights",
+                        lambda self, spectrum, a: reached.append(a) or inner(self, spectrum, a))
+    for d in (2, 4, 8):
+        rng = np.random.default_rng(290 + d)
+        for rank in (1, 2, d):
+            rho = linalg.random_density_matrix(d, rank, seed=10 * d + rank)
+            spectrum = linalg.density_spectrum(rho)
+            for E in frame_maps(d, rng):
+                for a in (0.3, 0.5, 0.8, 1.2, 1.5, 2.0):
+                    want = linalg.power_values(spectrum.values, a)
+                    assert E._power_weights(spectrum, a).tobytes() == want.tobytes()
+    reached.clear()
+    E = frame_maps(4, np.random.default_rng(294))[0]
+    closed_form_measure(linalg.random_density_matrix(4, 4, seed=4), E, 0.5)
+    assert reached == [0.5]
+    big = linalg.Eigensystem(np.array([0.25, 1.5]), np.eye(2, dtype=complex))
+    E = certify_rdm(dephasing_map(MeasurementPartition.singletons(2)))
+    for weights in (lambda: E._power_weights(big, 2000.0),
+                    lambda: linalg.power_values(big.values, 2000.0)):
+        with pytest.raises(OverflowError):
+            weights()
+
+
 def test_one_map_shared_by_threads_that_sweep_their_own_states(monkeypatch):
     """Two threads sweep their own states on one map, many times, with a
     short switch interval; every result equals its cold reference bit for
