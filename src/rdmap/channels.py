@@ -7,14 +7,14 @@ applies as two products per chunk of its operators, (n d, d) @ rho and
 (d, n d) @ (n d, d), not as a loop over them (`_kraus_act`).  Every
 other map is a `PartitionChannel`: the trace-preserving conditional
 expectation onto the block algebra of a partition of an orthonormal basis,
-where each block either keeps its diagonal block or traces it out.  The
-four partition families (dephasing, Lueders, modified coarse-graining,
-complete mixing) use the computational basis, so applying one is a mask
-plus block averaging, O(d^2).  A twirl over an abelian group, and Kraus
-input whose operators are normal and commute, is a Lueders map in the
-operators' joint eigenbasis W (its fixed points are their commutant), so it
-applies as W (mask o W^dag X W) W^dag in O(d^3) and certifies in O(n d^3)
-for n operators; see `_eigenbasis_form`.
+where every block keeps its diagonal block, or every block is traced out
+and re-mixed.  The four partition families (dephasing, Lueders, modified
+coarse-graining, complete mixing) use the computational basis, so applying
+one is a mask or block averaging, O(d^2).  A twirl over an abelian group,
+and Kraus input whose operators are normal and commute, is a Lueders map in
+the operators' joint eigenbasis W (its fixed points are their commutant),
+so it applies as W (mask o W^dag X W) W^dag in O(d^3) and certifies in
+O(n d^3) for n operators; see `_eigenbasis_form`.
 
 Every channel also offers `spectral_image(V, w, p)`, which is all the
 closed form needs of E: for Z = V diag(w) V^dag, given by an eigensystem
@@ -25,17 +25,19 @@ which the closed form calls directly on the eigensystem of rho that
 `linalg.density_spectrum` has already checked.  By default that forms Z
 and E(Z) densely and diagonalizes E(Z).  A partition map's E(Z) is block
 diagonal in its basis W, so it reads the image off U = W^dag V, one d x d
-product, on one path for every basis: a kept singleton or a traced block is
-a scalar, a weighted sum of |U|^2, the kept blocks of each size n > 1 are
-formed from U's rows and share one batched eigh, one `put` writes the
-power, and a basis rotates it out with the W^dag kept since construction.
-|U|^2, the blocks' rows and, for the closed form's weights p^a
-(`_power_weights`), the eigenvalues that every positive power keeps do not
-depend on w, so a partition map keeps them as its frame of one
-eigensystem: one entry, keyed on the identity of the eigensystem object
-and replaced by one assignment when another comes.  A sweep over orders on one state reads it once, since
-`density_spectrum` hands every order the same object; another state, or
-the same array changed in place, brings another object.
+product, on one path for every basis: a kept singleton, and every index of
+a traced map, is a scalar, a weighted sum of |U|^2 (averaged over its block
+for a traced map), the kept blocks of each size n > 1 are formed from U's
+rows and share one batched eigh, one `put` writes the power, and a basis
+rotates it out with the W^dag kept since construction.  |U|^2, block
+averaged for a traced map, the blocks' rows and, for the closed form's
+weights p^a (`_power_weights`), the eigenvalues that every positive power
+keeps do not depend on w, so a partition map keeps them as its frame of
+one eigensystem: one entry, keyed on the identity of the eigensystem object
+and replaced by one assignment when another comes.  A sweep over orders on
+one state reads it once, since `density_spectrum` hands every order the
+same object; another state, or the same array changed in place, brings
+another object.
 
 Every list of operators, Kraus or group elements, is checked and stacked
 once, by `_operator_stack`, into one read-only complex (n, d, d) array;
@@ -249,56 +251,57 @@ class PartitionChannel(QuantumChannel):
     a partition of an orthonormal basis: the computational basis, or the
     columns of a unitary W when `basis` is given.
 
-    Block j either keeps its diagonal block, X -> L_j X L_j, or, when
-    traced[j] is true, traces it out and re-mixes, X -> Tr(X L_j) L_j / n_j.
-    Dephasing keeps singleton blocks, Lueders keeps every block, the
-    modified coarse-graining traces every block and complete mixing traces
-    the single block.  In the computational basis `apply` is a mask plus
-    block averaging, O(d^2) per matrix; with a basis it is
+    `traced`, one bool for the whole map, says what every block does.  A
+    kept map keeps each diagonal block, X -> sum_j L_j X L_j: its
+    block-diagonal mask.  A traced map traces each block out and re-mixes
+    it, X -> sum_j Tr(X L_j) L_j / n_j: each block's mean on the diagonal.
+    Dephasing and Lueders are kept maps, the modified coarse-graining and
+    complete mixing traced ones.  In the computational basis `apply` is the
+    mask or the block means, O(d^2) per matrix; with a basis it is
     W P0(W^dag X W) W^dag, O(d^3), for P0 the same map in the computational
-    basis.  `kraus` (projectors for kept blocks, |k><l| / sqrt(n_j) for
-    traced ones, conjugated by W, as one read-only stack) is built on first
-    read, and `superop` from it.  The basis is checked as an operator stack
-    (`_operator_stack`).
+    basis.  `kraus` (projectors for a kept map, |k><l| / sqrt(n_j) within
+    each block for a traced one, conjugated by W, as one read-only stack) is
+    built on first read, and `superop` from it.  The basis is checked as an
+    operator stack (`_operator_stack`).
     """
 
-    def __init__(self, partition: MeasurementPartition, traced: Sequence[bool],
+    def __init__(self, partition: MeasurementPartition, traced: bool,
                  basis: np.ndarray | None = None):
-        traced = tuple(bool(t) for t in traced)
-        if len(traced) != len(partition.blocks):
+        if not isinstance(traced, (bool, np.bool_)):
             raise ValidationError(
-                f"{len(partition.blocks)} blocks but {len(traced)} block actions"
-            )
+                f"traced: expected one bool for the whole map, got {repr(traced):.60}")
+        traced = bool(traced)
         d = partition.dim
-        diag = [i for block, t in zip(partition.blocks, traced) if t for i in block]
-        label = np.empty(d, dtype=int)
-        avg = np.zeros((len(diag), len(diag)))
-        starts, owner = [], []
-        at = 0
-        for j, (block, t) in enumerate(zip(partition.blocks, traced)):
-            label[list(block)] = j
-            if t:
-                n = len(block)
-                avg[at:at + n, at:at + n] = 1.0 / n
-                owner += [len(starts)] * n
-                starts.append(at)
-                at += n
-        kept = ~np.array(traced)[label]
-        # complex, so that _block_act's product casts nothing
-        keep = ((label[:, None] == label) & kept[:, None]).astype(complex)
-        keep.setflags(write=False)
-        avg.setflags(write=False)
+        blocks = partition.blocks
+        self._keep = self._mean = None
+        if traced:
+            # every index is a scalar row, in block order; per row, its
+            # block and that block's 1 / n, and where each block starts
+            n = np.array(partition.degeneracies)
+            owner = np.repeat(np.arange(len(n)), n)
+            self._mean = (np.cumsum(n) - n, owner, 1.0 / n[owner])
+            rows, groups = np.concatenate(blocks), ()
+        else:
+            # complex, so that _block_act's product casts nothing
+            keep = np.zeros((d, d), dtype=complex)
+            for block in blocks:
+                keep[np.ix_(block, block)] = 1.0
+            keep.setflags(write=False)
+            self._keep = keep
+            rows = np.array([b[0] for b in blocks if len(b) == 1], dtype=int)
+            sizes = sorted({len(b) for b in blocks if len(b) > 1})
+            groups = tuple(np.array([b for b in blocks if len(b) == n]) for n in sizes)
+        # E(Z)'s layout in U's frame (`_spectral_image`): the scalar rows,
+        # per size n > 1 the (m, n) array of a kept map's blocks of that
+        # size, and the flattened positions of the scalars' diagonal
+        # entries, then of every block's entries, row-major, so that one
+        # `put` writes E(Z)^p (take and put are cheaper than 2-d indexing)
+        at = np.concatenate([rows * (d + 1)]
+                            + [(i[:, :, None] * d + i[:, None, :]).ravel() for i in groups])
+        self._layout = (rows, groups, at)
         self.partition = partition
         self.traced = traced
         self._dim = d
-        self._keep = keep
-        self._diag = np.array(diag, dtype=int)
-        self._avg = avg
-        # _block_act's view of the traced blocks: the flattened positions of
-        # their diagonals, where each block starts among them, and per
-        # traced index its block and that block's 1 / n (avg's diagonal)
-        self._segments = (self._diag * (d + 1), np.array(starts, dtype=int),
-                          np.array(owner, dtype=int), avg.diagonal())
         # the basis W and, contiguous, its conjugate transpose
         self._basis = self._basis_h = None
         self._unitarity_defect = 0.0
@@ -311,7 +314,6 @@ class PartitionChannel(QuantumChannel):
         self._kraus = None
         self._superop = None
         self._residuals = None
-        self._layout = None
         self._frame = None
 
     @property
@@ -319,9 +321,9 @@ class PartitionChannel(QuantumChannel):
         if self._kraus is None:
             d = self._dim
             ops = []
-            for block, t in zip(self.partition.blocks, self.traced):
+            for block in self.partition.blocks:
                 n = len(block)
-                if t:
+                if self.traced:
                     K = np.zeros((n * n, d, d), dtype=complex)
                     K[np.arange(n * n), np.repeat(block, n), np.tile(block, n)] = 1.0 / np.sqrt(n)
                 else:
@@ -353,55 +355,43 @@ class PartitionChannel(QuantumChannel):
         return W @ self._block_act(Wh @ A @ W) @ Wh
 
     def _block_act(self, A: np.ndarray) -> np.ndarray:
-        """P0: the map in the computational basis.  Each traced block's
-        diagonal is replaced by its mean, a sum over the block times 1 / n,
-        so that a matrix's image does not depend on the stack it comes in:
-        as a product with avg, BLAS rounded one (n, k) x (k, k) product
-        differently as n changed."""
-        # C order, so that the flattened view below writes into out
-        out = np.multiply(A, self._keep, order="C")
-        if self._diag.size:
-            at, starts, block, inv = self._segments
-            flat = A.shape[:-2] + (self._dim * self._dim,)
-            sums = np.add.reduceat(A.reshape(flat).take(at, axis=-1), starts, axis=-1)
-            out.reshape(flat)[..., at] = sums.take(block, axis=-1) * inv
+        """P0: the map in the computational basis.  A kept map multiplies by
+        its mask.  A traced map writes each block's mean onto the diagonal,
+        a sum over the block times 1 / n, so that a matrix's image does not
+        depend on the stack it comes in: as a product with the averaging
+        matrix, BLAS rounded one (n, k) x (k, k) product differently as n
+        changed."""
+        if self._mean is None:
+            # C order whatever A's layout, as the traced image
+            return np.multiply(A, self._keep, order="C")
+        starts, owner, inv = self._mean
+        at = self._layout[2]
+        flat = A.shape[:-2] + (self._dim * self._dim,)
+        out = np.zeros(A.shape, dtype=complex)
+        sums = np.add.reduceat(A.reshape(flat).take(at, axis=-1), starts, axis=-1)
+        out.reshape(flat)[..., at] = sums.take(owner, axis=-1) * inv
         return out
-
-    def _spectral_layout(self) -> tuple:
-        """(scalar_rows, block_rows, at), built on first use.  scalar_rows
-        lists the indices whose eigenvalue is a scalar (the kept singletons,
-        then the traced indices in the order of `_avg`); per size n > 1,
-        block_rows holds the (m, n) array of the m kept blocks of that size;
-        at lists the positions, in a flattened d x d matrix, of the scalars'
-        diagonal entries and then of every block's entries, size by size,
-        block by block, row-major, so that one `put` writes E(Z)^p in U's
-        frame (take and put are cheaper than 2-d fancy indexing)."""
-        if self._layout is None:
-            d = self._dim
-            kept = [b for b, t in zip(self.partition.blocks, self.traced) if not t]
-            singles = np.array([b[0] for b in kept if len(b) == 1], dtype=int)
-            sizes = sorted({len(b) for b in kept if len(b) > 1})
-            groups = tuple(np.array([b for b in kept if len(b) == n]) for n in sizes)
-            scalars = np.concatenate([singles, self._diag])
-            at = np.concatenate([scalars * (d + 1)]
-                                + [(i[:, :, None] * d + i[:, None, :]).ravel() for i in groups])
-            self._layout = (scalars, groups, at)
-        return self._layout
 
     def _read_frame(self, V: np.ndarray) -> tuple:
         """(S, stacks): what `_spectral_image` reads off U = W^dag V (U = V
-        without a basis) whatever the weights.  S = |U_S|^2, the squared
-        moduli of U's scalar rows, one (k, d) real array; stacks holds, per
-        size n > 1 of the kept blocks, the (m, n, d) stack R of their rows
-        of U and its conjugate transpose."""
+        without a basis) whatever the weights.  S holds the squared moduli
+        of U's scalar rows, one (k, d) real array, so that S @ w gives the
+        scalar eigenvalues: for a traced map each row is replaced by the
+        mean over its block.  stacks holds, per size n > 1 of a kept map's
+        blocks, the (m, n, d) stack R of their rows of U and its conjugate
+        transpose."""
         U = V if self._basis is None else self._basis_h @ V
-        scalar_rows, block_rows, _ = self._spectral_layout()
+        scalar_rows, block_rows, _ = self._layout
         R = U.take(scalar_rows, axis=0)
+        S = R.real * R.real + R.imag * R.imag
+        if self._mean is not None:
+            starts, owner, inv = self._mean
+            S = np.add.reduceat(S, starts, axis=0).take(owner, axis=0) * inv[:, None]
         stacks = []
         for rows in block_rows:
             B = U.take(rows, axis=0)
             stacks.append((B, linalg.dagger(B)))
-        return R.real * R.real + R.imag * R.imag, tuple(stacks)
+        return S, tuple(stacks)
 
     def _frame_of(self, spectrum: linalg.Eigensystem) -> tuple:
         """The frame entry (spectrum, live, top, S, stacks) of this
@@ -433,20 +423,21 @@ class PartitionChannel(QuantumChannel):
         Z = V diag(w) V^dag, V = spectrum.vectors, read off U = W^dag V
         (U = V without a basis): E(Z) = W P0(U diag(w) U^dag) W^dag, and P0
         of it is block diagonal.  A kept singleton i has the eigenvalue
-        |U_i|^2 . w, and a traced block the average of those over its rows;
-        both are non-negative by construction, so they need no clip.  The
-        kept blocks of each size n > 1, (U_I w) U_I^dag, are formed and
-        diagonalized together, in one batched eigh per size, and the
-        eigenvalues of every block are clipped in one call.  values lists
-        the scalars first, then each block's eigenvalues, not sorted;
-        `linalg.matrix_power`'s round-off rule applies to all of them at
-        once.  The power is written into U's frame by one `put`, at the
-        positions `_spectral_layout` fixed, and rotated out with the W^dag
-        kept since construction: a basis costs one d x d product in and two
-        out (one, (W f) W^dag, when every eigenvalue is a scalar),
-        O(d^2 + sum n^2 d) besides.
+        |U_i|^2 . w, and every index of a traced map's block j the mean of
+        those over block j, read as one row of the frame's S, which holds
+        that mean of |U|^2 already; both are non-negative by construction,
+        so they need no clip.  A kept map's blocks of each size n > 1,
+        (U_I w) U_I^dag, are formed and diagonalized together, in one
+        batched eigh per size, and the eigenvalues of every block are
+        clipped in one call.  values lists the scalars first, then each
+        block's eigenvalues, not sorted; `linalg.matrix_power`'s round-off
+        rule applies to all of them at once.  The power is written into U's
+        frame by one `put`, at the positions the map fixed when it was
+        built, and rotated out with the W^dag kept since construction: a
+        basis costs one d x d product in and two out (one, (W f) W^dag,
+        when every eigenvalue is a scalar), O(d^2 + sum n^2 d) besides.
 
-        What does not depend on w, |U_S|^2 and the kept blocks' rows of U
+        What does not depend on w, S and the kept blocks' rows of U
         (`_read_frame`), and rho's support mask for `_power_weights`, is the
         map's frame of this spectrum (`_frame_of`): one entry, keyed on the
         identity of the spectrum object and replaced by one assignment.  The
@@ -462,10 +453,7 @@ class PartitionChannel(QuantumChannel):
         """
         _, _, _, S, stacks = self._frame_of(spectrum)
         diag = S @ w
-        t = self._diag.size
-        if t:
-            diag[-t:] = diag[-t:] @ self._avg
-        scalar_rows, _, at = self._spectral_layout()
+        scalar_rows, _, at = self._layout
         if not stacks:
             f = linalg.power_values(diag, p)
             if self._basis is not None:
@@ -493,19 +481,20 @@ class PartitionChannel(QuantumChannel):
 
     def _block_residuals(self) -> tuple:
         """(trace preservation, idempotency) of P0, read off its
-        superoperator S0, which `_block_act` makes block diagonal: every
-        matrix unit e_ab is kept or zeroed, S0 e_ab = keep[a, b] e_ab, except
-        the diagonal units of traced blocks, which `avg` mixes.  So
-        ||S0^2 - S0||_F^2 = ||keep^2 - keep||^2 + ||avg^2 - avg||^2, and
-        [Tr P0(e_ab)] - I (the transpose of sum_i K_i^dag K_i - I) is
-        diagonal: keep[a, a] - 1 on kept indices, the row sums of avg minus 1
-        on traced ones.  O(d^2 + sum of traced n_j^2); neither S0 nor a Kraus
-        operator is formed."""
-        keep, avg = self._keep, self._avg
-        idem = np.hypot(linalg.frobenius(keep * keep - keep), linalg.frobenius(avg @ avg - avg))
-        traces = np.diagonal(keep).copy()
-        traces[self._diag] = avg.sum(axis=1)
-        return linalg.frobenius(traces - 1.0), float(idem)
+        superoperator S0.  A kept map keeps or zeroes every matrix unit,
+        S0 e_ab = keep[a, b] e_ab, so ||S0^2 - S0||_F = ||keep^2 - keep||_F
+        and [Tr P0(e_ab)] - I (the transpose of sum_i K_i^dag K_i - I) is
+        the diagonal keep[a, a] - 1.  A traced map zeroes the off-diagonal
+        units and mixes the diagonal ones by the block-averaging matrix avg,
+        formed here: the residuals are ||avg^2 - avg||_F and the row sums
+        of avg minus 1.  O(d^2) for a kept map and one d x d product for a
+        traced one; neither S0 nor a Kraus operator is formed."""
+        if self._mean is None:
+            keep = self._keep
+            return linalg.frobenius(np.diagonal(keep) - 1.0), linalg.frobenius(keep * keep - keep)
+        _, owner, inv = self._mean
+        avg = (owner[:, None] == owner) * inv
+        return linalg.frobenius(avg.sum(axis=1) - 1.0), linalg.frobenius(avg @ avg - avg)
 
     def _residual_bounds(self) -> tuple:
         """(trace preservation, idempotency, unitality) residuals, as in
@@ -696,7 +685,7 @@ def _partition_map(kind: str, partition: MeasurementPartition,
                    traced: bool) -> ResourceDestroyingMap:
     desc = {"type": kind, "dim": partition.dim,
             "partition": [list(b) for b in partition.blocks]}
-    channel = PartitionChannel(partition, [traced] * len(partition.blocks))
+    channel = PartitionChannel(partition, traced)
     return certify_rdm(channel, desc)
 
 
@@ -814,7 +803,7 @@ def _eigenbasis_form(K: np.ndarray) -> tuple:
     if not (excess <= IDEMPOTENCY_TOL and np.array_equal(keep, first[:, None] == first)):
         return None, None, None
     blocks = [np.flatnonzero(first == i) for i in np.flatnonzero(first == np.arange(d))]
-    channel = PartitionChannel(MeasurementPartition(d, blocks), [False] * len(blocks), basis=W)
+    channel = PartitionChannel(MeasurementPartition(d, blocks), False, basis=W)
     tp, idem, unital = channel._residual_bounds()
     idem += excess
     if not idem <= IDEMPOTENCY_TOL:
@@ -907,7 +896,7 @@ def twirling_map(unitaries: Iterable[np.ndarray]) -> ResourceDestroyingMap:
 def mixing_map(d: int) -> ResourceDestroyingMap:
     """Complete mixing: rho -> Tr(rho) I/d.  Kraus view {|i><j| / sqrt(d)}."""
     d = linalg.as_count(d, "mixing map dim", 2)
-    channel = PartitionChannel(MeasurementPartition.single_block(d), [True])
+    channel = PartitionChannel(MeasurementPartition.single_block(d), True)
     return certify_rdm(channel, {"type": "mixing", "dim": d})
 
 

@@ -121,10 +121,7 @@ def _random_unitary(d: int, rng) -> np.ndarray:
 def _block_diagonal_unitary(partition: MeasurementPartition, rng) -> np.ndarray:
     U = np.zeros((partition.dim, partition.dim), dtype=complex)
     for block in partition.blocks:
-        sub = _random_unitary(len(block), rng)
-        for r, i in enumerate(block):
-            for c, j in enumerate(block):
-                U[i, j] = sub[r, c]
+        U[np.ix_(block, block)] = _random_unitary(len(block), rng)
     return U
 
 
@@ -359,8 +356,8 @@ def suite_theorem2(dims, a_grid, trials: int, seed: int,
             rho = linalg.random_density_matrix(d, d, seed=int(rng.integers(2**31)))
             coarse = random_partition(d, rng, coarse=True)
             W = _random_unitary(d, rng)
-            fine = certify_rdm(PartitionChannel(MeasurementPartition.singletons(d), [False] * d, W))
-            modified = certify_rdm(PartitionChannel(coarse, [True] * len(coarse.blocks), W))
+            fine = certify_rdm(PartitionChannel(MeasurementPartition.singletons(d), False, W))
+            modified = certify_rdm(PartitionChannel(coarse, True, W))
             common = {"trial": t, "seed": s, "dim": d, "blocks": [list(b) for b in coarse.blocks]}
             r = compose_residual(fine, modified)
             records.append({**common, "kind": "compose", "value": r, "violation": r - 1e-10})

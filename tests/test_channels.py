@@ -226,7 +226,7 @@ def test_non_finite_operators_never_certify():
     with pytest.raises(ValidationError, match="Kraus operators: non-finite"):
         certify_rdm(QuantumChannel([np.full((2, 2), np.nan)]))
     with pytest.raises(ValidationError, match="basis: non-finite"):
-        certify_rdm(PartitionChannel(MeasurementPartition.singletons(2), [False, False],
+        certify_rdm(PartitionChannel(MeasurementPartition.singletons(2), False,
                                      np.full((2, 2), np.nan)))
 
 
@@ -314,16 +314,20 @@ def test_partition_maps_match_kraus_sum_reference():
     residuals equal those of the same map certified as a Kraus sum.  Abelian
     twirls and commuting Kraus lists in a random basis, built in their joint
     eigenbasis, match their Kraus sums, and their reported residuals bound
-    the Kraus sums' from above."""
+    the Kraus sums' from above.  The first map keeps or traces every block
+    of a random partition, one action drawn per map; both are drawn."""
     rng = np.random.default_rng(5)
+    drawn = set()
     for d in range(2, 9):
         for trial in range(3):
             part = random_partition(d, rng)
-            mixed = PartitionChannel(part, rng.integers(0, 2, len(part.blocks)))
+            traced = bool(rng.integers(2))
+            drawn.add(traced)
+            one_action = PartitionChannel(part, traced)
             coarse = random_partition(d, rng, coarse=True)
             stack = np.stack([[linalg.random_hermitian(d, seed=100 * d + 10 * trial + 3 * i + j)
                                for j in range(3)] for i in range(2)])
-            for rdm in (certify_rdm(mixed),
+            for rdm in (certify_rdm(one_action),
                         dephasing_map(MeasurementPartition.singletons(d)),
                         lueders_map(coarse), modified_coarse_map(coarse), mixing_map(d)):
                 ref = certify_rdm(QuantumChannel(rdm.kraus))
@@ -354,6 +358,7 @@ def test_partition_maps_match_kraus_sum_reference():
                 assert rdm.idempotency_residual >= ref.idempotency_residual - 1e-15
                 assert rdm.unitality_residual() >= ref.unitality_residual() - 1e-15
                 assert rdm.trace_preserving_residual() >= ref.trace_preserving_residual() - 1e-15
+    assert drawn == {False, True}
 
 
 def test_apply_to_a_stack_is_apply_to_each_matrix_alone():
@@ -363,21 +368,25 @@ def test_apply_to_a_stack_is_apply_to_each_matrix_alone():
     equals apply on each matrix alone and on each one-matrix stack, bit for
     bit.  The block average of the traced diagonal once took one (5, k) x
     (k, k) product, whose rows round differently from a (1, k) x (k, k)
-    one."""
+    one.  The maps on a random partition keep or trace every block, one
+    action drawn per d; both are drawn."""
     rng = np.random.default_rng(23)
     Y = 1j * X @ Z
     maps = [twirling_map([np.eye(2), X, Y, Z])]
+    drawn = set()
     for d in range(2, 9):
         coarse = random_partition(d, rng, coarse=True)
         part = random_partition(d, rng)
-        traced = rng.integers(0, 2, len(part.blocks))
+        traced = bool(rng.integers(2))
+        drawn.add(traced)
         W = random_unitary(d, rng)
         maps += [dephasing_map(MeasurementPartition.singletons(d)), lueders_map(coarse),
                  modified_coarse_map(coarse), cyclic_twirl(d), mixing_map(d),
                  certify_rdm(PartitionChannel(part, traced)),
                  certify_rdm(PartitionChannel(part, traced, W)),
-                 certify_rdm(PartitionChannel(coarse, [True] * len(coarse.blocks), W))]
+                 certify_rdm(PartitionChannel(coarse, True, W))]
     assert not isinstance(maps[0].channel, PartitionChannel)
+    assert drawn == {False, True}
     for rdm in maps:
         d = rdm.dim
         stack = rng.standard_normal((5, d, d)) + 1j * rng.standard_normal((5, d, d))
@@ -648,12 +657,12 @@ def test_closed_form_on_partition_maps_never_forms_rho_a(monkeypatch):
 def test_spectral_image_in_a_basis_is_the_block_path_rotated(seed):
     """With a basis W, spectral_image(V, w, p) is the basis-free map's
     spectral_image(W^dag V, w, p) rotated out, bit for bit: the same values
-    and W X0 W^dag, on random partitions that mix kept and traced blocks."""
+    and W X0 W^dag, on random partitions, every block kept at even seeds
+    and traced at odd ones."""
     rng = np.random.default_rng(300 + seed)
     d = int(rng.integers(2, 13))
     partition = random_partition(d, rng)
-    n = len(partition.blocks)
-    traced = rng.permutation(np.arange(n) % 2 == 0)
+    traced = seed % 2 == 1
     W = random_unitary(d, rng)
     rotated = PartitionChannel(partition, traced, basis=W)
     plain = PartitionChannel(partition, traced)
@@ -887,9 +896,20 @@ def test_abelian_twirl_json_round_trip(d, orders, seed):
     assert again.trace_preserving_residual() >= ref.trace_preserving_residual() - 1e-15
 
 
-def test_partition_channel_needs_one_action_per_block():
-    with pytest.raises(ValidationError):
-        PartitionChannel(MeasurementPartition(3, [[0, 1], [2]]), [True])
+def test_partition_channel_takes_one_bool_for_traced():
+    """traced is one bool for the whole map.  A per-block list, 0 or 1 as
+    an int, None and a numpy array are refused, never read through bool();
+    a numpy bool is taken as the bool it holds."""
+    part = MeasurementPartition(3, [[0, 1], [2]])
+    for traced in ([True], [True, False], [False, False], 0, 1, None,
+                   np.array(True), np.array([True, False])):
+        with pytest.raises(ValidationError, match="traced"):
+            PartitionChannel(part, traced)
+    X_ = linalg.random_hermitian(3, seed=1)
+    for traced in (False, True):
+        got = PartitionChannel(part, np.bool_(traced))
+        assert got.traced is traced
+        assert np.array_equal(got.apply(X_), PartitionChannel(part, traced).apply(X_))
 
 
 # ----------------------------------------------------------------- adjoints
@@ -950,8 +970,8 @@ def test_compose_fine_with_modified():
         for _ in range(5):
             coarse = random_partition(d, rng, coarse=True)
             W = random_unitary(d, rng)
-            fine = certify_rdm(PartitionChannel(MeasurementPartition.singletons(d), [False] * d, W))
-            mod = certify_rdm(PartitionChannel(coarse, [True] * len(coarse.blocks), W))
+            fine = certify_rdm(PartitionChannel(MeasurementPartition.singletons(d), False, W))
+            mod = certify_rdm(PartitionChannel(coarse, True, W))
             S_fine, S_mod = fine.superop, mod.superop
             r1 = float(np.linalg.norm(S_fine @ S_mod - S_mod))
             r2 = float(np.linalg.norm(S_mod @ S_fine - S_mod))

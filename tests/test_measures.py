@@ -383,13 +383,14 @@ def test_non_abelian_twirl_keeps_the_dense_closed_form():
 @settings(max_examples=60)
 @given(st.integers(2, 12), st.booleans(), st.integers(0, 2**32 - 1))
 def test_blockwise_closed_form_equals_dense(d, with_basis, seed):
-    """A random partition with a random mix of kept and traced blocks, in the
-    computational basis or a random one, on a state of random rank: the
-    closed form taken on the blocks equals the one on the same map given as
-    a Kraus sum, whose image is formed densely."""
+    """A random partition whose blocks are all kept or all traced, one
+    action drawn per map, in the computational basis or a random one, on a
+    state of random rank: the closed form taken on the blocks equals the
+    one on the same map given as a Kraus sum, whose image is formed
+    densely."""
     rng = np.random.default_rng(seed)
     part = random_partition(d, rng, coarse=bool(rng.integers(2)))
-    traced = rng.integers(0, 2, len(part.blocks))
+    traced = bool(rng.integers(2))
     basis = None
     if with_basis:
         Q, R = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
