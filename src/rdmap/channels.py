@@ -20,24 +20,20 @@ Every channel also offers `spectral_image(V, w, p)`, which is all the
 closed form needs of E: for Z = V diag(w) V^dag, given by an eigensystem
 rather than as a matrix, the clipped eigenvalues of E(Z), in any order, and
 E(Z)^p under `linalg.matrix_power`'s round-off rule.  It checks V and w
-once and hands them, as a fresh `linalg.Eigensystem`, to `_spectral_image`,
-which the closed form calls directly on the eigensystem of rho that
-`linalg.density_spectrum` has already checked.  By default that forms Z
-and E(Z) densely and diagonalizes E(Z).  A partition map's E(Z) is block
-diagonal in its basis W, so it reads the image off U = W^dag V, one d x d
-product, on one path for every basis: a kept singleton, and every index of
-a traced map, is a scalar, a weighted sum of |U|^2 (averaged over its block
-for a traced map), the kept blocks of each size n > 1 are formed from U's
-rows and share one batched eigh, one `put` writes the power, and a basis
-rotates it out with the W^dag kept since construction.  |U|^2, block
-averaged for a traced map, the blocks' rows and, for the closed form's
-weights p^a (`_power_weights`), the eigenvalues that every positive power
-keeps do not depend on w, so a partition map keeps them as its frame of
-one eigensystem: one entry, keyed on the identity of the eigensystem object
-and replaced by one assignment when another comes.  A sweep over orders on
-one state reads it once, since `density_spectrum` hands every order the
-same object; another state, or the same array changed in place, brings
-another object.
+once, reads the map's frame of V (`_frame_for`: what the image needs of V
+whatever the weights) and hands both to `_spectral_image`.  By default the
+frame is V itself, and `_spectral_image` forms Z and E(Z) densely and
+diagonalizes E(Z).  A partition map's E(Z) is block diagonal in its basis
+W, so it reads the image off U = W^dag V, one d x d product, on one path
+for every basis: a kept singleton, and every index of a traced map, is a
+scalar, a weighted sum of |U|^2 (averaged over its block for a traced
+map), the kept blocks of each size n > 1 are formed from U's rows and share
+one batched eigh, one `put` writes the power, and a basis rotates it out
+with the W^dag kept since construction.  |U|^2, block averaged for a traced
+map, and the blocks' rows are its frame.  A map keeps no frame: the closed
+form, which calls `_frame_for` and `_spectral_image` directly on the
+eigensystem of rho that `linalg.density_spectrum` has already checked,
+keeps the one it reuses across a sweep of orders (`measures`).
 
 Every list of operators, Kraus or group elements, is checked and stacked
 once, by `_operator_stack`, into one read-only complex (n, d, d) array;
@@ -54,7 +50,6 @@ Channels are immutable once built.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -174,18 +169,17 @@ class QuantumChannel:
         if not np.isfinite(w).all():
             raise ValueError("weights have non-finite entries")
         w = linalg.clip_spectrum(w)
-        return self._spectral_image(linalg.Eigensystem(w, linalg.as_complex_matrix(V)), w, p)
+        return self._spectral_image(self._frame_for(linalg.as_complex_matrix(V)), w, p)
 
-    def _power_weights(self, spectrum: linalg.Eigensystem, a: float) -> np.ndarray:
-        """The eigenvalues of rho^a, for a > 0, from rho's clipped
-        eigensystem: `linalg.power_values(spectrum.values, a)`."""
-        return linalg.power_values(spectrum.values, a)
+    def _frame_for(self, V: np.ndarray) -> np.ndarray:
+        """What `_spectral_image` needs of a checked V whatever the weights:
+        here V itself."""
+        return V
 
-    def _spectral_image(self, spectrum: linalg.Eigensystem, w: np.ndarray, p: float) -> tuple:
+    def _spectral_image(self, V: np.ndarray, w: np.ndarray, p: float) -> tuple:
         """`spectral_image` of arguments it has already checked, V given as
-        spectrum.vectors.  Here E(Z) is formed densely and diagonalized,
-        values ascending."""
-        V = spectrum.vectors
+        its frame (`_frame_for`).  Here E(Z) is formed densely and
+        diagonalized, values ascending."""
         values, vectors = linalg.eig_hermitian(self.apply((V * w) @ linalg.dagger(V)))
         values = linalg.clip_spectrum(values)
         return values, linalg.spectral_power((values, vectors), p)
@@ -314,7 +308,6 @@ class PartitionChannel(QuantumChannel):
         self._kraus = None
         self._superop = None
         self._residuals = None
-        self._frame = None
 
     @property
     def kraus(self) -> np.ndarray:
@@ -372,7 +365,7 @@ class PartitionChannel(QuantumChannel):
         out.reshape(flat)[..., at] = sums.take(owner, axis=-1) * inv
         return out
 
-    def _read_frame(self, V: np.ndarray) -> tuple:
+    def _frame_for(self, V: np.ndarray) -> tuple:
         """(S, stacks): what `_spectral_image` reads off U = W^dag V (U = V
         without a basis) whatever the weights.  S holds the squared moduli
         of U's scalar rows, one (k, d) real array, so that S @ w gives the
@@ -393,65 +386,27 @@ class PartitionChannel(QuantumChannel):
             stacks.append((B, linalg.dagger(B)))
         return S, tuple(stacks)
 
-    def _frame_of(self, spectrum: linalg.Eigensystem) -> tuple:
-        """The frame entry (spectrum, live, top, S, stacks) of this
-        spectrum, read on a miss: live marks the eigenvalues that
-        `linalg.power_values` keeps for every p > 0 (those above
-        d * eps * lambda_max), top is lambda_max, and S and stacks come
-        from `_read_frame`."""
-        frame = self._frame
-        if frame is None or frame[0] is not spectrum:
-            values = spectrum.values
-            live = linalg.power_values(values, 1.0) > 0
-            frame = self._frame = ((spectrum, live, float(values.max()))
-                                   + self._read_frame(spectrum.vectors))
-        return frame
-
-    def _power_weights(self, spectrum: linalg.Eigensystem, a: float) -> np.ndarray:
-        """`QuantumChannel._power_weights` bit for bit, as one numpy power
-        masked by the frame's support of rho, which does not depend on a.
-        An order whose lambda_max ** a overflows, which no state's spectrum
-        meets at a <= 2, goes to `linalg.power_values` to raise its
-        OverflowError."""
-        _, live, top = self._frame_of(spectrum)[:3]
-        if top > 1.0 and top ** a == math.inf:
-            return linalg.power_values(spectrum.values, a)
-        return np.power(spectrum.values, a, out=np.zeros(live.shape), where=live)
-
-    def _spectral_image(self, spectrum: linalg.Eigensystem, w: np.ndarray, p: float) -> tuple:
+    def _spectral_image(self, frame: tuple, w: np.ndarray, p: float) -> tuple:
         """(values, X): the clipped eigenvalues of E(Z) and X = E(Z)^p for
-        Z = V diag(w) V^dag, V = spectrum.vectors, read off U = W^dag V
-        (U = V without a basis): E(Z) = W P0(U diag(w) U^dag) W^dag, and P0
-        of it is block diagonal.  A kept singleton i has the eigenvalue
-        |U_i|^2 . w, and every index of a traced map's block j the mean of
-        those over block j, read as one row of the frame's S, which holds
-        that mean of |U|^2 already; both are non-negative by construction,
-        so they need no clip.  A kept map's blocks of each size n > 1,
-        (U_I w) U_I^dag, are formed and diagonalized together, in one
-        batched eigh per size, and the eigenvalues of every block are
-        clipped in one call.  values lists the scalars first, then each
-        block's eigenvalues, not sorted; `linalg.matrix_power`'s round-off
-        rule applies to all of them at once.  The power is written into U's
-        frame by one `put`, at the positions the map fixed when it was
-        built, and rotated out with the W^dag kept since construction: a
-        basis costs one d x d product in and two out (one, (W f) W^dag,
-        when every eigenvalue is a scalar), O(d^2 + sum n^2 d) besides.
-
-        What does not depend on w, S and the kept blocks' rows of U
-        (`_read_frame`), and rho's support mask for `_power_weights`, is the
-        map's frame of this spectrum (`_frame_of`): one entry, keyed on the
-        identity of the spectrum object and replaced by one assignment.  The
-        read-only `Eigensystem` that `linalg.density_spectrum` returns for a
-        state is the same object for as long as that state is its entry, so
-        a sweep over orders on one state reads the frame once; another
-        state, or the same array mutated in place, comes with another object
-        and builds its own.  `spectral_image` wraps its arguments in a fresh
-        tuple, so it never reads an old frame.  The entry holds the spectrum
-        it was read from, so its identity cannot pass to another object
-        while the entry lives; threads that share a map at worst read a
-        frame again.
+        Z = V diag(w) V^dag, read off U = W^dag V (U = V without a basis)
+        through the frame (S, stacks) that `_frame_for` took of V:
+        E(Z) = W P0(U diag(w) U^dag) W^dag, and P0 of it is block diagonal.
+        A kept singleton i has the eigenvalue |U_i|^2 . w, and every index
+        of a traced map's block j the mean of those over block j, read as
+        one row of S, which holds that mean of |U|^2 already; both are
+        non-negative by construction, so they need no clip.  A kept map's
+        blocks of each size n > 1, (U_I w) U_I^dag, are formed and
+        diagonalized together, in one batched eigh per size, and the
+        eigenvalues of every block are clipped in one call.  values lists
+        the scalars first, then each block's eigenvalues, not sorted;
+        `linalg.matrix_power`'s round-off rule applies to all of them at
+        once.  The power is written into U's frame by one `put`, at the
+        positions the map fixed when it was built, and rotated out with the
+        W^dag kept since construction: a basis costs one d x d product in
+        and two out (one, (W f) W^dag, when every eigenvalue is a scalar),
+        O(d^2 + sum n^2 d) besides.
         """
-        _, _, _, S, stacks = self._frame_of(spectrum)
+        S, stacks = frame
         diag = S @ w
         scalar_rows, _, at = self._layout
         if not stacks:
@@ -573,12 +528,12 @@ class ResourceDestroyingMap(QuantumChannel):
     def _act(self, A: np.ndarray) -> np.ndarray:
         return self.channel._act(A)
 
-    def _spectral_image(self, spectrum: linalg.Eigensystem, w: np.ndarray, p: float) -> tuple:
-        """(values, E(Z)^p) from the certified channel's own _spectral_image."""
-        return self.channel._spectral_image(spectrum, w, p)
+    def _frame_for(self, V: np.ndarray):
+        return self.channel._frame_for(V)
 
-    def _power_weights(self, spectrum: linalg.Eigensystem, a: float) -> np.ndarray:
-        return self.channel._power_weights(spectrum, a)
+    def _spectral_image(self, frame, w: np.ndarray, p: float) -> tuple:
+        """(values, E(Z)^p) from the certified channel's own _spectral_image."""
+        return self.channel._spectral_image(frame, w, p)
 
     def trace_preserving_residual(self) -> float:
         return self.channel.trace_preserving_residual()

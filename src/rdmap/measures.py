@@ -12,9 +12,9 @@ S(E(rho)) - S(rho) with sigma* = E(rho).  Entropies are in nats.
 E(rho^a) is block diagonal in the map's own basis, so a partition map takes
 the 1/a-th power, and at a = 1 the spectrum of E(rho) and sigma* = E(rho),
 block by block, straight from rho's eigensystem V diag(p) V^dag
-(`QuantumChannel.spectral_image`), and what does not depend on a, rho's
-support for the weights p^a included, is read once per state, as the map's
-frame of that eigensystem.  For coherence this
+(`QuantumChannel.spectral_image`).  Only the weights p^a depend on a, so
+the map's frame of V and rho's support are kept in one entry here and
+reused across a sweep of orders (`closed_form_measure`).  For coherence this
 is Zhao et al.'s Tsallis measure, N = sum_i <i|rho^a|i>^{1/a} with
 <i|rho^a|i> = sum_j |V_ij|^2 p_j^a, a sum over the diagonal.  The
 round-off rule is global: an eigenvalue of E(rho^a) at or below
@@ -158,15 +158,47 @@ def _check_image_trace(trace: float, a: float) -> None:
             f"Tr {what} = {trace:.3e}: the map is not trace preserving on this state")
 
 
-def _power_is_projector(values: np.ndarray, a: float) -> bool:
-    """Whether rho^a, from rho's ascending eigenvalues, rounds to the
-    projector onto rho's support while rho is not one: at least two
-    eigenvalues lie above the round-off cut, so each lies below 1, and
-    every one of them has p^a == 1.0.  The true rho^a then differs from the
-    projector by O(a ln p), which rounding has lost.  A pure state is its
-    own support projector, so nothing is lost for it."""
-    live = values[linalg.power_values(values, 1.0) > 0]
+def _power_is_projector(values: np.ndarray, support: np.ndarray, a: float) -> bool:
+    """Whether rho^a, from rho's eigenvalues and its support mask (those
+    above the round-off cut of positive powers), rounds to the projector
+    onto rho's support while rho is not one: at least two eigenvalues lie
+    above the cut, so each lies below 1, and every one of them has
+    p^a == 1.0.  The true rho^a then differs from the projector by
+    O(a ln p), which rounding has lost.  A pure state is its own support
+    projector, so nothing is lost for it."""
+    live = values[support]
     return live.size > 1 and bool(np.all(live ** a == 1.0))
+
+
+#: the closed form's reuse across orders, one tuple (rdm, spectrum, support,
+#: frame) replaced by a single assignment (`_sweep_entry`)
+_last_sweep = None
+
+
+def _sweep_entry(rdm: ResourceDestroyingMap, spectrum: linalg.Eigensystem) -> tuple:
+    """(support, frame) of this map and state, from the entry (rdm,
+    spectrum, support, frame): support marks the eigenvalues that
+    `linalg.power_values` keeps for every p > 0 (those above
+    d * eps * lambda_max), and frame is the map's
+    `_frame_for(spectrum.vectors)`.  Neither depends on the order.  The
+    entry is a hit only when it holds this very map and this very spectrum
+    object, and is otherwise read afresh and swapped in by one assignment.
+
+    Identity is enough: the `Eigensystem` that `linalg.density_spectrum`
+    returns is read-only and is the same object for as long as a
+    byte-identical state is its entry, so a sweep over orders on one state
+    reads the frame once, while another state, or the same array mutated in
+    place, comes with another object.  Channels are immutable once built.
+    The entry holds both objects, so neither identity can pass to another
+    object while it lives, and both stay alive until the next call on
+    another map or state; threads that share a map read the entry once per
+    call and at worst read a frame again."""
+    global _last_sweep
+    entry = _last_sweep
+    if entry is None or entry[0] is not rdm or entry[1] is not spectrum:
+        support = linalg.power_values(spectrum.values, 1.0) > 0
+        entry = _last_sweep = (rdm, spectrum, support, rdm._frame_for(spectrum.vectors))
+    return entry[2:]
 
 
 def closed_form_measure(rho: np.ndarray, rdm: ResourceDestroyingMap, a: float) -> MeasureReport:
@@ -181,22 +213,18 @@ def closed_form_measure(rho: np.ndarray, rdm: ResourceDestroyingMap, a: float) -
     orders, a nested-list copy, or a call after `validate_density` on the
     same array) cost one compare of its bytes after the first, and any
     other rho is checked and decomposed afresh, with bit-identical results
-    either way.  rho^a is never formed as a d x d matrix: the map's
-    `_spectral_image` takes the already checked
-    eigensystem, as the `Eigensystem` object `density_spectrum` returned,
-    with the weights p^a (`_power_weights`, `linalg.power_values(p, a)` bit
-    for bit), and returns the 1/a-th power of E(rho^a).  A partition map
-    takes it on its blocks, with no d x d eigh, and other maps on the dense
-    image.  A partition map reads its frame of rho (U = W^dag V, |U_S|^2,
-    the kept blocks' rows of U and rho's support for positive powers, none
-    of which depend on a) once per eigensystem object: the frame is one
-    entry on the map, keyed on that object's identity and replaced by one
-    assignment, so it lives until the map meets another eigensystem.
-    Since `density_spectrum` returns the same object for as long as rho is
-    its entry, orders 2 to 7 of a sweep pay only the byte compare, one
-    masked power for the weights, the block eighs, the power of the image
-    and the residual; a call on any other state builds the frame afresh,
-    bit for bit the same.  At a = 1 one
+    either way.  rho^a is never formed as a d x d matrix: the weights p^a
+    are one numpy power masked by rho's support (`linalg.power_values(p, a)`
+    bit for bit; they cannot overflow, since a <= 2 and a state's trace and
+    PSD checks hold every p below 1 + d 1e-10), and the map's
+    `_spectral_image` takes them with its frame of V and returns the 1/a-th
+    power of E(rho^a).  A partition map takes it on its blocks, with no
+    d x d eigh, and other maps on the dense image.  The frame and the
+    support do not depend on a, so they live in one entry, keyed on the
+    map and on the spectrum object (`_sweep_entry`): orders 2 to 7 of a
+    sweep on one map pay only the byte compare, the masked power, the block
+    eighs, the power of the image and the residual, and a call on any other
+    state or map reads them afresh, bit for bit the same.  At a = 1 one
     call on (V, p) applies E once and gives both the spectrum of E(rho),
     for S(E(rho)), and sigma* = E(rho), rebuilt from that spectrum.
     Either way an eigenvalue at or below d * eps * lambda_max,
@@ -226,14 +254,16 @@ def closed_form_measure(rho: np.ndarray, rdm: ResourceDestroyingMap, a: float) -
         raise DimensionMismatch(
             f"state dimension {d} does not match map dimension {rdm.dim}"
         )
+    support, frame = _sweep_entry(rdm, spectrum)
     if a == 1.0:
-        mu, sigma_star = rdm._spectral_image(spectrum, spectrum.values, 1.0)
+        mu, sigma_star = rdm._spectral_image(frame, spectrum.values, 1.0)
         _check_image_trace(float(sigma_star.trace().real), a)
         value = _entropy(mu) - _entropy(spectrum.values)
         N = 1.0
     else:
+        weights = np.power(spectrum.values, a, out=np.zeros(d), where=support)
         try:
-            _, X = rdm._spectral_image(spectrum, rdm._power_weights(spectrum, a), 1.0 / a)
+            _, X = rdm._spectral_image(frame, weights, 1.0 / a)
         except OverflowError:
             raise ValidationError(
                 f"order a = {a:g} is too small: an eigenvalue of E(rho^a) rounds "
@@ -247,7 +277,7 @@ def closed_form_measure(rho: np.ndarray, rdm: ResourceDestroyingMap, a: float) -
                     f"but its 1/a-th power underflows to zero trace")
         _check_image_trace(N, a)
         value = (N - 1.0) / (a - 1.0)
-        if value < 0.0 and _power_is_projector(spectrum.values, a):
+        if value < 0.0 and _power_is_projector(spectrum.values, support, a):
             raise ValidationError(
                 f"order a = {a:g} is too small: every eigenvalue p of rho above round-off "
                 f"has p^a == 1.0, so rho^a rounds to its support projector and no digit "

@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rdmap import channels, linalg
+from rdmap import channels, linalg, measures
 from rdmap.channels import (
     MeasurementPartition,
     PartitionChannel,
     QuantumChannel,
+    ResourceDestroyingMap,
     certify_rdm,
     cyclic_shift,
     cyclic_twirl,
@@ -674,13 +675,13 @@ def test_spectral_image_in_a_basis_is_the_block_path_rotated(seed):
         assert np.array_equal(X, W @ X0 @ linalg.dagger(W))
 
 
-# ------------------------------------------------------ a map's frame of a state
+# ------------------------------------- the closed form's frame of a state
 
 def frame_maps(d, rng):
     """spectral_channels, an abelian twirl in a random basis and the
     Kraus-sum channel certified where S @ S is cheap: every partition
     family, both routes to a partition map with a basis, and the dense
-    path, which keeps no frame."""
+    path, whose frame is V itself."""
     maps = spectral_channels(d, rng)
     twirl = twirling_map(conjugated(random_unitary(d, rng), [cyclic_shift(d, k) for k in range(d)]))
     assert isinstance(twirl.channel, PartitionChannel) and twirl.channel._basis is not None
@@ -689,17 +690,16 @@ def frame_maps(d, rng):
     return maps[:-1] + [twirl, maps[-1]]
 
 
-def clear_frame(rdm):
-    channel = getattr(rdm, "channel", rdm)
-    if isinstance(channel, PartitionChannel):
-        channel._frame = None
+def clear_frame():
+    """Forget the frame the closed form keeps."""
+    measures._last_sweep = None
 
 
 def cold(rho, rdm, a, monkeypatch):
     """closed_form_measure with nothing remembered: no state's spectrum and
     no frame."""
     monkeypatch.setattr(linalg, "_last_spectrum", None)
-    clear_frame(rdm)
+    clear_frame()
     return closed_form_measure(rho, rdm, a)
 
 
@@ -720,40 +720,49 @@ def one_ulp(rho):
 def test_sweep_on_a_frame_is_a_call_without_one(d):
     """Every order of a sweep, on states of rank 1, 2 and d, with the grid
     ascending, descending and with a = 1 first, equals bit for bit the call
-    made with the map's frame cleared."""
+    made with the closed form's frame cleared."""
     rng = np.random.default_rng(700 + d)
     grids = (A_GRID, A_GRID[::-1], (1.0,) + tuple(a for a in A_GRID if a != 1.0))
     for rdm in frame_maps(d, rng):
         for rank in sorted({1, 2, d}):
             rho = linalg.random_density_matrix(d, rank, seed=int(rng.integers(2**31)))
             for grid in grids:
-                clear_frame(rdm)
+                clear_frame()
                 warm = [closed_form_measure(rho, rdm, a) for a in grid]
                 for a, got in zip(grid, warm):
-                    clear_frame(rdm)
+                    clear_frame()
                     assert same_bits(got, closed_form_measure(rho, rdm, a)), (d, rank, a)
 
 
 def test_sweep_builds_one_frame_per_state_and_map(monkeypatch):
-    """A 7-order sweep reads each partition map's frame of the state once;
-    the state one ulp away reads it once more."""
+    """A 7-order sweep reads each certified map's frame of the state once,
+    the dense path's included; on one map, the state one ulp away reads it
+    once more, and on one state, so does every next map."""
     builds = []
-    inner = PartitionChannel._read_frame
+    inner = ResourceDestroyingMap._frame_for
 
     def counted(self, V):
         builds.append(self)
         return inner(self, V)
-    monkeypatch.setattr(PartitionChannel, "_read_frame", counted)
+    monkeypatch.setattr(ResourceDestroyingMap, "_frame_for", counted)
     monkeypatch.setattr(linalg, "_last_spectrum", None)
+    clear_frame()
     for d in (2, 4, 8):
         rng = np.random.default_rng(720 + d)
-        rho = linalg.random_density_matrix(d, d, seed=d)
-        for rdm in frame_maps(d, rng)[:-1]:
+        rho, other = (linalg.random_density_matrix(d, d, seed=seed) for seed in (d, d + 1))
+        maps = frame_maps(d, rng)
+        assert all(isinstance(rdm, ResourceDestroyingMap) for rdm in maps)
+        for rdm in maps:
             builds.clear()
             for state in (rho, one_ulp(rho)):
                 for a in A_GRID:
                     closed_form_measure(state, rdm, a)
-                assert builds == [rdm.channel] * (1 if state is rho else 2)
+                assert builds == [rdm] * (1 if state is rho else 2)
+        for rdm in maps:
+            builds.clear()
+            for a in A_GRID:
+                closed_form_measure(other, rdm, a)
+            assert builds == [rdm]
 
 
 def test_frame_follows_the_state(monkeypatch):
@@ -787,8 +796,9 @@ def test_frame_follows_the_state(monkeypatch):
 
 
 def test_spectral_image_never_reads_a_frame_of_a_mutated_eigensystem():
-    """spectral_image wraps V in a fresh tuple on every call, so a writeable
-    V mutated in place between calls gets the image of its new entries."""
+    """spectral_image reads a fresh frame of V on every call, so a
+    writeable V mutated in place between calls gets the image of its new
+    entries."""
     for d in (2, 4, 8):
         rng = np.random.default_rng(760 + d)
         V, p = eigensystem(linalg.random_density_matrix(d, d, seed=d))
@@ -799,40 +809,53 @@ def test_spectral_image_never_reads_a_frame_of_a_mutated_eigensystem():
                 E.spectral_image(mutable, p, q)
                 mutable[...] = V2
                 got = E.spectral_image(mutable, p, q)
-                clear_frame(E)
                 for x, y in zip(got, E.spectral_image(V2.copy(), p, q)):
                     assert x.tobytes() == y.tobytes()
 
 
-def test_power_weights_are_power_values_bit_for_bit(monkeypatch):
-    """A certified map's weights p^a, read through its frame's support mask
-    when it is a partition map, equal `linalg.power_values` bit for bit at
-    ranks 1, 2 and d, and the closed form reaches the partition map's own
-    weights through the certified wrapper.  A spectrum whose lambda_max ** a
-    overflows raises OverflowError, as power_values does."""
-    inner = PartitionChannel._power_weights
-    reached = []
-    monkeypatch.setattr(PartitionChannel, "_power_weights",
-                        lambda self, spectrum, a: reached.append(a) or inner(self, spectrum, a))
+def test_masked_weights_are_power_values_bit_for_bit(monkeypatch):
+    """The weights p^a that the closed form hands a certified map's
+    `_spectral_image`, one numpy power masked by rho's support, equal
+    `linalg.power_values` bit for bit at ranks 1, 2 and d on every map, the
+    dense path included, warm and cold."""
+    seen = []
+    inner = ResourceDestroyingMap._spectral_image
+    monkeypatch.setattr(ResourceDestroyingMap, "_spectral_image",
+                        lambda self, frame, w, p: seen.append(w) or inner(self, frame, w, p))
     for d in (2, 4, 8):
         rng = np.random.default_rng(290 + d)
         for rank in (1, 2, d):
             rho = linalg.random_density_matrix(d, rank, seed=10 * d + rank)
             spectrum = linalg.density_spectrum(rho)
             for E in frame_maps(d, rng):
-                for a in (0.3, 0.5, 0.8, 1.2, 1.5, 2.0):
-                    want = linalg.power_values(spectrum.values, a)
-                    assert E._power_weights(spectrum, a).tobytes() == want.tobytes()
-    reached.clear()
-    E = frame_maps(4, np.random.default_rng(294))[0]
-    closed_form_measure(linalg.random_density_matrix(4, 4, seed=4), E, 0.5)
-    assert reached == [0.5]
-    big = linalg.Eigensystem(np.array([0.25, 1.5]), np.eye(2, dtype=complex))
-    E = certify_rdm(dephasing_map(MeasurementPartition.singletons(2)))
-    for weights in (lambda: E._power_weights(big, 2000.0),
-                    lambda: linalg.power_values(big.values, 2000.0)):
-        with pytest.raises(OverflowError):
-            weights()
+                for fresh in (True, False):
+                    for a in (0.3, 0.5, 0.8, 1.2, 1.5, 2.0):
+                        if fresh:
+                            clear_frame()
+                        seen.clear()
+                        closed_form_measure(rho, E, a)
+                        want = linalg.power_values(spectrum.values, a)
+                        assert len(seen) == 1 and seen[0].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("d", [2, 4, 8, 16])
+def test_sweep_leaves_every_map_as_it_was(d):
+    """Channels keep no state of a state: a 7-order sweep, on states of
+    rank 1, 2 and d, leaves vars() of every certified map and of its
+    channel with the same keys, each bound to the same object."""
+    rng = np.random.default_rng(800 + d)
+    maps = [m for m in frame_maps(d, rng) if isinstance(m, ResourceDestroyingMap)]
+    objects = maps + [m.channel for m in maps]
+    before = [dict(vars(x)) for x in objects]
+    for rank in sorted({1, 2, d}):
+        rho = linalg.random_density_matrix(d, rank, seed=int(rng.integers(2**31)))
+        for rdm in maps:
+            for a in A_GRID:
+                closed_form_measure(rho, rdm, a)
+    for x, was in zip(objects, before):
+        now = vars(x)
+        assert now.keys() == was.keys(), type(x).__name__
+        assert all(now[k] is was[k] for k in was), type(x).__name__
 
 
 def test_one_map_shared_by_threads_that_sweep_their_own_states(monkeypatch):
