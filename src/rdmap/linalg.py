@@ -140,24 +140,37 @@ def power_values(values: np.ndarray, p: float) -> np.ndarray:
     """`matrix_power`'s map on clipped eigenvalues, in any order along the
     last axis: one matrix's (d,) or a stack's (n, d), each row under its own
     lambda_max and every row through one numpy power for the one exponent
-    p.  values ** p, with 0 for the eigenvalues that p > 0 takes as
-    round-off (at or below d * eps * lambda_max) and that p <= 0 takes as
-    outside the support (at or below 1e-12 * lambda_max).  Raises
+    p.  values ** p on `support_mask(values, p)`, 0 elsewhere.  Raises
     OverflowError, before numpy would warn, when the largest lambda_max **
     p overflows, as it does when p > 0 is so large that an eigenvalue just
     above 1 leaves the float range."""
-    # lambda_max of each row, a scalar for one matrix, from one reduction
-    # over the entries; the largest of a stack is read off the rows' own
+    keep, top = _support(values, p)
+    if p > 0:
+        # a Python float power raises OverflowError itself unless p is inf
+        high = top if values.ndim == 1 else float(np.maximum.reduce(top, axis=None))
+        if high > 1.0 and high ** p == math.inf:
+            raise OverflowError(f"{high!r} ** {p!r} overflows")
+    return np.power(values, p, out=np.zeros(values.shape), where=keep)
+
+
+def support_mask(values: np.ndarray, p: float) -> np.ndarray:
+    """The eigenvalues that `power_values` raises to p, in any order along
+    the last axis, each row under its own lambda_max: those above
+    d * eps * lambda_max for p > 0, below which p > 0 takes them as
+    round-off, and above 1e-12 * lambda_max for p <= 0, outside of which
+    they lie off the support."""
+    return _support(values, p)[0]
+
+
+def _support(values: np.ndarray, p: float) -> tuple:
+    """(support_mask(values, p), lambda_max): the one place the cuts are
+    drawn.  lambda_max of each row comes from one reduction over the
+    entries, a float for one matrix and an (n, 1) array for a stack."""
     if values.ndim == 1:
-        top = high = float(np.maximum.reduce(values, initial=0.0))
+        top = float(np.maximum.reduce(values, initial=0.0))
     else:
         top = np.maximum.reduce(values, axis=-1, keepdims=True, initial=0.0)
-        high = float(np.maximum.reduce(top, axis=None, initial=0.0))
-    # a Python float power raises OverflowError itself unless p is inf
-    if p > 0 and high > 1.0 and high ** p == math.inf:
-        raise OverflowError(f"{high!r} ** {p!r} overflows")
-    cut = values.shape[-1] * _EPS * top if p > 0 else SUPPORT_CUTOFF * top
-    return np.power(values, p, out=np.zeros(values.shape), where=values > cut)
+    return values > (values.shape[-1] * _EPS * top if p > 0 else SUPPORT_CUTOFF * top), top
 
 
 def matrix_log(M: np.ndarray) -> np.ndarray:
@@ -172,7 +185,7 @@ def spectral_log(spectrum: Eigensystem) -> np.ndarray:
     that power_values keeps at p = 0."""
     values, vectors = spectrum
     out = np.zeros_like(values)
-    pos = power_values(values, 0.0) > 0
+    pos = support_mask(values, 0.0)
     out[pos] = np.log(values[pos])
     return (vectors * out[..., None, :]) @ dagger(vectors)
 

@@ -58,7 +58,7 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
 
 
 def _entropy(values: np.ndarray) -> float:
-    w = values[linalg.power_values(values, 0.0) > 0]
+    w = values[linalg.support_mask(values, 0.0)]
     return float(-np.sum(w * np.log(w)))
 
 
@@ -128,7 +128,7 @@ def tsallis_relative_entropies(rhos, sigmas, orders) -> np.ndarray:
     if high.any():
         at = slice(None) if high.all() else high
         w, U, rho = sigma_values[at], sigma_vectors[at], A[at]
-        kept = linalg.power_values(w, 0.0) > 0
+        kept = linalg.support_mask(w, 0.0)
         inside = (linalg.dagger(U) @ rho @ U).diagonal(axis1=1, axis2=2).real
         leak = np.trace(rho, axis1=1, axis2=2).real - np.where(kept, inside, 0.0).sum(axis=1)
         out[np.flatnonzero(high)[leak > SUPPORT_LEAK_TOL]] = math.inf
@@ -177,9 +177,9 @@ _last_sweep = None
 
 def _sweep_entry(rdm: ResourceDestroyingMap, spectrum: linalg.Eigensystem) -> tuple:
     """(support, frame) of this map and state, from the entry (rdm,
-    spectrum, support, frame): support marks the eigenvalues that
-    `linalg.power_values` keeps for every p > 0 (those above
-    d * eps * lambda_max), and frame is the map's
+    spectrum, support, frame): support, `linalg.support_mask` for p > 0,
+    marks the eigenvalues that `linalg.power_values` keeps for every p > 0
+    (those above d * eps * lambda_max), and frame is the map's
     `_frame_for(spectrum.vectors)`.  Neither depends on the order.  The
     entry is a hit only when it holds this very map and this very spectrum
     object, and is otherwise read afresh and swapped in by one assignment.
@@ -196,7 +196,7 @@ def _sweep_entry(rdm: ResourceDestroyingMap, spectrum: linalg.Eigensystem) -> tu
     global _last_sweep
     entry = _last_sweep
     if entry is None or entry[0] is not rdm or entry[1] is not spectrum:
-        support = linalg.power_values(spectrum.values, 1.0) > 0
+        support = linalg.support_mask(spectrum.values, 1.0)
         entry = _last_sweep = (rdm, spectrum, support, rdm._frame_for(spectrum.vectors))
     return entry[2:]
 

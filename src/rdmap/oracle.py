@@ -8,12 +8,14 @@ exp(H) / Tr exp(H) for a traceless Hermitian H in Fix(E), the traceless
 part of log sigma; the objective is convex in sigma (Lieb 1973; Ando
 1979), so the infimum over these is the minimum over all free states.
 Every problem of dimension d searches the d^2 - 1 coordinates of H in the
-generalized Gell-Mann basis, read and written by index, so no basis is
-built.  A certified E is the Hilbert-Schmidt-orthogonal projection onto
-Fix(E), so a map enters the search only through `_act`: a start is the
-coordinates of E(H), and a gradient those of E(df/dH).  A search thus
-never leaves the algebra, and BFGS from a scaled identity takes the same
-steps in any orthonormal coordinates of it.  exp(H) / Tr exp(H) is then
+generalized Gell-Mann basis, whose table is built once per d.  A certified
+E is the Hilbert-Schmidt-orthogonal projection onto Fix(E), so a map
+enters the search only through its projector P on these coordinates,
+built once per batch from one `_act` on the Gell-Mann stack: a start is
+the coordinates of E(H), and a gradient those of E(df/dH), each one
+product with P per row.  A search thus never leaves the algebra, and BFGS
+from a scaled identity takes the same steps in any orthonormal coordinates
+of it.  exp(H) / Tr exp(H) is then
 free, so the search scores it directly, value and gradient from the one
 eigh of H, the gradient the Daleckii-Krein derivative in H's eigenbasis
 (Bhatia, Matrix Analysis, 1997, ch. V), with one set of formulas exact
@@ -136,19 +138,9 @@ def _hermitian(X: np.ndarray, d: int) -> np.ndarray:
     Hilbert-Schmidt-orthonormal basis of the traceless Hermitian matrices:
     (|j><k| + |k><j|) / sqrt(2) and (i|k><j| - i|j><k|) / sqrt(2) for each
     j < k, then (sum_{j<l} |j><j| - l |l><l|) / sqrt(l (l + 1)) for
-    l = 1, ..., d - 1.  Each entry is set by index (_layout), so no basis is
-    built, and a row's H does not depend on the stack it comes in."""
-    pairs, signs, diag, l, norm = _layout(d)
-    n = signs.size
-    H = np.zeros((len(X), 2 * d * d))
-    H[:, pairs[0]] = math.sqrt(0.5) * X[:, :n]
-    H[:, pairs[1]] = H[:, pairs[0]] * signs
-    # H_jj = sum_{l > j} c_l - j c_j with c_l = y_l / sqrt(l (l + 1)), the
-    # sum over l a running sum from the end
-    c = X[:, n:] * norm
-    H[:, diag[:-1]] = np.cumsum(c[:, ::-1], axis=1)[:, ::-1]
-    H[:, diag[1:]] -= l * c
-    return H.view(complex).reshape(len(X), d, d)
+    l = 1, ..., d - 1.  One product per row with the Gell-Mann table
+    (_gell_mann_table), so a row's H does not depend on the stack it comes in."""
+    return (X[:, None, :] @ _gell_mann_table(d)).view(complex).reshape(len(X), d, d)
 
 
 def _coordinates(M: np.ndarray) -> np.ndarray:
@@ -166,17 +158,37 @@ def _coordinates(M: np.ndarray) -> np.ndarray:
                            (np.cumsum(re, axis=1)[:, :-1] - l * re[:, 1:]) * norm], axis=1)
 
 
-def _free_dim(rdm: ResourceDestroyingMap) -> int:
-    """r = dim Fix(E): the trace sum_ab Re E(|a><b|)_ab of E as a linear
-    map, which is its rank since E is idempotent.  One `_act` per b, on the
-    stack of the d units |a><b|, so that no d^4 stack is formed."""
+@functools.cache
+def _gell_mann_table(d: int) -> np.ndarray:
+    """The (d^2 - 1, 2 d^2) Gell-Mann table, built once per d: row j is the
+    float view of Gamma_j, read off _coordinates on the 2 d^2 unit
+    matrices, since Re Tr(Gamma_j U) for the unit U with 1 (or i) at entry
+    (a, b) is Re (Gamma_j)_ab (or Im).  So the float view F of any M has
+    the coordinates F Gamma^T, and x Gamma is the float view of
+    sum_j x_j Gamma_j."""
+    units = np.eye(2 * d * d).view(complex).reshape(2 * d * d, d, d)
+    table = np.ascontiguousarray(_coordinates(units).T)
+    table.setflags(write=False)  # shared by every caller
+    return table
+
+
+def _projector(rdm: ResourceDestroyingMap) -> np.ndarray:
+    """E as a (d^2 - 1) x (d^2 - 1) matrix P on Gell-Mann coordinates: row j
+    holds the coordinates of E(Gamma_j), from one `_act` on the stack of the
+    Gamma_j, so that x P are the coordinates of E(H) for H at x.  A
+    certified E is the Hilbert-Schmidt-orthogonal projection onto Fix(E) and
+    fixes I, so P is the symmetric, idempotent projector onto the traceless
+    Hermitian part of Fix(E), up to round-off."""
     d = rdm.dim
-    units, trace = np.zeros((d, d, d), dtype=complex), 0.0
-    for b in range(d):
-        units[:, :, b] = np.eye(d)
-        trace += np.trace(rdm._act(units)[:, :, b]).real
-        units[:, :, b] = 0.0
-    return round(trace)
+    gamma = _gell_mann_table(d).view(complex).reshape(d * d - 1, d, d)
+    return _coordinates(rdm._act(gamma))
+
+
+def _free_dim(rdm: ResourceDestroyingMap, P: np.ndarray | None = None) -> int:
+    """r = dim Fix(E): 1 + the trace of its projector P (_projector, built
+    here when not given), the rank of E restricted to the traceless
+    Hermitian matrices, plus I, which E fixes."""
+    return 1 + round(float(np.trace(_projector(rdm) if P is None else P)))
 
 
 def _free_state(X: np.ndarray, maps) -> np.ndarray:
@@ -260,10 +272,16 @@ def _free_state_objective(problems):
     E(df/dH), its gradient along the algebra, as a certified E is
     the Hilbert-Schmidt-orthogonal projection onto Fix(E); and the
     magnitude of the terms the value is formed from.  project(M, rows) gives
-    the coordinates of E_i(M_i), E_i the map of problem rows[i]: one `_act`
-    per distinct map among the rows, on the stack of its rows, found by a
-    stable sort of their map slots.  free_dims holds each problem's r
-    (_free_dim), read once per distinct map.  A state that is not d x d is
+    the coordinates of E_i(M_i), E_i the map of problem rows[i], as two
+    products per row: M's coordinates c from its float view and the
+    Gell-Mann table, then c P_i.  Each distinct map's projector P_i
+    (_projector) is built here, from its one `_act` on the Gell-Mann stack,
+    so neither call runs `_act`.  The rows' projectors are gathered
+    _STACK_BLOCK_BYTES at a time, or, where the rows fall into no more runs
+    of consecutive rows on one map than that makes blocks (a problem alone,
+    or large projectors), each run reads its P_i in place; either way every
+    row's arithmetic is its own.  free_dims holds each
+    problem's r, 1 + trace P_i (_free_dim).  A state that is not d x d is
     DimensionMismatch; each distinct one is decomposed once, by
     linalg.density_spectrum, which refuses one that is not a density
     matrix, and raised to each order once.
@@ -296,7 +314,9 @@ def _free_state_objective(problems):
     maps = list({id(rdm): rdm for _, rdm, _ in problems}.values())
     slot = {id(rdm): i for i, rdm in enumerate(maps)}
     which = np.array([slot[id(rdm)] for _, rdm, _ in problems])
-    free_dims = np.array([_free_dim(rdm) for rdm in maps])[which]
+    projectors = np.stack([_projector(rdm) for rdm in maps])
+    free_dims = np.array([_free_dim(rdm, P) for rdm, P in zip(maps, projectors)])[which]
+    gamma = _gell_mann_table(d)
     a = np.array([float(a) for _, _, a in problems])
     one = a == 1.0
     # square-root factors R of rho^a (rho at a = 1), R R+ = rho^a, and
@@ -320,13 +340,20 @@ def _free_state_objective(problems):
     diag = np.arange(d)
 
     def project(M, rows):
-        order = np.argsort(which[rows], kind="stable")
-        slots = which[rows[order]]
+        c = np.ascontiguousarray(M).reshape(len(M), 1, d * d).view(float) @ gamma.T
+        out = np.empty((len(M), 1, gamma.shape[0]))
+        slots = which[rows]
         cuts = (np.flatnonzero(slots[1:] != slots[:-1]) + 1).tolist()
-        image = M[order]
-        for lo, hi in zip([0] + cuts, cuts + [len(slots)]):
-            image[lo:hi] = maps[slots[lo]]._act(image[lo:hi])
-        return _coordinates(image)[np.argsort(order)]
+        blocks = _blocks(len(M), projectors[0].nbytes)
+        if len(cuts) < len(blocks):
+            # no more runs of rows on one map than blocks: each run reads
+            # its projector in place, with no gather
+            for lo, hi in zip([0] + cuts, cuts + [len(M)]):
+                np.matmul(c[lo:hi], projectors[slots[lo]], out=out[lo:hi])
+        else:
+            for at in blocks:
+                np.matmul(c[at], projectors[slots[at]], out=out[at])
+        return out[:, 0]
 
     def objective(X, rows):
         h, V = np.linalg.eigh(_hermitian(X, d))
@@ -418,15 +445,16 @@ _HALVINGS = 8
 # the round-off of f per unit of the magnitude of the terms it is formed from
 _ROUNDOFF = np.finfo(float).eps
 # the bytes of the inverse Hessians one step moves, multiplies or updates
-# at a time, so that no temporary is as large as the stack
+# at a time, and of the projectors a projection gathers, so that no
+# temporary is as large as the stack
 _STACK_BLOCK_BYTES = 2**16
 
 
-def _blocks(Hinv: np.ndarray) -> list[slice]:
-    """Slices covering the rows of the stack Hinv, each of at most
+def _blocks(k: int, row_bytes: int) -> list[slice]:
+    """Slices covering k rows of row_bytes each, each of at most
     _STACK_BLOCK_BYTES or one row."""
-    step = max(1, _STACK_BLOCK_BYTES // max(Hinv[:1].nbytes, 1))
-    return [slice(lo, min(lo + step, len(Hinv))) for lo in range(0, len(Hinv), step)]
+    step = max(1, _STACK_BLOCK_BYTES // max(row_bytes, 1))
+    return [slice(lo, min(lo + step, k)) for lo in range(0, k, step)]
 
 
 def _lockstep_bfgs(f, x0: np.ndarray, tol: float, max_iterations: int):
@@ -478,7 +506,7 @@ def _lockstep_bfgs(f, x0: np.ndarray, tol: float, max_iterations: int):
 
     def turn(moved, s, y):
         # BFGS updates by the steps s and gradient changes y, then p = -Hinv g
-        for at in _blocks(Hinv[:moved.size]):
+        for at in _blocks(moved.size, eye.nbytes):
             mine = moved[at]
             H, renewed = Hinv[mine], fresh[mine]
             _bfgs_update(H, s[at], y[at], renewed)
@@ -497,7 +525,7 @@ def _lockstep_bfgs(f, x0: np.ndarray, tol: float, max_iterations: int):
             evaluations[ids], iterations[ids], capped[ids] = calls, iteration[done], ~converged[done]
             # move the live rows of Hinv forward, a block at a time, in place
             keep = np.flatnonzero(~done)
-            for at in _blocks(Hinv[:keep.size]):
+            for at in _blocks(keep.size, eye.nbytes):
                 Hinv[at] = Hinv[keep[at]]
             Hinv = Hinv[:keep.size]
             rows, x, fx, g, roundoff, p, t, gp, halvings, iteration, fresh, ended, retry = (
@@ -550,11 +578,12 @@ def minimize_batch(problems, config: OracleConfig | None = None,
     (_lockstep_bfgs; each result's stack_calls counts the calls).  A row
     starts at the coordinates of E(H(0.1 z)) for Gaussian z drawn from its
     problem's seed, H(x) = sum_j x_j Gamma_j, and searches along those of
-    E(df/dH).  The winners are mapped through E (_free_state, one `apply`
-    per distinct map) and rescored by one call of
-    tsallis_relative_entropies.  Each step treats a row alike in any stack,
-    so result i equals minimize_over_free_states(*problems[i],
-    replace(config, seed=seeds[i])) bit for bit.  _free_state_objective
+    E(df/dH), both through the map's projector, built once per batch.
+    The winners are mapped through E (_free_state, one `apply` per
+    distinct map) and rescored by one call of tsallis_relative_entropies.
+    Each step treats a row alike in any stack, so result i equals
+    minimize_over_free_states(*problems[i], replace(config, seed=seeds[i]))
+    bit for bit.  _free_state_objective
     refuses a state that is not a d x d density matrix, and problems of
     different dimensions; a winner that scores +inf is NoFiniteObjective,
     naming its order.

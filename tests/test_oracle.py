@@ -2,7 +2,6 @@ import dataclasses
 import itertools
 import math
 import tracemalloc
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -766,48 +765,139 @@ def test_winners_are_mapped_and_rescored_in_one_stack(monkeypatch):
         assert res.value == value == tsallis_relative_entropy(rho, res.sigma_min, a)
 
 
-def test_one_act_per_live_map_per_objective_call(monkeypatch):
+def test_each_map_acts_once_per_batch_on_the_gell_mann_stack(monkeypatch):
     """One batch of several problems on each of four maps at d = 3
     (dephasing, Lueders, the cyclic twirl and complete mixing): the map
-    enters the search only through its `_act`, which each objective call
-    makes once per distinct map among its rows, on the stack of exactly
-    those rows.  No call touches a Gell-Mann stack of d^2 - 1 matrices."""
+    enters the search only through its projector, built from one `_act`
+    per distinct map on the stack of the d^2 - 1 Gell-Mann matrices before
+    the search starts.  No objective call and no projection runs `_act`;
+    after the search, each map acts once more, on the stack of its own
+    problems' winners."""
     d = 3
     maps = [dephasing_map(MeasurementPartition.singletons(d)),
             lueders_map(MeasurementPartition(d, [[0, 1], [2]])), cyclic_twirl(d), mixing_map(d)]
     rho = linalg.random_density_matrix(d, d, seed=9)
     problems = [(rho, rdm, a) for rdm in maps for a in (0.5, 1.0, 2.0)]
-    owner = [id(rdm) for _, rdm, _ in problems]
-    calls, acted = [], None
+    acted, calls, phase = [], [], ["build"]
     inner_objective, inner_act = oracle._free_state_objective, ResourceDestroyingMap._act
 
     def act(self, A):
-        if acted is not None:
-            acted.append((id(self), len(A)))
+        acted.append((phase[0], id(self), np.array(A)))
         return inner_act(self, A)
 
     def objective(batch):
-        f, *rest = inner_objective(batch)
+        f, project, *rest = inner_objective(batch)
 
         def traced(X, rows):
-            nonlocal acted
-            acted = []
+            phase[0] = "search"
+            calls.append(len(rows))
             out = f(X, rows)
-            calls.append((sorted(acted), sorted(Counter(owner[i] for i in rows).items())))
-            acted = None
+            phase[0] = "after"
             return out
 
-        return traced, *rest
+        def projected(M, rows):
+            phase[0] = "search"
+            out = project(M, rows)
+            phase[0] = "after"
+            return out
+
+        return traced, projected, *rest
 
     monkeypatch.setattr(ResourceDestroyingMap, "_act", act)
     monkeypatch.setattr(oracle, "_free_state_objective", objective)
     results = minimize_batch(problems, QUICK)
     assert len(calls) > 1
-    for seen, live in calls:
-        assert seen == live
+    assert not [key for when, key, _ in acted if when == "search"]
+    built = [(key, A) for when, key, A in acted if when == "build"]
+    assert sorted(key for key, _ in built) == sorted(id(rdm) for rdm in maps)
+    for _, A in built:
+        assert A.shape == (d * d - 1, d, d)
+        assert np.abs(A - _gell_mann(d)).max() <= 1e-15
+    after = [(key, A.shape) for when, key, A in acted if when == "after"]
+    assert sorted(after) == sorted((id(rdm), (3, d, d)) for rdm in maps)
     assert [res.free_dim for res in results] == [r for r in (3, 5, 3, 1) for _ in range(3)]
     assert all(abs(res.value - closed_form_measure(*p).value) <= 1e-6
                for p, res in zip(problems, results))
+
+
+def _projector_maps(d):
+    """Every built-in family, a twirl in a random basis (a partition map in
+    that basis) and non-commuting Kraus input (the modified map's operators
+    in a random basis, a dense Kraus sum), with the r each must have."""
+    rng = np.random.default_rng(300 + d)
+    coarse, families = _families(d)
+    expected = {"dephasing": d, "lueders": sum(n * n for n in coarse.degeneracies),
+                "modified": len(coarse.blocks), "twirl": d, "mixing": 1}
+    maps = [(name, rdm, expected[name]) for name, rdm in families]
+    W = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+    twirl = twirling_map([W @ channels.cyclic_shift(d, k) @ W.conj().T for k in range(d)])
+    kraus = channels.map_from_json({"type": "kraus", "dim": d, "operators": [
+        linalg.matrix_to_json(W @ K @ W.conj().T) for K in modified_coarse_map(coarse).kraus]})
+    assert type(kraus.channel) is QuantumChannel
+    return maps + [("twirl in a basis", twirl, d), ("kraus", kraus, len(coarse.blocks))]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_projector_is_the_symmetric_idempotent_image_of_the_map(d):
+    """Each map's projector P on Gell-Mann coordinates is symmetric and
+    idempotent to 1e-14, 1 + trace P is r = dim Fix(E), the rank of the
+    superoperator, and projecting a random M through the objective's
+    `project` gives the coordinates of E(M) to 1e-15 ||M||."""
+    rng = np.random.default_rng(310 + d)
+    for name, rdm, r in _projector_maps(d):
+        P = oracle._projector(rdm)
+        assert P.shape == (d * d - 1, d * d - 1), name
+        assert np.abs(P - P.T).max() <= 1e-14, name
+        assert np.abs(P @ P - P).max() <= 1e-14, name
+        assert abs(1.0 + np.trace(P) - r) <= 1e-12, name
+        assert _free_dim(rdm) == _free_dim(rdm, P) == r == np.linalg.matrix_rank(rdm.superop), name
+        _, project, free_dims = _free_state_objective([(np.eye(d) / d, rdm, 0.5)])
+        assert free_dims.tolist() == [r], name
+        M = rng.standard_normal((3, d, d)) + 1j * rng.standard_normal((3, d, d))
+        for m in M:
+            image = oracle._coordinates(rdm._act(m[None]))
+            assert np.abs(project(m[None], np.array([0])) - image).max() \
+                <= 1e-15 * np.linalg.norm(m), name
+
+
+@pytest.mark.parametrize("trials, restarts", [(4, 1), (2, 6)])
+def test_projection_in_blocks_or_runs_matches_each_problem_alone(monkeypatch, trials, restarts):
+    """The problems of several d = 4 theorem-1 trials form one stack whose
+    projections either gather the rows' projectors in blocks of
+    _STACK_BLOCK_BYTES (four trials, one restart: 140 rows in 4 blocks,
+    20 runs of rows on one map) or read each run's projector in place (two
+    trials, six restarts: 420 rows in 10 runs, 12 blocks); a seeded sample
+    of the problems ends exactly where each ends when solved alone, as one
+    run."""
+    problems = [p for *_, batch in theorem1_batches([4], DEFAULT_A_GRID, trials, seed=7)
+                for p in batch]
+    config = OracleConfig(restarts=restarts, tol=ORACLE_TOL)
+    k = len(problems) * restarts
+    runs = 1 + sum(a[1] is not b[1] for a, b in zip(problems, problems[1:]))
+    blocks = []
+    inner = oracle._blocks
+
+    def spy(k, row_bytes):
+        out = inner(k, row_bytes)
+        blocks.append((k, len(out)))
+        return out
+
+    monkeypatch.setattr(oracle, "_blocks", spy)
+    together = minimize_batch([(rho, rdm, a) for _, rdm, rho, a, _ in problems], config,
+                              [oseed for *_, oseed in problems])
+    # the starts' projection, then the first objective call's, before any step
+    assert blocks[:2] == [(k, len(inner(k, 15 * 15 * 8)))] * 2
+    assert (runs, blocks[0][1]) == ((20, 4) if restarts == 1 else (10, 12))
+    monkeypatch.setattr(oracle, "_blocks", inner)
+    sample = np.random.default_rng(32).choice(len(problems), size=8, replace=False)
+    for i in sample:
+        _, rdm, rho, a, oseed = problems[i]
+        alone = minimize_over_free_states(rho, rdm, a, dataclasses.replace(config, seed=oseed))
+        res = together[i]
+        assert np.array_equal(res.sigma_min, alone.sigma_min)
+        assert res.value == alone.value
+        assert (res.evaluations, res.iterations, res.free_dim) == \
+            (alone.evaluations, alone.iterations, alone.free_dim)
 
 
 def test_stack_allocates_at_most_twice_its_own_size(monkeypatch):
