@@ -62,10 +62,15 @@ class OracleConfig:
     whole batch one config, and its seed to every problem given none.
 
     A restart stops on "tolerance" once the largest |df/dx_j| of its point
-    is at most tol, or once a backtracking line search fails, after a
-    steepest-descent retry, at a predicted decrease within the round-off of
-    f; otherwise it stops at max_iterations.  simplex_minimize reads tol as
-    the objective spread that stops its simplex.
+    is at most tol, or once its line search fails, after a steepest-descent
+    retry, at a predicted decrease within the round-off of f; otherwise it
+    stops at max_iterations.  The line search is weak Wolfe with the
+    textbook constants, c1 = 1e-4 and c2 = 0.9 (_lockstep_bfgs): a step that
+    passes Armijo while the slope is still steeper than c2 times the
+    starting one doubles, up to a cap of 5 per coordinate, and once a trial
+    fails Armijo the search halves back toward its last passing step.  No
+    field sets them.  simplex_minimize reads tol as the objective spread
+    that stops its simplex.
 
     restarts, max_iterations and seed are integers (an integral float is
     taken as its int; a bool or a fractional value is refused), restarts
@@ -161,13 +166,21 @@ def _coordinates(M: np.ndarray) -> np.ndarray:
 @functools.cache
 def _gell_mann_table(d: int) -> np.ndarray:
     """The (d^2 - 1, 2 d^2) Gell-Mann table, built once per d: row j is the
-    float view of Gamma_j, read off _coordinates on the 2 d^2 unit
-    matrices, since Re Tr(Gamma_j U) for the unit U with 1 (or i) at entry
-    (a, b) is Re (Gamma_j)_ab (or Im).  So the float view F of any M has
-    the coordinates F Gamma^T, and x Gamma is the float view of
-    sum_j x_j Gamma_j."""
-    units = np.eye(2 * d * d).view(complex).reshape(2 * d * d, d, d)
-    table = np.ascontiguousarray(_coordinates(units).T)
+    float view of Gamma_j, written from _layout with the values
+    _coordinates reads off the unit matrices (Re Tr(Gamma_j U) for the unit
+    U with 1, or i, at entry (a, b) is Re (Gamma_j)_ab, or Im): 1 / sqrt(2)
+    and its signed twin per off-diagonal coordinate, and per diagonal
+    coordinate l its norm at Re H_jj for j < l and -l times it at Re H_ll.
+    So the float view F of any M has the coordinates F Gamma^T, and
+    x Gamma is the float view of sum_j x_j Gamma_j."""
+    pairs, signs, diag, l, norm = _layout(d)
+    table = np.zeros((d * d - 1, 2 * d * d))
+    off = np.arange(signs.size)
+    table[off, pairs[0]] = math.sqrt(0.5)
+    table[off, pairs[1]] = math.sqrt(0.5) * signs
+    below, j = np.tril_indices(d - 1)  # j < l = below + 1
+    table[signs.size + below, diag[j]] = norm[below]
+    table[signs.size + l - 1, diag[l]] = -l * norm
     table.setflags(write=False)  # shared by every caller
     return table
 
@@ -334,16 +347,18 @@ def _free_state_objective(problems):
         R[mine] = (vectors * np.sqrt(linalg.power_values(values, order))[:, None, :])[index[mine]]
     logs = np.trace(rhos[firsts] @ linalg.spectral_log((values, vectors)), axis1=1, axis2=2).real
     rho_ln_rho = np.where(one, logs[index], 0.0)
-    # per problem: a = 1, 1 - a, 1 / a, the denominator a - 1 (1 at a = 1),
-    # Tr rho ln rho at a = 1 (0 otherwise), and a
-    params = np.stack([one, 1.0 - a, 1.0 / a, np.where(one, 1.0, a - 1.0), rho_ln_rho, a], axis=1)
-    diag = np.arange(d)
+    # per problem: 1 - a, 1 / a, 1 / a - 1, the denominator a - 1 (1 at
+    # a = 1), Tr rho ln rho at a = 1 (0 otherwise) and its magnitude, and
+    # 1 / |a - 1|
+    den = np.where(one, 1.0, a - 1.0)
+    params = np.stack([1.0 - a, 1.0 / a, 1.0 / a - 1.0, den, rho_ln_rho, np.abs(rho_ln_rho),
+                       1.0 / np.abs(den)], axis=1)
 
     def project(M, rows):
         c = np.ascontiguousarray(M).reshape(len(M), 1, d * d).view(float) @ gamma.T
         out = np.empty((len(M), 1, gamma.shape[0]))
         slots = which[rows]
-        cuts = (np.flatnonzero(slots[1:] != slots[:-1]) + 1).tolist()
+        cuts = ((slots[1:] != slots[:-1]).nonzero()[0] + 1).tolist()
         blocks = _blocks(len(M), projectors[0].nbytes)
         if len(cuts) < len(blocks):
             # no more runs of rows on one map than blocks: each run reads
@@ -364,10 +379,11 @@ def _free_state_objective(problems):
         # which would make a row's bits depend on its batch
         hs = h - h[:, -1:]
         e = np.exp(hs)
-        total = e.sum(axis=1, keepdims=True)
+        total = np.add.reduce(e, axis=1, keepdims=True)
         w = e / total
         lw = hs - np.log(total)
-        r1, expo, inv_a, den, base, order = params[rows].T
+        expo, inv_a, inv_a1, den, base, base_abs, inv_den = params[rows].T
+        r1 = one[rows]
         Vh = V.conj().transpose(0, 2, 1)
         M = Vh @ R[rows]
         Q = M @ M.conj().transpose(0, 2, 1)
@@ -375,75 +391,87 @@ def _free_state_objective(problems):
         # w^c overflows only at a > 1, far from any minimizer; where it
         # meets a weight Q_ii of exactly 0 the sum is NaN, and the point
         # scores +inf, which fails its line search
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             wc = np.exp(expo[:, None] * lw)
-            T = (wc * qm).sum(axis=1)
+            T = np.add.reduce(wc * qm, axis=1)
             T[np.isnan(T)] = math.inf
-            ln = (qm * lw).sum(axis=1)
-            Tg = np.where(T > 0, T, 1.0)
-            Ta = np.where(T > 0, np.exp(inv_a * np.log(Tg)), 0.0)
-            out = np.where(r1 > 0, base - ln, (Ta - 1.0) / den)
-
-            # divided differences L of h -> w^c (all ones at a = 1), in a
-            # form that neither overflows nor cancels
-            dh = h[:, :, None] - h[:, None, :]
-            u = -np.abs(expo[:, None, None] * dh)
-            L = np.divide(np.expm1(u), u, out=np.ones_like(u), where=u < 0)
-            L *= expo[:, None, None] * np.maximum(wc[:, :, None], wc[:, None, :])
-            L[r1 > 0] = 1.0
-            # df/dH in H's eigenbasis: kappa Q o L + kappa (a - 1) T diag(w)
-            # with kappa = df/dT = T^(1/a - 1) / (a (a - 1)) at a != 1;
-            # -Q o L + (sum of Q_ii) diag(w) at a = 1
-            kappa = np.where(r1 > 0, -1.0, Ta / (Tg * order * den))
-            G = Q * (kappa[:, None, None] * L)
-            G[:, diag, diag] += np.where(r1 > 0, qm.sum(axis=1), kappa * den * T)[:, None] * w
+            lT = np.log(T)
+            Ta = np.exp(inv_a * lT)
+            # kd = (a - 1) df/dT = T^(1/a - 1) / a, which is 1 at a = 1
+            kd = np.exp(inv_a1 * lT) * inv_a
+            out = np.where(r1, base - np.add.reduce(qm * lw, axis=1), (Ta - 1.0) / den)
             # the magnitude of the terms f is formed from: each weight Q_ii of
             # rho^a is known to about eps, and enters f times w_i^c df/dT (times
-            # ln w_i at a = 1), besides T^(1/a) / (a - 1), known to about eps
-            terms = np.where(r1 > 0, np.abs(base) + np.abs(lw).sum(axis=1),
-                             Ta / np.abs(den) + np.abs(kappa) * wc.sum(axis=1))
-        G[~np.isfinite(out)] = 0.0
+            # ln w_i <= 0 at a = 1), besides T^(1/a) / (a - 1), known to about eps
+            terms = np.where(r1, base_abs - np.add.reduce(lw, axis=1),
+                             (Ta + kd * np.add.reduce(wc, axis=1)) * inv_den)
+            # L = -kd D / c, D the divided differences of h -> w^c (D / c
+            # is all ones at a = 1), in a form that neither overflows nor
+            # cancels: D_ij / c = max(w_i^c, w_j^c) expm1(u) / u with
+            # u = -|c (h_i - h_j)|, held below 0 so that expm1(u) / u is 1
+            # where u rounds to 0
+            u = np.abs(expo[:, None, None] * (h[:, :, None] - h[:, None, :]))
+            np.negative(u, out=u)
+            np.minimum(u, -_TINY, out=u)
+            L = np.expm1(u)
+            L /= u
+            scale = wc * -kd[:, None]  # kd >= 0, so min of -kd w^c is -kd max
+            L *= np.minimum(scale[:, :, None], scale[:, None, :])
+            # df/dH in H's eigenbasis is kd [T diag(w) - Q o D / c]: kappa
+            # (Q o D + (a - 1) T diag(w)) with kappa = df/dT and c = -(a - 1)
+            # at a != 1, and -Q + T diag(w) with T the sum of Q_ii at a = 1
+            G = Q * L
+            G.reshape(len(G), d * d)[:, ::d + 1] += (kd * T)[:, None] * w
+        G[np.isinf(out)] = 0.0
         return out, project(V @ G @ Vh, rows), terms
 
     return objective, project, free_dims
 
 
+def _dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """The dot product of each row of A with the same row of B, one
+    product per row of the stack."""
+    return (A[:, None, :] @ B[:, :, None])[:, 0, 0]
+
+
 def _bfgs_update(Hinv, s, y, fresh) -> None:
     """The BFGS update of the inverse Hessians Hinv, in place, for the rows
     with s.y > 0; a fresh (identity) Hinv is scaled by s.y / y.y first
-    (Nocedal & Wright, eq. 6.20).  The update H - (Hy rs' + rs Hy') +
-    (y.Hy + s.y) rs rs', rs = s / s.y, is (I - rho s y') H (I - rho y s') +
-    rho s s' with rho = 1 / s.y, and keeps H exactly symmetric."""
-    sy = np.add.reduce(s * y, axis=1)
+    (Nocedal & Wright, eq. 6.20).  The update H + (v rs' + rs v'), with
+    rs = s / s.y and v = (y.Hy + s.y) rs / 2 - Hy, is (I - rho s y') H
+    (I - rho y s') + rho s s' with rho = 1 / s.y, and keeps H exactly
+    symmetric."""
+    sy = _dots(s, y)
     upd = sy > 0
-    if not upd.any():
+    if not np.count_nonzero(upd):
         return
     sy = np.where(upd, sy, 1.0)
     first = fresh & upd
-    if first.any():
-        Hinv[first] = (sy[first] / np.add.reduce(y[first] * y[first], axis=1))[:, None, None] \
+    if np.count_nonzero(first):
+        Hinv[first] = (sy[first] / _dots(y[first], y[first]))[:, None, None] \
             * np.eye(Hinv.shape[-1])
-    Hy = np.add.reduce(Hinv * y[:, None, :], axis=2)
-    yHy = np.add.reduce(y * Hy, axis=1)
+    Hy = (Hinv @ y[:, :, None])[:, :, 0]
     # a row left out gets rs = 0, which leaves its Hinv as it is
     rs = np.where(upd[:, None], s / sy[:, None], 0.0)
-    t = Hy[:, :, None] * rs[:, None, :]
+    v = (0.5 * (_dots(y, Hy) + sy))[:, None] * rs - Hy
+    t = v[:, :, None] * rs[:, None, :]
     t += t.transpose(0, 2, 1)
-    Hinv -= t
-    np.multiply(rs[:, :, None], rs[:, None, :], out=t)
-    t *= (yHy + sy)[:, None, None]
     Hinv += t
     fresh &= ~upd
 
 
-# the line search: Armijo's sufficient-decrease constant, the largest step
-# per coordinate, and the halvings a quasi-Newton step may take before the
-# search retries along -g
+# the line search: Armijo's sufficient-decrease constant, the weak Wolfe
+# curvature constant (Nocedal & Wright's value for quasi-Newton methods),
+# the largest step per coordinate, and the halvings a quasi-Newton step may
+# take before the search retries along -g
 _ARMIJO = 1e-4
+_CURVATURE = 0.9
 _MAX_STEP = 5.0
 _HALVINGS = 8
 # the round-off of f per unit of the magnitude of the terms it is formed from
 _ROUNDOFF = np.finfo(float).eps
+# the smallest normal float: expm1(u) / u is exactly 1 for u at -_TINY
+_TINY = np.finfo(float).tiny
 # the bytes of the inverse Hessians one step moves, multiplies or updates
 # at a time, and of the projectors a projection gathers, so that no
 # temporary is as large as the stack
@@ -458,8 +486,9 @@ def _blocks(k: int, row_bytes: int) -> list[slice]:
 
 
 def _lockstep_bfgs(f, x0: np.ndarray, tol: float, max_iterations: int):
-    """BFGS with Armijo backtracking on k independent problems advanced in
-    lockstep, one stack of k rows of n coordinates, under one budget.
+    """BFGS with a weak Wolfe line search on k independent problems
+    advanced in lockstep, one stack of k rows of n coordinates, under one
+    budget.
 
     x0 is (k, n).  f(X, rows) returns, at the points X (m, n), row i
     belonging to problem rows[i], the values (m,), the gradients (m, n) and
@@ -468,22 +497,33 @@ def _lockstep_bfgs(f, x0: np.ndarray, tol: float, max_iterations: int):
     problem that starts in a subspace and whose gradient f projects onto
     it searches that subspace as it would in its own coordinates.
 
-    Each iteration steps along p = -Hinv g from t = min(1, 5 / max|p_j|),
-    halving t until f(x + t p) <= f(x) + 1e-4 t g.p.  A quasi-Newton
-    direction that fails 8 halvings, or is no descent direction, is
-    replaced by -g with Hinv reset to the identity; a steepest-descent
-    search halves until it succeeds or its predicted decrease -t g.p is
-    within the round-off of f(x), where the problem stops.  A problem also
-    stops once its largest |g_j| is at most tol, and at max_iterations.
-    Each problem runs its own line search, and each call of f scores one
-    trial point of every problem still searching: one whose point
-    passes takes its BFGS update and begins its next iteration or stops,
-    the others halve or turn to -g, so the stack makes as many calls as its
-    slowest problem scores points.  Every product over the coordinate axis
-    (Hinv g, the dot products and the BFGS update) is a reduce per row, so
+    Each iteration steps along p = -Hinv g from t = min(1, c) with the cap
+    c = 5 / max|p_j|.  A trial point x + t p that passes Armijo,
+    f(x + t p) <= f(x) + 1e-4 t g.p, is taken once its slope
+    g(x + t p).p is at least 0.9 g.p (the weak Wolfe curvature condition,
+    Nocedal & Wright, Numerical Optimization, 2006, sec. 3.1, with their
+    quasi-Newton c2 = 0.9) or t is at the cap; below it, a steeper slope
+    doubles t, up to the cap.  Once a trial fails Armijo the search
+    brackets: t halves back toward the last t that passed (0 if none), and
+    the first point that passes Armijo is taken.  So a step below the cap
+    that never failed Armijo has s.y >= 0.1 t |g.p| > 0 and takes its BFGS
+    update.  A quasi-Newton direction that fails 8 halvings, or is no
+    descent direction, is replaced by -g with Hinv reset to the identity; a
+    steepest-descent search halves until it succeeds or its predicted
+    decrease -t g.p is within the round-off of f(x), where the problem
+    stops.  A problem also stops once its largest |g_j| is at most tol, and
+    at max_iterations.  Each problem runs its own line search, and each
+    call of f scores one trial point of every problem still searching: one
+    whose point is taken takes its BFGS update and begins its next
+    iteration or stops, the others double, halve or turn to -g, so the stack
+    makes as many calls as its slowest problem scores points.  Every product
+    over the coordinate axis (Hinv g, the dot products and the BFGS update)
+    is one matrix product or elementwise step per row of the stack, so
     every problem sees exactly the arithmetic it would see alone and its
-    endpoint does not depend on the other problems of the batch; steps on
-    the stack of inverse Hessians run a block of rows at a time.
+    endpoint does not depend on the other problems of the batch.  Each call
+    runs the BFGS update and p = -Hinv g on every row of the stack of
+    inverse Hessians, in place and a block of rows at a time, a row that
+    took no step with s = y = 0.
 
     Returns each problem's final point, value and largest |g_j|, the points
     it scored, the iterations it ran and whether it stopped at its cap.  A
@@ -492,75 +532,86 @@ def _lockstep_bfgs(f, x0: np.ndarray, tol: float, max_iterations: int):
     k, n = x0.shape
     evaluations, iterations = np.zeros((2, k), dtype=np.int64)
     best_x, best_f, best_g = np.empty((k, n)), np.empty(k), np.empty(k)
+    capped = np.zeros(k, dtype=bool)
     rows, x = np.arange(k), np.array(x0, dtype=float)
     fx, g, roundoff = f(x, rows)
     calls, roundoff = 1, roundoff * _ROUNDOFF
     eye = np.eye(n)
-    Hinv = np.tile(eye, (k, 1, 1))
-    # per row: the step t along p, g.p, the halvings, the iteration, and
-    # whether Hinv is the identity (fresh), so that p is -g
-    p, t, gp = np.empty((k, n)), np.empty(k), np.empty(k)
+    Hinv, blocks = np.tile(eye, (k, 1, 1)), _blocks(k, eye.nbytes)
+    # per row: the direction p (-g while Hinv is the identity), the step t
+    # along it, the cap below which t may still double (0 once the search
+    # has failed Armijo), the last t that passed Armijo below the cap (lo),
+    # g.p, the halvings, the iteration, whether Hinv is the identity
+    # (fresh), and whether the row's line search ended
+    p, t, room, lo, gp = -g, np.empty(k), np.empty(k), np.empty(k), np.empty(k)
     halvings, iteration = np.zeros((2, k), dtype=np.int64)
     fresh, ended = np.ones((2, k), dtype=bool)
-    capped, stalled, retry = np.zeros((3, k), dtype=bool)
-
-    def turn(moved, s, y):
-        # BFGS updates by the steps s and gradient changes y, then p = -Hinv g
-        for at in _blocks(moved.size, eye.nbytes):
-            mine = moved[at]
-            H, renewed = Hinv[mine], fresh[mine]
-            _bfgs_update(H, s[at], y[at], renewed)
-            p[mine] = -np.add.reduce(H * g[mine, None, :], axis=2)
-            Hinv[mine], fresh[mine] = H, renewed
-
-    turn(rows, *np.zeros((2, k, n)))  # no step yet: p = -Hinv g with Hinv = I
+    stalled, retry = np.zeros((2, k), dtype=bool)
     while True:
         # a row whose line search ended stops once converged or stalled, or at its cap
-        gmax = np.abs(g).max(axis=1, initial=0.0)
+        gmax = np.maximum.reduce(np.abs(g), axis=1, initial=0.0)
         converged = (gmax <= tol) | stalled
         done = ended & (converged | (iteration >= max_iterations))
-        if done.any():
+        if np.count_nonzero(done):
             ids = rows[done]
             best_x[ids], best_f[ids], best_g[ids] = x[done], fx[done], gmax[done]
             evaluations[ids], iterations[ids], capped[ids] = calls, iteration[done], ~converged[done]
+            keep = (~done).nonzero()[0]
+            if not keep.size:
+                return best_x, best_f, best_g, evaluations, iterations, capped
             # move the live rows of Hinv forward, a block at a time, in place
-            keep = np.flatnonzero(~done)
-            for at in _blocks(keep.size, eye.nbytes):
+            blocks = _blocks(keep.size, eye.nbytes)
+            for at in blocks:
                 Hinv[at] = Hinv[keep[at]]
             Hinv = Hinv[:keep.size]
-            rows, x, fx, g, roundoff, p, t, gp, halvings, iteration, fresh, ended, retry = (
-                v[keep] for v in (rows, x, fx, g, roundoff, p, t, gp, halvings, iteration,
-                                  fresh, ended, retry))
-        if not rows.size:
-            return best_x, best_f, best_g, evaluations, iterations, capped
+            (rows, x, fx, g, roundoff, p, t, room, lo, gp, halvings, iteration, fresh, ended,
+             retry) = (v[keep] for v in (rows, x, fx, g, roundoff, p, t, room, lo, gp, halvings,
+                                         iteration, fresh, ended, retry))
         # the other rows whose search ended begin their next iteration; a
         # direction that does not descend, or a quasi-Newton direction that
         # failed its halvings, is replaced by -g with Hinv reset
-        gp = np.where(ended, np.add.reduce(g * p, axis=1), gp)
+        gp = np.where(ended, _dots(g, p), gp)
         iteration += ended
-        halvings[ended] = 0
         retry |= ended & ~(gp < 0)
-        if retry.any():
-            Hinv[retry], fresh[retry], halvings[retry] = eye, True, 0
+        if np.count_nonzero(retry):
+            Hinv[retry], fresh[retry] = eye, True
             p[retry] = -g[retry]
-            gp[retry] = -np.add.reduce(g[retry] * g[retry], axis=1)
+            gp[retry] = -_dots(g[retry], g[retry])
         begin = ended | retry
-        t[begin] = np.minimum(1.0, _MAX_STEP / np.abs(p[begin]).max(axis=1))
+        room = np.where(begin, _MAX_STEP / np.maximum.reduce(np.abs(p), axis=1), room)
+        t = np.where(begin, np.minimum(1.0, room), t)
+        lo[begin], halvings[begin] = 0.0, 0
         X = x + t[:, None] * p
         ft, gt, terms = f(X, rows)
         calls += 1
-        ended = ft <= fx + _ARMIJO * t * gp
-        won = np.flatnonzero(ended)
-        s, y = X[won] - x[won], gt[won] - g[won]
-        x[won], fx[won], g[won], roundoff[won] = X[won], ft[won], gt[won], _ROUNDOFF * terms[won]
-        turn(won, s, y)
+        passed = ft <= fx + _ARMIJO * t * gp
+        # a point that passes Armijo below the cap, in a search that has not
+        # failed Armijo, while the slope is still steep doubles t
+        longer = passed & (t < room) & (_dots(gt, p) < _CURVATURE * gp)
+        ended = passed & ~longer
+        # the rows that take their point update Hinv by their step s and
+        # gradient change y; every row's p is -Hinv g again, which a row
+        # still searching has unchanged
+        took = ended[:, None]
+        s, y = np.where(took, X - x, 0.0), np.where(took, gt - g, 0.0)
+        x, g = np.where(took, X, x), np.where(took, gt, g)
+        fx, roundoff = np.where(ended, ft, fx), np.where(ended, _ROUNDOFF * terms, roundoff)
+        for at in blocks:
+            H = Hinv[at]
+            _bfgs_update(H, s[at], y[at], fresh[at])
+            p[at] = -(H @ g[at, :, None])[:, :, 0]
         # a failed row's p was formed from its Hinv as it stands, so fresh
-        # says whether the row searches along -g
-        failed = ~ended
+        # says whether the row searches along -g; it halves t back toward
+        # lo, which a row that retries along -g sets afresh and one that
+        # stalls never uses
+        failed = ~passed
         halvings += failed
         retry = failed & ~fresh & (halvings > _HALVINGS)
-        stalled = failed & fresh & (-t * gp <= roundoff)
-        t[failed & ~retry & ~stalled] *= 0.5
+        stalled = failed & fresh & (t * gp >= -roundoff)
+        room[failed] = 0.0
+        t, lo = (np.where(longer, np.minimum(2.0 * t, room),
+                          np.where(failed, lo + 0.5 * (t - lo), t)),
+                 np.where(longer, t, lo))
         ended |= stalled
 
 
@@ -575,7 +626,12 @@ def minimize_batch(problems, config: OracleConfig | None = None,
     Every restart of every problem, whatever its r = dim Fix(E), is a row of
     one lockstep BFGS search over the d^2 - 1 Gell-Mann coordinates, each
     objective call scoring one trial point of every row still searching
-    (_lockstep_bfgs; each result's stack_calls counts the calls).  A row
+    (_lockstep_bfgs; each result's stack_calls counts the calls).  Each
+    row's line search is weak Wolfe (c1 = 1e-4, c2 = 0.9): it doubles a step
+    that passes Armijo while the slope is still steep, up to 5 per
+    coordinate, and brackets back toward its last passing step once a
+    trial fails Armijo, so every step below the cap updates the row's
+    inverse Hessian and no row creeps on a stale one.  A row
     starts at the coordinates of E(H(0.1 z)) for Gaussian z drawn from its
     problem's seed, H(x) = sum_j x_j Gamma_j, and searches along those of
     E(df/dH), both through the map's projector, built once per batch.
@@ -614,20 +670,23 @@ def minimize_batch(problems, config: OracleConfig | None = None,
     wins = np.arange(P) * R + np.argmin(F, axis=1)
     sigmas = _free_state(x[wins], [rdm for _, rdm, _ in problems])
     values = tsallis_relative_entropies([rho for rho, _, _ in problems], sigmas,
-                                        [a for _, _, a in problems])
+                                        [a for _, _, a in problems]).tolist()
     for (_, _, a), value in zip(problems, values):
         if value == math.inf:
             raise NoFiniteObjective(
                 f"objective is +inf at the image of the best point found (a={a}); "
                 "support pathology in the free set")
     agreeing = np.count_nonzero(F <= fx[wins, None] + AGREEMENT_WINDOW, axis=1)
+    stack_iterations, stack_calls = int(iters.max()), int(evals.max())
     return [OracleResult(
-        value=float(values[i]), sigma_min=sigmas[i], restarts_agreeing=int(agreeing[i]),
-        evaluations=int(counts[i].sum()), iterations=int(iters[win]),
-        stop_reason="iteration_cap" if capped[win] else "tolerance",
-        cap_hits=int(caps[i].sum()), free_dim=int(free_dims[i]),
-        stack_iterations=int(iters.max()), stack_calls=int(evals.max()),
-        grad_norm=float(grad_norm[win])) for i, win in enumerate(wins)]
+        value=value, sigma_min=sigma, restarts_agreeing=agree, evaluations=points,
+        iterations=iteration, stop_reason="iteration_cap" if cap else "tolerance",
+        cap_hits=hits, free_dim=r, stack_iterations=stack_iterations, stack_calls=stack_calls,
+        grad_norm=norm)
+        for value, sigma, agree, points, iteration, cap, hits, r, norm in zip(
+            values, sigmas, agreeing.tolist(), counts.sum(axis=1).tolist(), iters[wins].tolist(),
+            capped[wins].tolist(), caps.sum(axis=1).tolist(), free_dims.tolist(),
+            grad_norm[wins].tolist())]
 
 
 def minimize_over_free_states(rho: np.ndarray, rdm: ResourceDestroyingMap,

@@ -1159,3 +1159,119 @@ def test_search_runs_under_one_scalar_budget(monkeypatch):
     for i, (res, other) in enumerate(zip(results, moved)):
         if i % 2 == 0:
             assert res.value == other.value and np.array_equal(res.sigma_min, other.sigma_min)
+
+
+# ------------------------------------------------------------- line search
+
+def _stack_problems(d, trials=2, seed=7):
+    """The problems of theorem-1 trials 0..trials-1 at dimension d, as the
+    suite solves them: one stack under OracleConfig(restarts=1,
+    tol=ORACLE_TOL), each problem from its own seed.  Trial draws do not
+    depend on the other dimensions, so at seed 7 and d = 2 this is the
+    first stack of the theorem-1 benchmark's round 0."""
+    problems = [p for *_, batch in theorem1_batches([d], DEFAULT_A_GRID, trials, seed)
+                for p in batch]
+    return ([(rho, rdm, a) for _, rdm, rho, a, _ in problems],
+            OracleConfig(restarts=1, tol=ORACLE_TOL), [oseed for *_, oseed in problems])
+
+
+def test_curvature_condition_shortens_the_slowest_row():
+    """The d = 2 stack of theorem1_batches([2, 3, 4], DEFAULT_A_GRID, 2, 7)
+    makes at most 25 objective calls.  Under Armijo backtracking alone it
+    made 50: its slowest row, the cyclic twirl at a = 0.3, took a capped
+    step past its minimum and then 37 accepted steps of about 0.03 along a
+    concave stretch, each with s.y < 0, so none updated its stale inverse
+    Hessian.  The weak Wolfe curvature condition doubles such a step
+    instead of taking it."""
+    problems, config, seeds = _stack_problems(2)
+    batches = theorem1_batches([2, 3, 4], DEFAULT_A_GRID, 2, 7)
+    first = [p for *_, dim, batch in batches if dim == 2 for p in batch]
+    assert [oseed for *_, oseed in first] == seeds
+    assert all(np.array_equal(rho, problem[0])
+               for (_, _, rho, _, _), problem in zip(first, problems))
+    results = minimize_batch(problems, config, seeds)
+    assert len(results) == 70
+    assert results[0].stack_calls <= 25
+    assert sum(res.cap_hits for res in results) == 0
+
+
+def test_every_step_taken_below_its_cap_updates_the_inverse_hessian(monkeypatch):
+    """On the stacks of theorem-1 trials 0 and 1 at d = 2, 3 and 4, every
+    step a row takes below its cap of 5 per coordinate has s.y > 0, so it
+    takes its BFGS update: the curvature condition gives
+    s.y >= (1 - 0.9) t |g.p| for a search that never failed Armijo.  A row
+    that took no step reaches the update with s = 0 and is left as it is.
+    Under Armijo backtracking alone, 214 steps of benchmark rounds 0-11
+    had s.y <= 0."""
+    seen = []
+    inner = oracle._bfgs_update
+
+    def update(Hinv, s, y, fresh):
+        size = np.abs(s).max(axis=1, initial=0.0)
+        taken = (size > 0) & (size < oracle._MAX_STEP * (1 - 1e-12))
+        sy = np.add.reduce(s * y, axis=1)
+        seen.append((np.count_nonzero(taken), np.count_nonzero(taken & ~(sy > 0))))
+        return inner(Hinv, s, y, fresh)
+
+    monkeypatch.setattr(oracle, "_bfgs_update", update)
+    for d in (2, 3, 4):
+        minimize_batch(*_stack_problems(d))
+    assert sum(taken for taken, _ in seen) > 1000
+    assert sum(bad for _, bad in seen) == 0
+
+
+def _shoulder(X, rows):
+    """A one-parameter objective with a flat concave shoulder: f = -x/1000
+    - x^2/10^5 up to x = 20, then a quadratic bowl joined to it with a
+    continuous slope, whose minimum lies at x = 30.  The terms' magnitude
+    is |f| + 1."""
+    x = X[:, 0]
+    f1, g1, kappa = -0.02 - 0.004, -1e-3 - 4e-4, 1.4e-4
+    shoulder = x <= 20.0
+    value = np.where(shoulder, -1e-3 * x - 1e-5 * x * x,
+                     f1 + g1 * (x - 20.0) + 0.5 * kappa * (x - 20.0) ** 2)
+    slope = np.where(shoulder, -1e-3 - 2e-5 * x, g1 + kappa * (x - 20.0))
+    return value, slope[:, None], np.abs(value) + 1.0
+
+
+def test_search_crosses_a_flat_concave_shoulder():
+    """From x = 0, where the slope is -1e-3, every step along the concave
+    shoulder has s.y < 0.  Armijo backtracking alone takes each full step of
+    about 1e-3 and creeps: it stopped at its 2,000-iteration cap near
+    x = 2.04.  The curvature condition doubles each step up to the cap of
+    5, so the search crosses the shoulder and reaches the bowl's minimum in
+    at most 100 points."""
+    x, fx, gmax, points, iterations, capped = oracle._lockstep_bfgs(
+        _shoulder, np.zeros((1, 1)), 1e-10, 2000)
+    assert not capped[0]
+    assert abs(x[0, 0] - 30.0) <= 1e-6 and gmax[0] <= 1e-10
+    assert points[0] <= 100
+
+
+# ------------------------------------------------------- Gell-Mann table
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_gell_mann_table_is_read_off_the_unit_matrices(d):
+    """The table written from _layout is, bit for bit, the table read off
+    the 2 d^2 unit matrices by _coordinates, its former construction, kept
+    here as the reference; it is read-only, as every caller shares it."""
+    units = np.eye(2 * d * d).view(complex).reshape(2 * d * d, d, d)
+    reference = np.ascontiguousarray(oracle._coordinates(units).T)
+    table = oracle._gell_mann_table(d)
+    assert table.shape == reference.shape == (d * d - 1, 2 * d * d)
+    assert table.tobytes() == reference.tobytes()
+    assert not table.flags.writeable
+
+
+def test_gell_mann_table_builds_without_a_dense_identity():
+    """At d = 16 the table holds 1 MiB, and building it peaks at no more
+    than 2 MiB traced.  Reading it off the dense (2 d^2)^2 identity peaked at
+    4.9 MiB here, and at 79 MiB at d = 32."""
+    tracemalloc.start()
+    try:
+        table = oracle._gell_mann_table.__wrapped__(16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.shape == (255, 512)
+    assert peak <= 2 * 2**20
