@@ -180,9 +180,8 @@ class QuantumChannel:
         """`spectral_image` of arguments it has already checked, V given as
         its frame (`_frame_for`).  Here E(Z) is formed densely and
         diagonalized, values ascending."""
-        values, vectors = linalg.eig_hermitian(self.apply((V * w) @ linalg.dagger(V)))
-        values = linalg.clip_spectrum(values)
-        return values, linalg.spectral_power((values, vectors), p)
+        spectrum = linalg.psd_spectrum(self.apply((V * w) @ linalg.dagger(V)))
+        return spectrum.values, linalg.spectral_power(spectrum, p)
 
     def adjoint(self) -> "QuantumChannel":
         """The map with Kraus {K_i^dag}; unital iff self is trace preserving,
@@ -353,12 +352,17 @@ class PartitionChannel(QuantumChannel):
         a sum over the block times 1 / n, so that a matrix's image does not
         depend on the stack it comes in: as a product with the averaging
         matrix, BLAS rounded one (n, k) x (k, k) product differently as n
-        changed."""
+        changed.  One matrix takes the same sums through a flat `take` and
+        `put`, without the stack's reshapes and fancy indexing."""
         if self._mean is None:
             # C order whatever A's layout, as the traced image
             return np.multiply(A, self._keep, order="C")
         starts, owner, inv = self._mean
         at = self._layout[2]
+        if A.ndim == 2:
+            out = np.zeros((self._dim, self._dim), dtype=complex)
+            out.put(at, np.add.reduceat(A.take(at), starts).take(owner) * inv)
+            return out
         flat = A.shape[:-2] + (self._dim * self._dim,)
         out = np.zeros(A.shape, dtype=complex)
         sums = np.add.reduceat(A.reshape(flat).take(at, axis=-1), starts, axis=-1)
@@ -394,10 +398,11 @@ class PartitionChannel(QuantumChannel):
         A kept singleton i has the eigenvalue |U_i|^2 . w, and every index
         of a traced map's block j the mean of those over block j, read as
         one row of S, which holds that mean of |U|^2 already; both are
-        non-negative by construction, so they need no clip.  A kept map's
-        blocks of each size n > 1, (U_I w) U_I^dag, are formed and
-        diagonalized together, in one batched eigh per size, and the
-        eigenvalues of every block are clipped in one call.  values lists
+        non-negative by construction, so they need no clip, and a map with
+        no scalar rows forms no S @ w.  A kept map's blocks of each size
+        n > 1, (U_I w) U_I^dag, are formed and diagonalized together, in one
+        batched eigh per size, and the eigenvalues of every block are
+        clipped in place in one call.  values lists
         the scalars first, then each block's eigenvalues, not sorted;
         `linalg.matrix_power`'s round-off rule applies to all of them at
         once.  The power is written into U's frame by one `put`, at the
@@ -407,9 +412,9 @@ class PartitionChannel(QuantumChannel):
         O(d^2 + sum n^2 d) besides.
         """
         S, stacks = frame
-        diag = S @ w
         scalar_rows, _, at = self._layout
         if not stacks:
+            diag = S @ w
             f = linalg.power_values(diag, p)
             if self._basis is not None:
                 g = np.empty(self._dim)
@@ -419,9 +424,9 @@ class PartitionChannel(QuantumChannel):
             X.put(at, f)
             return diag, X
         spectra = [np.linalg.eigh((R * w) @ Rh) for R, Rh in stacks]
-        k = diag.size
-        values = np.concatenate([diag] + [e.ravel() for e, _ in spectra])
-        values[k:] = linalg.clip_spectrum(values[k:])
+        k = len(S)
+        values = np.concatenate(([S @ w] if k else []) + [e.ravel() for e, _ in spectra])
+        linalg.clip_spectrum(values[k:], out=values[k:])
         f = linalg.power_values(values, p)
         parts = [f[:k]]
         for _, Q in spectra:

@@ -56,7 +56,9 @@ def as_complex_matrix(M, ndim: int = 2) -> np.ndarray:
     if A.ndim != ndim or A.shape[-1] != A.shape[-2]:
         what = "a square matrix" if ndim == 2 else "a stack of square matrices"
         raise ValueError(f"expected {what}, got shape {A.shape}")
-    if not np.isfinite(A).all():
+    # ||A||_F^2, one vdot, is finite only when every entry is; the entries
+    # are walked only when it is not, which a huge finite entry can cause
+    if not math.isfinite(np.vdot(A, A).real) and not np.isfinite(A).all():
         raise ValueError("matrix has non-finite entries")
     return A
 
@@ -64,6 +66,12 @@ def as_complex_matrix(M, ndim: int = 2) -> np.ndarray:
 def hermiticity_residual(M: np.ndarray) -> float:
     """||M - M^dag||_F of a matrix; of an (n, d, d) stack, the largest."""
     return float(np.maximum.reduce(hermiticity_residuals(M), axis=None, initial=0.0))
+
+
+def _matrix_residual(A: np.ndarray) -> float:
+    """||A - A^dag||_F of one matrix, as one vdot of A - A^dag: equal to
+    `hermiticity_residual` to round-off."""
+    return frobenius(A - A.conj().T)
 
 
 def hermiticity_residuals(A: np.ndarray) -> np.ndarray:
@@ -87,28 +95,29 @@ def _eigh(A: np.ndarray) -> Eigensystem:
     """`eig_hermitian` of an array that `as_complex_matrix` already returned:
     one matrix, or an (n, d, d) stack from one stacked eigh, NonHermitian
     naming the worst residual when any matrix fails."""
-    residual = hermiticity_residual(A)
+    residual = _matrix_residual(A) if A.ndim == 2 else hermiticity_residual(A)
     if residual > HERMITIAN_TOL:
         raise NonHermitian(f"Hermiticity residual {residual:.3e} exceeds {HERMITIAN_TOL:.0e}")
     values, vectors = np.linalg.eigh(A)
     return Eigensystem(values, vectors)
 
 
-def clip_spectrum(values: np.ndarray) -> np.ndarray:
-    """Eigenvalues, in any order, with round-off negatives clipped to 0;
-    NotPSD below -1e-10."""
+def clip_spectrum(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Eigenvalues, in any order, with round-off negatives clipped to 0,
+    into `out` when given (values itself, to clip in place); NotPSD below
+    -1e-10."""
     lo = values.min()
     if lo < -PSD_TOL:
         raise NotPSD(f"minimum eigenvalue {lo:.3e} below -{PSD_TOL:.0e}")
-    return np.maximum(values, 0.0)
+    return np.maximum(values, 0.0, out=out)
 
 
 def _clipped_spectrum(A: np.ndarray) -> Eigensystem:
     """Eigensystem of a coerced matrix, or of each matrix of a coerced
     (n, d, d) stack as (n, d) values and (n, d, d) vectors, with round-off
-    negatives clipped to 0; NotPSD below -1e-10."""
+    negatives clipped to 0, in place; NotPSD below -1e-10."""
     values, vectors = _eigh(A)
-    return Eigensystem(clip_spectrum(values), vectors)
+    return Eigensystem(clip_spectrum(values, out=values), vectors)
 
 
 def matrix_power(M: np.ndarray, p: float) -> np.ndarray:
@@ -252,7 +261,10 @@ def density_spectrum(M) -> Eigensystem:
     non-finite entry (ValueError, as `as_complex_matrix` words it);
     Hermiticity residual above 1e-10 (NonHermitian); minimum eigenvalue
     below -1e-10 (NotPSD); trace off 1 by more than 1e-10 (TraceNotOne).
-    Round-off negatives are then clipped to 0.  Errors are never stored.  The returned values and vectors are
+    Round-off negatives are then clipped to 0, in place.  Each check is one
+    pass: the finiteness of ||A||_F^2 (the entries are walked only when it
+    is not finite), one vdot of A - A^dag, one min and one trace.  Errors
+    are never stored.  The returned values and vectors are
     read-only, since every caller of an entry shares them.  The entry is one
     tuple read once and swapped by a single assignment, so threads at worst
     decompose again; none can see another state's eigensystem.
@@ -267,7 +279,7 @@ def density_spectrum(M) -> Eigensystem:
     spectrum = _clipped_spectrum(A)
     _check_trace(A)
     for part in spectrum:
-        part.flags.writeable = False
+        part.setflags(write=False)
     _last_spectrum = (A.shape, key, spectrum)
     return spectrum
 
@@ -292,7 +304,7 @@ def density_ok(stack) -> np.ndarray:
 
 
 def _check_trace(A: np.ndarray) -> None:
-    tr = complex(np.trace(A))
+    tr = complex(A.trace())
     if abs(tr - 1.0) > TRACE_TOL:
         raise TraceNotOne(f"trace deviates from 1 by {abs(tr - 1.0):.3e}")
 

@@ -483,3 +483,88 @@ def test_matrix_json_refuses_a_bool_among_numbers(re, im):
                 linalg.matrix_from_json({"re": entries, "im": numbers})
             errors.append(str(info.value))
         assert errors[0] == errors[1] and "bool" not in errors[0]
+
+
+# -------------------------------------------------- the one-matrix miss path
+
+def _at_tolerance(eps, over):
+    """States eps from each 1e-10 tolerance, with the error the checks must
+    raise when eps is over the tolerance (None when it is not): a
+    Hermiticity residual of eps (one entry skewed by eps / sqrt(2), above
+    the diagonal only), a smallest eigenvalue of -eps and a trace off 1 by
+    eps, then states failing several checks at once, where the first check
+    in the order NonHermitian, NotPSD, TraceNotOne wins."""
+    skew = np.zeros((3, 3), dtype=complex)
+    skew[0, 1] = eps / math.sqrt(2.0)
+    base = np.diag([0.5, 0.3, 0.2]).astype(complex)
+    low = np.diag([0.7 + eps, 0.3, -eps]).astype(complex)
+    both = np.diag([0.7 + 2 * eps, 0.3, -eps]).astype(complex)
+    return [(base + skew, NonHermitian if over else None),
+            (low, NotPSD if over else None),
+            (base + np.diag([eps, 0.0, 0.0]), TraceNotOne if over else None),
+            (both + skew, NonHermitian if over else None),
+            (both, NotPSD if over else None)]
+
+
+def _measured(M, error) -> float:
+    """The residual each error names, measured here independently."""
+    if error is NonHermitian:
+        return linalg.hermiticity_residual(M)
+    if error is NotPSD:
+        return float(np.linalg.eigvalsh(M).min())
+    return abs(complex(np.trace(M)) - 1.0)
+
+
+@pytest.mark.parametrize("check", [linalg.density_spectrum, linalg.validate_density])
+def test_state_checks_hold_their_tolerances_and_their_order(check, monkeypatch):
+    """1e-12 over each 1e-10 tolerance a state is refused by the check that
+    owns it, with the measured residual in the message, and the first of
+    NonHermitian, NotPSD and TraceNotOne wins where several fail; 1e-12
+    under, every state passes."""
+    for eps, over in ((1e-10 + 1e-12, True), (1e-10 - 1e-12, False)):
+        for M, error in _at_tolerance(eps, over):
+            monkeypatch.setattr(linalg, "_last_spectrum", None)
+            if error is None:
+                check(M)
+                continue
+            with pytest.raises(error) as caught:
+                check(M)
+            assert f"{_measured(M, error):.3e}" in str(caught.value)
+
+
+def test_one_matrix_residual_agrees_with_the_stacked_one():
+    """The one-vdot residual of one matrix equals `hermiticity_residual`,
+    the stacked sum, to 1e-15 relative up to d = 16, from skews near
+    round-off to O(1).  Both are square roots of a sum of d^2 positive
+    terms taken in two orders, whose difference grows with the count: at
+    d = 32 and 64 it reached 1.6e-15 and 5.9e-15 over 200 draws each, so
+    there the bound is 1e-14."""
+    rng = np.random.default_rng(35)
+    for d in (1, 2, 3, 4, 8, 16, 32, 64):
+        tol = 1e-15 if d <= 16 else 1e-14
+        for seed in range(20):
+            rho = linalg.random_density_matrix(d, d, seed=seed)
+            for scale in (1e-17, 1e-12, 1e-10, 1e-6, 1.0):
+                M = rho + scale * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+                want = linalg.hermiticity_residual(M)
+                assert abs(linalg._matrix_residual(M) - want) <= tol * want, (d, scale)
+
+
+def test_non_finite_and_huge_entries_are_told_apart():
+    """A NaN or an infinite entry is the ValueError of a non-finite matrix,
+    for one matrix and in a stack, with no numpy warning.  A huge finite
+    entry, whose squared norm overflows, passes that check and is refused
+    by the next one, as before."""
+    rho = linalg.random_density_matrix(3, 3, seed=3)
+    for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.inf)):
+        M = rho.copy()
+        M[2, 1] = bad
+        for call in (linalg.as_complex_matrix, linalg.validate_density, linalg.density_spectrum):
+            with pytest.raises(ValueError, match="non-finite"):
+                call(M)
+        with pytest.raises(ValueError, match="non-finite"):
+            linalg.as_complex_matrix(np.stack([rho, M]), 3)
+    huge = np.diag([1e200, 0.0, 0.0]).astype(complex)
+    assert linalg.as_complex_matrix(huge) is huge
+    with pytest.raises(TraceNotOne):
+        linalg.validate_density(huge)

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rdmap import channels, linalg
+from rdmap import channels, linalg, measures
 from rdmap.channels import (
     MeasurementPartition,
     PartitionChannel,
@@ -38,7 +39,7 @@ from rdmap.measures import (
     von_neumann_entropy,
     validate_order,
 )
-from rdmap.verify import _builtin_families, _free_unitary, random_partition
+from rdmap.verify import _builtin_families, _free_unitary, _random_unitary, random_partition
 
 PLUS = np.full((2, 2), 0.5, dtype=complex)
 A_GRID = (0.3, 0.5, 0.8, 1.0, 1.2, 1.5, 2.0)
@@ -696,3 +697,112 @@ def test_report_json_round_trip_every_family(d, a, infinite, seed):
         assert back.N == rep.N
         assert back.fixed_point_residual == rep.fixed_point_residual
         assert np.array_equal(back.sigma_star, rep.sigma_star)
+
+
+# ------------------------------------------------------------------ the public recipe
+
+def _kraus_input(ops, W):
+    """Kraus input on the wire: the operators conjugated by W."""
+    return channels.map_from_json({
+        "type": "kraus", "dim": len(W),
+        "operators": [linalg.matrix_to_json(W @ K @ W.conj().T) for K in ops]})
+
+
+def recipe_maps(d, rng):
+    """The five families on a random coarse partition, then Kraus input
+    that commutes (the Lueders projectors in a random basis, built as a
+    partition map with that basis) and Kraus input that does not (the
+    modified map of a partition into pairs, in a random basis: a Kraus sum,
+    the dense path)."""
+    coarse = random_partition(d, rng, coarse=True)
+    pairs = MeasurementPartition(d, [list(range(i, min(i + 2, d))) for i in range(0, d, 2)])
+    commuting = _kraus_input(coarse.projectors(), _random_unitary(d, rng))
+    dense = _kraus_input(modified_coarse_map(pairs).kraus, _random_unitary(d, rng))
+    assert isinstance(commuting.channel, PartitionChannel) and commuting.channel._basis is not None
+    assert type(dense.channel) is QuantumChannel
+    return [dephasing_map(MeasurementPartition.singletons(d)), lueders_map(coarse),
+            modified_coarse_map(coarse), cyclic_twirl(d), mixing_map(d), commuting, dense]
+
+
+def _entropy_of(values):
+    w = values[linalg.support_mask(values, 0.0)]
+    return float(-np.sum(w * np.log(w)))
+
+
+def public_recipe(rho, rdm, a):
+    """(value, N, sigma*, residual) of the closed form through public calls,
+    out of place: rho's clipped eigensystem, the masked power p^a, the map's
+    `spectral_image`, then X / N and ||E(sigma*) - sigma*||_F; at a = 1 the
+    image of (V, p) and the two entropies."""
+    p, V = linalg.psd_spectrum(rho)
+    if a == 1.0:
+        mu, sigma = rdm.spectral_image(V, p, 1.0)
+        value, N = _entropy_of(mu) - _entropy_of(p), 1.0
+    else:
+        _, X = rdm.spectral_image(V, linalg.power_values(p, a), 1.0 / a)
+        N = float(X.trace().real)
+        value, sigma = (N - 1.0) / (a - 1.0), X / N
+    return value, N, sigma, linalg.frobenius(rdm.apply(sigma) - sigma)
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x).tobytes()
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 8, 16, 32])
+def test_closed_form_is_the_public_recipe_bit_for_bit(d):
+    """Every family, commuting Kraus input in a random basis and the dense
+    path, on states of rank 1, 2 and d, at every order of the grid and at
+    0.05: value, N, residual and the bytes of sigma* equal the public
+    recipe's, warm (a sweep reading its remembered state and frame) and
+    cold (nothing remembered)."""
+    rng = np.random.default_rng(3500 + d)
+    grid = A_GRID + (0.05,)
+    for rdm in recipe_maps(d, rng):
+        for rank in sorted({1, 2, d}):
+            rho = linalg.random_density_matrix(d, rank, seed=int(rng.integers(2**31)))
+            want = {a: [_bits(x) for x in public_recipe(rho, rdm, a)] for a in grid}
+            linalg._last_spectrum = measures._last_sweep = None
+            warm = [closed_form_measure(rho, rdm, a) for a in grid]
+            for a, rep in zip(grid, warm):
+                linalg._last_spectrum = measures._last_sweep = None
+                for got in (rep, closed_form_measure(rho, rdm, a)):
+                    assert [_bits(got.value), _bits(got.N), _bits(got.sigma_star),
+                            _bits(got.fixed_point_residual)] == want[a], (
+                        d, rank, a, rdm.descriptor["type"])
+
+
+# ------------------------------------------------------------------ allocations
+
+@pytest.mark.parametrize("with_basis, bound", [(False, 2.5), (True, 3.5)])
+def test_warm_order_allocates_little_beyond_its_sigma_star(with_basis, bound):
+    """At d = 64 a warm order (the state's spectrum and the map's frame
+    already read) allocates at its peak at most 2.5 d x d complex matrices
+    above what it held on entry for the four partition families in the
+    computational basis, sigma* included, and at most 3.5 with a basis:
+    sigma* is formed in place and E(sigma*) - sigma* in E(sigma*).  With
+    a basis: the twirl, and a kept and a traced map in a random basis."""
+    d = 64
+    unit = 16 * d * d
+    rng = np.random.default_rng(3564 + with_basis)
+    rho = linalg.random_density_matrix(d, d, seed=64)
+    coarse = random_partition(d, rng, coarse=True)
+    if with_basis:
+        W = _random_unitary(d, rng)
+        maps = [cyclic_twirl(d), certify_rdm(PartitionChannel(coarse, False, basis=W)),
+                certify_rdm(PartitionChannel(coarse, True, basis=W))]
+    else:
+        maps = [dephasing_map(MeasurementPartition.singletons(d)), lueders_map(coarse),
+                modified_coarse_map(coarse), mixing_map(d)]
+    for rdm in maps:
+        closed_form_measure(rho, rdm, 0.5)
+        for a in A_GRID:
+            tracemalloc.start()
+            try:
+                entry = tracemalloc.get_traced_memory()[0]
+                rep = closed_form_measure(rho, rdm, a)
+                peak = tracemalloc.get_traced_memory()[1] - entry
+            finally:
+                tracemalloc.stop()
+            assert rep.sigma_star.shape == (d, d)
+            assert peak <= bound * unit, (type(rdm.channel).__name__, a, peak / unit)
